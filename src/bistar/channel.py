@@ -79,14 +79,12 @@ class PathDescriptor:
             raise ValueError("doppler must be finite")
 
 
-def steering_vector(array: ArrayModel, angle_rad: float, carrier_hz: float | None = None) -> np.ndarray:
+def steering_vector(array: ArrayModel, angle_rad: float) -> np.ndarray:
     """Element phases for a plane wave arriving from ``angle_rad``.
 
-    Element k carries exp(j 2 pi k spacing sin(angle - boresight)).
-    ``carrier_hz`` is accepted for interface symmetry; with spacing
-    expressed in wavelengths the carrier cancels.
+    Element k carries exp(j 2 pi k spacing sin(angle - boresight)); with
+    spacing expressed in wavelengths the carrier cancels.
     """
-    del carrier_hz
     phase = (
         2.0
         * math.pi
@@ -167,12 +165,26 @@ def build_paths(
     return direct, echo
 
 
+def _delay_frames(
+    tx: IqCapture, delays_s: tuple[float, ...], spp_out: int
+) -> list[np.ndarray]:
+    """Pulse frames of ``tx`` padded to ``spp_out`` and delayed per path."""
+    spectra = np.fft.fft(tx.frames()[0], n=spp_out, axis=1)
+    freq = np.fft.fftfreq(spp_out, d=1.0 / tx.sample_rate_hz)
+    delayed = []
+    for delay in delays_s:
+        ramp = np.exp(-2j * math.pi * freq * delay)
+        delayed.append(np.fft.ifft(spectra * ramp[np.newaxis, :], axis=1))
+    return delayed
+
+
 def propagate(
     tx: IqCapture,
     paths: tuple[PathDescriptor, ...] | list[PathDescriptor],
     rx_array: ArrayModel,
     params: RadarParams,
     seed: int | tuple[int, ...] = 0,
+    delayed_frames: dict | None = None,
 ) -> IqCapture:
     """Apply paths and receiver noise to a transmit capture.
 
@@ -180,52 +192,66 @@ def propagate(
     path with an exact frequency-domain phase ramp, rotated by the
     carrier phase exp(-j 2 pi f0 tau) plus any static path phase,
     advanced in Doppler phase per pulse, and spread over elements with
-    the array steering phases. Per-element noise has total power
-    k T_s f_s (the thermal density over the full sampling bandwidth),
-    drawn from a per-pulse substream of ``seed`` so results do not
-    depend on scheduling.
+    the array steering phases. The first path is written straight into
+    the output and later paths are added one element at a time, so no
+    temporary larger than one element's frames is built. Per-element
+    noise has total power k T_s f_s (the thermal density over the full
+    sampling bandwidth), drawn from a per-pulse substream of ``seed`` so
+    results do not depend on scheduling.
+
+    ``delayed_frames``, when given, keeps the delayed path frames keyed
+    by the path delays, and belongs to this one transmit capture. Calls
+    that pass the same dict and equal delays (both transmit modes and
+    all trials of one contour point) reuse the frames instead of
+    repeating the FFTs; the output is bit-identical either way.
     """
     if tx.elements != 1:
         raise ValueError("transmit capture must be single element")
     if abs(tx.sample_rate_hz - params.sample_rate_hz) > 1e-3:
         raise ValueError("transmit capture sample rate does not match params")
     fs = tx.sample_rate_hz
-    spp = tx.samples_per_pulse
     pulses = tx.pulses
     max_delay = max((p.delay_s for p in paths), default=0.0)
     if any(p.delay_s < 0 for p in paths):
         raise DegenerateGeometryError("negative path delay")
     pad = int(math.ceil(max_delay * fs)) + _PAD_GUARD
-    spp_out = spp + pad
+    spp_out = tx.samples_per_pulse + pad
     pri = spp_out / fs
-
-    frames = tx.frames()[0]
-    spectra = np.fft.fft(frames, n=spp_out, axis=1)
-    freq = np.fft.fftfreq(spp_out, d=1.0 / fs)
     pulse_index = np.arange(pulses)
 
+    delays = tuple(p.delay_s for p in paths)
+    delayed = None if delayed_frames is None else delayed_frames.get(delays)
+    if delayed is None:
+        delayed = _delay_frames(tx, delays, spp_out)
+        if delayed_frames is not None:
+            delayed_frames[delays] = delayed
+
     out = np.zeros((rx_array.elements, pulses, spp_out), dtype=np.complex128)
-    for path in paths:
-        ramp = np.exp(-2j * math.pi * freq * path.delay_s)
-        delayed = np.fft.ifft(spectra * ramp[np.newaxis, :], axis=1)
+    scratch = np.empty((pulses, spp_out), dtype=np.complex128)
+    for index, (path, frame) in enumerate(zip(paths, delayed)):
         static = path.amplitude * np.exp(
             1j * (path.phase_rad - 2.0 * math.pi * params.carrier_hz * path.delay_s)
         )
         doppler = np.exp(2j * math.pi * path.doppler_hz * pri * pulse_index)
         steer = steering_vector(rx_array, path.aoa_rad)
-        out += (
-            steer[:, np.newaxis, np.newaxis]
-            * (static * doppler)[np.newaxis, :, np.newaxis]
-            * delayed[np.newaxis, :, :]
-        )
+        gains = steer[:, np.newaxis] * (static * doppler)[np.newaxis, :]
+        for element in range(rx_array.elements):
+            gain = gains[element][:, np.newaxis]
+            if index == 0:
+                np.multiply(gain, frame, out=out[element])
+            else:
+                np.multiply(gain, frame, out=scratch)
+                out[element] += scratch
 
     noise_power = BOLTZMANN * params.noise_temp_k * fs
     sigma = math.sqrt(noise_power / 2.0)
     base = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
+    noise = np.empty((rx_array.elements, 2 * spp_out))
     for p in range(pulses):
         rng = np.random.default_rng(np.random.SeedSequence(base + [p]))
-        noise = rng.standard_normal((rx_array.elements, 2 * spp_out))
-        out[:, p, :] += sigma * (noise[:, 0::2] + 1j * noise[:, 1::2])
+        rng.standard_normal(out=noise)
+        noise *= sigma
+        out[:, p, :] += noise.view(np.complex128)
 
     return IqCapture(
         out.reshape(rx_array.elements, pulses * spp_out),

@@ -255,12 +255,18 @@ def null_steer_beamform(
     )
 
 
-def project_out_stream(capture: IqCapture, stream: np.ndarray) -> IqCapture:
+def project_out_stream(
+    capture: IqCapture, stream: np.ndarray, window: slice | None = None
+) -> IqCapture:
     """Remove each element's least-squares projection onto ``stream``.
 
     Scales every element identically, so the spatial signature of any
     component not aligned with ``stream`` is preserved; used to strip
-    the direct path before single-source MUSIC.
+    the direct path before single-source MUSIC. The coefficients are
+    always fitted over the whole capture. ``window``, when given, limits
+    the returned cleaned samples to that sample range (for example the
+    pilot symbol MUSIC reads) as a single-pulse capture; those samples
+    equal the matching columns of the full projection bit for bit.
     """
     reference = np.asarray(stream, dtype=np.complex128).reshape(-1)
     if reference.shape[0] != capture.samples.shape[1]:
@@ -269,13 +275,18 @@ def project_out_stream(capture: IqCapture, stream: np.ndarray) -> IqCapture:
     if energy <= 0.0:
         raise ValueError("reference stream has no energy")
     coeffs = capture.samples @ reference.conj() / energy
-    cleaned = capture.samples - coeffs[:, np.newaxis] * reference[np.newaxis, :]
-    return IqCapture(
-        cleaned,
-        capture.sample_rate_hz,
-        pulses=capture.pulses,
-        samples_per_pulse=capture.samples_per_pulse,
+    if window is None:
+        cleaned = capture.samples - coeffs[:, np.newaxis] * reference[np.newaxis, :]
+        return IqCapture(
+            cleaned,
+            capture.sample_rate_hz,
+            pulses=capture.pulses,
+            samples_per_pulse=capture.samples_per_pulse,
+        )
+    cleaned = (
+        capture.samples[:, window] - coeffs[:, np.newaxis] * reference[np.newaxis, window]
     )
+    return IqCapture(cleaned, capture.sample_rate_hz)
 
 
 def cancel_direct_path(echo_beam: IqCapture, direct_beam: IqCapture) -> IqCapture:
@@ -298,16 +309,6 @@ def cancel_direct_path(echo_beam: IqCapture, direct_beam: IqCapture) -> IqCaptur
         pulses=echo_beam.pulses,
         samples_per_pulse=echo_beam.samples_per_pulse,
     )
-
-
-def _correlate(stream: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Linear cross-correlation values at non-negative integer lags."""
-    length = stream.shape[0]
-    size = 1
-    while size < length + reference.shape[0]:
-        size <<= 1
-    spectrum = np.fft.fft(stream, size) * np.fft.fft(reference, size).conj()
-    return np.fft.ifft(spectrum)[:length]
 
 
 def _peak_with_floor(
@@ -363,6 +364,11 @@ def estimate_tdoa(
     fractional delay is close to half a sample this interference decides
     which of the two neighboring lattice points wins.
 
+    The beams are streams of one capture and must have equal length.
+    The reference is transformed once per call: the direct, echo and
+    guard beams are correlated with it in one FFT pass, and the same
+    spectrum yields the autocorrelation template.
+
     ``guard_beam``, when given, is an interference-suppressed stream of
     the same capture (see `null_steer_beamform`) used as a guard channel
     to blank false detections: if the winning lag holds less than
@@ -383,6 +389,8 @@ def estimate_tdoa(
     clears the stricter bar easily.
 
     Raises:
+        ValueError: when a beam is not a single stream, or the beams
+            differ in length or in sample rate from the reference.
         DetectionError: when the direct peak or the deflated echo peak
             fails to clear ``min_peak_db`` above the median correlation
             floor.
@@ -390,13 +398,28 @@ def estimate_tdoa(
     beams = [direct_beam, echo_beam]
     if guard_beam is not None:
         beams.append(guard_beam)
+    length = direct_beam.samples.shape[1]
     for capture in beams:
         if capture.elements != 1:
             raise ValueError("beams must be single streams")
         if abs(capture.sample_rate_hz - reference.sample_rate_hz) > 1e-3:
             raise ValueError("sample rates must match the reference")
+        if capture.samples.shape[1] != length:
+            raise ValueError("beams must have equal length")
     ref = reference.samples[0]
-    corr_direct = _correlate(direct_beam.samples[0], ref)
+    # One transform size leaves room for every non-negative lag of the
+    # linear correlation and for both tails of the autocorrelation
+    # template.
+    size = 1
+    while size < max(length, ref.shape[0]) + ref.shape[0]:
+        size <<= 1
+    spectrum = np.fft.fft(ref, size)
+    # Every beam is correlated with the reference in one FFT pass.
+    streams = np.vstack([capture.samples[0] for capture in beams])
+    corr = np.fft.ifft(np.fft.fft(streams, size, axis=1) * spectrum.conj(), axis=1)
+    corr = corr[:, :length]
+
+    corr_direct = corr[0]
     if direct_delay_hint_s is None:
         direct_peak = _peak_with_floor(corr_direct, min_peak_db, "direct")
     else:
@@ -406,27 +429,23 @@ def estimate_tdoa(
             corr_direct, hint_floor_db, "direct", window=(lo, hi)
         )
 
-    corr_echo = _correlate(echo_beam.samples[0], ref)
-    length = corr_echo.shape[0]
-    size = 1
-    while size < 2 * ref.shape[0] or size < length + ref.shape[0]:
-        size <<= 1
-    spectrum = np.fft.fft(ref, size)
+    corr_echo = corr[1]
     auto = np.fft.ifft(spectrum * spectrum.conj())
     template = auto[(np.arange(length) - direct_peak) % size]
     corr_clean = corr_echo - corr_echo[direct_peak] / auto[0].real * template
 
-    tail = np.abs(corr_clean[direct_peak + 1 :])
+    magnitude = np.abs(corr_clean)
+    tail = magnitude[direct_peak + 1 :]
     if tail.size == 0:
         raise DetectionError("no lags left after the direct peak")
     offset = int(np.argmax(tail))
-    floor = float(np.median(np.abs(corr_clean)))
+    floor = float(np.median(magnitude))
     if floor <= 0.0 or 20.0 * math.log10(tail[offset] / floor) < min_peak_db:
         raise DetectionError(
             f"echo correlation peak is below the {min_peak_db:.1f} dB detection threshold"
         )
     if guard_beam is not None:
-        guard_tail = np.abs(_correlate(guard_beam.samples[0], ref)[direct_peak + 1 :])
+        guard_tail = np.abs(corr[2, direct_peak + 1 :])
         guard_peak = float(guard_tail.max())
         if guard_peak <= 0.0:
             raise DetectionError("guard correlation is empty")
@@ -474,8 +493,8 @@ def range_doppler(
     fast = np.fft.ifft(spectra, axis=1)
 
     bins = train.pulses * pad_factor
-    slow = np.fft.fftshift(np.fft.fft(fast, n=bins, axis=0), axes=0)
-    magnitudes = np.abs(slow).T
+    slow = np.fft.fft(fast, n=bins, axis=0)
+    magnitudes = np.fft.fftshift(np.abs(slow), axes=0).T
     delay_axis = np.arange(spp) / fs
     doppler_axis = np.fft.fftshift(np.fft.fftfreq(bins, d=pri))
     return RangeDopplerMap(magnitudes, delay_axis, doppler_axis)

@@ -252,30 +252,61 @@ class _SignalBench:
         self.slot = generate_slot(self.wcfg)
         self.reference = matched_reference(self.wcfg)
 
-    def measure(
-        self, pair: BistaticPair, target: TargetState, seed_key: tuple[int, ...]
-    ) -> Measurement:
-        """Full receiver chain: propagate, MUSIC, beamform, correlate."""
+    def receive(
+        self,
+        pair: BistaticPair,
+        target: TargetState,
+        tx: IqCapture,
+        seed_key: tuple[int, ...],
+        delayed_frames: dict | None = None,
+    ) -> tuple[float, float, IqCapture, IqCapture]:
+        """Receiver chain: propagate, beamform, MUSIC, correlate.
+
+        Propagates ``tx`` (one slot or a pulse train of it), strips the
+        direct path over the pilot symbol only, since that window is all
+        MUSIC reads, and reads the TDOA off the first pulse of the
+        direct, echo and guard beams. ``delayed_frames`` is passed to
+        `propagate`. Returns the echo angle, the TDOA and the direct and
+        echo beams of the whole capture.
+        """
         params = self.cfg.radar
-        rx, tx = pair.rx_node, pair.tx_node
-        direct_aoa = true_aoa(rx, tx)
-        boresight = _survey_boresight(rx, tx)
+        rx, tx_node = pair.rx_node, pair.tx_node
+        direct_aoa = true_aoa(rx, tx_node)
+        boresight = _survey_boresight(rx, tx_node)
         rx_array = ArrayModel(params.rx_elements, 0.5, boresight)
         paths = build_paths(pair, target, params, self.cfg.direct_path_gain_db)
-        capture = propagate(self.slot, paths, rx_array, params, seed_key)
+        capture = propagate(tx, paths, rx_array, params, seed_key, delayed_frames)
         direct_beam = beamform(capture, rx_array, direct_aoa)
-        cleaned = project_out_stream(capture, direct_beam.samples[0])
-        aoa_raw = music_aoa(cleaned, rx_array, 1, 0.1, window=self.wcfg.dmrs_window())[0]
+        pilot = project_out_stream(
+            capture, direct_beam.samples[0], self.wcfg.dmrs_window()
+        )
+        aoa_raw = music_aoa(pilot, rx_array, 1, 0.1)[0]
         aoa = _resolve_survey_aoa(aoa_raw, boresight, true_aoa(rx, target))
         echo_beam = beamform(capture, rx_array, aoa)
         guard_beam = null_steer_beamform(capture, rx_array, aoa, direct_aoa)
+        first = slice(0, capture.samples_per_pulse)
+        direct0, echo0, guard0 = (
+            IqCapture(beam.samples[:, first], capture.sample_rate_hz)
+            for beam in (direct_beam, echo_beam, guard_beam)
+        )
         tdoa = estimate_tdoa(
-            direct_beam,
-            echo_beam,
+            direct0,
+            echo0,
             self.reference,
-            guard_beam=guard_beam,
+            guard_beam=guard0,
             direct_delay_hint_s=pair.baseline / SPEED_OF_LIGHT,
         )
+        return aoa, tdoa, direct_beam, echo_beam
+
+    def measure(
+        self,
+        pair: BistaticPair,
+        target: TargetState,
+        seed_key: tuple[int, ...],
+        delayed_frames: dict | None = None,
+    ) -> Measurement:
+        """One slot through the receiver chain, as a measurement."""
+        aoa, tdoa, _, _ = self.receive(pair, target, self.slot, seed_key, delayed_frames)
         return Measurement(tdoa_s=tdoa, aoa_rad=aoa, mode=pair.mode)
 
 
@@ -325,6 +356,9 @@ def _sweep_point(
 
     errors = {Mode.MODE1: [], Mode.MODE2: []}
     first_meas: Measurement | None = None
+    # Both modes and all trials see the same path delays, so the
+    # delayed slot frames are computed once for this point.
+    delayed_frames: dict = {}
     try:
         for trial in range(cfg.trials_per_point):
             node_rng = _rng(cfg, index, trial, _TAG_NODES)
@@ -332,7 +366,10 @@ def _sweep_point(
             for mode, pair in ((Mode.MODE1, pair1), (Mode.MODE2, pair2)):
                 if cfg.engine == ENGINE_SIGNAL:
                     meas = bench.measure(
-                        pair, target, (cfg.seed, index, trial, _TAG_CHANNEL, mode.value)
+                        pair,
+                        target,
+                        (cfg.seed, index, trial, _TAG_CHANNEL, mode.value),
+                        delayed_frames,
                     )
                 else:
                     meas = model_based_measure(
@@ -418,7 +455,7 @@ def summarize_sweep(rows: list[SweepRow]) -> dict[str, float]:
 
 def _format(value) -> str:
     if isinstance(value, float):
-        return "" if math.isnan(value) else repr(value)
+        return "" if math.isnan(value) else repr(float(value))
     return str(value)
 
 
@@ -509,6 +546,7 @@ def _multistatic_point(
     best_sum = 0.0
     wins = 0
     done = 0
+    delayed_frames: dict = {}
     for trial in range(cfg.trials_per_point):
         node_rng = _rng(cfg, index, trial, _TAG_NODES)
         believed = _perturbed_nodes(nodes, node_rng)
@@ -518,7 +556,10 @@ def _multistatic_point(
             pair = true_pairs[i]
             if cfg.engine == ENGINE_SIGNAL:
                 meas = bench.measure(
-                    pair, target, (cfg.seed, index, trial, _TAG_CHANNEL, i)
+                    pair,
+                    target,
+                    (cfg.seed, index, trial, _TAG_CHANNEL, i),
+                    delayed_frames,
                 )
             else:
                 meas = model_based_measure(
@@ -655,31 +696,10 @@ def run_doppler(cfg: ScenarioConfig) -> DopplerResult:
 
     bench = _SignalBench(cfg)
     train = pulse_train(bench.slot, motion.pulses)
-    rx, tx = pair.rx_node, pair.tx_node
-    direct_aoa = true_aoa(rx, tx)
-    boresight = _survey_boresight(rx, tx)
-    rx_array = ArrayModel(params.rx_elements, 0.5, boresight)
-    paths = build_paths(pair, target, params, cfg.direct_path_gain_db)
-    capture = propagate(train, paths, rx_array, params, (cfg.seed, 0, 0, _TAG_CHANNEL))
-    direct_beam = beamform(capture, rx_array, direct_aoa)
-    cleaned = project_out_stream(capture, direct_beam.samples[0])
-    aoa_raw = music_aoa(cleaned, rx_array, 1, 0.1, window=bench.wcfg.dmrs_window())[0]
-    aoa = _resolve_survey_aoa(aoa_raw, boresight, true_aoa(rx, target))
-    echo_beam = beamform(capture, rx_array, aoa)
-    guard_beam = null_steer_beamform(capture, rx_array, aoa, direct_aoa)
-    echo_clean = cancel_direct_path(echo_beam, direct_beam)
-
-    first = slice(0, capture.samples_per_pulse)
-    direct0 = IqCapture(direct_beam.samples[:, first], capture.sample_rate_hz)
-    echo0 = IqCapture(echo_beam.samples[:, first], capture.sample_rate_hz)
-    guard0 = IqCapture(guard_beam.samples[:, first], capture.sample_rate_hz)
-    tdoa = estimate_tdoa(
-        direct0,
-        echo0,
-        bench.reference,
-        guard_beam=guard0,
-        direct_delay_hint_s=pair.baseline / SPEED_OF_LIGHT,
+    aoa, tdoa, direct_beam, echo_beam = bench.receive(
+        pair, target, train, (cfg.seed, 0, 0, _TAG_CHANNEL)
     )
+    echo_clean = cancel_direct_path(echo_beam, direct_beam)
 
     rd_map = range_doppler(echo_clean, bench.reference)
     _, doppler_est = doppler_peak(rd_map)
@@ -738,11 +758,12 @@ def write_range_doppler_csv(
 
     def emit(handle):
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["delay_s"] + [repr(v) for v in rd_map.doppler_axis_hz])
+        axis = rd_map.doppler_axis_hz.tolist()
+        writer.writerow(["delay_s"] + [_format(v) for v in axis])
         for i in range(rows):
             writer.writerow(
-                [repr(rd_map.delay_axis_s[i])]
-                + [repr(v) for v in rd_map.magnitudes[i]]
+                [_format(rd_map.delay_axis_s[i])]
+                + [_format(v) for v in rd_map.magnitudes[i].tolist()]
             )
 
     if hasattr(path, "write"):

@@ -33,6 +33,55 @@ def quiet_params(**kwargs):
     return replace(RadarParams(), reference_temp_k=1e-12, **kwargs)
 
 
+def broadcast_propagate(tx, paths, rx_array, params, seed):
+    """`propagate` as one (elements, pulses, samples) broadcast per path.
+
+    The straightforward formulation, kept as the bit-for-bit reference
+    for the in-place mixing and noise of the library version.
+    """
+    fs = tx.sample_rate_hz
+    pulses = tx.pulses
+    pad = int(math.ceil(max(p.delay_s for p in paths) * fs)) + 8
+    spp_out = tx.samples_per_pulse + pad
+    pri = spp_out / fs
+    spectra = np.fft.fft(tx.frames()[0], n=spp_out, axis=1)
+    freq = np.fft.fftfreq(spp_out, d=1.0 / fs)
+    pulse_index = np.arange(pulses)
+    out = np.zeros((rx_array.elements, pulses, spp_out), dtype=np.complex128)
+    for path in paths:
+        ramp = np.exp(-2j * math.pi * freq * path.delay_s)
+        delayed = np.fft.ifft(spectra * ramp[np.newaxis, :], axis=1)
+        static = path.amplitude * np.exp(
+            1j * (path.phase_rad - 2.0 * math.pi * params.carrier_hz * path.delay_s)
+        )
+        doppler = np.exp(2j * math.pi * path.doppler_hz * pri * pulse_index)
+        steer = steering_vector(rx_array, path.aoa_rad)
+        out += (
+            steer[:, np.newaxis, np.newaxis]
+            * (static * doppler)[np.newaxis, :, np.newaxis]
+            * delayed[np.newaxis, :, :]
+        )
+    sigma = math.sqrt(1.380649e-23 * params.noise_temp_k * fs / 2.0)
+    for p in range(pulses):
+        rng = np.random.default_rng(np.random.SeedSequence(list(seed) + [p]))
+        noise = rng.standard_normal((rx_array.elements, 2 * spp_out))
+        out[:, p, :] += sigma * (noise[:, 0::2] + 1j * noise[:, 1::2])
+    return out.reshape(rx_array.elements, pulses * spp_out)
+
+
+def two_path_case(params, pulses, aoas=(0.3, -0.5)):
+    """A random pulse train and a direct/echo pair with fractional delays."""
+    rng = np.random.default_rng(8)
+    fs = params.sample_rate_hz
+    slot = rng.standard_normal(96) + 1j * rng.standard_normal(96)
+    tx = IqCapture(np.tile(slot, pulses), fs, pulses=pulses, samples_per_pulse=96)
+    paths = [
+        PathDescriptor(7.3 / fs, 0.02, aoa_rad=aoas[0], phase_rad=0.4),
+        PathDescriptor(19.81 / fs, 0.004, aoa_rad=aoas[1], doppler_hz=2.5e4),
+    ]
+    return tx, paths
+
+
 class TestArrayModel:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -214,6 +263,28 @@ class TestPropagate:
         step = np.exp(2j * math.pi * doppler * pri)
         for p in range(3):
             assert frames[p + 1, 2] / frames[p, 2] == pytest.approx(step, abs=1e-9)
+
+    @pytest.mark.parametrize("pulses", [1, 4])
+    def test_matches_broadcast_reference_bit_for_bit(self, pulses):
+        params = RadarParams()
+        tx, paths = two_path_case(params, pulses)
+        arr = ArrayModel(5, 0.5, boresight=0.1)
+        out = propagate(tx, paths, arr, params, seed=(9, 4))
+        expected = broadcast_propagate(tx, paths, arr, params, (9, 4))
+        assert np.array_equal(out.samples, expected)
+
+    def test_shared_delayed_frames_match_separate_calls(self):
+        """Both transmit modes share path delays but not angles or seeds."""
+        params = RadarParams()
+        tx, mode1 = two_path_case(params, 2)
+        _, mode2 = two_path_case(params, 2, aoas=(-1.1, 0.9))
+        arr = ArrayModel(4, 0.5, boresight=0.0)
+        shared: dict = {}
+        for paths, seed in ((mode1, (3, 1)), (mode2, (3, 2))):
+            alone = propagate(tx, paths, arr, params, seed=seed).samples
+            reused = propagate(tx, paths, arr, params, seed=seed, delayed_frames=shared)
+            assert np.array_equal(reused.samples, alone)
+        assert len(shared) == 1
 
     def test_noise_floor_power(self):
         params = RadarParams()

@@ -33,7 +33,7 @@ from bistar import (
     steering_vector,
     true_tdoa,
 )
-from bistar.estimation import MEAN_ABS_TO_SIGMA
+from bistar.estimation import MEAN_ABS_TO_SIGMA, _peak_with_floor
 
 FS = 122.88e6
 
@@ -218,6 +218,17 @@ class TestProjection:
         assert np.allclose(out.samples[0], other, atol=1e-9)
         assert np.allclose(out.samples[1], 0.0, atol=1e-9)
 
+    def test_window_matches_full_projection_columns(self):
+        rng = np.random.default_rng(33)
+        data = rng.standard_normal((4, 600)) + 1j * rng.standard_normal((4, 600))
+        stream = rng.standard_normal(600) + 1j * rng.standard_normal(600)
+        capture = IqCapture(data, FS, pulses=3, samples_per_pulse=200)
+        window = slice(230, 358)
+        full = project_out_stream(capture, stream)
+        part = project_out_stream(capture, stream, window)
+        assert part.pulses == 1 and part.samples.shape == (4, 128)
+        assert np.array_equal(part.samples, full.samples[:, window])
+
     def test_validation(self):
         cap = IqCapture(np.ones((2, 10), dtype=complex), FS)
         with pytest.raises(ValueError):
@@ -250,6 +261,60 @@ def lay_reference(length, placements, ref):
     for lag, amp in placements:
         out[lag : lag + ref.size] += amp * ref
     return out
+
+
+def _correlate(stream, reference):
+    """Linear cross-correlation at non-negative lags, one FFT pair per call."""
+    length = stream.shape[0]
+    size = 1
+    while size < length + reference.shape[0]:
+        size <<= 1
+    spectrum = np.fft.fft(stream, size) * np.fft.fft(reference, size).conj()
+    return np.fft.ifft(spectrum)[:length]
+
+
+def three_pass_tdoa(direct, echo, reference, guard=None, hint_s=None):
+    """`estimate_tdoa` with one `_correlate` call per beam.
+
+    Each call transforms the reference again and the template is built
+    from a fourth transform: the straightforward form, kept as the
+    bit-for-bit reference for the batched one. Returns None where the
+    estimator refuses.
+    """
+    ref = reference.samples[0]
+    corr_direct = _correlate(direct.samples[0], ref)
+    try:
+        if hint_s is None:
+            direct_peak = _peak_with_floor(corr_direct, 6.0, "direct")
+        else:
+            center = int(round(hint_s * reference.sample_rate_hz))
+            direct_peak = _peak_with_floor(
+                corr_direct, 12.0, "direct", window=(center - 3, center + 4)
+            )
+    except DetectionError:
+        return None
+    corr_echo = _correlate(echo.samples[0], ref)
+    length = corr_echo.shape[0]
+    size = 1
+    while size < 2 * ref.shape[0] or size < length + ref.shape[0]:
+        size <<= 1
+    spectrum = np.fft.fft(ref, size)
+    auto = np.fft.ifft(spectrum * spectrum.conj())
+    template = auto[(np.arange(length) - direct_peak) % size]
+    corr_clean = corr_echo - corr_echo[direct_peak] / auto[0].real * template
+    tail = np.abs(corr_clean[direct_peak + 1 :])
+    offset = int(np.argmax(tail))
+    floor = float(np.median(np.abs(corr_clean)))
+    if 20.0 * math.log10(tail[offset] / floor) < 6.0:
+        return None
+    if guard is not None:
+        guard_tail = np.abs(_correlate(guard.samples[0], ref)[direct_peak + 1 :])
+        guard_peak = float(guard_tail.max())
+        if guard_tail[offset] < 0.5 * guard_peak:
+            offset = int(np.argmax(guard_tail))
+            if 20.0 * math.log10(guard_peak / float(np.median(guard_tail))) < 6.0:
+                return None
+    return (offset + 1) / reference.sample_rate_hz
 
 
 @pytest.fixture(scope="module")
@@ -330,10 +395,41 @@ class TestEstimateTdoa:
         with pytest.raises(DetectionError):
             estimate_tdoa(direct, echo, ref, direct_delay_hint_s=6.0 / FS)
 
+    @pytest.mark.parametrize("with_guard", [False, True])
+    def test_batched_matches_three_pass_reference(self, ref, with_guard):
+        r = ref.samples[0]
+        n = r.size + 96
+        rng = np.random.default_rng(43)
+
+        def noisy(placements, scale):
+            noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            return IqCapture(lay_reference(n, placements, r) + scale * noise, FS)
+
+        # Noise from clean to echo-burying, a spurious lobe next to the
+        # direct path in every third echo beam, and alternate anchors:
+        # correct, guard-corrected and noise-driven readouts all occur.
+        for trial in range(16):
+            lag = 10 + int(rng.integers(0, 80))
+            scale = 0.01 * 5 ** (trial % 4)
+            spur = [(8, 0.2)] if trial % 3 == 0 else []
+            direct = noisy([(6, 1.0)], scale)
+            echo = noisy([(6, 0.5), (lag, 0.05)] + spur, scale)
+            guard = noisy([(lag, 0.05)], scale) if with_guard else None
+            hint_s = 6.0 / FS if trial % 2 else None
+            try:
+                got = estimate_tdoa(
+                    direct, echo, ref, guard_beam=guard, direct_delay_hint_s=hint_s
+                )
+            except DetectionError:
+                got = None
+            assert got == three_pass_tdoa(direct, echo, ref, guard, hint_s)
+
     def test_validation(self, ref):
         r = ref.samples[0]
         n = r.size + 64
         good = IqCapture(lay_reference(n, [(6, 1.0)], r), FS)
+        with pytest.raises(ValueError):
+            estimate_tdoa(good, IqCapture(good.samples[:, :-1], FS), ref)
         multi = IqCapture(np.ones((2, n), dtype=complex), FS)
         with pytest.raises(ValueError):
             estimate_tdoa(multi, good, ref)
@@ -379,6 +475,13 @@ class TestRangeDoppler:
         assert delay == pytest.approx(12 / fs, abs=1e-12)
         bin_hz = rd.doppler_axis_hz[1] - rd.doppler_axis_hz[0]
         assert abs(dop - doppler) < bin_hz / 2
+        # Magnitudes are taken before the shift; the bytes must equal
+        # shifting the complex map first.
+        fast = np.fft.ifft(
+            np.fft.fft(train.frames()[0], axis=1) * np.fft.fft(r, spp).conj(), axis=1
+        )
+        shifted = np.fft.fftshift(np.fft.fft(fast, n=4 * pulses, axis=0), axes=0)
+        assert np.array_equal(rd.magnitudes, np.abs(shifted).T)
 
     def test_validation(self):
         cfg = WaveformConfig(seed=8)

@@ -17,6 +17,7 @@ from bistar import (
     RadarParams,
     TargetState,
     collinearity_deg,
+    iso_range_target,
     preset_scenario,
     run_doppler,
     run_gdop_map,
@@ -31,6 +32,8 @@ from bistar.harness import (
     STATUS_EXCLUDED,
     STATUS_OK,
     SweepRow,
+    _SignalBench,
+    _primary_pair,
     deg360,
     moving_target,
     multistatic_nodes,
@@ -213,6 +216,29 @@ class TestSweepRuns:
         assert header.startswith("theta2_deg,x_m,y_m,")
         assert "# mean_abs_tdoa_err_ns" in serial.getvalue()
 
+    def test_csv_floats_are_plain_reprs(self):
+        signal = preset_scenario("scenario3", seed=5)
+        signal.sweep_points = 4
+        for cfg in (signal, model_config(points=8, trials=1)):
+            out = io.StringIO()
+            write_sweep_csv(run_iso_range_sweep(cfg), out)
+            assert "np." not in out.getvalue()
+            assert out.getvalue().splitlines()[1].startswith("0.0,")
+
+    def test_modes_share_delayed_frames_bit_for_bit(self):
+        cfg = preset_scenario("scenario3", seed=6)
+        bench = _SignalBench(cfg)
+        target = iso_range_target(
+            _primary_pair(cfg), cfg.sum_range, math.radians(50.0), cfg.rcs_dbsm
+        )
+        shared: dict = {}
+        for mode in (Mode.MODE1, Mode.MODE2):
+            pair = _primary_pair(cfg, mode)
+            key = (cfg.seed, 0, 0, 1, mode.value)
+            alone = bench.measure(pair, target, key)
+            assert bench.measure(pair, target, key, shared) == alone
+        assert len(shared) == 1
+
     def test_model_engine_requires_error_model(self):
         cfg = model_config()
         cfg.error_override = None
@@ -261,6 +287,7 @@ class TestDopplerRun:
         map_csv = io.StringIO()
         write_range_doppler_csv(result.rd_map, map_csv, max_delay_bins=16)
         assert len(map_csv.getvalue().splitlines()) == 17
+        assert "np." not in map_csv.getvalue()
 
 
 class TestGdopMap:
