@@ -22,17 +22,14 @@ import numpy as np
 
 from .errors import DegenerateGeometryError
 from .estimation import Measurement
-from .gdop import (
-    MeasurementErrorModel,
-    _aoa_gradient_target,
-    _tdoa_gradient_target,
-    gdop,
-)
+from .gdop import MeasurementErrorModel, gdop_batch
 from .geometry import (
     SPEED_OF_LIGHT,
     BistaticPair,
     TargetState,
+    aoa_gradient,
     locate_bistatic,
+    sum_range_gradient,
     true_aoa,
     true_tdoa,
     wrap_angle,
@@ -123,11 +120,11 @@ def _jacobian(x: float, y: float, problem: FusionProblem) -> np.ndarray:
     out = np.empty((2 * len(problem.pairs), 2))
     for i, pair in enumerate(problem.pairs):
         root_w = math.sqrt(problem.w[i])
-        dt_dx, dt_dy = _tdoa_gradient_target(pair, point)
-        th_dx, th_dy = _aoa_gradient_target(pair.rx_node, point)
+        gx, gy = sum_range_gradient(pair, point)
+        th_dx, th_dy = aoa_gradient(pair.rx_node, point)
         scale_t = -root_w * problem.a[i] * SPEED_OF_LIGHT
         scale_a = -root_w * problem.b[i]
-        out[2 * i] = (scale_t * dt_dx, scale_t * dt_dy)
+        out[2 * i] = (scale_t * (gx / SPEED_OF_LIGHT), scale_t * (gy / SPEED_OF_LIGHT))
         out[2 * i + 1] = (scale_a * th_dx, scale_a * th_dy)
     return out
 
@@ -146,15 +143,17 @@ def compute_weights(
     """Per-pair weights inverse to predicted error, normalized to sum N.
 
     Pairs whose geometry is degenerate at the rough position get zero
-    weight; at least one pair must remain usable.
+    weight; at least one pair must remain usable.  Pairs predicted to
+    make no error at all (zero sigmas) share the weight equally and the
+    others get none, the limit of the inverse weighting.
     """
     rough = TargetState(rough_position[0], rough_position[1])
-    raw = np.zeros(len(problem.pairs))
-    for i, pair in enumerate(problem.pairs):
-        try:
-            raw[i] = 1.0 / gdop(pair, rough, err).gdop_m
-        except DegenerateGeometryError:
-            raw[i] = 0.0
+    predicted = gdop_batch(problem.pairs, rough.x, rough.y, err)
+    exact = predicted == 0.0
+    if exact.any():
+        raw = exact * 1.0
+    else:
+        raw = np.divide(1.0, predicted, out=np.zeros(exact.size), where=~np.isnan(predicted))
     total = raw.sum()
     if total <= 0.0:
         raise DegenerateGeometryError("every pair is degenerate at the rough position")
@@ -163,17 +162,23 @@ def compute_weights(
 
 def _initial_guess(problem: FusionProblem) -> tuple[float, float]:
     """Closed-form solution of the best-ranked pair, else node centroid."""
-    order = []
+    located = []
     for i, (pair, meas) in enumerate(zip(problem.pairs, problem.measurements)):
         try:
-            point = locate_bistatic(pair, meas)
-            score = gdop(pair, TargetState(*point), _RANKING_ERR).gdop_m
+            located.append((i, locate_bistatic(pair, meas)))
         except (DegenerateGeometryError, ValueError):
             continue
-        if problem.w[i] > 0:
-            order.append((score / problem.w[i], point))
-    if order:
-        return min(order, key=lambda item: item[0])[1]
+    if located:
+        index, points = zip(*located)
+        pairs = [problem.pairs[i] for i in index]
+        scores = gdop_batch(pairs, *np.transpose(points), _RANKING_ERR).tolist()
+        order = [
+            (score / problem.w[i], point)
+            for i, point, score in zip(index, points, scores)
+            if not math.isnan(score) and problem.w[i] > 0
+        ]
+        if order:
+            return min(order, key=lambda item: item[0])[1]
     xs = [p for pair in problem.pairs for p in (pair.n1.x, pair.n2.x)]
     ys = [p for pair in problem.pairs for p in (pair.n1.y, pair.n2.y)]
     # Offset the centroid off the node row so the loss is evaluable even

@@ -22,7 +22,7 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 BOLTZMANN = 1.380649e-23  # J/K
 
 # Below this separation two points are treated as coincident.
-_MIN_RANGE_M = 1e-9
+MIN_RANGE_M = 1e-9
 
 
 def wrap_angle(angle: float) -> float:
@@ -90,7 +90,7 @@ class BistaticPair:
     mode: Mode = Mode.MODE1
 
     def __post_init__(self) -> None:
-        if self.baseline < _MIN_RANGE_M:
+        if self.baseline < MIN_RANGE_M:
             raise ValueError("nodes of a pair must not be coincident")
 
     @property
@@ -161,7 +161,7 @@ def bistatic_ranges(pair: BistaticPair, target: TargetState) -> tuple[float, flo
     """
     r1 = _range(pair.n1, target)
     r2 = _range(pair.n2, target)
-    if r1 < _MIN_RANGE_M or r2 < _MIN_RANGE_M:
+    if r1 < MIN_RANGE_M or r2 < MIN_RANGE_M:
         raise DegenerateGeometryError("target coincides with a node")
     return r1, r2
 
@@ -185,7 +185,7 @@ def true_aoa(node: NodePosition, target) -> float:
     atan2(x_node - x_target, y_target - y_node), in (-pi, pi]. A target
     straight above the node reads 0; one on the -x side reads +pi/2.
     """
-    if _range(node, target) < _MIN_RANGE_M:
+    if _range(node, target) < MIN_RANGE_M:
         raise DegenerateGeometryError("target coincides with the node")
     return math.atan2(node.x - target.x, target.y - node.y)
 
@@ -219,7 +219,7 @@ def r2_from_measurements(tdoa_s: float, aoa_rad: float, baseline_m: float) -> fl
     excess = SPEED_OF_LIGHT * tdoa_s
     numerator = excess * excess + 2.0 * baseline_m * excess
     denominator = 2.0 * ((excess + baseline_m) - baseline_m * math.sin(aoa_rad))
-    if denominator <= _MIN_RANGE_M:
+    if denominator <= MIN_RANGE_M:
         raise DegenerateGeometryError(
             "tdoa/aoa combination puts the target at infinity along the baseline"
         )
@@ -319,11 +319,29 @@ def bistatic_angle(pair: BistaticPair, target: TargetState) -> float:
     return math.acos(cosine)
 
 
+def sum_range_gradient(pair: BistaticPair, target) -> tuple[float, float]:
+    """d(R1 + R2)/d(target x, y): the sum of the unit vectors from the nodes."""
+    r1, r2 = bistatic_ranges(pair, target)
+    return (
+        (target.x - pair.n1.x) / r1 + (target.x - pair.n2.x) / r2,
+        (target.y - pair.n1.y) / r1 + (target.y - pair.n2.y) / r2,
+    )
+
+
+def aoa_gradient(node: NodePosition, target) -> tuple[float, float]:
+    """d(true_aoa)/d(target x, y), over the squared range so it stays finite
+    when the target shares a y coordinate with the node."""
+    dx = node.x - target.x
+    dy = target.y - node.y
+    r_sq = dx * dx + dy * dy
+    if r_sq < 1e-18:
+        raise DegenerateGeometryError("target coincides with the node")
+    return (-dy / r_sq, -dx / r_sq)
+
+
 def sum_range_rate(pair: BistaticPair, target: TargetState) -> float:
     """Time derivative of R1 + R2 for the target's velocity, m/s."""
-    r1, r2 = bistatic_ranges(pair, target)
-    gx = (target.x - pair.n1.x) / r1 + (target.x - pair.n2.x) / r2
-    gy = (target.y - pair.n1.y) / r1 + (target.y - pair.n2.y) / r2
+    gx, gy = sum_range_gradient(pair, target)
     return target.vx * gx + target.vy * gy
 
 

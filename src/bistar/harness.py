@@ -34,7 +34,7 @@ from .estimation import (
     range_doppler,
 )
 from .fusion import FusionProblem, SolverOptions, compute_weights, solve_multistatic
-from .gdop import MeasurementErrorModel, gdop
+from .gdop import MeasurementErrorModel, gdop_batch
 from .geometry import (
     SPEED_OF_LIGHT,
     BistaticPair,
@@ -42,9 +42,9 @@ from .geometry import (
     NodePosition,
     TargetState,
     _iso_range_point,
-    bistatic_ranges,
     collinearity_deg,
     locate_bistatic,
+    sum_range_gradient,
     true_aoa,
     true_tdoa,
     wrap_angle,
@@ -95,12 +95,12 @@ class MultistaticRow:
     theta2_deg: float
     x_m: float
     y_m: float
-    err_fused_m: float
-    err_best_pair_m: float
-    fused_wins: int
-    trials: int
-    pairs_used: int
-    status: str
+    err_fused_m: float = math.nan
+    err_best_pair_m: float = math.nan
+    fused_wins: int = 0
+    trials: int = 0
+    pairs_used: int = 0
+    status: str = STATUS_OK
 
 
 @dataclass
@@ -310,13 +310,22 @@ class _SignalBench:
         return Measurement(tdoa_s=tdoa, aoa_rad=aoa, mode=pair.mode)
 
 
-def _gdop_or_nan(pair: BistaticPair, target: TargetState, err) -> float:
-    if err is None:
-        return math.nan
-    try:
-        return gdop(pair, target, err).gdop_m
-    except DegenerateGeometryError:
-        return math.nan
+def _measure(
+    cfg: ScenarioConfig,
+    bench: _SignalBench | None,
+    pair: BistaticPair,
+    target: TargetState,
+    key: tuple[int, int, int],
+    delayed_frames: dict,
+) -> Measurement:
+    """One measurement by the configured engine from the substreams of
+    ``key`` = (point index, trial, mode value or receiver index)."""
+    index, trial, stream = key
+    if cfg.engine == ENGINE_SIGNAL:
+        channel_key = (cfg.seed, index, trial, _TAG_CHANNEL, stream)
+        return bench.measure(pair, target, channel_key, delayed_frames)
+    rng = _rng(cfg, index, trial, _TAG_MEAS, stream)
+    return model_based_measure(pair, target, cfg.radar, cfg.error_override, rng)
 
 
 def _sweep_point(
@@ -331,6 +340,9 @@ def _sweep_point(
     tdoa_true = true_tdoa(pair1, target)
     aoa_true = true_aoa(pair1.n2, target)
     err_model = cfg.error_override
+    gdop1 = gdop2 = math.nan
+    if err_model is not None:
+        gdop1, gdop2 = gdop_batch([pair1, pair2], x, y, err_model).tolist()
     row = SweepRow(
         theta2_deg=theta_deg,
         x_m=x,
@@ -345,8 +357,8 @@ def _sweep_point(
         err_mode2_m=math.nan,
         err_rms_mode1_m=math.nan,
         err_rms_mode2_m=math.nan,
-        gdop_mode1_m=_gdop_or_nan(pair1, target, err_model),
-        gdop_mode2_m=_gdop_or_nan(pair2, target, err_model),
+        gdop_mode1_m=gdop1,
+        gdop_mode2_m=gdop2,
         status=STATUS_OK,
     )
 
@@ -364,22 +376,8 @@ def _sweep_point(
             node_rng = _rng(cfg, index, trial, _TAG_NODES)
             believed = _perturbed_nodes(cfg.nodes[:2], node_rng)
             for mode, pair in ((Mode.MODE1, pair1), (Mode.MODE2, pair2)):
-                if cfg.engine == ENGINE_SIGNAL:
-                    meas = bench.measure(
-                        pair,
-                        target,
-                        (cfg.seed, index, trial, _TAG_CHANNEL, mode.value),
-                        delayed_frames,
-                    )
-                else:
-                    meas = model_based_measure(
-                        pair,
-                        target,
-                        cfg.radar,
-                        err_model,
-                        _rng(cfg, index, trial, _TAG_MEAS, mode.value),
-                        sample_rate_hz=None,
-                    )
+                key = (index, trial, mode.value)
+                meas = _measure(cfg, bench, pair, target, key, delayed_frames)
                 errors[mode].append(_locate_error(believed, mode, meas, target))
                 if mode is Mode.MODE1 and trial == 0:
                     first_meas = meas
@@ -407,6 +405,16 @@ def _sweep_point(
     return row
 
 
+def _run_points(cfg: ScenarioConfig, workers: int, point) -> list:
+    """``point(index, theta_deg)`` at every contour point, in contour order;
+    each point has its own substreams, so workers never change the rows."""
+    items = list(enumerate(theta_grid_deg(cfg.sweep_points)))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda item: point(*item), items))
+    return [point(*item) for item in items]
+
+
 def run_iso_range_sweep(cfg: ScenarioConfig, workers: int = 1) -> SweepResult:
     """Sweep the iso-range contour and measure at every point.
 
@@ -419,17 +427,7 @@ def run_iso_range_sweep(cfg: ScenarioConfig, workers: int = 1) -> SweepResult:
     if cfg.engine == ENGINE_MODEL and cfg.error_override is None:
         raise ConfigError("model-based engine needs an error model (sigma overrides)")
     bench = _SignalBench(cfg) if cfg.engine == ENGINE_SIGNAL else None
-    thetas = theta_grid_deg(cfg.sweep_points)
-
-    def work(item: tuple[int, float]) -> SweepRow:
-        return _sweep_point(cfg, bench, item[0], item[1])
-
-    items = list(enumerate(thetas))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(work, items))
-    else:
-        rows = [work(item) for item in items]
+    rows = _run_points(cfg, workers, lambda i, theta: _sweep_point(cfg, bench, i, theta))
     return SweepResult(rows=rows, summary=summarize_sweep(rows))
 
 
@@ -469,13 +467,18 @@ def _write_rows(handle, row_type, rows, summary) -> None:
         handle.write(f"# {key} = {_format(summary[key])}\n")
 
 
-def write_sweep_csv(result: SweepResult, path: str | Path | io.TextIOBase) -> None:
-    """Write sweep rows as CSV with a trailing ``#`` summary block."""
-    if isinstance(path, io.TextIOBase) or hasattr(path, "write"):
-        _write_rows(path, SweepRow, result.rows, result.summary)
+def _emit(path, write) -> None:
+    """``write(handle)`` on ``path`` itself if it is writable, else on the file it names."""
+    if hasattr(path, "write"):
+        write(path)
     else:
         with open(path, "w", newline="") as handle:
-            _write_rows(handle, SweepRow, result.rows, result.summary)
+            write(handle)
+
+
+def write_sweep_csv(result: SweepResult, path: str | Path | io.TextIOBase) -> None:
+    """Write sweep rows as CSV with a trailing ``#`` summary block."""
+    _emit(path, lambda handle: _write_rows(handle, SweepRow, result.rows, result.summary))
 
 
 def multistatic_nodes(cfg: ScenarioConfig) -> list[NodePosition]:
@@ -516,17 +519,7 @@ def _multistatic_point(
     anchor = BistaticPair(nodes[0], nodes[1], Mode.MODE1)
     x, y = _iso_range_point(anchor, cfg.sum_range, theta)
     target = TargetState(x, y, rcs_dbsm=cfg.rcs_dbsm)
-    row = MultistaticRow(
-        theta2_deg=theta_deg,
-        x_m=x,
-        y_m=y,
-        err_fused_m=math.nan,
-        err_best_pair_m=math.nan,
-        fused_wins=0,
-        trials=0,
-        pairs_used=0,
-        status=STATUS_OK,
-    )
+    row = MultistaticRow(theta2_deg=theta_deg, x_m=x, y_m=y)
     if collinearity_deg(anchor, target) < cfg.exclusion_deg:
         row.status = STATUS_EXCLUDED
         return row
@@ -542,44 +535,27 @@ def _multistatic_point(
         return row
     row.pairs_used = len(usable)
 
-    fused_sum = 0.0
-    best_sum = 0.0
-    wins = 0
-    done = 0
+    # Draw every trial's believed nodes and measurements first, in trial
+    # order, then rank all trials' believed pairs in one stacked call.
+    draws = []
     delayed_frames: dict = {}
     for trial in range(cfg.trials_per_point):
         node_rng = _rng(cfg, index, trial, _TAG_NODES)
         believed = _perturbed_nodes(nodes, node_rng)
-        measurements = []
-        believed_pairs = []
-        for i in usable:
-            pair = true_pairs[i]
-            if cfg.engine == ENGINE_SIGNAL:
-                meas = bench.measure(
-                    pair,
-                    target,
-                    (cfg.seed, index, trial, _TAG_CHANNEL, i),
-                    delayed_frames,
-                )
-            else:
-                meas = model_based_measure(
-                    pair,
-                    target,
-                    cfg.radar,
-                    err_model,
-                    _rng(cfg, index, trial, _TAG_MEAS, i),
-                    sample_rate_hz=None,
-                )
-            measurements.append(meas)
-            believed_pairs.append(
-                BistaticPair(believed[0], believed[i + 1], Mode.MODE1)
-            )
-        try:
-            def rank(j: int) -> float:
-                value = _gdop_or_nan(believed_pairs[j], target, err_model)
-                return value if not math.isnan(value) else math.inf
+        measurements = [
+            _measure(cfg, bench, true_pairs[i], target, (index, trial, i), delayed_frames)
+            for i in usable
+        ]
+        believed_pairs = [BistaticPair(believed[0], believed[i + 1]) for i in usable]
+        draws.append((believed_pairs, measurements))
+    predicted = gdop_batch([p for pairs, _ in draws for p in pairs], x, y, err_model)
+    ranks = np.where(np.isnan(predicted), np.inf, predicted).reshape(len(draws), -1)
 
-            best_i = min(range(len(believed_pairs)), key=rank)
+    fused_sum = best_sum = 0.0
+    wins = done = 0
+    for (believed_pairs, measurements), rank in zip(draws, ranks):
+        try:
+            best_i = int(np.argmin(rank))
             best_xy = locate_bistatic(believed_pairs[best_i], measurements[best_i])
             # Whiten the two residual kinds by their standard deviations so
             # meter-scale TDOA terms cannot drown the angle terms.
@@ -624,18 +600,9 @@ def run_multistatic(cfg: ScenarioConfig, workers: int = 1) -> MultistaticResult:
         raise ConfigError("fusion weighting needs an error model (sigma overrides)")
     nodes = multistatic_nodes(cfg)
     bench = _SignalBench(cfg) if cfg.engine == ENGINE_SIGNAL else None
-    thetas = theta_grid_deg(cfg.sweep_points)
-
-    def work(item: tuple[int, float]) -> MultistaticRow:
-        return _multistatic_point(cfg, bench, nodes, item[0], item[1])
-
-    items = list(enumerate(thetas))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(work, items))
-    else:
-        rows = [work(item) for item in items]
-
+    rows = _run_points(
+        cfg, workers, lambda i, theta: _multistatic_point(cfg, bench, nodes, i, theta)
+    )
     ok = [r for r in rows if r.status == STATUS_OK]
     trials = sum(r.trials for r in ok)
     summary = {
@@ -651,11 +618,7 @@ def run_multistatic(cfg: ScenarioConfig, workers: int = 1) -> MultistaticResult:
 
 
 def write_multistatic_csv(result: MultistaticResult, path) -> None:
-    if hasattr(path, "write"):
-        _write_rows(path, MultistaticRow, result.rows, result.summary)
-    else:
-        with open(path, "w", newline="") as handle:
-            _write_rows(handle, MultistaticRow, result.rows, result.summary)
+    _emit(path, lambda h: _write_rows(h, MultistaticRow, result.rows, result.summary))
 
 
 def moving_target(cfg: ScenarioConfig, motion: MotionConfig) -> TargetState:
@@ -663,10 +626,7 @@ def moving_target(cfg: ScenarioConfig, motion: MotionConfig) -> TargetState:
     pair = _primary_pair(cfg)
     theta = math.radians(motion.theta2_deg)
     x, y = _iso_range_point(pair, cfg.sum_range, theta)
-    still = TargetState(x, y, rcs_dbsm=cfg.rcs_dbsm)
-    r1, r2 = bistatic_ranges(pair, still)
-    gx = (x - pair.n1.x) / r1 + (x - pair.n2.x) / r2
-    gy = (y - pair.n1.y) / r1 + (y - pair.n2.y) / r2
+    gx, gy = sum_range_gradient(pair, TargetState(x, y))
     norm = math.hypot(gx, gy)
     if norm < 1e-12:
         raise DegenerateGeometryError("contour normal undefined between the nodes")
@@ -707,11 +667,7 @@ def run_doppler(cfg: ScenarioConfig) -> DopplerResult:
 
     meas = Measurement(tdoa_s=max(tdoa, 0.0), aoa_rad=aoa, mode=pair.mode)
     px, py = locate_bistatic(pair, meas)
-    located = TargetState(px, py)
-    r1, r2 = bistatic_ranges(pair, located)
-    gx = (px - pair.n1.x) / r1 + (px - pair.n2.x) / r2
-    gy = (py - pair.n1.y) / r1 + (py - pair.n2.y) / r2
-    projection = math.hypot(gx, gy)
+    projection = math.hypot(*sum_range_gradient(pair, TargetState(px, py)))
     speed_est = rate_est / projection
 
     direct_path, echo_path = build_paths(pair, target, params)
@@ -743,11 +699,7 @@ def write_doppler_csv(result: DopplerResult, path) -> None:
         writer.writerow(names)
         writer.writerow(row)
 
-    if hasattr(path, "write"):
-        emit(path)
-    else:
-        with open(path, "w", newline="") as handle:
-            emit(handle)
+    _emit(path, emit)
 
 
 def write_range_doppler_csv(
@@ -766,11 +718,7 @@ def write_range_doppler_csv(
                 + [_format(v) for v in rd_map.magnitudes[i].tolist()]
             )
 
-    if hasattr(path, "write"):
-        emit(path)
-    else:
-        with open(path, "w", newline="") as handle:
-            emit(handle)
+    _emit(path, emit)
 
 
 def run_gdop_map(cfg: ScenarioConfig, grid: GridSpec) -> list[GdopCell]:
@@ -784,27 +732,19 @@ def run_gdop_map(cfg: ScenarioConfig, grid: GridSpec) -> list[GdopCell]:
         raise ConfigError("gdop map needs an error model (sigma overrides)")
     pair1 = _primary_pair(cfg, Mode.MODE1)
     pair2 = _primary_pair(cfg, Mode.MODE2)
-    xs = np.linspace(grid.x_min, grid.x_max, grid.nx)
-    ys = np.linspace(grid.y_min, grid.y_max, grid.ny)
+    xs = np.tile(np.linspace(grid.x_min, grid.x_max, grid.nx), grid.ny)
+    ys = np.repeat(np.linspace(grid.y_min, grid.y_max, grid.ny), grid.nx)
+    g1s = gdop_batch([pair1], xs, ys, err).tolist()
+    g2s = gdop_batch([pair2], xs, ys, err).tolist()
     cells = []
-    for yv in ys:
-        for xv in xs:
-            target = TargetState(float(xv), float(yv))
-            try:
-                g1 = gdop(pair1, target, err).gdop_m
-            except DegenerateGeometryError:
-                g1 = math.nan
-            try:
-                g2 = gdop(pair2, target, err).gdop_m
-            except DegenerateGeometryError:
-                g2 = math.nan
-            if math.isnan(g1) and math.isnan(g2):
-                best = "degenerate"
-            elif math.isnan(g2) or g1 <= g2:
-                best = "mode1"
-            else:
-                best = "mode2"
-            cells.append(GdopCell(float(xv), float(yv), g1, g2, best))
+    for xv, yv, g1, g2 in zip(xs.tolist(), ys.tolist(), g1s, g2s):
+        if math.isnan(g1) and math.isnan(g2):
+            best = "degenerate"
+        elif math.isnan(g2) or g1 <= g2:
+            best = "mode1"
+        else:
+            best = "mode2"
+        cells.append(GdopCell(xv, yv, g1, g2, best))
     return cells
 
 
@@ -816,8 +756,4 @@ def write_gdop_map_csv(cells: list[GdopCell], path) -> None:
         for cell in cells:
             writer.writerow([_format(getattr(cell, name)) for name in names])
 
-    if hasattr(path, "write"):
-        emit(path)
-    else:
-        with open(path, "w", newline="") as handle:
-            emit(handle)
+    _emit(path, emit)

@@ -52,6 +52,9 @@ from bistar.fusion import _residuals as fusion_residuals
 from bistar.geometry import SPEED_OF_LIGHT
 from bistar.harness import STATUS_OK
 
+# Minutes of signal-level sweeps: `pytest -m "not slow"` skips the gate.
+pytestmark = pytest.mark.slow
+
 WORKERS = 4
 
 

@@ -210,6 +210,42 @@ class TestComputeWeights:
         assert weights[1] == 0.0
         assert weights.sum() == pytest.approx(3.0, rel=1e-12)
 
+    def test_matches_pinned_weights(self):
+        """Weights recorded from the per-pair loop implementation."""
+        tx = NodePosition(0.0, 0.0, 0.01, 0.01)
+        pairs = []
+        for i in range(3):
+            angle = 2.0 * math.pi * (i + 0.35) / 3
+            rx = NodePosition(25 * math.cos(angle), 25 * math.sin(angle), 0.01, 0.01)
+            pairs.append(BistaticPair(tx, rx))
+        problem = FusionProblem(
+            pairs=pairs, measurements=[exact_measurement(p) for p in pairs]
+        )
+        weights = compute_weights(problem, (10.0, 20.0), MeasurementErrorModel(1e-9, 0.01))
+        assert weights.tolist() == [1.1545865647149658, 0.9796814378148047, 0.8657319974702299]
+        weights = compute_weights(problem, (-3.0, 7.5), MeasurementErrorModel(2e-9, 0.003))
+        assert weights.tolist() == [0.8333534289759569, 0.5315489982532704, 1.6350975727707728]
+
+    def test_zero_predicted_error_shares_weight_equally(self):
+        problem = exact_problem(3)
+        weights = compute_weights(problem, (10.0, 20.0), MeasurementErrorModel(0.0, 0.0))
+        assert weights.tolist() == [1.0, 1.0, 1.0]
+
+    def test_only_zero_error_pairs_get_weight(self):
+        # Exact nodes on pair 0 only: with exact measurements it alone
+        # predicts no error, so it takes the whole weight.
+        tx = NodePosition(0.0, 0.0)
+        pairs = [
+            BistaticPair(tx, NodePosition(25.0, 0.0)),
+            BistaticPair(tx, NodePosition(0.0, 25.0, 0.01, 0.01)),
+            BistaticPair(tx, NodePosition(-25.0, 0.0, 0.01, 0.01)),
+        ]
+        problem = FusionProblem(
+            pairs=pairs, measurements=[exact_measurement(p) for p in pairs]
+        )
+        weights = compute_weights(problem, (10.0, 20.0), MeasurementErrorModel(0.0, 0.0))
+        assert weights.tolist() == [3.0, 0.0, 0.0]
+
     def test_all_degenerate_raises(self):
         pair = BistaticPair(NodePosition(0.0, 0.0), NodePosition(25.0, 0.0), Mode.MODE1)
         problem = FusionProblem(

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from bistar import (
+    CONDITION_LIMIT,
+    SPEED_OF_LIGHT,
     BistaticPair,
     DegenerateGeometryError,
     Measurement,
@@ -13,8 +15,10 @@ from bistar import (
     Mode,
     NodePosition,
     TargetState,
+    bistatic_ranges,
     error_covariance,
     gdop,
+    gdop_batch,
     jacobian_c1,
     jacobian_c2,
     locate_bistatic,
@@ -28,6 +32,67 @@ def pair_at(x1, y1, x2, y2, mode=Mode.MODE1, sigma=0.0):
     return BistaticPair(
         NodePosition(x1, y1, sigma, sigma), NodePosition(x2, y2, sigma, sigma), mode
     )
+
+
+def reference_gdop(pair, target, meas):
+    """Per-geometry formulas the stacked kernel replaced, kept as its oracle.
+
+    Returns (C1, C2, P, gdop_m) or raises DegenerateGeometryError.
+    """
+    r1, r2 = bistatic_ranges(pair, target)
+    n1, n2, rx, c = pair.n1, pair.n2, pair.rx_node, SPEED_OF_LIGHT
+    dx = rx.x - target.x
+    dy = target.y - rx.y
+    r_sq = dx * dx + dy * dy
+    if r_sq < 1e-18:
+        raise DegenerateGeometryError("target coincides with the node")
+    th_dx, th_dy = -dy / r_sq, -dx / r_sq
+    c1 = np.array(
+        [
+            [
+                ((target.x - n1.x) / r1 + (target.x - n2.x) / r2) / c,
+                ((target.y - n1.y) / r1 + (target.y - n2.y) / r2) / c,
+            ],
+            [th_dx, th_dy],
+        ]
+    )
+    length = pair.baseline
+    row = np.zeros(4)
+    if pair.mode is Mode.MODE1:
+        row[2], row[3] = -th_dx, -th_dy
+    else:
+        row[0], row[1] = -th_dx, -th_dy
+    c2 = np.array(
+        [
+            [
+                ((n1.x - target.x) / r1 - (n1.x - n2.x) / length) / c,
+                ((n1.y - target.y) / r1 - (n1.y - n2.y) / length) / c,
+                ((n2.x - target.x) / r2 - (n2.x - n1.x) / length) / c,
+                ((n2.y - target.y) / r2 - (n2.y - n1.y) / length) / c,
+            ],
+            row,
+        ]
+    )
+    condition = np.linalg.cond(c1)
+    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+        raise DegenerateGeometryError("ill conditioned")
+    b = np.linalg.pinv(c1)
+    r_z = np.diag([meas.sigma_tdoa_s**2, meas.sigma_aoa_rad**2])
+    r_x = np.diag([n1.sigma_x**2, n1.sigma_y**2, n2.sigma_x**2, n2.sigma_y**2])
+    p_dp = b @ (r_z + c2 @ r_x @ c2.T) @ b.T
+    return c1, c2, p_dp, math.sqrt(np.trace(p_dp))
+
+
+def reference_or_nan(pair, target, meas):
+    try:
+        return reference_gdop(pair, target, meas)[3]
+    except DegenerateGeometryError:
+        return math.nan
+
+
+def same_bits(a, b):
+    """Exact equality that also matches NaN with NaN."""
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
 
 
 def measurement_vector(pair, target):
@@ -197,3 +262,122 @@ class TestModeSelection:
         pair = pair_at(0, 0, 25, 0)
         with pytest.raises(DegenerateGeometryError):
             select_mode(pair, TargetState(12.0, 0.0), model)
+
+
+class TestStackedKernel:
+    """gdop_batch against the per-geometry reference, bit for bit."""
+
+    def random_geometries(self, rng, count):
+        pairs, xs, ys = [], [], []
+        for k in range(count):
+            sig = [0.0, 0.0, 0.0, 0.0] if k % 5 == 0 else list(rng.uniform(0.0, 0.05, 4))
+            pairs.append(
+                BistaticPair(
+                    NodePosition(*rng.uniform(-10, 10, 2), sig[0], sig[1]),
+                    NodePosition(*rng.uniform(5, 40, 2), sig[2], sig[3]),
+                    Mode.MODE1 if k % 2 else Mode.MODE2,
+                )
+            )
+            xs.append(float(rng.uniform(-40, 60)))
+            ys.append(float(rng.uniform(-40, 60)))
+        return pairs, xs, ys
+
+    def test_random_geometries_match_reference(self):
+        rng = np.random.default_rng(404)
+        pairs, xs, ys = self.random_geometries(rng, 2000)
+        for meas in (
+            MeasurementErrorModel(1.3e-9, math.radians(0.17)),
+            MeasurementErrorModel(0.0, math.radians(0.1)),
+            MeasurementErrorModel(2e-9, 0.0),
+        ):
+            stacked = gdop_batch(pairs, xs, ys, meas)
+            expected = [
+                reference_or_nan(p, TargetState(x, y), meas) for p, x, y in zip(pairs, xs, ys)
+            ]
+            assert same_bits(stacked, expected)
+            # One draw lands close enough to its baseline to be refused.
+            assert np.isnan(stacked).sum() == 1
+
+    def test_scalar_report_matches_reference(self):
+        rng = np.random.default_rng(405)
+        pairs, xs, ys = self.random_geometries(rng, 200)
+        meas = MeasurementErrorModel(1e-9, math.radians(0.2))
+        for pair, x, y in zip(pairs, xs, ys):
+            target = TargetState(x, y)
+            c1, c2, p_dp, value = reference_gdop(pair, target, meas)
+            report = gdop(pair, target, meas)
+            assert same_bits(report.c1, c1) and same_bits(report.c2, c2)
+            assert same_bits(report.p_dp, p_dp) and report.gdop_m == value
+            assert same_bits(jacobian_c1(pair, target), c1)
+            assert same_bits(jacobian_c2(pair, target), c2)
+            assert same_bits(error_covariance(c1, c2, meas, pair), p_dp)
+
+    def test_one_pair_over_many_targets(self):
+        rng = np.random.default_rng(406)
+        meas = MeasurementErrorModel(1e-9, math.radians(0.1))
+        xs, ys = rng.uniform(-30, 30, 500), rng.uniform(-30, 30, 500)
+        for mode in (Mode.MODE1, Mode.MODE2):
+            pair = pair_at(0, 0, 15, 0, mode=mode, sigma=0.01)
+            expected = [
+                reference_or_nan(pair, TargetState(float(x), float(y)), meas)
+                for x, y in zip(xs, ys)
+            ]
+            assert same_bits(gdop_batch([pair], xs, ys, meas), expected)
+
+    def test_target_on_a_node_is_nan(self):
+        meas = MeasurementErrorModel(1e-9, 1e-3)
+        for mode in (Mode.MODE1, Mode.MODE2):
+            pair = pair_at(0, 0, 25, 0, mode=mode)
+            values = gdop_batch([pair, pair, pair], [0.0, 25.0, 9.0], [0.0, 0.0, 17.0], meas)
+            assert np.isnan(values[:2]).all() and np.isfinite(values[2])
+            for node in (pair.n1, pair.n2):
+                with pytest.raises(DegenerateGeometryError):
+                    gdop(pair, TargetState(node.x, node.y), meas)
+                with pytest.raises(DegenerateGeometryError):
+                    jacobian_c1(pair, TargetState(node.x, node.y))
+
+    def test_condition_limit_on_the_baseline_segment(self):
+        meas = MeasurementErrorModel(1e-9, 1e-3)
+        pair = pair_at(0, 0, 25, 0)
+        # On the segment C1 is singular; just off it, finite but too large.
+        near = TargetState(12.0, 1e-2)
+        condition = np.linalg.cond(jacobian_c1(pair, near))
+        assert CONDITION_LIMIT < condition < np.inf
+        values = gdop_batch([pair], [12.0, near.x], [0.0, near.y], meas)
+        assert np.isnan(values).all()
+        with pytest.raises(DegenerateGeometryError):
+            gdop(pair, near, meas)
+
+    def test_collinear_beyond_the_nodes_is_finite(self):
+        meas = MeasurementErrorModel(1e-9, 1e-3)
+        for mode in (Mode.MODE1, Mode.MODE2):
+            pair = pair_at(0, 0, 25, 0, mode=mode, sigma=0.01)
+            for x in (-10.0, 40.0):
+                value = gdop_batch([pair], x, 0.0, meas)
+                assert np.isfinite(value).all()
+                assert same_bits(value, [reference_or_nan(pair, TargetState(x, 0.0), meas)])
+
+    def test_zero_sigmas_give_zero(self):
+        meas = MeasurementErrorModel(0.0, 0.0)
+        pairs = [pair_at(0, 0, 25, 0, mode=m) for m in (Mode.MODE1, Mode.MODE2)]
+        values = gdop_batch(pairs, 9.0, 17.0, meas)
+        assert same_bits(values, [0.0, 0.0])
+        expected = [reference_or_nan(p, TargetState(9.0, 17.0), meas) for p in pairs]
+        assert same_bits(values, expected)
+
+    def test_empty_batch(self):
+        values = gdop_batch([], [], [], MeasurementErrorModel(1e-9, 1e-3))
+        assert values.shape == (0,)
+
+
+class TestSelectModePinned:
+    def test_matches_pinned_choices(self):
+        """Choices recorded from the per-geometry implementation."""
+        rng = np.random.default_rng(17)
+        model = MeasurementErrorModel(2e-9, math.radians(0.2))
+        pair = pair_at(0, 0, 25, 0, sigma=0.01)
+        chosen = ""
+        for _ in range(40):
+            target = TargetState(float(rng.uniform(-20, 45)), float(rng.uniform(-30, 30)))
+            chosen += str(select_mode(pair, target, model).value)
+        assert chosen == "1122122112211222111112221111222211221121"

@@ -14,6 +14,7 @@ from bistar import (
     NodePosition,
     RadarParams,
     TargetState,
+    aoa_gradient,
     bistatic_angle,
     bistatic_ranges,
     bistatic_snr,
@@ -21,6 +22,7 @@ from bistar import (
     iso_range_target,
     locate_bistatic,
     r2_from_measurements,
+    sum_range_gradient,
     sum_range_rate,
     true_aoa,
     true_tdoa,
@@ -282,6 +284,36 @@ class TestRangeRate:
             r1b, r2b = bistatic_ranges(pair, moved)
             numeric = ((r1b + r2b) - (r1a + r2a)) / dt
             assert sum_range_rate(pair, state) == pytest.approx(numeric, abs=1e-4)
+
+
+class TestGradients:
+    def test_match_central_differences(self):
+        pair = make_pair(2.0, -1.0, 20.0, 3.0)
+        rng = np.random.default_rng(12)
+        h = 1e-6
+        for _ in range(50):
+            x, y = float(rng.uniform(-30, 30)), float(rng.uniform(-30, 30))
+
+            def total(px, py):
+                return sum(bistatic_ranges(pair, TargetState(px, py)))
+
+            def angle(px, py):
+                return true_aoa(pair.n2, TargetState(px, py))
+
+            sum_grad = sum_range_gradient(pair, TargetState(x, y))
+            aoa_grad = aoa_gradient(pair.n2, TargetState(x, y))
+            for k, (dx, dy) in enumerate(((h, 0.0), (0.0, h))):
+                numeric = (total(x + dx, y + dy) - total(x - dx, y - dy)) / (2 * h)
+                assert sum_grad[k] == pytest.approx(numeric, abs=1e-6)
+                numeric = wrap_angle(angle(x + dx, y + dy) - angle(x - dx, y - dy)) / (2 * h)
+                assert aoa_grad[k] == pytest.approx(numeric, rel=1e-5, abs=1e-9)
+
+    def test_on_a_node_raises(self):
+        pair = make_pair()
+        with pytest.raises(DegenerateGeometryError):
+            sum_range_gradient(pair, TargetState(0.0, 0.0))
+        with pytest.raises(DegenerateGeometryError):
+            aoa_gradient(pair.n2, TargetState(25.0, 0.0))
 
 
 class TestLinkBudget:

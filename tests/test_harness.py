@@ -9,6 +9,7 @@ import pytest
 from bistar import (
     BistaticPair,
     ConfigError,
+    DegenerateGeometryError,
     GridSpec,
     MeasurementErrorModel,
     Mode,
@@ -17,6 +18,7 @@ from bistar import (
     RadarParams,
     TargetState,
     collinearity_deg,
+    gdop,
     iso_range_target,
     preset_scenario,
     run_doppler,
@@ -268,6 +270,24 @@ class TestMultistaticRuns:
         with pytest.raises(ConfigError):
             run_multistatic(cfg)
 
+    def test_matches_pinned_rows(self, capsys):
+        """Rows recorded before pair ranking and weighting were stacked."""
+        argv = [
+            "multistatic", "--scenario", "scenario3", "--bandwidth-mhz", "400",
+            "--engine", "model", "--points", "8", "--trials", "4", "--seed", "5",
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == (
+            "45.0,4.490568974573982,20.509431025426018,0.01261921747719847,"
+            "0.14691117107336385,4,4,3,ok"
+        )
+        assert lines[5] == (
+            "180.0,24.999999999999996,-18.75,0.023805280775574787,"
+            "0.02463030886960958,3,4,3,ok"
+        )
+        assert "# mean_err_fused_m = 0.020485606940825286" in lines
+
 
 class TestDopplerRun:
     def test_short_run_recovers_speed(self):
@@ -311,6 +331,39 @@ class TestGdopMap:
         cfg.error_override = None
         with pytest.raises(ConfigError):
             run_gdop_map(cfg, GridSpec(-1.0, 1.0, 3, 1.0, 2.0, 3))
+
+    def test_matches_per_cell_loop(self):
+        """The stacked map against the per-cell scalar loop it replaced."""
+        cfg = preset_scenario("scenario2")
+        # The grid passes through both nodes and along the baseline.
+        grid = GridSpec(-30.0, 30.0, 41, -30.0, 30.0, 41)
+        err = cfg.error_override
+        pair1, pair2 = _primary_pair(cfg, Mode.MODE1), _primary_pair(cfg, Mode.MODE2)
+        expected = []
+        for yv in np.linspace(grid.y_min, grid.y_max, grid.ny):
+            for xv in np.linspace(grid.x_min, grid.x_max, grid.nx):
+                target = TargetState(float(xv), float(yv))
+                values = []
+                for pair in (pair1, pair2):
+                    try:
+                        values.append(gdop(pair, target, err).gdop_m)
+                    except DegenerateGeometryError:
+                        values.append(math.nan)
+                g1, g2 = values
+                if math.isnan(g1) and math.isnan(g2):
+                    best = "degenerate"
+                elif math.isnan(g2) or g1 <= g2:
+                    best = "mode1"
+                else:
+                    best = "mode2"
+                expected.append((float(xv), float(yv), g1, g2, best))
+        cells = run_gdop_map(cfg, grid)
+        got = [(c.x_m, c.y_m, c.gdop_mode1_m, c.gdop_mode2_m, c.best_mode) for c in cells]
+        assert [c[4] for c in got] == [c[4] for c in expected]
+        assert "degenerate" in {c[4] for c in got}
+        assert np.array_equal(
+            np.array([c[:4] for c in got]), np.array([c[:4] for c in expected]), equal_nan=True
+        )
 
 
 class TestCli:
@@ -361,6 +414,22 @@ class TestCli:
     def test_runtime_problem_exits_2(self, capsys):
         assert main(["sweep", "--scenario", "scenario1", "--points", "3"]) == 2
         assert "runtime failure:" in capsys.readouterr().err
+
+    def test_zero_sigma_multistatic_exits_0(self, tmp_path, capsys):
+        """Exact nodes and zero measurement sigmas: every pair predicts no error."""
+        scene = tmp_path / "zero.cfg"
+        scene.write_text(
+            "engine = model_based\nsweep_points = 8\ntrials_per_point = 2\n"
+            "[nodes]\nnode = 0 0\nnode = 15 0\n"
+            "[sweep]\nbaseline_l = 15\nsum_range = 25\n"
+            "sigma_tdoa_ns = 0\nsigma_aoa_deg = 0\n"
+        )
+        assert main(["multistatic", "--scenario", str(scene)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+        ok = [row for row in rows if row[-1] == "ok"]
+        assert len(rows) == 8 and ok
+        assert all(row[6] == "2" and float(row[3]) < 1e-9 for row in ok)
 
     def test_bad_grid_exits_1(self, capsys):
         assert main(["gdop-map", "--scenario", "scenario1", "--nx", "1"]) == 1
