@@ -34,6 +34,19 @@ from .waveform import IqCapture
 _PAD_GUARD = 8
 
 
+def make_rng(seed, *key: int) -> np.random.Generator:
+    """Generator of the substream named by ``seed`` and ``key``.
+
+    ``seed`` is an integer or a sequence of integers; ``key`` extends it,
+    so ``make_rng(seed, index, trial, purpose)`` draws one substream of
+    a run. A Generator passed as ``seed`` with no key is returned as is.
+    """
+    if isinstance(seed, np.random.Generator) and not key:
+        return seed
+    head = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
+    return np.random.default_rng(np.random.SeedSequence(head + [int(k) for k in key]))
+
+
 @dataclass(frozen=True)
 class ArrayModel:
     """Uniform linear array described in the global angle convention.
@@ -245,11 +258,9 @@ def propagate(
 
     noise_power = BOLTZMANN * params.noise_temp_k * fs
     sigma = math.sqrt(noise_power / 2.0)
-    base = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
     noise = np.empty((rx_array.elements, 2 * spp_out))
     for p in range(pulses):
-        rng = np.random.default_rng(np.random.SeedSequence(base + [p]))
-        rng.standard_normal(out=noise)
+        make_rng(seed, p).standard_normal(out=noise)
         noise *= sigma
         out[:, p, :] += noise.view(np.complex128)
 

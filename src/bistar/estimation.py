@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DetectionError
-from .channel import ArrayModel, steering_vector
+from .channel import ArrayModel, make_rng, steering_vector
 from .geometry import (
     SPEED_OF_LIGHT,
     BistaticPair,
@@ -28,6 +28,7 @@ from .geometry import (
     true_aoa,
     true_tdoa,
     wrap_angle,
+    wrap_angles,
 )
 from .gdop import MeasurementErrorModel
 from .waveform import IqCapture
@@ -76,14 +77,6 @@ class RangeDopplerMap:
             raise ValueError("axes must be strictly increasing")
         if np.any(self.magnitudes < 0):
             raise ValueError("magnitudes must be non-negative")
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, (int, np.integer)):
-        return np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    return np.random.default_rng(np.random.SeedSequence([int(s) for s in seed]))
 
 
 def _snapshots(capture: IqCapture, window: slice | None, count: int) -> np.ndarray:
@@ -522,6 +515,39 @@ def doppler_to_velocity(doppler_hz: float, carrier_hz: float) -> float:
     return SPEED_OF_LIGHT * doppler_hz / carrier_hz
 
 
+def model_measure_batch(
+    pair: BistaticPair,
+    target: TargetState,
+    err: MeasurementErrorModel,
+    seed,
+    trials: int,
+    sample_rate_hz: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """TDOAs and AoAs (seconds, radians) of ``trials`` statistical measurements.
+
+    The true TDOA is rounded to the lattice of ``sample_rate_hz`` when
+    one is given (pass ``params.sample_rate_hz`` to mimic the
+    matched-filter quantization, or None for no quantization), then
+    Gaussian errors with the model's sigmas are added to both the TDOA
+    and the AoA. A negative noisy TDOA clamps to zero, matching the
+    matched filter which never reports the echo before the direct path.
+    Trial t reads row t of one ``(trials, 2)`` standard normal draw
+    (TDOA, AoA) from ``make_rng(seed)``.
+    """
+    tdoa = true_tdoa(pair, target)
+    if sample_rate_hz is not None and math.isfinite(sample_rate_hz):
+        if sample_rate_hz <= 0:
+            raise ValueError("sample_rate_hz must be positive")
+        tdoa = round(tdoa * sample_rate_hz) / sample_rate_hz
+    aoa = true_aoa(pair.rx_node, target)
+    noise = make_rng(seed).standard_normal((trials, 2))
+    noisy = tdoa + err.sigma_tdoa_s * noise[:, 0]
+    return (
+        np.where(noisy > 0.0, noisy, 0.0),
+        wrap_angles(aoa + err.sigma_aoa_rad * noise[:, 1]),
+    )
+
+
 def model_based_measure(
     pair: BistaticPair,
     target: TargetState,
@@ -530,28 +556,12 @@ def model_based_measure(
     seed,
     sample_rate_hz: float | None = None,
 ) -> Measurement:
-    """Statistical measurement: lattice quantization plus Gaussian error.
-
-    The true TDOA is rounded to the lattice of ``sample_rate_hz`` when
-    one is given (pass ``params.sample_rate_hz`` to mimic the
-    matched-filter quantization, or None for no quantization), then
-    Gaussian errors with the model's sigmas are added to both the TDOA
-    and the AoA. A negative noisy TDOA clamps to zero, matching the
-    matched filter which never reports the echo before the direct path.
-    """
-    rng = _rng(seed)
-    tdoa = true_tdoa(pair, target)
-    if sample_rate_hz is not None and math.isfinite(sample_rate_hz):
-        if sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        tdoa = round(tdoa * sample_rate_hz) / sample_rate_hz
-    aoa = true_aoa(pair.rx_node, target)
-    noise = rng.standard_normal(2)
-    tdoa = max(0.0, tdoa + err.sigma_tdoa_s * noise[0])
-    aoa = wrap_angle(aoa + err.sigma_aoa_rad * noise[1])
+    """Statistical measurement: the one-trial view of `model_measure_batch`,
+    with the echo SNR of the bistatic radar equation."""
+    tdoa, aoa = model_measure_batch(pair, target, err, seed, 1, sample_rate_hz)
     return Measurement(
-        tdoa_s=tdoa,
-        aoa_rad=aoa,
+        tdoa_s=float(tdoa[0]),
+        aoa_rad=float(aoa[0]),
         snr_db=bistatic_snr(params, pair, target),
         mode=pair.mode,
     )

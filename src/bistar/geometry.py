@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .errors import DegenerateGeometryError, ExcludedGeometryError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,6 +33,31 @@ def wrap_angle(angle: float) -> float:
     if wrapped <= -math.pi:
         wrapped += 2.0 * math.pi
     return wrapped
+
+
+def wrap_angles(angles: np.ndarray) -> np.ndarray:
+    """`wrap_angle` of every element, bit for bit.
+
+    Both compute the one value in (-pi, pi] that differs from the angle
+    by a multiple of the float 2*pi, and every step is exact: ``fmod``
+    and ``remainder`` always are, and the +-2*pi shifts subtract numbers
+    within a factor two of each other.
+    """
+    turn = 2.0 * math.pi
+    wrapped = np.fmod(angles, turn)
+    wrapped = np.where(wrapped > math.pi, wrapped - turn, wrapped)
+    return np.where(wrapped <= -math.pi, wrapped + turn, wrapped)
+
+
+def _each(fn, *columns: np.ndarray) -> np.ndarray:
+    """``fn`` of math row by row: numpy's atan2, hypot, sin and cos may
+    differ from math's in the last bit, and the scalar API uses math."""
+    return np.array(list(map(fn, *(c.tolist() for c in columns))), dtype=float)
+
+
+def _call(fn, *args: float) -> float:
+    """`_each` for one row of floats."""
+    return fn(*args)
 
 
 class Mode(Enum):
@@ -216,14 +243,70 @@ def r2_from_measurements(tdoa_s: float, aoa_rad: float, baseline_m: float) -> fl
         raise ValueError("tdoa must be non-negative")
     if baseline_m <= 0.0:
         raise ValueError("baseline must be positive")
-    excess = SPEED_OF_LIGHT * tdoa_s
-    numerator = excess * excess + 2.0 * baseline_m * excess
-    denominator = 2.0 * ((excess + baseline_m) - baseline_m * math.sin(aoa_rad))
+    numerator, denominator = _range_fraction(
+        SPEED_OF_LIGHT * tdoa_s, baseline_m, math.sin(aoa_rad)
+    )
     if denominator <= MIN_RANGE_M:
         raise DegenerateGeometryError(
             "tdoa/aoa combination puts the target at infinity along the baseline"
         )
     return numerator / denominator
+
+
+def _range_fraction(excess, baseline, sine):
+    """Numerator and denominator of `r2_from_measurements` from the excess
+    path c*dT, the baseline and sin(theta); floats or arrays."""
+    numerator = excess * excess + 2.0 * baseline * excess
+    return numerator, 2.0 * ((excess + baseline) - baseline * sine)
+
+
+def _inversion(east, north, tdoa, aoa, each, wrap):
+    """Baseline and range fraction of the closed-form inversion.
+
+    ``east`` is receiver minus transmitter x and ``north`` transmitter
+    minus receiver y, so atan2(east, north) is the arrival angle of the
+    direct path. Runs on floats (``each=_call``, `wrap_angle`) for
+    `locate_bistatic` and on arrays (`_each`, `wrap_angles`) for
+    `locate_batch`: one formula, so the two agree bit for bit.
+    """
+    baseline = each(math.hypot, east, north)
+    relative = math.pi / 2.0 - wrap(aoa - each(math.atan2, east, north))
+    sine = each(math.sin, relative)
+    return baseline, _range_fraction(SPEED_OF_LIGHT * tdoa, baseline, sine)
+
+
+def locate_batch(
+    tx_xy: np.ndarray, rx_xy: np.ndarray, tdoa_s: np.ndarray, aoa_rad: np.ndarray
+) -> np.ndarray:
+    """Closed-form target positions of N TDOA/AoA measurements, (N, 2).
+
+    Row i inverts ``tdoa_s[i]`` and ``aoa_rad[i]`` (the global arrival
+    angle at the receiving node) for the pair that transmits from
+    ``tx_xy[i]`` and receives at ``rx_xy[i]`` (both N x 2), bit for bit
+    as `locate_bistatic` does. Rows where that raises
+    `DegenerateGeometryError` (coincident nodes, or a target at infinity
+    along the baseline) are NaN.
+
+    Raises:
+        ValueError: if any TDOA is negative.
+    """
+    tx = np.asarray(tx_xy, dtype=float)
+    rx = np.asarray(rx_xy, dtype=float)
+    tdoa = np.asarray(tdoa_s, dtype=float)
+    aoa = np.asarray(aoa_rad, dtype=float)
+    if np.any(tdoa < 0.0):
+        raise ValueError("tdoa must be non-negative")
+    baseline, (numerator, denominator) = _inversion(
+        rx[:, 0] - tx[:, 0], tx[:, 1] - rx[:, 1], tdoa, aoa, _each, wrap_angles
+    )
+    usable = (baseline >= MIN_RANGE_M) & (denominator > MIN_RANGE_M)
+    r_rx = numerator / np.where(usable, denominator, 1.0)
+    xy = np.stack(
+        (rx[:, 0] - r_rx * _each(math.sin, aoa), rx[:, 1] + r_rx * _each(math.cos, aoa)),
+        axis=1,
+    )
+    xy[~usable] = math.nan
+    return xy
 
 
 def locate_bistatic(pair: BistaticPair, meas: "Measurement") -> tuple[float, float]:
@@ -232,14 +315,24 @@ def locate_bistatic(pair: BistaticPair, meas: "Measurement") -> tuple[float, flo
     The measurement's angle must be the global arrival angle at the
     receiving node implied by ``pair.mode``; it is rotated into the
     baseline frame before the range inversion, so any node layout and
-    either transmit direction works. Returns (x, y) in meters.
+    either transmit direction works. Returns (x, y) in meters. The
+    one-row case of `locate_batch`, evaluated on floats because a
+    one-row numpy call costs about twenty times as much.
     """
     mode = getattr(meas, "mode", None)
     if mode is not None and mode is not pair.mode:
         raise ValueError(f"measurement mode {mode} does not match pair mode {pair.mode}")
+    if meas.tdoa_s < 0.0:
+        raise ValueError("tdoa must be non-negative")
     rx, tx = pair.rx_node, pair.tx_node
-    relative = math.pi / 2.0 - wrap_angle(meas.aoa_rad - true_aoa(rx, tx))
-    r_rx = r2_from_measurements(meas.tdoa_s, relative, pair.baseline)
+    baseline, (numerator, denominator) = _inversion(
+        rx.x - tx.x, tx.y - rx.y, meas.tdoa_s, meas.aoa_rad, _call, wrap_angle
+    )
+    if baseline < MIN_RANGE_M or denominator <= MIN_RANGE_M:
+        raise DegenerateGeometryError(
+            "tdoa/aoa combination puts the target at infinity along the baseline"
+        )
+    r_rx = numerator / denominator
     return (rx.x - r_rx * math.sin(meas.aoa_rad), rx.y + r_rx * math.cos(meas.aoa_rad))
 
 
@@ -258,7 +351,7 @@ def collinearity_deg(pair: BistaticPair, target) -> float:
     return math.degrees(distance)
 
 
-def _iso_range_point(
+def iso_range_point(
     pair: BistaticPair, sum_range_m: float, theta2_rad: float
 ) -> tuple[float, float]:
     """Point on the contour R1 + R2 = sum_range at angle theta2 from n2."""
@@ -297,7 +390,7 @@ def iso_range_target(
     """
     if sum_range_m <= pair.baseline:
         raise ValueError("sum range must exceed the baseline")
-    x, y = _iso_range_point(pair, sum_range_m, theta2_rad)
+    x, y = iso_range_point(pair, sum_range_m, theta2_rad)
     target = TargetState(x, y, rcs_dbsm=rcs_dbsm)
     separation = collinearity_deg(pair, target)
     if separation < exclusion_deg:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ArrayModel, build_paths, propagate
+from .channel import ArrayModel, build_paths, make_rng, propagate
 from .config import ENGINE_MODEL, ENGINE_SIGNAL, MotionConfig, ScenarioConfig
 from .errors import ConfigError, DegenerateGeometryError, DetectionError
 from .estimation import (
@@ -28,6 +28,7 @@ from .estimation import (
     doppler_to_velocity,
     estimate_tdoa,
     model_based_measure,
+    model_measure_batch,
     music_aoa,
     null_steer_beamform,
     project_out_stream,
@@ -41,8 +42,9 @@ from .geometry import (
     Mode,
     NodePosition,
     TargetState,
-    _iso_range_point,
     collinearity_deg,
+    iso_range_point,
+    locate_batch,
     locate_bistatic,
     sum_range_gradient,
     true_aoa,
@@ -181,10 +183,6 @@ def waveform_for_radar(params, seed: int = 0) -> WaveformConfig:
     )
 
 
-def _rng(cfg: ScenarioConfig, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([cfg.seed, *key]))
-
-
 def _perturbed_nodes(nodes, rng) -> list[NodePosition]:
     """Believed node positions: truth plus per-axis Gaussian wobble."""
     out = []
@@ -233,14 +231,6 @@ def _resolve_survey_aoa(raw: float, boresight: float, hint: float) -> float:
         wrap_angle(raw + math.pi),
     )
     return min(candidates, key=lambda a: abs(wrap_angle(a - hint)))
-
-
-def _locate_error(
-    believed: list[NodePosition], mode: Mode, meas: Measurement, target: TargetState
-) -> float:
-    pair = BistaticPair(believed[0], believed[1], mode)
-    x, y = locate_bistatic(pair, meas)
-    return math.hypot(x - target.x, y - target.y)
 
 
 class _SignalBench:
@@ -324,8 +314,8 @@ def _measure(
     if cfg.engine == ENGINE_SIGNAL:
         channel_key = (cfg.seed, index, trial, _TAG_CHANNEL, stream)
         return bench.measure(pair, target, channel_key, delayed_frames)
-    rng = _rng(cfg, index, trial, _TAG_MEAS, stream)
-    return model_based_measure(pair, target, cfg.radar, cfg.error_override, rng)
+    seed = (cfg.seed, index, trial, _TAG_MEAS, stream)
+    return model_based_measure(pair, target, cfg.radar, cfg.error_override, seed)
 
 
 def _sweep_point(
@@ -334,7 +324,7 @@ def _sweep_point(
     theta = math.radians(theta_deg)
     pair1 = _primary_pair(cfg, Mode.MODE1)
     pair2 = _primary_pair(cfg, Mode.MODE2)
-    x, y = _iso_range_point(pair1, cfg.sum_range, theta)
+    x, y = iso_range_point(pair1, cfg.sum_range, theta)
     target = TargetState(x, y, rcs_dbsm=cfg.rcs_dbsm)
 
     tdoa_true = true_tdoa(pair1, target)
@@ -366,21 +356,12 @@ def _sweep_point(
         row.status = STATUS_EXCLUDED
         return row
 
-    errors = {Mode.MODE1: [], Mode.MODE2: []}
-    first_meas: Measurement | None = None
-    # Both modes and all trials see the same path delays, so the
-    # delayed slot frames are computed once for this point.
-    delayed_frames: dict = {}
+    pairs = ((Mode.MODE1, pair1), (Mode.MODE2, pair2))
     try:
-        for trial in range(cfg.trials_per_point):
-            node_rng = _rng(cfg, index, trial, _TAG_NODES)
-            believed = _perturbed_nodes(cfg.nodes[:2], node_rng)
-            for mode, pair in ((Mode.MODE1, pair1), (Mode.MODE2, pair2)):
-                key = (index, trial, mode.value)
-                meas = _measure(cfg, bench, pair, target, key, delayed_frames)
-                errors[mode].append(_locate_error(believed, mode, meas, target))
-                if mode is Mode.MODE1 and trial == 0:
-                    first_meas = meas
+        if cfg.engine == ENGINE_MODEL:
+            first, errors = _model_trials(cfg, index, target, pairs)
+        else:
+            first, errors = _signal_trials(cfg, bench, index, target, pairs)
     except DetectionError:
         row.status = "fail:detect"
         return row
@@ -388,21 +369,78 @@ def _sweep_point(
         row.status = "fail:degenerate"
         return row
 
-    row.tdoa_meas_ns = first_meas.tdoa_s * 1e9
-    row.tdoa_err_ns = (first_meas.tdoa_s - tdoa_true) * 1e9
-    row.aoa_meas_deg = deg360(first_meas.aoa_rad)
+    tdoa_first, aoa_first = first
+    row.tdoa_meas_ns = tdoa_first * 1e9
+    row.tdoa_err_ns = (tdoa_first - tdoa_true) * 1e9
+    row.aoa_meas_deg = deg360(aoa_first)
     row.aoa_err_deg = math.degrees(
-        (first_meas.aoa_rad - aoa_true + math.pi) % (2 * math.pi) - math.pi
+        (aoa_first - aoa_true + math.pi) % (2 * math.pi) - math.pi
     )
-    row.err_mode1_m = sum(errors[Mode.MODE1]) / len(errors[Mode.MODE1])
-    row.err_mode2_m = sum(errors[Mode.MODE2]) / len(errors[Mode.MODE2])
-    row.err_rms_mode1_m = math.sqrt(
-        sum(e * e for e in errors[Mode.MODE1]) / len(errors[Mode.MODE1])
-    )
-    row.err_rms_mode2_m = math.sqrt(
-        sum(e * e for e in errors[Mode.MODE2]) / len(errors[Mode.MODE2])
-    )
+    e1, e2 = errors[Mode.MODE1], errors[Mode.MODE2]
+    row.err_mode1_m = sum(e1) / len(e1)
+    row.err_mode2_m = sum(e2) / len(e2)
+    row.err_rms_mode1_m = math.sqrt(sum(e * e for e in e1) / len(e1))
+    row.err_rms_mode2_m = math.sqrt(sum(e * e for e in e2) / len(e2))
     return row
+
+
+_Pairs = tuple[tuple[Mode, BistaticPair], ...]
+_Trials = tuple[tuple[float, float], dict[Mode, list[float]]]
+
+
+def _model_trials(
+    cfg: ScenarioConfig, index: int, target: TargetState, pairs: _Pairs
+) -> _Trials:
+    """Model-engine trials of a point: the first mode-1 (TDOA, AoA) and
+    the localization errors of every trial per mode, all trials at once.
+
+    Substream layout v2: each purpose of a point is one substream and
+    trial t reads row t of it. Raises DegenerateGeometryError if any
+    trial locates to infinity, so one degenerate trial fails the point.
+    """
+    trials = cfg.trials_per_point
+    nodes = cfg.nodes[:2]
+    draws = make_rng(cfg.seed, index, 0, _TAG_NODES).standard_normal((trials, 2, 2))
+    truth = np.array([[node.x, node.y] for node in nodes])
+    sigma = np.array([[node.sigma_x, node.sigma_y] for node in nodes])
+    believed = truth + sigma * draws  # trial, node, x/y
+    first, errors = None, {}
+    for mode, pair in pairs:
+        key = (cfg.seed, index, 0, _TAG_MEAS, mode.value)
+        tdoa, aoa = model_measure_batch(pair, target, cfg.error_override, key, trials)
+        tx, rx = (0, 1) if mode is Mode.MODE1 else (1, 0)
+        xy = locate_batch(believed[:, tx], believed[:, rx], tdoa, aoa)
+        if np.isnan(xy).any():
+            raise DegenerateGeometryError("a trial locates the target at infinity")
+        errors[mode] = [math.hypot(*d) for d in (xy - (target.x, target.y)).tolist()]
+        first = first or (float(tdoa[0]), float(aoa[0]))
+    return first, errors
+
+
+def _signal_trials(
+    cfg: ScenarioConfig,
+    bench: _SignalBench,
+    index: int,
+    target: TargetState,
+    pairs: _Pairs,
+) -> _Trials:
+    """Signal-engine trials of a point, as `_model_trials` returns them:
+    the receiver chain per trial and mode in trial-major order, each
+    trial from its own substreams, stopping at the first failure."""
+    first, errors = None, {mode: [] for mode, _ in pairs}
+    # Both modes and all trials see the same path delays, so the
+    # delayed slot frames are computed once for this point.
+    delayed_frames: dict = {}
+    for trial in range(cfg.trials_per_point):
+        node_rng = make_rng(cfg.seed, index, trial, _TAG_NODES)
+        believed = _perturbed_nodes(cfg.nodes[:2], node_rng)
+        for mode, pair in pairs:
+            key = (index, trial, mode.value)
+            meas = _measure(cfg, bench, pair, target, key, delayed_frames)
+            x, y = locate_bistatic(BistaticPair(believed[0], believed[1], mode), meas)
+            errors[mode].append(math.hypot(x - target.x, y - target.y))
+            first = first or (meas.tdoa_s, meas.aoa_rad)
+    return first, errors
 
 
 def _run_points(cfg: ScenarioConfig, workers: int, point) -> list:
@@ -517,7 +555,7 @@ def _multistatic_point(
     theta = math.radians(theta_deg)
     err_model = cfg.error_override
     anchor = BistaticPair(nodes[0], nodes[1], Mode.MODE1)
-    x, y = _iso_range_point(anchor, cfg.sum_range, theta)
+    x, y = iso_range_point(anchor, cfg.sum_range, theta)
     target = TargetState(x, y, rcs_dbsm=cfg.rcs_dbsm)
     row = MultistaticRow(theta2_deg=theta_deg, x_m=x, y_m=y)
     if collinearity_deg(anchor, target) < cfg.exclusion_deg:
@@ -540,8 +578,7 @@ def _multistatic_point(
     draws = []
     delayed_frames: dict = {}
     for trial in range(cfg.trials_per_point):
-        node_rng = _rng(cfg, index, trial, _TAG_NODES)
-        believed = _perturbed_nodes(nodes, node_rng)
+        believed = _perturbed_nodes(nodes, make_rng(cfg.seed, index, trial, _TAG_NODES))
         measurements = [
             _measure(cfg, bench, true_pairs[i], target, (index, trial, i), delayed_frames)
             for i in usable
@@ -625,7 +662,7 @@ def moving_target(cfg: ScenarioConfig, motion: MotionConfig) -> TargetState:
     """Contour target moving inward along the contour normal."""
     pair = _primary_pair(cfg)
     theta = math.radians(motion.theta2_deg)
-    x, y = _iso_range_point(pair, cfg.sum_range, theta)
+    x, y = iso_range_point(pair, cfg.sum_range, theta)
     gx, gy = sum_range_gradient(pair, TargetState(x, y))
     norm = math.hypot(gx, gy)
     if norm < 1e-12:

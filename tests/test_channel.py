@@ -20,6 +20,7 @@ from bistar import (
     bistatic_ranges,
     bistatic_snr,
     build_paths,
+    make_rng,
     propagate,
     steering_vector,
     true_aoa,
@@ -311,3 +312,22 @@ class TestPropagate:
         wrong_rate = IqCapture(np.zeros(64, dtype=complex), 1e6)
         with pytest.raises(ValueError):
             propagate(wrong_rate, [], ArrayModel(1), params)
+
+
+class TestMakeRng:
+    def draws(self, rng):
+        return rng.standard_normal(4).tolist()
+
+    def test_keys_name_one_seed_sequence(self):
+        def expected(*key):
+            return self.draws(np.random.default_rng(np.random.SeedSequence(list(key))))
+
+        assert self.draws(make_rng(5)) == expected(5)
+        assert self.draws(make_rng(np.int64(5))) == expected(5)
+        assert self.draws(make_rng((5, 2, 0, 3))) == expected(5, 2, 0, 3)
+        assert self.draws(make_rng(5, 2, 0, 3)) == expected(5, 2, 0, 3)
+        assert self.draws(make_rng((5, 2), 0, 3)) == expected(5, 2, 0, 3)
+
+    def test_generator_passes_through(self):
+        rng = np.random.default_rng(1)
+        assert make_rng(rng) is rng

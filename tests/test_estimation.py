@@ -23,8 +23,10 @@ from bistar import (
     doppler_peak,
     doppler_to_velocity,
     estimate_tdoa,
+    make_rng,
     matched_reference,
     model_based_measure,
+    model_measure_batch,
     music_aoa,
     null_steer_beamform,
     project_out_stream,
@@ -561,6 +563,21 @@ class TestModelBasedMeasure:
             for _ in range(200)
         ]
         assert min(values) == 0.0
+
+    @pytest.mark.parametrize("rate", [None, FS])
+    def test_batch_rows_are_successive_scalar_draws(self, rate):
+        pair = self.pair()
+        target = TargetState(12.5, 1.0)  # tiny true TDOA: some draws clamp
+        err = MeasurementErrorModel(2e-9, math.radians(3.0))
+        tdoa, aoa = model_measure_batch(pair, target, err, (7, 1, 0, 3), 300, rate)
+        rng = make_rng((7, 1, 0, 3))
+        scalar = [
+            model_based_measure(pair, target, RadarParams(), err, rng, rate)
+            for _ in range(300)
+        ]
+        assert tdoa.tolist() == [m.tdoa_s for m in scalar]
+        assert aoa.tolist() == [m.aoa_rad for m in scalar]
+        assert 0.0 in tdoa.tolist()
 
     def test_rejects_bad_sample_rate(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,9 @@ from bistar import (
     bistatic_ranges,
     bistatic_snr,
     collinearity_deg,
+    iso_range_point,
     iso_range_target,
+    locate_batch,
     locate_bistatic,
     r2_from_measurements,
     sum_range_gradient,
@@ -27,6 +29,7 @@ from bistar import (
     true_aoa,
     true_tdoa,
     wrap_angle,
+    wrap_angles,
 )
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -49,6 +52,24 @@ class TestWrapAngle:
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
         assert wrap_angle(3.0 * math.pi) == pytest.approx(math.pi)
+
+
+    def test_array_wrap_matches_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        turn = 2.0 * math.pi
+        edges = [0.0, -0.0, math.pi, -math.pi, turn, -turn, 3.0 * math.pi, -3.0 * math.pi]
+        edges += [math.nextafter(v, d) for v in edges for d in (-math.inf, math.inf)]
+        values = np.concatenate(
+            (
+                edges,
+                rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 20_000),
+                rng.uniform(-1e6, 1e6, 2_000),
+                rng.normal(math.pi, 1e-14, 2_000),
+                rng.normal(-math.pi, 1e-14, 2_000),
+            )
+        )
+        expected = [wrap_angle(v) for v in values.tolist()]
+        assert wrap_angles(values).tolist() == expected
 
 
 class TestDataclasses:
@@ -217,6 +238,92 @@ class TestInversion:
             r2_from_measurements(0.0, math.pi / 2, 10.0)
 
 
+def reference_locate(pair, meas):
+    """The closed-form inversion as it stood before `locate_batch`."""
+    if meas.mode is not pair.mode:
+        raise ValueError("mode mismatch")
+    rx, tx = pair.rx_node, pair.tx_node
+    relative = math.pi / 2.0 - wrap_angle(meas.aoa_rad - true_aoa(rx, tx))
+    r_rx = r2_from_measurements(meas.tdoa_s, relative, pair.baseline)
+    return (rx.x - r_rx * math.sin(meas.aoa_rad), rx.y + r_rx * math.cos(meas.aoa_rad))
+
+
+class TestLocateBatch:
+    @staticmethod
+    def random_problems(rng, count, mode):
+        """Random pairs and measurements around random targets; every
+        200th row is degenerate (zero TDOA, arriving from the transmitter)."""
+        pairs, measurements = [], []
+        while len(pairs) < count:
+            xs = rng.uniform(-50.0, 50.0, 6).tolist()
+            pair = BistaticPair(NodePosition(*xs[0:2]), NodePosition(*xs[2:4]), mode)
+            target = TargetState(*xs[4:6])
+            if len(pairs) % 200 == 0:
+                tdoa, aoa = 0.0, true_aoa(pair.rx_node, pair.tx_node)
+            else:
+                noise = rng.standard_normal(2).tolist()
+                tdoa = max(0.0, true_tdoa(pair, target) + 5e-9 * noise[0])
+                aoa = wrap_angle(true_aoa(pair.rx_node, target) + 0.05 * noise[1])
+            pairs.append(pair)
+            measurements.append(Measurement(tdoa_s=tdoa, aoa_rad=aoa, mode=mode))
+        return pairs, measurements
+
+    @pytest.mark.parametrize("mode", [Mode.MODE1, Mode.MODE2])
+    def test_matches_scalar_reference_bit_for_bit(self, mode):
+        rng = np.random.default_rng(2000 + mode.value)
+        pairs, measurements = self.random_problems(rng, 2000, mode)
+        located = locate_batch(
+            [[p.tx_node.x, p.tx_node.y] for p in pairs],
+            [[p.rx_node.x, p.rx_node.y] for p in pairs],
+            [m.tdoa_s for m in measurements],
+            [m.aoa_rad for m in measurements],
+        ).tolist()
+        degenerate = 0
+        for pair, meas, row in zip(pairs, measurements, located):
+            try:
+                expected = reference_locate(pair, meas)
+            except DegenerateGeometryError:
+                degenerate += 1
+                assert all(math.isnan(v) for v in row)
+                with pytest.raises(DegenerateGeometryError):
+                    locate_bistatic(pair, meas)
+                continue
+            assert tuple(row) == expected
+            assert locate_bistatic(pair, meas) == expected
+        assert degenerate >= 10
+
+    def test_degenerate_row_anywhere_leaves_the_others(self):
+        pair = make_pair(-4.0, 2.0, 21.0, -3.0)
+        target = TargetState(5.0, 17.0)
+        good = (true_tdoa(pair, target), true_aoa(pair.rx_node, target))
+        bad = (0.0, true_aoa(pair.rx_node, pair.tx_node))
+        for where in (0, 2, 4):
+            rows = [bad if i == where else good for i in range(5)]
+            tdoa, aoa = np.transpose(rows)
+            located = locate_batch([[-4.0, 2.0]] * 5, [[21.0, -3.0]] * 5, tdoa, aoa)
+            assert np.isnan(located[where]).all()
+            kept = np.delete(located, where, axis=0)
+            assert np.hypot(kept[:, 0] - 5.0, kept[:, 1] - 17.0).max() < 1e-9
+
+    def test_nan_tdoa_locates_to_nan(self):
+        pair = make_pair()
+        meas = Measurement(tdoa_s=math.nan, aoa_rad=0.3)
+        assert all(math.isnan(v) for v in locate_bistatic(pair, meas))
+        assert np.isnan(locate_batch([[0.0, 0.0]], [[25.0, 0.0]], [math.nan], [0.3])).all()
+
+    def test_coincident_nodes_are_degenerate(self):
+        located = locate_batch([[1.0, 2.0]], [[1.0, 2.0]], [1e-9], [0.3])
+        assert np.isnan(located).all()
+
+    def test_negative_tdoa_rejected(self):
+        with pytest.raises(ValueError):
+            locate_batch([[0.0, 0.0]], [[25.0, 0.0]], [-1e-12], [0.3])
+
+    def test_empty_batch(self):
+        empty = np.empty((0, 2))
+        assert locate_batch(empty, empty, [], []).shape == (0, 2)
+
+
 class TestIsoRange:
     def test_contour_points_satisfy_sum(self):
         pair = make_pair()
@@ -236,6 +343,13 @@ class TestIsoRange:
         toward_peer = true_aoa(pair.n2, pair.n1)
         with pytest.raises(ExcludedGeometryError):
             iso_range_target(pair, 50.0, toward_peer + math.radians(2.0))
+
+    def test_point_is_the_target_position(self):
+        pair = make_pair(-4.0, 2.0, 21.0, -3.0)
+        for deg in (10.0, 100.0, 250.0):
+            x, y = iso_range_point(pair, 50.0, math.radians(deg))
+            target = iso_range_target(pair, 50.0, math.radians(deg))
+            assert (x, y) == (target.x, target.y)
 
     def test_sum_range_must_exceed_baseline(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ from bistar import (
     ConfigError,
     DegenerateGeometryError,
     GridSpec,
+    DetectionError,
+    Measurement,
     MeasurementErrorModel,
     Mode,
     MotionConfig,
@@ -19,15 +21,22 @@ from bistar import (
     TargetState,
     collinearity_deg,
     gdop,
+    iso_range_point,
     iso_range_target,
+    locate_batch,
     preset_scenario,
+    r2_from_measurements,
     run_doppler,
     run_gdop_map,
     run_iso_range_sweep,
     run_multistatic,
+    true_aoa,
+    true_tdoa,
+    wrap_angle,
     write_multistatic_csv,
     write_sweep_csv,
 )
+from bistar import harness
 from bistar.cli import main
 from bistar.config import ENGINE_MODEL
 from bistar.harness import (
@@ -36,6 +45,7 @@ from bistar.harness import (
     SweepRow,
     _SignalBench,
     _primary_pair,
+    _sweep_point,
     deg360,
     moving_target,
     multistatic_nodes,
@@ -246,6 +256,171 @@ class TestSweepRuns:
         cfg.error_override = None
         with pytest.raises(ConfigError):
             run_iso_range_sweep(cfg)
+
+
+def reference_sweep_point(cfg, index, theta_deg):
+    """One model-engine contour point by a per-trial scalar loop over the
+    v2 draws: one substream per point and purpose, trial t reading row t."""
+    err = cfg.error_override
+    trials = cfg.trials_per_point
+    nodes = cfg.nodes[:2]
+    x, y = iso_range_point(_primary_pair(cfg), cfg.sum_range, math.radians(theta_deg))
+    target = TargetState(x, y)
+
+    def draws(*key, shape):
+        seq = np.random.SeedSequence([cfg.seed, index, 0, *key])
+        return np.random.default_rng(seq).standard_normal(shape).tolist()
+
+    wobble = draws(2, shape=(trials, 2, 2))
+    errors, first = {}, None
+    for mode in (Mode.MODE1, Mode.MODE2):
+        truth = _primary_pair(cfg, mode)
+        noise = draws(3, mode.value, shape=(trials, 2))
+        errs = []
+        for t in range(trials):
+            believed = [
+                NodePosition(n.x + n.sigma_x * dx, n.y + n.sigma_y * dy)
+                for n, (dx, dy) in zip(nodes, wobble[t])
+            ]
+            pair = BistaticPair(believed[0], believed[1], mode)
+            tdoa = max(0.0, true_tdoa(truth, target) + err.sigma_tdoa_s * noise[t][0])
+            aoa = wrap_angle(true_aoa(truth.rx_node, target) + err.sigma_aoa_rad * noise[t][1])
+            first = first or Measurement(tdoa, aoa)
+            rx, tx = pair.rx_node, pair.tx_node
+            relative = math.pi / 2.0 - wrap_angle(aoa - true_aoa(rx, tx))
+            r_rx = r2_from_measurements(tdoa, relative, pair.baseline)
+            px, py = rx.x - r_rx * math.sin(aoa), rx.y + r_rx * math.cos(aoa)
+            errs.append(math.hypot(px - x, py - y))
+        errors[mode] = errs
+    return first, errors
+
+
+class TestBatchedModelSweep:
+    def test_trials_1_matches_pinned_rows(self, capsys):
+        """Rows recorded before the trials of a point were batched."""
+        argv = [
+            "sweep", "--scenario", "scenario3", "--bandwidth-mhz", "100",
+            "--engine", "model", "--points", "8", "--trials", "1", "--seed", "5",
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == (
+            "45.0,4.490568974573982,20.509431025426018,83.391023799538,"
+            "82.82290319921525,-0.5681206003227635,45.0,44.823490155144306,"
+            "-0.1765098448557034,0.17220961367687926,0.5748847333805388,"
+            "0.17220961367687926,0.5748847333805388,0.8742085455145368,"
+            "0.8705449669033845,ok"
+        )
+        assert lines[8] == (
+            "315.0,34.7951453111403,9.795145311140303,83.391023799538,"
+            "78.53040997230205,-4.860613827235953,315.0,315.304173866606,"
+            "0.3041738666059819,0.7803896857346155,0.8084000914661823,"
+            "0.7803896857346155,0.8084000914661823,0.7143215633438774,"
+            "0.7244682317613829,ok"
+        )
+        assert "# mean_err_mode1_m = 0.4949635927650092" in lines
+        assert "# mean_err_mode2_m = 0.6776664424044787" in lines
+
+    @pytest.mark.parametrize("name, trials", [("scenario1", 7), ("scenario3", 40)])
+    def test_matches_per_trial_scalar_loop(self, name, trials):
+        cfg = model_config(name, points=12, trials=trials, seed=21)
+        rows = run_iso_range_sweep(cfg).rows
+        assert sum(row.status == STATUS_OK for row in rows) >= 8
+        for index, row in enumerate(rows):
+            if row.status != STATUS_OK:
+                continue
+            first, errors = reference_sweep_point(cfg, index, row.theta2_deg)
+            e1, e2 = errors[Mode.MODE1], errors[Mode.MODE2]
+            assert row.tdoa_meas_ns == first.tdoa_s * 1e9
+            assert row.aoa_meas_deg == deg360(first.aoa_rad)
+            assert row.err_mode1_m == sum(e1) / trials
+            assert row.err_mode2_m == sum(e2) / trials
+            assert row.err_rms_mode1_m == math.sqrt(sum(e * e for e in e1) / trials)
+            assert row.err_rms_mode2_m == math.sqrt(sum(e * e for e in e2) / trials)
+
+    @pytest.mark.parametrize("where", [0, 4, 8])
+    @pytest.mark.parametrize("mode", [Mode.MODE1, Mode.MODE2])
+    def test_degenerate_trial_anywhere_fails_the_point(self, monkeypatch, where, mode):
+        cfg = model_config("scenario3", points=8, trials=9)
+        clean = run_iso_range_sweep(cfg).rows
+        calls = []
+
+        def locate_with_hole(tx, rx, tdoa, aoa):
+            located = locate_batch(tx, rx, tdoa, aoa)
+            calls.append(None)
+            # Per point the sweep locates mode 1, then mode 2.
+            if len(calls) % 2 == mode.value % 2:
+                located[where] = math.nan
+            return located
+
+        monkeypatch.setattr(harness, "locate_batch", locate_with_hole)
+        rows = run_iso_range_sweep(cfg).rows
+        assert any(row.status == STATUS_OK for row in clean)
+        for before, after in zip(clean, rows):
+            expected = "fail:degenerate" if before.status == STATUS_OK else before.status
+            assert after.status == expected
+            if after.status == "fail:degenerate":
+                assert math.isnan(after.err_mode1_m) and math.isnan(after.tdoa_meas_ns)
+
+
+class FakeReceiver:
+    """Signal-engine measurements that refuse at one (trial, mode); the
+    TDOA is exact at trial 0 in mode 1 and off by a known amount elsewhere."""
+
+    def __init__(self, refuse_at):
+        self.refuse_at = refuse_at
+        self.calls = []
+
+    def measure(self, pair, target, seed_key, delayed_frames=None):
+        trial, mode = seed_key[2], seed_key[4]
+        self.calls.append((trial, mode))
+        if (trial, mode) == self.refuse_at:
+            raise DetectionError("refused")
+        offset = 1e-9 * trial + 1e-10 * (mode - 1)
+        tdoa = true_tdoa(pair, target) + offset
+        return Measurement(tdoa, true_aoa(pair.rx_node, target), mode=pair.mode)
+
+
+class TestSignalSweepTrials:
+    """The signal engine measures trial by trial, mode 1 before mode 2,
+    and the first refusal or degenerate location ends the point."""
+
+    def sweep_point(self, monkeypatch, refuse_at, degenerate_call=None):
+        cfg = preset_scenario("scenario1", seed=4)
+        cfg.trials_per_point = 4
+        located = []
+
+        def locate(pair, meas):
+            located.append(None)
+            if len(located) == degenerate_call:
+                raise DegenerateGeometryError("at infinity")
+            return harness_locate(pair, meas)
+
+        harness_locate = harness.locate_bistatic
+        monkeypatch.setattr(harness, "locate_bistatic", locate)
+        bench = FakeReceiver(refuse_at)
+        return _sweep_point(cfg, bench, 0, 45.0), bench.calls
+
+    def test_trial_major_order(self, monkeypatch):
+        row, calls = self.sweep_point(monkeypatch, None)
+        assert row.status == STATUS_OK
+        assert calls == [(t, m) for t in range(4) for m in (1, 2)]
+        assert row.tdoa_err_ns == 0.0 and row.err_mode1_m < 1.0  # trial 0, mode 1
+
+    def test_refusal_ends_the_point(self, monkeypatch):
+        row, calls = self.sweep_point(monkeypatch, (2, 2))
+        assert row.status == "fail:detect"
+        assert calls == [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
+
+    def test_degenerate_location_ends_the_point(self, monkeypatch):
+        row, calls = self.sweep_point(monkeypatch, (2, 1), degenerate_call=3)
+        assert row.status == "fail:degenerate"
+        assert calls == [(0, 1), (0, 2), (1, 1)]
+
+    def test_refusal_before_the_degenerate_location(self, monkeypatch):
+        row, calls = self.sweep_point(monkeypatch, (1, 1), degenerate_call=4)
+        assert row.status == "fail:detect"
+        assert calls == [(0, 1), (0, 2), (1, 1)]
 
 
 class TestMultistaticRuns:
