@@ -75,13 +75,6 @@ def _load(args: argparse.Namespace):
     return cfg
 
 
-def _emit(write, result, out: str | None) -> None:
-    if out is None:
-        write(result, sys.stdout)
-    else:
-        write(result, out)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bistar",
@@ -89,25 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser(
-        "sweep", help="iso-range contour sweep with per-point measurements"
-    )
-    _add_scenario_args(sweep)
-    sweep.add_argument("--points", type=int, default=None, help="contour points")
-    sweep.add_argument("--trials", type=int, default=None, help="trials per point")
-    sweep.add_argument(
-        "--workers", type=int, default=1, help="thread workers (same output regardless)"
-    )
-
-    multi = sub.add_parser(
-        "multistatic", help="multi-receiver fusion along the contour"
-    )
-    _add_scenario_args(multi)
-    multi.add_argument("--points", type=int, default=None, help="contour points")
-    multi.add_argument("--trials", type=int, default=None, help="trials per point")
-    multi.add_argument(
-        "--workers", type=int, default=1, help="thread workers (same output regardless)"
-    )
+    for name, about in (
+        ("sweep", "iso-range contour sweep with per-point measurements"),
+        ("multistatic", "multi-receiver fusion along the contour"),
+    ):
+        contour = sub.add_parser(name, help=about)
+        _add_scenario_args(contour)
+        contour.add_argument("--points", type=int, default=None, help="contour points")
+        contour.add_argument("--trials", type=int, default=None, help="trials per point")
+        contour.add_argument(
+            "--workers", type=int, default=1, help="thread workers (same output regardless)"
+        )
 
     doppler = sub.add_parser(
         "doppler", help="velocity estimation for a moving contour target"
@@ -160,26 +145,20 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         cfg = _load(args)
+        out = sys.stdout if args.out is None else args.out
         if args.command == "sweep":
-            result = run_iso_range_sweep(cfg, workers=args.workers)
-            _emit(write_sweep_csv, result, args.out)
+            write_sweep_csv(run_iso_range_sweep(cfg, workers=args.workers), out)
         elif args.command == "multistatic":
-            result = run_multistatic(cfg, workers=args.workers)
-            _emit(write_multistatic_csv, result, args.out)
+            write_multistatic_csv(run_multistatic(cfg, workers=args.workers), out)
         elif args.command == "doppler":
-            motion = cfg.motion or MotionConfig()
-            updates = {}
-            if args.theta2_deg is not None:
-                updates["theta2_deg"] = args.theta2_deg
-            if args.speed_mps is not None:
-                updates["speed_mps"] = args.speed_mps
-            if args.pulses is not None:
-                updates["pulses"] = args.pulses
-            if updates:
-                motion = replace(motion, **updates)
-            cfg = replace(cfg, motion=motion)
+            updates = {
+                key: getattr(args, key)
+                for key in ("theta2_deg", "speed_mps", "pulses")
+                if getattr(args, key) is not None
+            }
+            cfg = replace(cfg, motion=replace(cfg.motion or MotionConfig(), **updates))
             result = run_doppler(cfg)
-            _emit(write_doppler_csv, result, args.out)
+            write_doppler_csv(result, out)
             if args.map_out is not None:
                 write_range_doppler_csv(result.rd_map, args.map_out)
         else:
@@ -189,8 +168,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            cells = run_gdop_map(cfg, grid)
-            _emit(write_gdop_map_csv, cells, args.out)
+            write_gdop_map_csv(run_gdop_map(cfg, grid), out)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ The signal-level chain works on element captures: MUSIC for the echo
 arrival angle, conjugate beamforming toward the direct and echo
 directions, least-squares direct-path cancellation, matched-filter TDOA
 on the sample lattice, and a range-Doppler map across a pulse train.
-``model_based_measure`` is the cheap statistical stand-in that produces
+``model_measure_batch`` is the cheap statistical stand-in that produces
 measurements with the same lattice and error behavior without
 simulating waveforms.
 """
@@ -22,9 +22,7 @@ from .geometry import (
     SPEED_OF_LIGHT,
     BistaticPair,
     Mode,
-    RadarParams,
     TargetState,
-    bistatic_snr,
     true_aoa,
     true_tdoa,
     wrap_angle,
@@ -125,9 +123,8 @@ def music_aoa(
     Returns:
         Angles in radians (global convention), strongest peak first.
         A linear array cannot tell front from back; the returned angles
-        live in (boresight - pi/2, boresight + pi/2) and
-        ``resolve_front_back`` maps them to the other half plane when
-        the hemisphere is known.
+        live in (boresight - pi/2, boresight + pi/2); a bearing hint
+        picks the alias (see the harness's survey resolver).
     """
     if n_sources < 1:
         raise ValueError("n_sources must be at least 1")
@@ -181,19 +178,6 @@ def music_aoa(
         angle = offsets[i] + shift * math.radians(grid_deg)
         results.append(wrap_angle(array.boresight + angle))
     return results
-
-
-def resolve_front_back(angle_rad: float, boresight_rad: float, hint_rad: float) -> float:
-    """Pick the linear-array alias of ``angle_rad`` closer to ``hint_rad``.
-
-    A line array sees directions theta and (2 * boresight + pi - theta)
-    identically; the hint (for example the transmit steering direction)
-    breaks the tie.
-    """
-    alias = wrap_angle(2.0 * boresight_rad + math.pi - angle_rad)
-    keep = abs(wrap_angle(angle_rad - hint_rad))
-    flip = abs(wrap_angle(alias - hint_rad))
-    return wrap_angle(angle_rad) if keep <= flip else alias
 
 
 def beamform(capture: IqCapture, array: ArrayModel, angle_rad: float) -> IqCapture:
@@ -547,21 +531,3 @@ def model_measure_batch(
         wrap_angles(aoa + err.sigma_aoa_rad * noise[:, 1]),
     )
 
-
-def model_based_measure(
-    pair: BistaticPair,
-    target: TargetState,
-    params: RadarParams,
-    err: MeasurementErrorModel,
-    seed,
-    sample_rate_hz: float | None = None,
-) -> Measurement:
-    """Statistical measurement: the one-trial view of `model_measure_batch`,
-    with the echo SNR of the bistatic radar equation."""
-    tdoa, aoa = model_measure_batch(pair, target, err, seed, 1, sample_rate_hz)
-    return Measurement(
-        tdoa_s=float(tdoa[0]),
-        aoa_rad=float(aoa[0]),
-        snr_db=bistatic_snr(params, pair, target),
-        mode=pair.mode,
-    )

@@ -9,8 +9,9 @@ scaled TDOA residual and the squared scaled angle residual:
 with angle residuals wrapped to (-pi, pi]. Choosing a_i and b_i as the
 reciprocal standard deviations of the distance-scaled TDOA and of the
 angle whitens the residuals, which balances the two measurement kinds
-regardless of their units. A small Levenberg-Marquardt solver with an
-analytic Jacobian minimizes the loss.
+regardless of their units. A Levenberg-Marquardt solver with an
+analytic Jacobian minimizes the losses of many problems at once: row r
+of every array is one problem, with its own damping and stopping state.
 """
 
 from __future__ import annotations
@@ -23,17 +24,7 @@ import numpy as np
 from .errors import DegenerateGeometryError
 from .estimation import Measurement
 from .gdop import MeasurementErrorModel, gdop_batch
-from .geometry import (
-    SPEED_OF_LIGHT,
-    BistaticPair,
-    TargetState,
-    aoa_gradient,
-    locate_bistatic,
-    sum_range_gradient,
-    true_aoa,
-    true_tdoa,
-    wrap_angle,
-)
+from .geometry import MIN_RANGE_M, SPEED_OF_LIGHT, BistaticPair, locate_batch, wrap_angles
 
 # Reference error model used only to rank pairs for the initial guess.
 _RANKING_ERR = MeasurementErrorModel(1e-9, math.radians(0.1))
@@ -96,43 +87,91 @@ class FusionResult:
         return (self.x, self.y)
 
 
-def _residuals(x: float, y: float, problem: FusionProblem) -> np.ndarray:
-    point = TargetState(x, y)
-    out = np.empty(2 * len(problem.pairs))
-    for i, (pair, meas) in enumerate(zip(problem.pairs, problem.measurements)):
-        root_w = math.sqrt(problem.w[i])
-        out[2 * i] = (
-            root_w
-            * problem.a[i]
-            * SPEED_OF_LIGHT
-            * (meas.tdoa_s - true_tdoa(pair, point))
-        )
-        out[2 * i + 1] = (
-            root_w
-            * problem.b[i]
-            * wrap_angle(meas.aoa_rad - true_aoa(pair.rx_node, point))
-        )
-    return out
+@dataclass(frozen=True)
+class FusionBatchResult:
+    """Per-row outcome of `solve_multistatic_batch` for R problems.
+
+    ``xy`` is R x 2. A ``failed`` row had no finite loss at its guess (a
+    guess on a node, or a non-finite input): it holds NaN position and
+    loss, zero iterations and is not converged.
+    """
+
+    xy: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    loss: np.ndarray
+    failed: np.ndarray
 
 
-def _jacobian(x: float, y: float, problem: FusionProblem) -> np.ndarray:
-    point = TargetState(x, y)
-    out = np.empty((2 * len(problem.pairs), 2))
-    for i, pair in enumerate(problem.pairs):
-        root_w = math.sqrt(problem.w[i])
-        gx, gy = sum_range_gradient(pair, point)
-        th_dx, th_dy = aoa_gradient(pair.rx_node, point)
-        scale_t = -root_w * problem.a[i] * SPEED_OF_LIGHT
-        scale_a = -root_w * problem.b[i]
-        out[2 * i] = (scale_t * (gx / SPEED_OF_LIGHT), scale_t * (gy / SPEED_OF_LIGHT))
-        out[2 * i + 1] = (scale_a * th_dx, scale_a * th_dy)
-    return out
+def _prepare(tx_xy, rx_xy, tdoa_s, aoa_rad, a, b, w) -> tuple:
+    """Row x pair constants of a batch: the node coordinates (R x P x 2),
+    the measured echo path c dT + L, the AoAs and the residual scales."""
+    tx, rx = np.asarray(tx_xy, dtype=float), np.asarray(rx_xy, dtype=float)
+    baseline = np.hypot(rx[..., 0] - tx[..., 0], rx[..., 1] - tx[..., 1])
+    with np.errstate(invalid="ignore"):
+        root_w = np.sqrt(np.asarray(w, dtype=float))
+    path = SPEED_OF_LIGHT * np.asarray(tdoa_s, dtype=float) + baseline
+    scales = (np.broadcast_to(root_w * k, path.shape) for k in (a, b))
+    return (tx, rx, path, np.asarray(aoa_rad, dtype=float), *scales)
+
+
+def _linearize(batch: tuple, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whitened residuals (R x P x [TDOA, AoA]), their Jacobian w.r.t.
+    (x, y) (R x P x 2 x 2) and the loss of every row at ``xy`` (R x 2);
+    the loss is infinite where the position sits on one of the row's
+    nodes, which the scalar forward models refuse."""
+    tx, rx, path, aoa, scale_t, scale_a = batch
+    x, y = xy[:, None, 0], xy[:, None, 1]
+    tx_dx, tx_dy = x - tx[..., 0], y - tx[..., 1]
+    rx_dx, rx_dy = x - rx[..., 0], y - rx[..., 1]
+    r_tx, r_rx = np.hypot(tx_dx, tx_dy), np.hypot(rx_dx, rx_dy)
+    r_sq = rx_dx * rx_dx + rx_dy * rx_dy
+    res = np.empty(r_tx.shape + (2,))
+    jac = np.empty(r_tx.shape + (2, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res[..., 0] = scale_t * (path - (r_tx + r_rx))
+        res[..., 1] = scale_a * wrap_angles(aoa - np.arctan2(-rx_dx, rx_dy))
+        jac[..., 0, 0] = -scale_t * (tx_dx / r_tx + rx_dx / r_rx)
+        jac[..., 0, 1] = -scale_t * (tx_dy / r_tx + rx_dy / r_rx)
+        jac[..., 1, 0] = scale_a * rx_dy / r_sq
+        jac[..., 1, 1] = -scale_a * rx_dx / r_sq
+    off_node = ((r_tx >= MIN_RANGE_M) & (r_rx >= MIN_RANGE_M)).all(axis=1)
+    return res, jac, np.where(off_node, np.square(res).sum(axis=(1, 2)), np.inf)
+
+
+def _rows(problem: FusionProblem) -> tuple:
+    """`solve_multistatic_batch` arguments of a problem as one row."""
+    return (
+        [[(p.tx_node.x, p.tx_node.y) for p in problem.pairs]],
+        [[(p.rx_node.x, p.rx_node.y) for p in problem.pairs]],
+        [[m.tdoa_s for m in problem.measurements]],
+        [[m.aoa_rad for m in problem.measurements]],
+    )
 
 
 def wls_loss(x: float, y: float, problem: FusionProblem) -> float:
     """Weighted least-squares loss at a candidate position."""
-    r = _residuals(x, y, problem)
-    return float(r @ r)
+    batch = _prepare(*_rows(problem), problem.a, problem.b, problem.w)
+    loss = float(_linearize(batch, np.array([[x, y]], dtype=float))[2][0])
+    if loss == math.inf:
+        raise DegenerateGeometryError("candidate position coincides with a node")
+    return loss
+
+
+def gdop_weights(predicted) -> np.ndarray:
+    """Per-pair weights of R problems from their predicted errors (R x P,
+    NaN where a pair is degenerate): inverse to the error, summing to P
+    per row, zero for degenerate pairs. Where some pairs of a row predict
+    no error at all (zero sigmas) they share the weight equally, the
+    limit of the inverse rule. A row of degenerate pairs is NaN.
+    """
+    predicted = np.asarray(predicted, dtype=float)
+    exact, known = predicted == 0.0, ~np.isnan(predicted)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inverse = np.divide(1.0, predicted, out=np.zeros_like(predicted), where=known)
+        raw = np.where(exact.any(axis=1, keepdims=True), exact * 1.0, inverse)
+        total = raw.sum(axis=1, keepdims=True)
+        return np.where(total > 0.0, raw * (predicted.shape[1] / total), np.nan)
 
 
 def compute_weights(
@@ -140,45 +179,25 @@ def compute_weights(
     rough_position: tuple[float, float],
     err: MeasurementErrorModel,
 ) -> np.ndarray:
-    """Per-pair weights inverse to predicted error, normalized to sum N.
+    """`gdop_weights` of the problem's pairs at the rough position.
 
-    Pairs whose geometry is degenerate at the rough position get zero
-    weight; at least one pair must remain usable.  Pairs predicted to
-    make no error at all (zero sigmas) share the weight equally and the
-    others get none, the limit of the inverse weighting.
+    Raises DegenerateGeometryError if every pair is degenerate there.
     """
-    rough = TargetState(rough_position[0], rough_position[1])
-    predicted = gdop_batch(problem.pairs, rough.x, rough.y, err)
-    exact = predicted == 0.0
-    if exact.any():
-        raw = exact * 1.0
-    else:
-        raw = np.divide(1.0, predicted, out=np.zeros(exact.size), where=~np.isnan(predicted))
-    total = raw.sum()
-    if total <= 0.0:
+    predicted = gdop_batch(problem.pairs, rough_position[0], rough_position[1], err)
+    weights = gdop_weights(predicted[None])[0]
+    if np.isnan(weights[0]):
         raise DegenerateGeometryError("every pair is degenerate at the rough position")
-    return raw * (len(problem.pairs) / total)
+    return weights
 
 
 def _initial_guess(problem: FusionProblem) -> tuple[float, float]:
     """Closed-form solution of the best-ranked pair, else node centroid."""
-    located = []
-    for i, (pair, meas) in enumerate(zip(problem.pairs, problem.measurements)):
-        try:
-            located.append((i, locate_bistatic(pair, meas)))
-        except (DegenerateGeometryError, ValueError):
-            continue
-    if located:
-        index, points = zip(*located)
-        pairs = [problem.pairs[i] for i in index]
-        scores = gdop_batch(pairs, *np.transpose(points), _RANKING_ERR).tolist()
-        order = [
-            (score / problem.w[i], point)
-            for i, point, score in zip(index, points, scores)
-            if not math.isnan(score) and problem.w[i] > 0
-        ]
-        if order:
-            return min(order, key=lambda item: item[0])[1]
+    located = locate_batch(*(np.asarray(column[0], dtype=float) for column in _rows(problem)))
+    scores = gdop_batch(problem.pairs, located[:, 0], located[:, 1], _RANKING_ERR)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where(problem.w > 0, scores / problem.w, np.nan)
+    if not np.isnan(scores).all():
+        return tuple(located[np.nanargmin(scores)].tolist())
     xs = [p for pair in problem.pairs for p in (pair.n1.x, pair.n2.x)]
     ys = [p for pair in problem.pairs for p in (pair.n1.y, pair.n2.y)]
     # Offset the centroid off the node row so the loss is evaluable even
@@ -186,59 +205,103 @@ def _initial_guess(problem: FusionProblem) -> tuple[float, float]:
     return (sum(xs) / len(xs), sum(ys) / len(ys) + 1.0)
 
 
+def _damped_steps(normal, diag, damping, gradient) -> np.ndarray:
+    """Solutions of (J^T J + damping diag) delta = -J^T r per row, by
+    Cramer's rule; a singular row comes back non-finite."""
+    m11 = normal[:, 0, 0] + damping * diag[:, 0]
+    m22 = normal[:, 1, 1] + damping * diag[:, 1]
+    m12, m21 = normal[:, 0, 1], normal[:, 1, 0]
+    g1, g2 = gradient[:, 0], gradient[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = m11 * m22 - m12 * m21
+        return np.stack(((m12 * g2 - m22 * g1) / det, (m21 * g1 - m11 * g2) / det), axis=1)
+
+
+def solve_multistatic_batch(
+    tx_xy, rx_xy, tdoa_s, aoa_rad, guess, a=1.0, b=1.0, w=1.0,
+    opts: SolverOptions | None = None,
+) -> FusionBatchResult:
+    """Minimize R fusion losses at once with Levenberg-Marquardt.
+
+    Row r is one problem: P pairs transmitting from ``tx_xy[r]`` and
+    receiving at ``rx_xy[r]`` (R x P x 2), their TDOAs and global AoAs
+    ``tdoa_s[r]`` and ``aoa_rad[r]`` (R x P), and the guess ``guess[r]``;
+    ``a``, ``b`` and ``w`` broadcast to R x P, ``opts.initial_guess`` is
+    ignored. Each row steps on its own by (J^T J + damping diag(J^T J))
+    delta = -J^T r: a step that lowers its loss is taken and divides its
+    damping by 10 (floor 1e-15), a rejected or singular one multiplies
+    it by 10. A row converges when its gradient drops below
+    ``gradient_tol`` or a taken step below ``step_tol``; at damping 1e14
+    it gives up, converged if the gradient is below 1e-6. No row ends
+    above its loss at the guess; a row with no finite loss there fails
+    alone (see `FusionBatchResult`).
+    """
+    opts = opts or SolverOptions()
+    batch = _prepare(tx_xy, rx_xy, tdoa_s, aoa_rad, a, b, w)
+    xy = np.array(guess, dtype=float).reshape(-1, 2)
+    res, jac, loss = _linearize(batch, xy)
+    failed = ~np.isfinite(loss)
+    rows = len(xy)
+    damping = np.full(rows, float(opts.initial_damping))
+    iterations = np.zeros(rows, dtype=int)
+    converged = np.zeros(rows, dtype=bool)
+    active = ~failed
+    for iteration in range(1, opts.max_iterations + 1):
+        if not active.any():
+            break
+        iterations[active] = iteration
+        gradient = np.einsum("rpkj,rpk->rj", jac, res)
+        steepest = np.abs(gradient).max(axis=1)
+        flat = active & (steepest < opts.gradient_tol)
+        converged |= flat
+        active &= ~flat
+        normal = np.einsum("rpki,rpkj->rij", jac, jac)
+        diag = np.clip(np.diagonal(normal, axis1=1, axis2=2), 1e-30, None)
+        searching, accepted, width = active.copy(), np.zeros(rows, dtype=bool), 1
+        while searching.any():
+            # The next ``width`` dampings of every searching row at once,
+            # d, 10 d, 100 d, ... as the rule tries them one by one (29 span
+            # 1e-15 to 1e14); a row takes the first below 1e14 that helps.
+            idx = np.flatnonzero(searching)
+            ladder = np.full((idx.size, width), 10.0)
+            ladder[:, 0] = damping[idx]
+            ladder = np.multiply.accumulate(ladder, axis=1)
+            r = np.repeat(idx, width)
+            step = _damped_steps(normal[r], diag[r], ladder.ravel(), gradient[r])
+            t_res, t_jac, t_loss = _linearize(tuple(v[r] for v in batch), xy[r] + step)
+            ok = np.isfinite(step).all(axis=1) & (t_loss < loss[r])
+            ok = ok.reshape(ladder.shape) & (ladder < 1e14)
+            took = ok.any(axis=1)
+            pick, better = (np.arange(idx.size) * width + ok.argmax(axis=1))[took], idx[took]
+            xy[better] += step[pick]
+            loss[better], res[better], jac[better] = t_loss[pick], t_res[pick], t_jac[pick]
+            damping[better] = np.maximum(ladder.ravel()[pick] / 10.0, 1e-15)
+            converged[better] = np.hypot(step[pick, 0], step[pick, 1]) < opts.step_tol
+            accepted[better] = True
+            damping[idx[~took]] = ladder[~took, -1] * 10.0
+            searching &= ~accepted & (damping < 1e14)
+            width = 29
+        gave_up = active & ~accepted
+        converged[gave_up] = steepest[gave_up] < 1e-6
+        active &= accepted & ~converged
+    xy[failed] = math.nan
+    loss[failed] = math.nan
+    return FusionBatchResult(xy, iterations, converged, loss, failed)
+
+
 def solve_multistatic(
     problem: FusionProblem, opts: SolverOptions | None = None
 ) -> FusionResult:
-    """Minimize the fusion loss with Levenberg-Marquardt.
-
-    Steps solve (J^T J + damping * diag(J^T J)) delta = -J^T r; a step
-    that lowers the loss is accepted and relaxes the damping by 10, a
-    rejected step tightens it by 10. The loss at the returned position
-    never exceeds the loss at the initial guess.
+    """The one-row view of `solve_multistatic_batch`, from
+    ``opts.initial_guess`` or else the best-ranked pair's closed form.
+    Raises DegenerateGeometryError if the loss at the guess is not finite.
     """
     opts = opts or SolverOptions()
-    x, y = opts.initial_guess if opts.initial_guess is not None else _initial_guess(problem)
-
-    def safe_loss(px: float, py: float) -> float:
-        try:
-            return wls_loss(px, py, problem)
-        except DegenerateGeometryError:
-            return math.inf
-
-    loss = safe_loss(x, y)
-    if not math.isfinite(loss):
+    guess = opts.initial_guess if opts.initial_guess is not None else _initial_guess(problem)
+    out = solve_multistatic_batch(
+        *_rows(problem), [guess], problem.a, problem.b, problem.w, opts
+    )
+    if out.failed[0]:
         raise DegenerateGeometryError("initial guess is degenerate")
-    damping = opts.initial_damping
-    converged = False
-    iterations = 0
-    for iterations in range(1, opts.max_iterations + 1):
-        jac = _jacobian(x, y, problem)
-        residual = _residuals(x, y, problem)
-        gradient = jac.T @ residual
-        if np.max(np.abs(gradient)) < opts.gradient_tol:
-            converged = True
-            break
-        normal = jac.T @ jac
-        diag = np.clip(np.diag(normal), 1e-30, None)
-        accepted = False
-        while damping < 1e14:
-            try:
-                delta = np.linalg.solve(normal + damping * np.diag(diag), -gradient)
-            except np.linalg.LinAlgError:
-                damping *= 10.0
-                continue
-            trial_loss = safe_loss(x + delta[0], y + delta[1])
-            if trial_loss < loss:
-                x, y = x + delta[0], y + delta[1]
-                loss = trial_loss
-                damping = max(damping / 10.0, 1e-15)
-                accepted = True
-                if np.hypot(delta[0], delta[1]) < opts.step_tol:
-                    converged = True
-                break
-            damping *= 10.0
-        if not accepted or converged:
-            if not accepted:
-                converged = np.max(np.abs(gradient)) < 1e-6
-            break
-    return FusionResult(x=x, y=y, iterations=iterations, converged=bool(converged), loss=loss)
+    (x, y), = out.xy.tolist()
+    return FusionResult(x, y, int(out.iterations[0]), bool(out.converged[0]), float(out.loss[0]))

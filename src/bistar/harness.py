@@ -1,8 +1,8 @@
 """Experiment orchestration: contour sweeps, fusion runs, Doppler runs.
 
-Every run is deterministic for a given config seed. Randomness is drawn
-from substreams keyed by (seed, point index, trial index, purpose), so
-results are identical regardless of worker count or evaluation order.
+Every run is deterministic for a given config seed. Randomness comes from
+substreams keyed by seed, point and purpose, trials reading rows of one
+block (channel noise alone is per trial), so workers never change results.
 """
 
 from __future__ import annotations
@@ -27,15 +27,14 @@ from .estimation import (
     doppler_peak,
     doppler_to_velocity,
     estimate_tdoa,
-    model_based_measure,
     model_measure_batch,
     music_aoa,
     null_steer_beamform,
     project_out_stream,
     range_doppler,
 )
-from .fusion import FusionProblem, SolverOptions, compute_weights, solve_multistatic
-from .gdop import MeasurementErrorModel, gdop_batch
+from .fusion import gdop_weights, solve_multistatic_batch
+from .gdop import gdop_batch
 from .geometry import (
     SPEED_OF_LIGHT,
     BistaticPair,
@@ -69,19 +68,19 @@ class SweepRow:
     theta2_deg: float
     x_m: float
     y_m: float
-    tdoa_true_ns: float
-    tdoa_meas_ns: float
-    tdoa_err_ns: float
-    aoa_true_deg: float
-    aoa_meas_deg: float
-    aoa_err_deg: float
-    err_mode1_m: float
-    err_mode2_m: float
-    err_rms_mode1_m: float
-    err_rms_mode2_m: float
-    gdop_mode1_m: float
-    gdop_mode2_m: float
-    status: str
+    tdoa_true_ns: float = math.nan
+    tdoa_meas_ns: float = math.nan
+    tdoa_err_ns: float = math.nan
+    aoa_true_deg: float = math.nan
+    aoa_meas_deg: float = math.nan
+    aoa_err_deg: float = math.nan
+    err_mode1_m: float = math.nan
+    err_mode2_m: float = math.nan
+    err_rms_mode1_m: float = math.nan
+    err_rms_mode2_m: float = math.nan
+    gdop_mode1_m: float = math.nan
+    gdop_mode2_m: float = math.nan
+    status: str = STATUS_OK
 
 
 @dataclass
@@ -183,36 +182,19 @@ def waveform_for_radar(params, seed: int = 0) -> WaveformConfig:
     )
 
 
-def _perturbed_nodes(nodes, rng) -> list[NodePosition]:
-    """Believed node positions: truth plus per-axis Gaussian wobble."""
-    out = []
-    for node in nodes:
-        draws = rng.standard_normal(2)
-        out.append(
-            NodePosition(
-                node.x + node.sigma_x * draws[0],
-                node.y + node.sigma_y * draws[1],
-                node.sigma_x,
-                node.sigma_y,
-            )
-        )
-    return out
+def _believed_nodes(cfg: ScenarioConfig, index: int, nodes) -> np.ndarray:
+    """Believed positions of ``nodes`` in every trial of a point, trials x
+    nodes x (x, y): truth plus per-axis Gaussian wobble. Substream layout
+    v2: one substream per point, trial t reading row t."""
+    shape = (cfg.trials_per_point, len(nodes), 2)
+    draws = make_rng(cfg.seed, index, 0, _TAG_NODES).standard_normal(shape)
+    truth = np.array([[node.x, node.y] for node in nodes])
+    sigma = np.array([[node.sigma_x, node.sigma_y] for node in nodes])
+    return truth + sigma * draws
 
 
 def _primary_pair(cfg: ScenarioConfig, mode: Mode = Mode.MODE1) -> BistaticPair:
     return BistaticPair(cfg.nodes[0], cfg.nodes[1], mode)
-
-
-def _survey_boresight(rx: NodePosition, tx: NodePosition) -> float:
-    """Receive array boresight: straight at the transmitter.
-
-    The direct path then arrives at broadside, where a uniform linear
-    array resolves angles best.  That keeps the direct-path projection
-    from swallowing echoes that arrive near the baseline direction, at
-    the cost of endfire ambiguity for targets abeam of the array, which
-    `_resolve_survey_aoa` settles with the planning hint.
-    """
-    return true_aoa(rx, tx)
 
 
 def _resolve_survey_aoa(raw: float, boresight: float, hint: float) -> float:
@@ -261,8 +243,11 @@ class _SignalBench:
         """
         params = self.cfg.radar
         rx, tx_node = pair.rx_node, pair.tx_node
-        direct_aoa = true_aoa(rx, tx_node)
-        boresight = _survey_boresight(rx, tx_node)
+        # The receive array looks straight at the transmitter: the direct
+        # path arrives at broadside, where a linear array resolves angles
+        # best, so its projection cannot swallow echoes near the baseline;
+        # `_resolve_survey_aoa` settles the endfire ambiguity that costs.
+        direct_aoa = boresight = true_aoa(rx, tx_node)
         rx_array = ArrayModel(params.rx_elements, 0.5, boresight)
         paths = build_paths(pair, target, params, self.cfg.direct_path_gain_db)
         capture = propagate(tx, paths, rx_array, params, seed_key, delayed_frames)
@@ -300,27 +285,14 @@ class _SignalBench:
         return Measurement(tdoa_s=tdoa, aoa_rad=aoa, mode=pair.mode)
 
 
-def _measure(
+def _sweep_point(
     cfg: ScenarioConfig,
     bench: _SignalBench | None,
-    pair: BistaticPair,
-    target: TargetState,
-    key: tuple[int, int, int],
-    delayed_frames: dict,
-) -> Measurement:
-    """One measurement by the configured engine from the substreams of
-    ``key`` = (point index, trial, mode value or receiver index)."""
-    index, trial, stream = key
-    if cfg.engine == ENGINE_SIGNAL:
-        channel_key = (cfg.seed, index, trial, _TAG_CHANNEL, stream)
-        return bench.measure(pair, target, channel_key, delayed_frames)
-    seed = (cfg.seed, index, trial, _TAG_MEAS, stream)
-    return model_based_measure(pair, target, cfg.radar, cfg.error_override, seed)
-
-
-def _sweep_point(
-    cfg: ScenarioConfig, bench: _SignalBench | None, index: int, theta_deg: float
+    index: int,
+    theta_deg: float,
+    gdops: tuple[float, float],
 ) -> SweepRow:
+    """One contour point; ``gdops`` holds its mode-1 and mode-2 GDOP."""
     theta = math.radians(theta_deg)
     pair1 = _primary_pair(cfg, Mode.MODE1)
     pair2 = _primary_pair(cfg, Mode.MODE2)
@@ -329,27 +301,14 @@ def _sweep_point(
 
     tdoa_true = true_tdoa(pair1, target)
     aoa_true = true_aoa(pair1.n2, target)
-    err_model = cfg.error_override
-    gdop1 = gdop2 = math.nan
-    if err_model is not None:
-        gdop1, gdop2 = gdop_batch([pair1, pair2], x, y, err_model).tolist()
     row = SweepRow(
         theta2_deg=theta_deg,
         x_m=x,
         y_m=y,
         tdoa_true_ns=tdoa_true * 1e9,
-        tdoa_meas_ns=math.nan,
-        tdoa_err_ns=math.nan,
         aoa_true_deg=deg360(aoa_true),
-        aoa_meas_deg=math.nan,
-        aoa_err_deg=math.nan,
-        err_mode1_m=math.nan,
-        err_mode2_m=math.nan,
-        err_rms_mode1_m=math.nan,
-        err_rms_mode2_m=math.nan,
-        gdop_mode1_m=gdop1,
-        gdop_mode2_m=gdop2,
-        status=STATUS_OK,
+        gdop_mode1_m=gdops[0],
+        gdop_mode2_m=gdops[1],
     )
 
     if collinearity_deg(pair1, target) < cfg.exclusion_deg:
@@ -399,11 +358,7 @@ def _model_trials(
     trial locates to infinity, so one degenerate trial fails the point.
     """
     trials = cfg.trials_per_point
-    nodes = cfg.nodes[:2]
-    draws = make_rng(cfg.seed, index, 0, _TAG_NODES).standard_normal((trials, 2, 2))
-    truth = np.array([[node.x, node.y] for node in nodes])
-    sigma = np.array([[node.sigma_x, node.sigma_y] for node in nodes])
-    believed = truth + sigma * draws  # trial, node, x/y
+    believed = _believed_nodes(cfg, index, cfg.nodes[:2])
     first, errors = None, {}
     for mode, pair in pairs:
         key = (cfg.seed, index, 0, _TAG_MEAS, mode.value)
@@ -426,18 +381,19 @@ def _signal_trials(
 ) -> _Trials:
     """Signal-engine trials of a point, as `_model_trials` returns them:
     the receiver chain per trial and mode in trial-major order, each
-    trial from its own substreams, stopping at the first failure."""
+    trial from its own channel substreams and its row of the node
+    wobble, stopping at the first failure."""
     first, errors = None, {mode: [] for mode, _ in pairs}
     # Both modes and all trials see the same path delays, so the
     # delayed slot frames are computed once for this point.
     delayed_frames: dict = {}
+    believed = _believed_nodes(cfg, index, cfg.nodes[:2]).tolist()
     for trial in range(cfg.trials_per_point):
-        node_rng = make_rng(cfg.seed, index, trial, _TAG_NODES)
-        believed = _perturbed_nodes(cfg.nodes[:2], node_rng)
+        n1, n2 = (NodePosition(*xy) for xy in believed[trial])
         for mode, pair in pairs:
-            key = (index, trial, mode.value)
-            meas = _measure(cfg, bench, pair, target, key, delayed_frames)
-            x, y = locate_bistatic(BistaticPair(believed[0], believed[1], mode), meas)
+            key = (cfg.seed, index, trial, _TAG_CHANNEL, mode.value)
+            meas = bench.measure(pair, target, key, delayed_frames)
+            x, y = locate_bistatic(BistaticPair(n1, n2, mode), meas)
             errors[mode].append(math.hypot(x - target.x, y - target.y))
             first = first or (meas.tdoa_s, meas.aoa_rad)
     return first, errors
@@ -465,8 +421,24 @@ def run_iso_range_sweep(cfg: ScenarioConfig, workers: int = 1) -> SweepResult:
     if cfg.engine == ENGINE_MODEL and cfg.error_override is None:
         raise ConfigError("model-based engine needs an error model (sigma overrides)")
     bench = _SignalBench(cfg) if cfg.engine == ENGINE_SIGNAL else None
-    rows = _run_points(cfg, workers, lambda i, theta: _sweep_point(cfg, bench, i, theta))
+    gdops = _contour_gdop(cfg)
+    rows = _run_points(
+        cfg, workers, lambda i, theta: _sweep_point(cfg, bench, i, theta, gdops[i])
+    )
     return SweepResult(rows=rows, summary=summarize_sweep(rows))
+
+
+def _contour_gdop(cfg: ScenarioConfig) -> list[tuple[float, float]]:
+    """Mode-1 and mode-2 GDOP at every contour point from one stacked
+    call; NaN without an error model."""
+    thetas = theta_grid_deg(cfg.sweep_points).tolist()
+    if cfg.error_override is None:
+        return [(math.nan, math.nan)] * len(thetas)
+    pairs = [_primary_pair(cfg, Mode.MODE1), _primary_pair(cfg, Mode.MODE2)]
+    xs, ys = zip(*(iso_range_point(pairs[0], cfg.sum_range, math.radians(t)) for t in thetas))
+    both = [pair for pair in pairs for _ in thetas]
+    values = gdop_batch(both, xs * 2, ys * 2, cfg.error_override).reshape(2, -1)
+    return list(zip(*values.tolist()))
 
 
 def _mean(values) -> float:
@@ -563,65 +535,90 @@ def _multistatic_point(
         return row
 
     true_pairs = [BistaticPair(nodes[0], rx, Mode.MODE1) for rx in nodes[1:]]
-    usable = [
-        i
-        for i, pair in enumerate(true_pairs)
+    usable = {
+        i: pair for i, pair in enumerate(true_pairs)
         if collinearity_deg(pair, target) >= cfg.exclusion_deg
-    ]
+    }
     if not usable:
         row.status = "fail:no_usable_pair"
         return row
     row.pairs_used = len(usable)
 
-    # Draw every trial's believed nodes and measurements first, in trial
-    # order, then rank all trials' believed pairs in one stacked call.
-    draws = []
-    delayed_frames: dict = {}
-    for trial in range(cfg.trials_per_point):
-        believed = _perturbed_nodes(nodes, make_rng(cfg.seed, index, trial, _TAG_NODES))
-        measurements = [
-            _measure(cfg, bench, true_pairs[i], target, (index, trial, i), delayed_frames)
-            for i in usable
-        ]
-        believed_pairs = [BistaticPair(believed[0], believed[i + 1]) for i in usable]
-        draws.append((believed_pairs, measurements))
-    predicted = gdop_batch([p for pairs, _ in draws for p in pairs], x, y, err_model)
-    ranks = np.where(np.isnan(predicted), np.inf, predicted).reshape(len(draws), -1)
+    tdoa, aoa = _fusion_measurements(cfg, bench, index, target, usable)
+    measured = ~np.isnan(tdoa).any(axis=1)
+    if not measured.any():
+        row.status = "fail:detect"
+        return row
+    tdoa, aoa = tdoa[measured], aoa[measured]
+    believed = _believed_nodes(cfg, index, nodes)[measured]
+    rx = believed[:, np.array(list(usable)) + 1]  # trial, pair, x/y
+    tx = np.broadcast_to(believed[:, :1], rx.shape)
+    believed_pairs = []
+    for trial in believed.tolist():
+        own = [NodePosition(*xy, n.sigma_x, n.sigma_y) for xy, n in zip(trial, nodes)]
+        believed_pairs += [BistaticPair(own[0], own[i + 1]) for i in usable]
 
-    fused_sum = best_sum = 0.0
-    wins = done = 0
-    for (believed_pairs, measurements), rank in zip(draws, ranks):
-        try:
-            best_i = int(np.argmin(rank))
-            best_xy = locate_bistatic(believed_pairs[best_i], measurements[best_i])
-            # Whiten the two residual kinds by their standard deviations so
-            # meter-scale TDOA terms cannot drown the angle terms.
-            problem = FusionProblem(
-                pairs=believed_pairs,
-                measurements=measurements,
-                a=1.0 / (SPEED_OF_LIGHT * max(err_model.sigma_tdoa_s, 1e-15)),
-                b=1.0 / max(err_model.sigma_aoa_rad, 1e-12),
-            )
-            problem.w = compute_weights(problem, best_xy, err_model)
-            solution = solve_multistatic(
-                problem, SolverOptions(initial_guess=best_xy)
-            )
-        except (DegenerateGeometryError, ValueError):
-            continue
-        err_fused = math.hypot(solution.x - target.x, solution.y - target.y)
-        err_best = math.hypot(best_xy[0] - target.x, best_xy[1] - target.y)
-        fused_sum += err_fused
-        best_sum += err_best
-        wins += err_fused <= err_best + 1e-12
-        done += 1
-    if done == 0:
+    # Every trial starts from the closed form of its pair with the best
+    # predicted dilution at the target and weights its pairs there.
+    predicted = gdop_batch(believed_pairs, x, y, err_model).reshape(tdoa.shape)
+    best = np.argmin(np.where(np.isnan(predicted), np.inf, predicted), axis=1)
+    rows = np.arange(len(best))
+    guess = locate_batch(tx[rows, best], rx[rows, best], tdoa[rows, best], aoa[rows, best])
+    at_guess = [np.repeat(guess[:, k], len(usable)) for k in (0, 1)]
+    weights = gdop_weights(
+        gdop_batch(believed_pairs, *at_guess, err_model).reshape(tdoa.shape)
+    )
+    # Whiten the two residual kinds by their standard deviations so
+    # meter-scale TDOA terms cannot drown the angle terms.
+    solution = solve_multistatic_batch(
+        tx, rx, tdoa, aoa, guess,
+        a=1.0 / (SPEED_OF_LIGHT * max(err_model.sigma_tdoa_s, 1e-15)),
+        b=1.0 / max(err_model.sigma_aoa_rad, 1e-12),
+        w=weights,
+    )
+    solved = ~solution.failed
+    fused = [math.hypot(px - x, py - y) for px, py in solution.xy[solved].tolist()]
+    closed = [math.hypot(px - x, py - y) for px, py in guess[solved].tolist()]
+    if not fused:
         row.status = "fail:solver"
         return row
-    row.err_fused_m = fused_sum / done
-    row.err_best_pair_m = best_sum / done
-    row.fused_wins = wins
-    row.trials = done
+    row.err_fused_m = sum(fused) / len(fused)
+    row.err_best_pair_m = sum(closed) / len(closed)
+    row.fused_wins = sum(f <= c + 1e-12 for f, c in zip(fused, closed))
+    row.trials = len(fused)
     return row
+
+
+def _fusion_measurements(
+    cfg: ScenarioConfig, bench, index: int, target: TargetState, pairs: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """TDOAs and AoAs (trials x pairs) of one point's trials; ``pairs``
+    maps receiver index, which keys the substreams, to the true pair.
+
+    The model engine draws each receiver's column from one substream
+    (layout v2); the signal engine runs the receiver chain per trial and
+    receiver in trial-major order, each from its own substream, and a
+    trial with a refused measurement is a NaN row.
+    """
+    trials = cfg.trials_per_point
+    if cfg.engine == ENGINE_MODEL:
+        err, key = cfg.error_override, (cfg.seed, index, 0, _TAG_MEAS)
+        draws = [
+            model_measure_batch(pair, target, err, key + (i,), trials) for i, pair in pairs.items()
+        ]
+        return np.transpose([d[0] for d in draws]), np.transpose([d[1] for d in draws])
+    out = np.full((2, trials, len(pairs)), math.nan)
+    # All trials and receivers see the same path delays.
+    delayed_frames: dict = {}
+    for trial in range(trials):
+        try:
+            for j, (i, pair) in enumerate(pairs.items()):
+                key = (cfg.seed, index, trial, _TAG_CHANNEL, i)
+                meas = bench.measure(pair, target, key, delayed_frames)
+                out[:, trial, j] = meas.tdoa_s, meas.aoa_rad
+        except DetectionError:
+            out[:, trial] = math.nan
+    return out[0], out[1]
 
 
 def run_multistatic(cfg: ScenarioConfig, workers: int = 1) -> MultistaticResult:
@@ -786,11 +783,4 @@ def run_gdop_map(cfg: ScenarioConfig, grid: GridSpec) -> list[GdopCell]:
 
 
 def write_gdop_map_csv(cells: list[GdopCell], path) -> None:
-    def emit(handle):
-        names = [f.name for f in fields(GdopCell)]
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(names)
-        for cell in cells:
-            writer.writerow([_format(getattr(cell, name)) for name in names])
-
-    _emit(path, emit)
+    _emit(path, lambda handle: _write_rows(handle, GdopCell, cells, {}))

@@ -47,8 +47,7 @@ from bistar import (
     write_sweep_csv,
 )
 from bistar.config import ENGINE_MODEL
-from bistar.fusion import _jacobian as fusion_jacobian
-from bistar.fusion import _residuals as fusion_residuals
+from bistar.fusion import _linearize, _prepare, _rows
 from bistar.geometry import SPEED_OF_LIGHT
 from bistar.harness import STATUS_OK
 
@@ -324,14 +323,12 @@ def _check_jacobians(rng, trials=20):
         )
         x = fused_target.x + 0.7
         y = fused_target.y - 0.4
-        jac = fusion_jacobian(x, y, problem)
-        fdj = np.empty_like(jac)
-        fdj[:, 0] = (
-            fusion_residuals(x + h, y, problem) - fusion_residuals(x - h, y, problem)
-        ) / (2 * h)
-        fdj[:, 1] = (
-            fusion_residuals(x, y + h, problem) - fusion_residuals(x, y - h, problem)
-        ) / (2 * h)
+        stack = _prepare(*_rows(problem), problem.a, problem.b, problem.w)
+        # Rows: the candidate and its four central-difference neighbours.
+        points = np.array([[x, y], [x + h, y], [x - h, y], [x, y + h], [x, y - h]])
+        res, jacs, _ = _linearize(stack, points)
+        res, jac = res.reshape(5, -1), jacs[0].reshape(-1, 2)
+        fdj = np.stack([res[1] - res[2], res[3] - res[4]], axis=1) / (2 * h)
         scale3 = np.maximum(np.abs(jac), 1e-3)
         worst = max(worst, float(np.max(np.abs(jac - fdj) / scale3)))
     return worst

@@ -14,7 +14,6 @@ from bistar import (
     MeasurementErrorModel,
     Mode,
     NodePosition,
-    RadarParams,
     RangeDopplerMap,
     TargetState,
     WaveformConfig,
@@ -25,15 +24,15 @@ from bistar import (
     estimate_tdoa,
     make_rng,
     matched_reference,
-    model_based_measure,
     model_measure_batch,
     music_aoa,
     null_steer_beamform,
     project_out_stream,
     range_doppler,
-    resolve_front_back,
     steering_vector,
+    true_aoa,
     true_tdoa,
+    wrap_angle,
 )
 from bistar.estimation import MEAN_ABS_TO_SIGMA, _peak_with_floor
 
@@ -145,18 +144,6 @@ class TestMusic:
             music_aoa(cap, array, snapshots=32)
         with pytest.raises(ValueError):
             music_aoa(cap, array, n_sources=2, smoothing_subarray=2)
-
-
-class TestResolveFrontBack:
-    def test_keeps_or_flips_by_hint(self):
-        bore = 0.3
-        angle = 0.8
-        alias = math.pi + 2 * bore - angle
-        assert resolve_front_back(angle, bore, 0.7) == pytest.approx(angle)
-        flipped = resolve_front_back(angle, bore, alias + 0.05)
-        assert flipped == pytest.approx(
-            math.atan2(math.sin(alias), math.cos(alias))
-        )
 
 
 class TestBeamformers:
@@ -507,32 +494,25 @@ class TestRangeDoppler:
 
 
 class TestModelBasedMeasure:
+    """Statistical measurements of the model engine, `model_measure_batch`."""
+
     def pair(self):
         return BistaticPair(NodePosition(0.0, 0.0), NodePosition(25.0, 0.0), Mode.MODE1)
 
     def test_exact_without_noise_or_lattice(self):
         pair = self.pair()
         target = TargetState(10.0, 18.0)
-        m = model_based_measure(
-            pair, target, RadarParams(), MeasurementErrorModel(0.0, 0.0), seed=1
-        )
-        assert m.tdoa_s == pytest.approx(true_tdoa(pair, target), rel=1e-12)
-        assert m.mode is Mode.MODE1
-        assert m.snr_db is not None
+        tdoa, aoa = model_measure_batch(pair, target, MeasurementErrorModel(0.0, 0.0), 1, 3)
+        assert tdoa.tolist() == [true_tdoa(pair, target)] * 3
+        assert aoa.tolist() == [true_aoa(pair.rx_node, target)] * 3
 
     def test_lattice_quantization(self):
         pair = self.pair()
         target = TargetState(10.0, 18.0)
-        m = model_based_measure(
-            pair,
-            target,
-            RadarParams(),
-            MeasurementErrorModel(0.0, 0.0),
-            seed=1,
-            sample_rate_hz=FS,
-        )
-        assert m.tdoa_s == pytest.approx(round(true_tdoa(pair, target) * FS) / FS, rel=1e-12)
-        assert m.tdoa_s != true_tdoa(pair, target)
+        err = MeasurementErrorModel(0.0, 0.0)
+        tdoa, _ = model_measure_batch(pair, target, err, 1, 2, sample_rate_hz=FS)
+        assert tdoa.tolist() == [round(true_tdoa(pair, target) * FS) / FS] * 2
+        assert tdoa[0] != true_tdoa(pair, target)
 
     def test_error_statistics_match_half_normal(self):
         pair = self.pair()
@@ -540,52 +520,47 @@ class TestModelBasedMeasure:
         sigma_t = 2e-9
         sigma_a = math.radians(0.2)
         err = MeasurementErrorModel(sigma_t, sigma_a)
-        rng = np.random.default_rng(77)
-        tdoa_errs, aoa_errs = [], []
-        truth_t = true_tdoa(pair, target)
-        from bistar import true_aoa
-
-        truth_a = true_aoa(pair.n2, target)
-        for _ in range(20000):
-            m = model_based_measure(pair, target, RadarParams(), err, rng)
-            tdoa_errs.append(abs(m.tdoa_s - truth_t))
-            aoa_errs.append(abs(m.aoa_rad - truth_a))
+        tdoa, aoa = model_measure_batch(pair, target, err, 77, 20000)
+        tdoa_errs = np.abs(tdoa - true_tdoa(pair, target))
+        aoa_errs = np.abs(aoa - true_aoa(pair.n2, target))
         assert np.mean(tdoa_errs) == pytest.approx(sigma_t / MEAN_ABS_TO_SIGMA, rel=0.03)
         assert np.mean(aoa_errs) == pytest.approx(sigma_a / MEAN_ABS_TO_SIGMA, rel=0.03)
 
     def test_negative_draws_clamp_to_zero(self):
         pair = self.pair()
         target = TargetState(12.5, 1.0)  # tiny true TDOA
-        err = MeasurementErrorModel(1e-6, 0.0)
-        rng = np.random.default_rng(78)
-        values = [
-            model_based_measure(pair, target, RadarParams(), err, rng).tdoa_s
-            for _ in range(200)
-        ]
-        assert min(values) == 0.0
+        tdoa, _ = model_measure_batch(pair, target, MeasurementErrorModel(1e-6, 0.0), 78, 200)
+        assert tdoa.min() == 0.0
 
     @pytest.mark.parametrize("rate", [None, FS])
     def test_batch_rows_are_successive_scalar_draws(self, rate):
+        """Row t against a per-trial scalar formula on successive draws."""
         pair = self.pair()
         target = TargetState(12.5, 1.0)  # tiny true TDOA: some draws clamp
         err = MeasurementErrorModel(2e-9, math.radians(3.0))
         tdoa, aoa = model_measure_batch(pair, target, err, (7, 1, 0, 3), 300, rate)
         rng = make_rng((7, 1, 0, 3))
-        scalar = [
-            model_based_measure(pair, target, RadarParams(), err, rng, rate)
-            for _ in range(300)
-        ]
-        assert tdoa.tolist() == [m.tdoa_s for m in scalar]
-        assert aoa.tolist() == [m.aoa_rad for m in scalar]
+        tdoa_true = true_tdoa(pair, target)
+        if rate is not None:
+            tdoa_true = round(tdoa_true * rate) / rate
+        aoa_true = true_aoa(pair.rx_node, target)
+        expected = []
+        for _ in range(300):
+            noise_t, noise_a = rng.standard_normal(2).tolist()
+            noisy = tdoa_true + err.sigma_tdoa_s * noise_t
+            expected.append(
+                (noisy if noisy > 0.0 else 0.0, wrap_angle(aoa_true + err.sigma_aoa_rad * noise_a))
+            )
+        assert list(zip(tdoa.tolist(), aoa.tolist())) == expected
         assert 0.0 in tdoa.tolist()
 
     def test_rejects_bad_sample_rate(self):
         with pytest.raises(ValueError):
-            model_based_measure(
+            model_measure_batch(
                 self.pair(),
                 TargetState(10.0, 18.0),
-                RadarParams(),
                 MeasurementErrorModel(0.0, 0.0),
-                seed=1,
+                1,
+                1,
                 sample_rate_hz=-1.0,
             )

@@ -16,16 +16,111 @@ from bistar import (
     NodePosition,
     SolverOptions,
     TargetState,
+    aoa_gradient,
     compute_weights,
+    gdop_batch,
+    gdop_weights,
     locate_bistatic,
     solve_multistatic,
+    solve_multistatic_batch,
+    sum_range_gradient,
     true_aoa,
     true_tdoa,
     wls_loss,
+    wrap_angle,
 )
-from bistar.fusion import _jacobian, _residuals
+from bistar.fusion import _initial_guess, _linearize, _prepare, _rows
+from bistar.geometry import SPEED_OF_LIGHT
 
 TRUTH = TargetState(12.0, 21.0)
+
+
+# The per-pair scalar solver that the batched one replaced, kept as the
+# reference: residuals, Jacobian and Levenberg-Marquardt loop.
+def reference_residuals(x, y, problem):
+    point = TargetState(x, y)
+    out = np.empty(2 * len(problem.pairs))
+    for i, (pair, meas) in enumerate(zip(problem.pairs, problem.measurements)):
+        root_w = math.sqrt(problem.w[i])
+        out[2 * i] = (
+            root_w * problem.a[i] * SPEED_OF_LIGHT * (meas.tdoa_s - true_tdoa(pair, point))
+        )
+        out[2 * i + 1] = (
+            root_w * problem.b[i] * wrap_angle(meas.aoa_rad - true_aoa(pair.rx_node, point))
+        )
+    return out
+
+
+def reference_jacobian(x, y, problem):
+    point = TargetState(x, y)
+    out = np.empty((2 * len(problem.pairs), 2))
+    for i, pair in enumerate(problem.pairs):
+        root_w = math.sqrt(problem.w[i])
+        gx, gy = sum_range_gradient(pair, point)
+        th_dx, th_dy = aoa_gradient(pair.rx_node, point)
+        scale_t = -root_w * problem.a[i] * SPEED_OF_LIGHT
+        scale_a = -root_w * problem.b[i]
+        out[2 * i] = (scale_t * (gx / SPEED_OF_LIGHT), scale_t * (gy / SPEED_OF_LIGHT))
+        out[2 * i + 1] = (scale_a * th_dx, scale_a * th_dy)
+    return out
+
+
+def reference_loss(x, y, problem):
+    try:
+        r = reference_residuals(x, y, problem)
+    except (DegenerateGeometryError, ValueError):
+        return math.inf
+    return float(r @ r)
+
+
+def reference_solve(problem, guess, opts=SolverOptions()):
+    """(x, y, iterations, converged, loss) of the scalar solver."""
+    x, y = guess
+    loss = reference_loss(x, y, problem)
+    if not math.isfinite(loss):
+        raise DegenerateGeometryError("initial guess is degenerate")
+    damping = opts.initial_damping
+    converged = False
+    iterations = 0
+    for iterations in range(1, opts.max_iterations + 1):
+        jac = reference_jacobian(x, y, problem)
+        residual = reference_residuals(x, y, problem)
+        gradient = jac.T @ residual
+        if np.max(np.abs(gradient)) < opts.gradient_tol:
+            converged = True
+            break
+        normal = jac.T @ jac
+        diag = np.clip(np.diag(normal), 1e-30, None)
+        accepted = False
+        while damping < 1e14:
+            try:
+                delta = np.linalg.solve(normal + damping * np.diag(diag), -gradient)
+            except np.linalg.LinAlgError:
+                damping *= 10.0
+                continue
+            trial_loss = reference_loss(x + delta[0], y + delta[1], problem)
+            if trial_loss < loss:
+                x, y = x + delta[0], y + delta[1]
+                loss = trial_loss
+                damping = max(damping / 10.0, 1e-15)
+                accepted = True
+                if np.hypot(delta[0], delta[1]) < opts.step_tol:
+                    converged = True
+                break
+            damping *= 10.0
+        if not accepted or converged:
+            if not accepted:
+                converged = np.max(np.abs(gradient)) < 1e-6
+            break
+    return x, y, iterations, bool(converged), loss
+
+
+def linearize_one(problem, points):
+    """Residuals (rows x 2P) and Jacobians (rows x 2P x 2) of one problem
+    at several candidate positions, in the reference's row order."""
+    stack = _prepare(*_rows(problem), problem.a, problem.b, problem.w)
+    res, jac, loss = _linearize(stack, np.asarray(points, dtype=float))
+    return res.reshape(len(points), -1), jac.reshape(len(points), -1, 2), loss
 
 
 def ring_pairs(count=3, radius=25.0, modes=None):
@@ -117,13 +212,17 @@ class TestJacobian:
             )
             x = target.x + float(rng.uniform(-2, 2))
             y = target.y + float(rng.uniform(-2, 2))
-            jac = _jacobian(x, y, problem)
             h = 1e-6
-            fd = np.empty_like(jac)
-            fd[:, 0] = (_residuals(x + h, y, problem) - _residuals(x - h, y, problem)) / (2 * h)
-            fd[:, 1] = (_residuals(x, y + h, problem) - _residuals(x, y - h, problem)) / (2 * h)
+            points = [(x, y), (x + h, y), (x - h, y), (x, y + h), (x, y - h)]
+            res, jacs, loss = linearize_one(problem, points)
+            jac = jacs[0]
+            fd = np.stack([res[1] - res[2], res[3] - res[4]], axis=1) / (2 * h)
             scale = np.maximum(np.abs(jac), 1e-3)
             assert np.max(np.abs(jac - fd) / scale) < 1e-5
+            # The batched helper against the per-pair loops it replaced.
+            assert np.allclose(res[0], reference_residuals(x, y, problem), rtol=1e-9, atol=1e-12)
+            assert np.allclose(jac, reference_jacobian(x, y, problem), rtol=1e-9, atol=1e-12)
+            assert loss[0] == pytest.approx(reference_loss(x, y, problem), rel=1e-9)
 
 
 class TestSolver:
@@ -171,6 +270,18 @@ class TestSolver:
             guess = (float(rng.uniform(-20, 20)), float(rng.uniform(5, 40)))
             result = solve_multistatic(problem, SolverOptions(initial_guess=guess))
             assert result.loss <= wls_loss(guess[0], guess[1], problem) + 1e-12
+
+    def test_unusable_pairs_fall_back_to_the_centroid(self):
+        pairs = ring_pairs(2)
+        problem = FusionProblem(
+            pairs=pairs, measurements=[exact_measurement(p) for p in pairs], w=[0.0, 0.0]
+        )
+        nodes = [n for pair in pairs for n in (pair.n1, pair.n2)]
+        assert _initial_guess(problem) == (
+            sum(n.x for n in nodes) / 4, sum(n.y for n in nodes) / 4 + 1.0
+        )
+        problem.w = np.array([0.0, 1.0])
+        assert _initial_guess(problem) == locate_bistatic(pairs[1], problem.measurements[1])
 
     def test_down_weighting_a_biased_pair_helps(self):
         pairs = ring_pairs(2)
@@ -254,3 +365,122 @@ class TestComputeWeights:
         rx = pair.rx_node
         with pytest.raises(DegenerateGeometryError):
             compute_weights(problem, (rx.x, rx.y), MeasurementErrorModel(1e-9, 0.01))
+
+
+def random_problem(rng, count):
+    """A transmitter, ``count`` receivers in random transmit directions,
+    noisy measurements, random scalings and a guess near the target.
+
+    Every echo path exceeds its baseline by at least 3 m (five TDOA
+    sigmas): a TDOA clamped at zero has no minimum off the nodes, and
+    both solvers then creep toward a receiver until the iteration cap."""
+    tx = NodePosition(*rng.uniform(-5.0, 5.0, 2))
+    while True:
+        target = TargetState(*rng.uniform(-30.0, 30.0, 2))
+        if math.hypot(target.x - tx.x, target.y - tx.y) > 2.0:
+            break
+    pairs, measurements = [], []
+    while len(pairs) < count:
+        rx = NodePosition(*rng.uniform(-30.0, 30.0, 2))
+        if math.hypot(rx.x - tx.x, rx.y - tx.y) < 5.0 or math.hypot(
+            rx.x - target.x, rx.y - target.y
+        ) < 2.0:
+            continue
+        excess = true_tdoa(BistaticPair(tx, rx), target) * SPEED_OF_LIGHT
+        if excess < 3.0:
+            continue
+        mode = Mode.MODE1 if rng.random() < 0.5 else Mode.MODE2
+        pair = BistaticPair(tx, rx, mode) if mode is Mode.MODE1 else BistaticPair(rx, tx, mode)
+        pairs.append(pair)
+        measurements.append(
+            Measurement(
+                tdoa_s=max(true_tdoa(pair, target) + rng.normal(0.0, 2e-9), 0.0),
+                aoa_rad=wrap_angle(true_aoa(pair.rx_node, target) + rng.normal(0.0, 0.02)),
+                mode=mode,
+            )
+        )
+    problem = FusionProblem(
+        pairs=pairs,
+        measurements=measurements,
+        a=rng.uniform(0.1, 3.0, count),
+        b=rng.uniform(1.0, 100.0, count),
+        w=rng.uniform(0.2, 3.0, count),
+    )
+    return problem, (target.x + rng.uniform(-3.0, 3.0), target.y + rng.uniform(-3.0, 3.0))
+
+
+def solve_stacked(problems, guesses, opts=None):
+    """`solve_multistatic_batch` over problems with equal pair counts."""
+    rows = [_rows(problem) for problem in problems]
+    columns = [[row[k][0] for row in rows] for k in range(4)]
+    scales = [np.array([getattr(p, name) for p in problems]) for name in "abw"]
+    return solve_multistatic_batch(*columns, guesses, *scales, opts=opts)
+
+
+class TestBatchedSolver:
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_matches_reference_solver(self, count):
+        rng = np.random.default_rng(600 + count)
+        problems, guesses = zip(*(random_problem(rng, count) for _ in range(260)))
+        out = solve_stacked(problems, guesses)
+        assert not out.failed.any() and out.converged.mean() > 0.95
+        for row, (problem, guess) in enumerate(zip(problems, guesses)):
+            x, y, _, _, _ = reference_solve(problem, guess)
+            assert math.hypot(out.xy[row, 0] - x, out.xy[row, 1] - y) < 1e-6
+            # The LM property, per row: never worse than the guess.
+            assert out.loss[row] <= wls_loss(*guess, problem) + 1e-12
+            assert out.loss[row] == wls_loss(*out.xy[row], problem)
+
+    def test_failed_rows_stay_alone(self):
+        rng = np.random.default_rng(610)
+        problems, guesses = map(list, zip(*(random_problem(rng, 3) for _ in range(6))))
+        receiver = problems[1].pairs[2].rx_node
+        guesses[1] = (receiver.x, receiver.y)  # guess on a node
+        guesses[4] = (math.nan, 2.0)
+        clean = problems[3].measurements[0]
+        problems[3].measurements[0] = Measurement(math.nan, clean.aoa_rad, mode=clean.mode)
+        out = solve_stacked(problems, guesses)
+        assert out.failed.tolist() == [False, True, False, True, True, False]
+        assert np.isnan(out.xy[out.failed]).all() and np.isnan(out.loss[out.failed]).all()
+        assert out.iterations[out.failed].tolist() == [0, 0, 0]
+        assert not out.converged[out.failed].any()
+        for row in (0, 2, 5):
+            alone = solve_stacked([problems[row]], [guesses[row]])
+            assert out.xy[row].tolist() == alone.xy[0].tolist()
+            assert out.iterations[row] == alone.iterations[0]
+        with pytest.raises(DegenerateGeometryError):
+            solve_multistatic(problems[1], SolverOptions(initial_guess=guesses[1]))
+
+    def test_empty_batch(self):
+        empty = np.zeros((0, 3, 2))
+        out = solve_multistatic_batch(empty, empty, np.zeros((0, 3)), np.zeros((0, 3)), [])
+        assert out.xy.shape == (0, 2)
+        assert out.failed.shape == out.iterations.shape == out.converged.shape == (0,)
+
+    def test_options_apply_per_row(self):
+        rng = np.random.default_rng(611)
+        problems, guesses = zip(*(random_problem(rng, 2) for _ in range(20)))
+        capped = solve_stacked(problems, guesses, SolverOptions(max_iterations=1))
+        assert capped.iterations.max() == 1
+        idle = solve_stacked(problems, guesses, SolverOptions(max_iterations=0))
+        assert idle.iterations.max() == 0 and not idle.converged.any()
+        assert idle.xy.tolist() == [list(g) for g in guesses]
+
+
+class TestGdopWeights:
+    def test_rows_match_compute_weights(self):
+        err = MeasurementErrorModel(1e-9, 0.01)
+        problem = exact_problem(4)
+        positions = [(10.0, 20.0), (-3.0, 7.5), (5.0, -12.0)]
+        stacked = gdop_weights(
+            [gdop_batch(problem.pairs, x, y, err) for x, y in positions]
+        )
+        for row, position in zip(stacked, positions):
+            assert row.tolist() == compute_weights(problem, position, err).tolist()
+
+    def test_zero_error_and_degenerate_rows(self):
+        nan = math.nan
+        weights = gdop_weights([[0.5, 0.0, 0.0], [nan, nan, nan], [1.0, nan, 0.5]])
+        assert weights[0].tolist() == [0.0, 1.5, 1.5]
+        assert np.isnan(weights[1]).all()
+        assert weights[2].tolist() == [1.0, 0.0, 2.0]

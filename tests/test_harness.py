@@ -8,6 +8,8 @@ import pytest
 
 from bistar import (
     BistaticPair,
+    FusionProblem,
+    SolverOptions,
     ConfigError,
     DegenerateGeometryError,
     GridSpec,
@@ -20,16 +22,19 @@ from bistar import (
     RadarParams,
     TargetState,
     collinearity_deg,
+    compute_weights,
     gdop,
     iso_range_point,
     iso_range_target,
     locate_batch,
+    locate_bistatic,
     preset_scenario,
     r2_from_measurements,
     run_doppler,
     run_gdop_map,
     run_iso_range_sweep,
     run_multistatic,
+    solve_multistatic,
     true_aoa,
     true_tdoa,
     wrap_angle,
@@ -39,12 +44,15 @@ from bistar import (
 from bistar import harness
 from bistar.cli import main
 from bistar.config import ENGINE_MODEL
+from bistar.geometry import SPEED_OF_LIGHT
 from bistar.harness import (
     STATUS_EXCLUDED,
     STATUS_OK,
     SweepRow,
     _SignalBench,
+    _multistatic_point,
     _primary_pair,
+    _resolve_survey_aoa,
     _sweep_point,
     deg360,
     moving_target,
@@ -81,6 +89,19 @@ class TestGridHelpers:
             GridSpec(0.0, 1.0, 1, 0.0, 1.0, 5)
         with pytest.raises(ValueError):
             GridSpec(2.0, 1.0, 5, 0.0, 1.0, 5)
+
+
+class TestResolveSurveyAoa:
+    def test_keeps_or_flips_by_hint(self):
+        """Each ambiguity candidate wins when the hint sits next to it."""
+        bore, angle = 0.3, 0.8
+        alias = math.pi + 2 * bore - angle  # front/back alias of the line array
+        assert _resolve_survey_aoa(angle, bore, 0.7) == angle
+        assert _resolve_survey_aoa(angle, bore, alias + 0.05) == wrap_angle(alias)
+        assert _resolve_survey_aoa(angle, bore, 2 * bore - angle) == wrap_angle(2 * bore - angle)
+        assert _resolve_survey_aoa(angle, bore, angle + math.pi - 0.05) == wrap_angle(
+            angle + math.pi
+        )
 
 
 class TestWaveformForRadar:
@@ -364,19 +385,20 @@ class TestBatchedModelSweep:
 
 
 class FakeReceiver:
-    """Signal-engine measurements that refuse at one (trial, mode); the
-    TDOA is exact at trial 0 in mode 1 and off by a known amount elsewhere."""
+    """Signal-engine measurements that refuse at the given (trial, stream)
+    keys, the stream being the mode or the receiver index; the TDOA is
+    exact at trial 0 in stream 1 and off by a known amount elsewhere."""
 
-    def __init__(self, refuse_at):
-        self.refuse_at = refuse_at
+    def __init__(self, refuse=()):
+        self.refuse = set(refuse)
         self.calls = []
 
     def measure(self, pair, target, seed_key, delayed_frames=None):
-        trial, mode = seed_key[2], seed_key[4]
-        self.calls.append((trial, mode))
-        if (trial, mode) == self.refuse_at:
+        trial, stream = seed_key[2], seed_key[4]
+        self.calls.append((trial, stream))
+        if (trial, stream) in self.refuse:
             raise DetectionError("refused")
-        offset = 1e-9 * trial + 1e-10 * (mode - 1)
+        offset = 1e-9 * trial + 1e-10 * (stream - 1)
         tdoa = true_tdoa(pair, target) + offset
         return Measurement(tdoa, true_aoa(pair.rx_node, target), mode=pair.mode)
 
@@ -385,7 +407,7 @@ class TestSignalSweepTrials:
     """The signal engine measures trial by trial, mode 1 before mode 2,
     and the first refusal or degenerate location ends the point."""
 
-    def sweep_point(self, monkeypatch, refuse_at, degenerate_call=None):
+    def sweep_point(self, monkeypatch, refuse, degenerate_call=None):
         cfg = preset_scenario("scenario1", seed=4)
         cfg.trials_per_point = 4
         located = []
@@ -398,27 +420,27 @@ class TestSignalSweepTrials:
 
         harness_locate = harness.locate_bistatic
         monkeypatch.setattr(harness, "locate_bistatic", locate)
-        bench = FakeReceiver(refuse_at)
-        return _sweep_point(cfg, bench, 0, 45.0), bench.calls
+        bench = FakeReceiver(refuse)
+        return _sweep_point(cfg, bench, 0, 45.0, (math.nan, math.nan)), bench.calls
 
     def test_trial_major_order(self, monkeypatch):
-        row, calls = self.sweep_point(monkeypatch, None)
+        row, calls = self.sweep_point(monkeypatch, ())
         assert row.status == STATUS_OK
         assert calls == [(t, m) for t in range(4) for m in (1, 2)]
         assert row.tdoa_err_ns == 0.0 and row.err_mode1_m < 1.0  # trial 0, mode 1
 
     def test_refusal_ends_the_point(self, monkeypatch):
-        row, calls = self.sweep_point(monkeypatch, (2, 2))
+        row, calls = self.sweep_point(monkeypatch, {(2, 2)})
         assert row.status == "fail:detect"
         assert calls == [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
 
     def test_degenerate_location_ends_the_point(self, monkeypatch):
-        row, calls = self.sweep_point(monkeypatch, (2, 1), degenerate_call=3)
+        row, calls = self.sweep_point(monkeypatch, {(2, 1)}, degenerate_call=3)
         assert row.status == "fail:degenerate"
         assert calls == [(0, 1), (0, 2), (1, 1)]
 
     def test_refusal_before_the_degenerate_location(self, monkeypatch):
-        row, calls = self.sweep_point(monkeypatch, (1, 1), degenerate_call=4)
+        row, calls = self.sweep_point(monkeypatch, {(1, 1)}, degenerate_call=4)
         assert row.status == "fail:detect"
         assert calls == [(0, 1), (0, 2), (1, 1)]
 
@@ -446,7 +468,8 @@ class TestMultistaticRuns:
             run_multistatic(cfg)
 
     def test_matches_pinned_rows(self, capsys):
-        """Rows recorded before pair ranking and weighting were stacked."""
+        """Rows recorded when the trials of a point were first batched
+        (substream layout v2, batched solver)."""
         argv = [
             "multistatic", "--scenario", "scenario3", "--bandwidth-mhz", "400",
             "--engine", "model", "--points", "8", "--trials", "4", "--seed", "5",
@@ -454,14 +477,121 @@ class TestMultistaticRuns:
         assert main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[2] == (
-            "45.0,4.490568974573982,20.509431025426018,0.01261921747719847,"
-            "0.14691117107336385,4,4,3,ok"
+            "45.0,4.490568974573982,20.509431025426018,0.010311686870363579,"
+            "0.0661677846169735,4,4,3,ok"
         )
         assert lines[5] == (
-            "180.0,24.999999999999996,-18.75,0.023805280775574787,"
-            "0.02463030886960958,3,4,3,ok"
+            "180.0,24.999999999999996,-18.75,0.013948270535314514,"
+            "0.06491292774575441,4,4,3,ok"
         )
-        assert "# mean_err_fused_m = 0.020485606940825286" in lines
+        assert "# mean_err_fused_m = 0.018593951006921097" in lines
+
+    @pytest.mark.parametrize("name, trials", [("scenario1", 3), ("scenario3", 12)])
+    def test_matches_per_trial_scalar_loop(self, name, trials):
+        cfg = model_config(name, points=12, trials=trials, seed=22)
+        nodes = multistatic_nodes(cfg)
+        rows = run_multistatic(cfg).rows
+        assert sum(row.status == STATUS_OK for row in rows) >= 8
+        for index, row in enumerate(rows):
+            if row.status != STATUS_OK:
+                continue
+            fused, closed = reference_multistatic_point(cfg, nodes, index, row.theta2_deg)
+            assert row.trials == len(fused) and row.trials >= 1
+            assert row.err_fused_m == sum(fused) / len(fused)
+            assert row.err_best_pair_m == sum(closed) / len(closed)
+            assert row.fused_wins == sum(f <= c + 1e-12 for f, c in zip(fused, closed))
+
+
+def reference_multistatic_point(cfg, nodes, index, theta_deg):
+    """Fused and best-pair errors of one model-engine fusion point by a
+    per-trial loop over the v2 draws through the one-row API: scalar
+    GDOP ranking, closed form, `compute_weights` and `solve_multistatic`."""
+    err = cfg.error_override
+    anchor = BistaticPair(nodes[0], nodes[1])
+    x, y = iso_range_point(anchor, cfg.sum_range, math.radians(theta_deg))
+    target = TargetState(x, y)
+    true_pairs = [BistaticPair(nodes[0], rx) for rx in nodes[1:]]
+    usable = [
+        i for i, pair in enumerate(true_pairs)
+        if collinearity_deg(pair, target) >= cfg.exclusion_deg
+    ]
+
+    def draws(*key, shape):
+        seq = np.random.SeedSequence([cfg.seed, index, 0, *key])
+        return np.random.default_rng(seq).standard_normal(shape).tolist()
+
+    wobble = draws(2, shape=(cfg.trials_per_point, len(nodes), 2))
+    noise = {i: draws(3, i, shape=(cfg.trials_per_point, 2)) for i in usable}
+    fused, closed = [], []
+    for t in range(cfg.trials_per_point):
+        believed = [
+            NodePosition(n.x + n.sigma_x * dx, n.y + n.sigma_y * dy, n.sigma_x, n.sigma_y)
+            for n, (dx, dy) in zip(nodes, wobble[t])
+        ]
+        pairs = [BistaticPair(believed[0], believed[i + 1]) for i in usable]
+        measurements = []
+        for i in usable:
+            truth = true_pairs[i]
+            tdoa = true_tdoa(truth, target) + err.sigma_tdoa_s * noise[i][t][0]
+            aoa = true_aoa(truth.rx_node, target) + err.sigma_aoa_rad * noise[i][t][1]
+            measurements.append(Measurement(max(0.0, tdoa), wrap_angle(aoa)))
+        ranks = []
+        for pair in pairs:
+            try:
+                ranks.append(gdop(pair, target, err).gdop_m)
+            except DegenerateGeometryError:
+                ranks.append(math.inf)
+        best = ranks.index(min(ranks))
+        try:
+            guess = locate_bistatic(pairs[best], measurements[best])
+            problem = FusionProblem(
+                pairs=pairs,
+                measurements=measurements,
+                a=1.0 / (SPEED_OF_LIGHT * max(err.sigma_tdoa_s, 1e-15)),
+                b=1.0 / max(err.sigma_aoa_rad, 1e-12),
+            )
+            problem.w = compute_weights(problem, guess, err)
+            solution = solve_multistatic(problem, SolverOptions(initial_guess=guess))
+        except DegenerateGeometryError:
+            continue
+        fused.append(math.hypot(solution.x - x, solution.y - y))
+        closed.append(math.hypot(guess[0] - x, guess[1] - y))
+    return fused, closed
+
+
+class TestSignalMultistatic:
+    """Signal-engine fusion measures trial by trial, receivers in order,
+    and drops a trial whose measurement was refused."""
+
+    def point(self, refuse):
+        cfg = preset_scenario("scenario3", seed=4)
+        cfg.trials_per_point = 4
+        bench = FakeReceiver(refuse)
+        return _multistatic_point(cfg, bench, multistatic_nodes(cfg), 0, 45.0), bench.calls
+
+    def test_refused_trial_is_dropped(self):
+        clean, calls = self.point(())
+        assert clean.status == STATUS_OK and clean.trials == 4 and clean.pairs_used == 3
+        assert calls == [(t, i) for t in range(4) for i in range(3)]
+        row, calls = self.point({(1, 1)})
+        assert row.status == STATUS_OK and row.trials == 3
+        assert calls == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)] + [
+            (t, i) for t in (2, 3) for i in range(3)
+        ]
+
+    def test_no_trial_left_reads_fail_detect(self):
+        row, calls = self.point({(t, 2) for t in range(4)})
+        assert row.status == "fail:detect" and row.trials == 0
+        assert math.isnan(row.err_fused_m) and row.pairs_used == 3
+        assert len(calls) == 12
+
+    def test_refusals_do_not_stop_the_run(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "_SignalBench", lambda cfg: FakeReceiver({(0, 0)}))
+        argv = ["multistatic", "--scenario", "scenario3", "--points", "6", "--trials", "1"]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:7]]
+        assert {row[-1] for row in rows} <= {"fail:detect", "excluded"}
+        assert "fail:detect" in {row[-1] for row in rows}
 
 
 class TestDopplerRun:
