@@ -75,6 +75,13 @@ def _load(args: argparse.Namespace):
     return cfg
 
 
+def _emit(write, result, out: str | None) -> None:
+    if out is None:
+        write(result, sys.stdout)
+    else:
+        write(result, out)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bistar",
@@ -145,20 +152,26 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         cfg = _load(args)
-        out = sys.stdout if args.out is None else args.out
         if args.command == "sweep":
-            write_sweep_csv(run_iso_range_sweep(cfg, workers=args.workers), out)
+            result = run_iso_range_sweep(cfg, workers=args.workers)
+            _emit(write_sweep_csv, result, args.out)
         elif args.command == "multistatic":
-            write_multistatic_csv(run_multistatic(cfg, workers=args.workers), out)
+            result = run_multistatic(cfg, workers=args.workers)
+            _emit(write_multistatic_csv, result, args.out)
         elif args.command == "doppler":
-            updates = {
-                key: getattr(args, key)
-                for key in ("theta2_deg", "speed_mps", "pulses")
-                if getattr(args, key) is not None
-            }
-            cfg = replace(cfg, motion=replace(cfg.motion or MotionConfig(), **updates))
+            motion = cfg.motion or MotionConfig()
+            updates = {}
+            if args.theta2_deg is not None:
+                updates["theta2_deg"] = args.theta2_deg
+            if args.speed_mps is not None:
+                updates["speed_mps"] = args.speed_mps
+            if args.pulses is not None:
+                updates["pulses"] = args.pulses
+            if updates:
+                motion = replace(motion, **updates)
+            cfg = replace(cfg, motion=motion)
             result = run_doppler(cfg)
-            write_doppler_csv(result, out)
+            _emit(write_doppler_csv, result, args.out)
             if args.map_out is not None:
                 write_range_doppler_csv(result.rd_map, args.map_out)
         else:
@@ -168,7 +181,8 @@ def main(argv: list[str] | None = None) -> int:
                 )
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            write_gdop_map_csv(run_gdop_map(cfg, grid), out)
+            cells = run_gdop_map(cfg, grid)
+            _emit(write_gdop_map_csv, cells, args.out)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

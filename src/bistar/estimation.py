@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DetectionError
-from .channel import ArrayModel, make_rng, steering_vector
+from .channel import ArrayModel, steering_vector
 from .geometry import (
     SPEED_OF_LIGHT,
     BistaticPair,
@@ -503,11 +503,10 @@ def model_measure_batch(
     pair: BistaticPair,
     target: TargetState,
     err: MeasurementErrorModel,
-    seed,
-    trials: int,
+    noise: np.ndarray,
     sample_rate_hz: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """TDOAs and AoAs (seconds, radians) of ``trials`` statistical measurements.
+    """TDOAs and AoAs (seconds, radians) of statistical measurements.
 
     The true TDOA is rounded to the lattice of ``sample_rate_hz`` when
     one is given (pass ``params.sample_rate_hz`` to mimic the
@@ -515,8 +514,8 @@ def model_measure_batch(
     Gaussian errors with the model's sigmas are added to both the TDOA
     and the AoA. A negative noisy TDOA clamps to zero, matching the
     matched filter which never reports the echo before the direct path.
-    Trial t reads row t of one ``(trials, 2)`` standard normal draw
-    (TDOA, AoA) from ``make_rng(seed)``.
+    Trial t reads row t of ``noise``, a (trials, 2) array of standard
+    normal draws (TDOA, AoA).
     """
     tdoa = true_tdoa(pair, target)
     if sample_rate_hz is not None and math.isfinite(sample_rate_hz):
@@ -524,10 +523,9 @@ def model_measure_batch(
             raise ValueError("sample_rate_hz must be positive")
         tdoa = round(tdoa * sample_rate_hz) / sample_rate_hz
     aoa = true_aoa(pair.rx_node, target)
-    noise = make_rng(seed).standard_normal((trials, 2))
+    noise = np.asarray(noise, dtype=float)
     noisy = tdoa + err.sigma_tdoa_s * noise[:, 0]
     return (
         np.where(noisy > 0.0, noisy, 0.0),
         wrap_angles(aoa + err.sigma_aoa_rad * noise[:, 1]),
     )
-

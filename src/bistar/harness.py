@@ -1,8 +1,10 @@
 """Experiment orchestration: contour sweeps, fusion runs, Doppler runs.
 
 Every run is deterministic for a given config seed. Randomness comes from
-substreams keyed by seed, point and purpose, trials reading rows of one
-block (channel noise alone is per trial), so workers never change results.
+substreams keyed by seed, point and purpose, so workers never change
+results: sweep trials read rows of one block per purpose (layout v2),
+while channel noise and multistatic draws keep one substream per trial
+(layout v1).
 """
 
 from __future__ import annotations
@@ -182,12 +184,31 @@ def waveform_for_radar(params, seed: int = 0) -> WaveformConfig:
     )
 
 
-def _believed_nodes(cfg: ScenarioConfig, index: int, nodes) -> np.ndarray:
+def _normals(
+    cfg: ScenarioConfig, index: int, shape, *purpose: int, per_trial: bool = False
+) -> np.ndarray:
+    """Standard normals of every trial of a point, trials x ``shape``.
+
+    Substream layout v2 draws one block from substream (seed, index, 0,
+    *purpose), trial t reading row t; layout v1 (``per_trial``, kept by
+    multistatic runs) gives trial t its own substream (seed, index, t,
+    *purpose).
+    """
+    if not per_trial:
+        rng = make_rng(cfg.seed, index, 0, *purpose)
+        return rng.standard_normal((cfg.trials_per_point, *shape))
+    return np.array([
+        make_rng(cfg.seed, index, t, *purpose).standard_normal(shape)
+        for t in range(cfg.trials_per_point)
+    ])
+
+
+def _believed_nodes(
+    cfg: ScenarioConfig, index: int, nodes, per_trial: bool = False
+) -> np.ndarray:
     """Believed positions of ``nodes`` in every trial of a point, trials x
-    nodes x (x, y): truth plus per-axis Gaussian wobble. Substream layout
-    v2: one substream per point, trial t reading row t."""
-    shape = (cfg.trials_per_point, len(nodes), 2)
-    draws = make_rng(cfg.seed, index, 0, _TAG_NODES).standard_normal(shape)
+    nodes x (x, y): truth plus per-axis Gaussian wobble (see `_normals`)."""
+    draws = _normals(cfg, index, (len(nodes), 2), _TAG_NODES, per_trial=per_trial)
     truth = np.array([[node.x, node.y] for node in nodes])
     sigma = np.array([[node.sigma_x, node.sigma_y] for node in nodes])
     return truth + sigma * draws
@@ -357,12 +378,11 @@ def _model_trials(
     trial t reads row t of it. Raises DegenerateGeometryError if any
     trial locates to infinity, so one degenerate trial fails the point.
     """
-    trials = cfg.trials_per_point
     believed = _believed_nodes(cfg, index, cfg.nodes[:2])
     first, errors = None, {}
     for mode, pair in pairs:
-        key = (cfg.seed, index, 0, _TAG_MEAS, mode.value)
-        tdoa, aoa = model_measure_batch(pair, target, cfg.error_override, key, trials)
+        noise = _normals(cfg, index, (2,), _TAG_MEAS, mode.value)
+        tdoa, aoa = model_measure_batch(pair, target, cfg.error_override, noise)
         tx, rx = (0, 1) if mode is Mode.MODE1 else (1, 0)
         xy = locate_batch(believed[:, tx], believed[:, rx], tdoa, aoa)
         if np.isnan(xy).any():
@@ -550,7 +570,7 @@ def _multistatic_point(
         row.status = "fail:detect"
         return row
     tdoa, aoa = tdoa[measured], aoa[measured]
-    believed = _believed_nodes(cfg, index, nodes)[measured]
+    believed = _believed_nodes(cfg, index, nodes, per_trial=True)[measured]
     rx = believed[:, np.array(list(usable)) + 1]  # trial, pair, x/y
     tx = np.broadcast_to(believed[:, :1], rx.shape)
     believed_pairs = []
@@ -595,16 +615,19 @@ def _fusion_measurements(
     """TDOAs and AoAs (trials x pairs) of one point's trials; ``pairs``
     maps receiver index, which keys the substreams, to the true pair.
 
-    The model engine draws each receiver's column from one substream
-    (layout v2); the signal engine runs the receiver chain per trial and
-    receiver in trial-major order, each from its own substream, and a
-    trial with a refused measurement is a NaN row.
+    Both engines keep substream layout v1: the model engine draws each
+    trial's measurement of receiver i from its own substream; the signal
+    engine runs the receiver chain per trial and receiver in trial-major
+    order, and a trial with a refused measurement is a NaN row.
     """
     trials = cfg.trials_per_point
     if cfg.engine == ENGINE_MODEL:
-        err, key = cfg.error_override, (cfg.seed, index, 0, _TAG_MEAS)
         draws = [
-            model_measure_batch(pair, target, err, key + (i,), trials) for i, pair in pairs.items()
+            model_measure_batch(
+                pair, target, cfg.error_override,
+                _normals(cfg, index, (2,), _TAG_MEAS, i, per_trial=True),
+            )
+            for i, pair in pairs.items()
         ]
         return np.transpose([d[0] for d in draws]), np.transpose([d[1] for d in draws])
     out = np.full((2, trials, len(pairs)), math.nan)

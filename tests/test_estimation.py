@@ -493,6 +493,10 @@ class TestRangeDoppler:
             doppler_to_velocity(1.0, 0.0)
 
 
+def draws(seed, trials):
+    return make_rng(seed).standard_normal((trials, 2))
+
+
 class TestModelBasedMeasure:
     """Statistical measurements of the model engine, `model_measure_batch`."""
 
@@ -502,7 +506,7 @@ class TestModelBasedMeasure:
     def test_exact_without_noise_or_lattice(self):
         pair = self.pair()
         target = TargetState(10.0, 18.0)
-        tdoa, aoa = model_measure_batch(pair, target, MeasurementErrorModel(0.0, 0.0), 1, 3)
+        tdoa, aoa = model_measure_batch(pair, target, MeasurementErrorModel(0.0, 0.0), draws(1, 3))
         assert tdoa.tolist() == [true_tdoa(pair, target)] * 3
         assert aoa.tolist() == [true_aoa(pair.rx_node, target)] * 3
 
@@ -510,7 +514,7 @@ class TestModelBasedMeasure:
         pair = self.pair()
         target = TargetState(10.0, 18.0)
         err = MeasurementErrorModel(0.0, 0.0)
-        tdoa, _ = model_measure_batch(pair, target, err, 1, 2, sample_rate_hz=FS)
+        tdoa, _ = model_measure_batch(pair, target, err, draws(1, 2), sample_rate_hz=FS)
         assert tdoa.tolist() == [round(true_tdoa(pair, target) * FS) / FS] * 2
         assert tdoa[0] != true_tdoa(pair, target)
 
@@ -520,7 +524,7 @@ class TestModelBasedMeasure:
         sigma_t = 2e-9
         sigma_a = math.radians(0.2)
         err = MeasurementErrorModel(sigma_t, sigma_a)
-        tdoa, aoa = model_measure_batch(pair, target, err, 77, 20000)
+        tdoa, aoa = model_measure_batch(pair, target, err, draws(77, 20000))
         tdoa_errs = np.abs(tdoa - true_tdoa(pair, target))
         aoa_errs = np.abs(aoa - true_aoa(pair.n2, target))
         assert np.mean(tdoa_errs) == pytest.approx(sigma_t / MEAN_ABS_TO_SIGMA, rel=0.03)
@@ -529,7 +533,7 @@ class TestModelBasedMeasure:
     def test_negative_draws_clamp_to_zero(self):
         pair = self.pair()
         target = TargetState(12.5, 1.0)  # tiny true TDOA
-        tdoa, _ = model_measure_batch(pair, target, MeasurementErrorModel(1e-6, 0.0), 78, 200)
+        tdoa, _ = model_measure_batch(pair, target, MeasurementErrorModel(1e-6, 0.0), draws(78, 200))
         assert tdoa.min() == 0.0
 
     @pytest.mark.parametrize("rate", [None, FS])
@@ -538,7 +542,7 @@ class TestModelBasedMeasure:
         pair = self.pair()
         target = TargetState(12.5, 1.0)  # tiny true TDOA: some draws clamp
         err = MeasurementErrorModel(2e-9, math.radians(3.0))
-        tdoa, aoa = model_measure_batch(pair, target, err, (7, 1, 0, 3), 300, rate)
+        tdoa, aoa = model_measure_batch(pair, target, err, draws((7, 1, 0, 3), 300), rate)
         rng = make_rng((7, 1, 0, 3))
         tdoa_true = true_tdoa(pair, target)
         if rate is not None:
@@ -560,7 +564,6 @@ class TestModelBasedMeasure:
                 self.pair(),
                 TargetState(10.0, 18.0),
                 MeasurementErrorModel(0.0, 0.0),
-                1,
-                1,
+                draws(1, 1),
                 sample_rate_hz=-1.0,
             )

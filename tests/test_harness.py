@@ -468,8 +468,9 @@ class TestMultistaticRuns:
             run_multistatic(cfg)
 
     def test_matches_pinned_rows(self, capsys):
-        """Rows recorded when the trials of a point were first batched
-        (substream layout v2, batched solver)."""
+        """Rows of the per-trial draws (substream layout v1) under the
+        batched solver: the best-pair columns equal the scalar solver's
+        rows, the fused errors differ from them in the eleventh digit."""
         argv = [
             "multistatic", "--scenario", "scenario3", "--bandwidth-mhz", "400",
             "--engine", "model", "--points", "8", "--trials", "4", "--seed", "5",
@@ -477,14 +478,14 @@ class TestMultistaticRuns:
         assert main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[2] == (
-            "45.0,4.490568974573982,20.509431025426018,0.010311686870363579,"
-            "0.0661677846169735,4,4,3,ok"
+            "45.0,4.490568974573982,20.509431025426018,0.012619217475804287,"
+            "0.14691117107336385,4,4,3,ok"
         )
         assert lines[5] == (
-            "180.0,24.999999999999996,-18.75,0.013948270535314514,"
-            "0.06491292774575441,4,4,3,ok"
+            "180.0,24.999999999999996,-18.75,0.023805280775462234,"
+            "0.02463030886960958,3,4,3,ok"
         )
-        assert "# mean_err_fused_m = 0.018593951006921097" in lines
+        assert "# mean_err_fused_m = 0.020485606954022892" in lines
 
     @pytest.mark.parametrize("name, trials", [("scenario1", 3), ("scenario3", 12)])
     def test_matches_per_trial_scalar_loop(self, name, trials):
@@ -504,8 +505,9 @@ class TestMultistaticRuns:
 
 def reference_multistatic_point(cfg, nodes, index, theta_deg):
     """Fused and best-pair errors of one model-engine fusion point by a
-    per-trial loop over the v2 draws through the one-row API: scalar
-    GDOP ranking, closed form, `compute_weights` and `solve_multistatic`."""
+    per-trial loop over the v1 draws (one substream per trial) through
+    the one-row API: scalar GDOP ranking, closed form, `compute_weights`
+    and `solve_multistatic`."""
     err = cfg.error_override
     anchor = BistaticPair(nodes[0], nodes[1])
     x, y = iso_range_point(anchor, cfg.sum_range, math.radians(theta_deg))
@@ -516,24 +518,26 @@ def reference_multistatic_point(cfg, nodes, index, theta_deg):
         if collinearity_deg(pair, target) >= cfg.exclusion_deg
     ]
 
-    def draws(*key, shape):
-        seq = np.random.SeedSequence([cfg.seed, index, 0, *key])
-        return np.random.default_rng(seq).standard_normal(shape).tolist()
+    def draws(t, *key):
+        seq = np.random.SeedSequence([cfg.seed, index, t, *key])
+        return np.random.default_rng(seq)
 
-    wobble = draws(2, shape=(cfg.trials_per_point, len(nodes), 2))
-    noise = {i: draws(3, i, shape=(cfg.trials_per_point, 2)) for i in usable}
     fused, closed = [], []
     for t in range(cfg.trials_per_point):
-        believed = [
-            NodePosition(n.x + n.sigma_x * dx, n.y + n.sigma_y * dy, n.sigma_x, n.sigma_y)
-            for n, (dx, dy) in zip(nodes, wobble[t])
-        ]
+        wobble = draws(t, 2)
+        believed = []
+        for n in nodes:
+            dx, dy = wobble.standard_normal(2).tolist()
+            believed.append(
+                NodePosition(n.x + n.sigma_x * dx, n.y + n.sigma_y * dy, n.sigma_x, n.sigma_y)
+            )
         pairs = [BistaticPair(believed[0], believed[i + 1]) for i in usable]
         measurements = []
         for i in usable:
             truth = true_pairs[i]
-            tdoa = true_tdoa(truth, target) + err.sigma_tdoa_s * noise[i][t][0]
-            aoa = true_aoa(truth.rx_node, target) + err.sigma_aoa_rad * noise[i][t][1]
+            noise_t, noise_a = draws(t, 3, i).standard_normal(2).tolist()
+            tdoa = true_tdoa(truth, target) + err.sigma_tdoa_s * noise_t
+            aoa = true_aoa(truth.rx_node, target) + err.sigma_aoa_rad * noise_a
             measurements.append(Measurement(max(0.0, tdoa), wrap_angle(aoa)))
         ranks = []
         for pair in pairs:
