@@ -185,9 +185,12 @@ _SECTIONS = {"nodes", "radar", "sweep", "motion"}
 
 def _parse_number(raw: str, line_no: int, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"line {line_no}: value for {key!r} is not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line_no}: value for {key!r} must be finite: {raw!r}")
+    return value
 
 
 def _parse_int(raw: str, line_no: int, key: str) -> int:

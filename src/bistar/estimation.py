@@ -239,7 +239,8 @@ def project_out_stream(
 
     Scales every element identically, so the spatial signature of any
     component not aligned with ``stream`` is preserved; used to strip
-    the direct path before single-source MUSIC. The coefficients are
+    the direct path before single-source MUSIC and from the echo beam of
+    a Doppler run. The coefficients are
     always fitted over the whole capture. ``window``, when given, limits
     the returned cleaned samples to that sample range (for example the
     pilot symbol MUSIC reads) as a single-pulse capture; those samples
@@ -264,28 +265,6 @@ def project_out_stream(
         capture.samples[:, window] - coeffs[:, np.newaxis] * reference[np.newaxis, window]
     )
     return IqCapture(cleaned, capture.sample_rate_hz)
-
-
-def cancel_direct_path(echo_beam: IqCapture, direct_beam: IqCapture) -> IqCapture:
-    """Subtract the least-squares projection of the direct stream.
-
-    The residual is orthogonal to the direct stream, so output energy
-    never exceeds input energy.
-    """
-    if echo_beam.samples.shape != direct_beam.samples.shape:
-        raise ValueError("beams must have identical shapes")
-    direct = direct_beam.samples.reshape(-1)
-    echo = echo_beam.samples.reshape(-1)
-    energy = np.vdot(direct, direct).real
-    if energy <= 0.0:
-        raise ValueError("direct beam has no energy")
-    alpha = np.vdot(direct, echo) / energy
-    return IqCapture(
-        (echo - alpha * direct).reshape(echo_beam.samples.shape),
-        echo_beam.sample_rate_hz,
-        pulses=echo_beam.pulses,
-        samples_per_pulse=echo_beam.samples_per_pulse,
-    )
 
 
 def _peak_with_floor(
@@ -515,15 +494,17 @@ def model_measure_batch(
     and the AoA. A negative noisy TDOA clamps to zero, matching the
     matched filter which never reports the echo before the direct path.
     Trial t reads row t of ``noise``, a (trials, 2) array of standard
-    normal draws (TDOA, AoA).
+    normal draws (TDOA, AoA); a non-finite draw raises ValueError.
     """
+    noise = np.asarray(noise, dtype=float)
+    if not np.isfinite(noise).all():
+        raise ValueError("noise draws must be finite")
     tdoa = true_tdoa(pair, target)
     if sample_rate_hz is not None and math.isfinite(sample_rate_hz):
         if sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
         tdoa = round(tdoa * sample_rate_hz) / sample_rate_hz
     aoa = true_aoa(pair.rx_node, target)
-    noise = np.asarray(noise, dtype=float)
     noisy = tdoa + err.sigma_tdoa_s * noise[:, 0]
     return (
         np.where(noisy > 0.0, noisy, 0.0),

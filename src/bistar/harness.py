@@ -1,5 +1,7 @@
 """Experiment orchestration: contour sweeps, fusion runs, Doppler runs.
 
+Sweeps and fusion runs measure every trial of a contour point through
+one engine dispatch, `_measurements`, then locate by closed form or fuse.
 Every run is deterministic for a given config seed. Randomness comes from
 substreams keyed by seed, point and purpose, so workers never change
 results: sweep trials read rows of one block per purpose (layout v2),
@@ -25,7 +27,6 @@ from .estimation import (
     Measurement,
     RangeDopplerMap,
     beamform,
-    cancel_direct_path,
     doppler_peak,
     doppler_to_velocity,
     estimate_tdoa,
@@ -187,7 +188,8 @@ def waveform_for_radar(params, seed: int = 0) -> WaveformConfig:
 def _normals(
     cfg: ScenarioConfig, index: int, shape, *purpose: int, per_trial: bool = False
 ) -> np.ndarray:
-    """Standard normals of every trial of a point, trials x ``shape``.
+    """Standard normals of every trial of a point, trials x ``shape``: the
+    node wobble and the model engine's draws in `_measurements`.
 
     Substream layout v2 draws one block from substream (seed, index, 0,
     *purpose), trial t reading row t; layout v1 (``per_trial``, kept by
@@ -316,7 +318,6 @@ def _sweep_point(
     """One contour point; ``gdops`` holds its mode-1 and mode-2 GDOP."""
     theta = math.radians(theta_deg)
     pair1 = _primary_pair(cfg, Mode.MODE1)
-    pair2 = _primary_pair(cfg, Mode.MODE2)
     x, y = iso_range_point(pair1, cfg.sum_range, theta)
     target = TargetState(x, y, rcs_dbsm=cfg.rcs_dbsm)
 
@@ -336,27 +337,30 @@ def _sweep_point(
         row.status = STATUS_EXCLUDED
         return row
 
-    pairs = ((Mode.MODE1, pair1), (Mode.MODE2, pair2))
-    try:
-        if cfg.engine == ENGINE_MODEL:
-            first, errors = _model_trials(cfg, index, target, pairs)
-        else:
-            first, errors = _signal_trials(cfg, bench, index, target, pairs)
-    except DetectionError:
+    modes = (Mode.MODE1, Mode.MODE2)
+    pairs = {mode.value: _primary_pair(cfg, mode) for mode in modes}
+    tdoa, aoa = _measurements(cfg, bench, index, target, pairs, per_trial=False)
+    if np.isnan(tdoa).any():
         row.status = "fail:detect"
         return row
-    except DegenerateGeometryError:
-        row.status = "fail:degenerate"
-        return row
+    believed = _believed_nodes(cfg, index, cfg.nodes[:2])
+    errors = []
+    for j, mode in enumerate(modes):
+        tx, rx = (0, 1) if mode is Mode.MODE1 else (1, 0)
+        xy = locate_batch(believed[:, tx], believed[:, rx], tdoa[:, j], aoa[:, j])
+        if np.isnan(xy).any():
+            row.status = "fail:degenerate"
+            return row
+        errors.append([math.hypot(*d) for d in (xy - (x, y)).tolist()])
 
-    tdoa_first, aoa_first = first
+    tdoa_first, aoa_first = float(tdoa[0, 0]), float(aoa[0, 0])
     row.tdoa_meas_ns = tdoa_first * 1e9
     row.tdoa_err_ns = (tdoa_first - tdoa_true) * 1e9
     row.aoa_meas_deg = deg360(aoa_first)
     row.aoa_err_deg = math.degrees(
         (aoa_first - aoa_true + math.pi) % (2 * math.pi) - math.pi
     )
-    e1, e2 = errors[Mode.MODE1], errors[Mode.MODE2]
+    e1, e2 = errors
     row.err_mode1_m = sum(e1) / len(e1)
     row.err_mode2_m = sum(e2) / len(e2)
     row.err_rms_mode1_m = math.sqrt(sum(e * e for e in e1) / len(e1))
@@ -364,59 +368,42 @@ def _sweep_point(
     return row
 
 
-_Pairs = tuple[tuple[Mode, BistaticPair], ...]
-_Trials = tuple[tuple[float, float], dict[Mode, list[float]]]
+def _measurements(
+    cfg: ScenarioConfig, bench, index: int, target: TargetState, pairs: dict, per_trial: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """TDOAs and AoAs (trials x pairs) of one point's trials: the one engine
+    dispatch of sweeps and fusion runs. ``pairs`` maps a stream key (the
+    mode value in sweeps, the receiver index in fusion runs), which keys
+    the substreams, to the true pair.
 
-
-def _model_trials(
-    cfg: ScenarioConfig, index: int, target: TargetState, pairs: _Pairs
-) -> _Trials:
-    """Model-engine trials of a point: the first mode-1 (TDOA, AoA) and
-    the localization errors of every trial per mode, all trials at once.
-
-    Substream layout v2: each purpose of a point is one substream and
-    trial t reads row t of it. Raises DegenerateGeometryError if any
-    trial locates to infinity, so one degenerate trial fails the point.
+    The model engine draws the measurements of each stream from
+    `_normals` (layout v1 with ``per_trial``, else v2); the signal engine
+    runs the receiver chain per trial and stream in trial-major order,
+    each trial from its own channel substreams, and a trial with a
+    refused measurement is a NaN row.
     """
-    believed = _believed_nodes(cfg, index, cfg.nodes[:2])
-    first, errors = None, {}
-    for mode, pair in pairs:
-        noise = _normals(cfg, index, (2,), _TAG_MEAS, mode.value)
-        tdoa, aoa = model_measure_batch(pair, target, cfg.error_override, noise)
-        tx, rx = (0, 1) if mode is Mode.MODE1 else (1, 0)
-        xy = locate_batch(believed[:, tx], believed[:, rx], tdoa, aoa)
-        if np.isnan(xy).any():
-            raise DegenerateGeometryError("a trial locates the target at infinity")
-        errors[mode] = [math.hypot(*d) for d in (xy - (target.x, target.y)).tolist()]
-        first = first or (float(tdoa[0]), float(aoa[0]))
-    return first, errors
-
-
-def _signal_trials(
-    cfg: ScenarioConfig,
-    bench: _SignalBench,
-    index: int,
-    target: TargetState,
-    pairs: _Pairs,
-) -> _Trials:
-    """Signal-engine trials of a point, as `_model_trials` returns them:
-    the receiver chain per trial and mode in trial-major order, each
-    trial from its own channel substreams and its row of the node
-    wobble, stopping at the first failure."""
-    first, errors = None, {mode: [] for mode, _ in pairs}
-    # Both modes and all trials see the same path delays, so the
-    # delayed slot frames are computed once for this point.
+    trials = cfg.trials_per_point
+    if cfg.engine == ENGINE_MODEL:
+        draws = [
+            model_measure_batch(
+                pair, target, cfg.error_override,
+                _normals(cfg, index, (2,), _TAG_MEAS, key, per_trial=per_trial),
+            )
+            for key, pair in pairs.items()
+        ]
+        return np.transpose([d[0] for d in draws]), np.transpose([d[1] for d in draws])
+    out = np.full((2, trials, len(pairs)), math.nan)
+    # All trials and streams see the same path delays.
     delayed_frames: dict = {}
-    believed = _believed_nodes(cfg, index, cfg.nodes[:2]).tolist()
-    for trial in range(cfg.trials_per_point):
-        n1, n2 = (NodePosition(*xy) for xy in believed[trial])
-        for mode, pair in pairs:
-            key = (cfg.seed, index, trial, _TAG_CHANNEL, mode.value)
-            meas = bench.measure(pair, target, key, delayed_frames)
-            x, y = locate_bistatic(BistaticPair(n1, n2, mode), meas)
-            errors[mode].append(math.hypot(x - target.x, y - target.y))
-            first = first or (meas.tdoa_s, meas.aoa_rad)
-    return first, errors
+    for trial in range(trials):
+        try:
+            for j, (key, pair) in enumerate(pairs.items()):
+                seed_key = (cfg.seed, index, trial, _TAG_CHANNEL, key)
+                meas = bench.measure(pair, target, seed_key, delayed_frames)
+                out[:, trial, j] = meas.tdoa_s, meas.aoa_rad
+        except DetectionError:
+            out[:, trial] = math.nan
+    return out[0], out[1]
 
 
 def _run_points(cfg: ScenarioConfig, workers: int, point) -> list:
@@ -564,7 +551,7 @@ def _multistatic_point(
         return row
     row.pairs_used = len(usable)
 
-    tdoa, aoa = _fusion_measurements(cfg, bench, index, target, usable)
+    tdoa, aoa = _measurements(cfg, bench, index, target, usable, per_trial=True)
     measured = ~np.isnan(tdoa).any(axis=1)
     if not measured.any():
         row.status = "fail:detect"
@@ -607,41 +594,6 @@ def _multistatic_point(
     row.fused_wins = sum(f <= c + 1e-12 for f, c in zip(fused, closed))
     row.trials = len(fused)
     return row
-
-
-def _fusion_measurements(
-    cfg: ScenarioConfig, bench, index: int, target: TargetState, pairs: dict
-) -> tuple[np.ndarray, np.ndarray]:
-    """TDOAs and AoAs (trials x pairs) of one point's trials; ``pairs``
-    maps receiver index, which keys the substreams, to the true pair.
-
-    Both engines keep substream layout v1: the model engine draws each
-    trial's measurement of receiver i from its own substream; the signal
-    engine runs the receiver chain per trial and receiver in trial-major
-    order, and a trial with a refused measurement is a NaN row.
-    """
-    trials = cfg.trials_per_point
-    if cfg.engine == ENGINE_MODEL:
-        draws = [
-            model_measure_batch(
-                pair, target, cfg.error_override,
-                _normals(cfg, index, (2,), _TAG_MEAS, i, per_trial=True),
-            )
-            for i, pair in pairs.items()
-        ]
-        return np.transpose([d[0] for d in draws]), np.transpose([d[1] for d in draws])
-    out = np.full((2, trials, len(pairs)), math.nan)
-    # All trials and receivers see the same path delays.
-    delayed_frames: dict = {}
-    for trial in range(trials):
-        try:
-            for j, (i, pair) in enumerate(pairs.items()):
-                key = (cfg.seed, index, trial, _TAG_CHANNEL, i)
-                meas = bench.measure(pair, target, key, delayed_frames)
-                out[:, trial, j] = meas.tdoa_s, meas.aoa_rad
-        except DetectionError:
-            out[:, trial] = math.nan
-    return out[0], out[1]
 
 
 def run_multistatic(cfg: ScenarioConfig, workers: int = 1) -> MultistaticResult:
@@ -716,7 +668,7 @@ def run_doppler(cfg: ScenarioConfig) -> DopplerResult:
     aoa, tdoa, direct_beam, echo_beam = bench.receive(
         pair, target, train, (cfg.seed, 0, 0, _TAG_CHANNEL)
     )
-    echo_clean = cancel_direct_path(echo_beam, direct_beam)
+    echo_clean = project_out_stream(echo_beam, direct_beam.samples[0])
 
     rd_map = range_doppler(echo_clean, bench.reference)
     _, doppler_est = doppler_peak(rd_map)

@@ -190,6 +190,12 @@ class TestParse:
             ("colour = red", 2, "unknown top-level key"),
             ("seed = 1.5", 2, "must be an integer"),
             ("seed =", 2, "empty value"),
+            ("seed = inf", 2, "must be finite"),
+            ("seed = -inf", 2, "must be finite"),
+            ("seed = nan", 2, "must be finite"),
+            ("[sweep]\nsum_range = nan", 3, "must be finite"),
+            ("[sweep]\nsigma_tdoa_ns = nan", 3, "must be finite"),
+            ("[nodes]\nnode = 0 inf", 3, "must be finite"),
         ],
     )
     def test_top_level_errors_carry_line_numbers(self, mutation, line, fragment):

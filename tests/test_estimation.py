@@ -18,7 +18,6 @@ from bistar import (
     TargetState,
     WaveformConfig,
     beamform,
-    cancel_direct_path,
     doppler_peak,
     doppler_to_velocity,
     estimate_tdoa,
@@ -225,23 +224,24 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_out_stream(cap, np.zeros(10, dtype=complex))
 
-    def test_cancel_direct_path_energy_never_grows(self):
+    def test_single_stream_energy_never_grows(self):
         rng = np.random.default_rng(32)
-        direct = IqCapture(random_symbols(rng, 300), FS)
+        direct = random_symbols(rng, 300)
         echo = IqCapture(
-            0.4 * direct.samples[0] + 0.1 * random_symbols(rng, 300), FS
+            0.4 * direct + 0.1 * random_symbols(rng, 300), FS,
+            pulses=3, samples_per_pulse=100,
         )
-        out = cancel_direct_path(echo, direct)
+        out = project_out_stream(echo, direct)
+        assert out.pulses == 3 and out.samples_per_pulse == 100
         assert np.sum(np.abs(out.samples) ** 2) <= np.sum(np.abs(echo.samples) ** 2)
-        assert abs(np.vdot(direct.samples[0], out.samples[0])) < 1e-9
+        assert abs(np.vdot(direct, out.samples[0])) < 1e-9
 
-    def test_cancel_direct_path_validation(self):
-        a = IqCapture(np.ones(10, dtype=complex), FS)
-        b = IqCapture(np.ones(20, dtype=complex), FS)
+    def test_single_stream_validation(self):
+        echo = IqCapture(np.ones(20, dtype=complex), FS, pulses=2, samples_per_pulse=10)
         with pytest.raises(ValueError):
-            cancel_direct_path(a, b)
+            project_out_stream(echo, np.ones(10, dtype=complex))
         with pytest.raises(ValueError):
-            cancel_direct_path(a, IqCapture(np.zeros(10, dtype=complex), FS))
+            project_out_stream(echo, np.zeros(20, dtype=complex))
 
 
 def lay_reference(length, placements, ref):
@@ -567,3 +567,12 @@ class TestModelBasedMeasure:
                 draws(1, 1),
                 sample_rate_hz=-1.0,
             )
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_noise(self, column, bad):
+        noise = draws(1, 3)
+        noise[1, column] = bad
+        err = MeasurementErrorModel(2e-9, math.radians(0.2))
+        with pytest.raises(ValueError, match="finite"):
+            model_measure_batch(self.pair(), TargetState(10.0, 18.0), err, noise)

@@ -404,45 +404,86 @@ class FakeReceiver:
 
 
 class TestSignalSweepTrials:
-    """The signal engine measures trial by trial, mode 1 before mode 2,
-    and the first refusal or degenerate location ends the point."""
+    """The signal engine measures every trial, mode 1 before mode 2. A
+    refusal skips the rest of its own trial and fails the point as
+    fail:detect, which outranks a degenerate location."""
 
-    def sweep_point(self, monkeypatch, refuse, degenerate_call=None):
+    def sweep_point(self, monkeypatch, refuse, hole=None):
+        """The point at 45 degrees; ``hole`` is (locate call, trial) of a
+        location that comes out NaN."""
         cfg = preset_scenario("scenario1", seed=4)
         cfg.trials_per_point = 4
         located = []
 
-        def locate(pair, meas):
+        def locate_with_hole(tx, rx, tdoa, aoa):
+            xy = locate_batch(tx, rx, tdoa, aoa)
             located.append(None)
-            if len(located) == degenerate_call:
-                raise DegenerateGeometryError("at infinity")
-            return harness_locate(pair, meas)
+            if hole is not None and len(located) == hole[0]:
+                xy[hole[1]] = math.nan
+            return xy
 
-        harness_locate = harness.locate_bistatic
-        monkeypatch.setattr(harness, "locate_bistatic", locate)
+        monkeypatch.setattr(harness, "locate_batch", locate_with_hole)
         bench = FakeReceiver(refuse)
-        return _sweep_point(cfg, bench, 0, 45.0, (math.nan, math.nan)), bench.calls
+        row = _sweep_point(cfg, bench, 0, 45.0, (math.nan, math.nan))
+        return row, bench.calls, len(located)
 
     def test_trial_major_order(self, monkeypatch):
-        row, calls = self.sweep_point(monkeypatch, ())
-        assert row.status == STATUS_OK
+        row, calls, located = self.sweep_point(monkeypatch, ())
+        assert row.status == STATUS_OK and located == 2
         assert calls == [(t, m) for t in range(4) for m in (1, 2)]
         assert row.tdoa_err_ns == 0.0 and row.err_mode1_m < 1.0  # trial 0, mode 1
 
-    def test_refusal_ends_the_point(self, monkeypatch):
-        row, calls = self.sweep_point(monkeypatch, {(2, 2)})
-        assert row.status == "fail:detect"
-        assert calls == [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
+    def test_refusal_skips_the_rest_of_its_trial(self, monkeypatch):
+        row, calls, located = self.sweep_point(monkeypatch, {(1, 1)})
+        assert row.status == "fail:detect" and located == 0
+        assert calls == [(0, 1), (0, 2), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
+        assert math.isnan(row.tdoa_meas_ns) and math.isnan(row.err_mode1_m)
 
-    def test_degenerate_location_ends_the_point(self, monkeypatch):
-        row, calls = self.sweep_point(monkeypatch, {(2, 1)}, degenerate_call=3)
-        assert row.status == "fail:degenerate"
-        assert calls == [(0, 1), (0, 2), (1, 1)]
+    def test_degenerate_location_fails_the_point(self, monkeypatch):
+        for call, trial in ((1, 0), (2, 3)):
+            row, calls, located = self.sweep_point(monkeypatch, (), hole=(call, trial))
+            assert row.status == "fail:degenerate" and located == call
+            assert len(calls) == 8 and math.isnan(row.err_mode2_m)
 
     def test_refusal_before_the_degenerate_location(self, monkeypatch):
-        row, calls = self.sweep_point(monkeypatch, {(1, 1)}, degenerate_call=4)
-        assert row.status == "fail:detect"
-        assert calls == [(0, 1), (0, 2), (1, 1)]
+        row, calls, located = self.sweep_point(monkeypatch, {(3, 2)}, hole=(1, 0))
+        assert row.status == "fail:detect" and located == 0
+        assert len(calls) == 8
+
+    def test_trials_1_matches_pinned_rows(self, capsys):
+        """Rows recorded before sweeps and fusion runs shared one dispatch."""
+        argv = [
+            "sweep", "--scenario", "scenario3", "--bandwidth-mhz", "100",
+            "--engine", "signal", "--points", "8", "--trials", "1", "--seed", "5",
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "theta2_deg,x_m,y_m,tdoa_true_ns,tdoa_meas_ns,tdoa_err_ns,aoa_true_deg,"
+            "aoa_meas_deg,aoa_err_deg,err_mode1_m,err_mode2_m,err_rms_mode1_m,"
+            "err_rms_mode2_m,gdop_mode1_m,gdop_mode2_m,status"
+        )
+        assert lines[1] == (
+            "0.0,25.0,18.75,83.391023799538,,,0.0,,,,,,,"
+            "0.8369757659409806,0.842688122724044,fail:detect"
+        )
+        assert lines[2] == (
+            "45.0,4.490568974573982,20.509431025426018,83.391023799538,"
+            "81.38020833333333,-2.010815466204679,45.0,44.968848708315946,"
+            "-0.031151291684059033,0.3930290039213926,0.4049304888203555,"
+            "0.3930290039213926,0.4049304888203555,0.8742085455145368,"
+            "0.8705449669033845,ok"
+        )
+        assert lines[9:] == [
+            "# mean_abs_aoa_err_deg = 0.029815933063288717",
+            "# mean_abs_tdoa_err_ns = 2.010815466204679",
+            "# mean_err_mode1_m = 0.36222009930821",
+            "# mean_err_mode2_m = 0.36550600595886984",
+            "# mean_gdop_mode1_m = 0.7942650544289366",
+            "# mean_gdop_mode2_m = 0.7975065992834346",
+            "# ok_points = 4.0",
+            "# points = 8.0",
+        ]
 
 
 class TestMultistaticRuns:
