@@ -62,24 +62,27 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a value it refuses is a configuration problem."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _updated(obj, **changes):
+    """``obj`` with the ``changes`` that were given (not None) applied."""
+    return _checked(replace, obj, **{k: v for k, v in changes.items() if v is not None})
+
+
 def _load(args: argparse.Namespace):
-    cfg = load_scenario(args.scenario, args.bandwidth_mhz)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.engine is not None:
-        cfg = replace(cfg, engine=_ENGINE_NAMES[args.engine])
-    if getattr(args, "points", None) is not None:
-        cfg = replace(cfg, sweep_points=args.points)
-    if getattr(args, "trials", None) is not None:
-        cfg = replace(cfg, trials_per_point=args.trials)
-    return cfg
-
-
-def _emit(write, result, out: str | None) -> None:
-    if out is None:
-        write(result, sys.stdout)
-    else:
-        write(result, out)
+    return _updated(
+        load_scenario(args.scenario, args.bandwidth_mhz),
+        seed=args.seed,
+        engine=_ENGINE_NAMES.get(args.engine),
+        sweep_points=getattr(args, "points", None),
+        trials_per_point=getattr(args, "trials", None),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,37 +155,27 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         cfg = _load(args)
+        out = sys.stdout if args.out is None else args.out
         if args.command == "sweep":
-            result = run_iso_range_sweep(cfg, workers=args.workers)
-            _emit(write_sweep_csv, result, args.out)
+            write_sweep_csv(run_iso_range_sweep(cfg, workers=args.workers), out)
         elif args.command == "multistatic":
-            result = run_multistatic(cfg, workers=args.workers)
-            _emit(write_multistatic_csv, result, args.out)
+            write_multistatic_csv(run_multistatic(cfg, workers=args.workers), out)
         elif args.command == "doppler":
-            motion = cfg.motion or MotionConfig()
-            updates = {}
-            if args.theta2_deg is not None:
-                updates["theta2_deg"] = args.theta2_deg
-            if args.speed_mps is not None:
-                updates["speed_mps"] = args.speed_mps
-            if args.pulses is not None:
-                updates["pulses"] = args.pulses
-            if updates:
-                motion = replace(motion, **updates)
-            cfg = replace(cfg, motion=motion)
-            result = run_doppler(cfg)
-            _emit(write_doppler_csv, result, args.out)
+            motion = _updated(
+                cfg.motion or MotionConfig(),
+                theta2_deg=args.theta2_deg,
+                speed_mps=args.speed_mps,
+                pulses=args.pulses,
+            )
+            result = run_doppler(replace(cfg, motion=motion))
+            write_doppler_csv(result, out)
             if args.map_out is not None:
                 write_range_doppler_csv(result.rd_map, args.map_out)
         else:
-            try:
-                grid = GridSpec(
-                    args.x_min, args.x_max, args.nx, args.y_min, args.y_max, args.ny
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            cells = run_gdop_map(cfg, grid)
-            _emit(write_gdop_map_csv, cells, args.out)
+            grid = _checked(
+                GridSpec, args.x_min, args.x_max, args.nx, args.y_min, args.y_max, args.ny
+            )
+            write_gdop_map_csv(run_gdop_map(cfg, grid), out)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ ConfigError with the offending line number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -63,6 +63,8 @@ class MotionConfig:
     pulses: int = 64
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.speed_mps) and math.isfinite(self.theta2_deg)):
+            raise ValueError("speed and theta2_deg must be finite")
         if self.speed_mps < 0:
             raise ValueError("speed must be non-negative")
         if self.direction != "radial_inward":
@@ -158,29 +160,27 @@ def preset_scenario(name: str, bandwidth_mhz: int = 100, seed: int = 1) -> Scena
     )
 
 
-_TOP_KEYS = {"scenario_id", "seed", "engine", "sweep_points", "trials_per_point"}
-_RADAR_KEYS = {
-    "carrier_hz",
-    "bandwidth_hz",
-    "subcarrier_spacing_hz",
-    "eirp_dbm",
-    "tx_elements",
-    "rx_elements",
-    "noise_figure_db",
-    "sample_rate_hz",
-    "reference_temp_k",
-    "direct_path_gain_db",
+# Every key a config file accepts, by section (None is the top level),
+# with its value kind; [nodes] holds only ``node`` entries.
+_KEYS: dict[str | None, dict[str, str]] = {
+    None: {
+        "scenario_id": "str",
+        "seed": "int",
+        "engine": "str",
+        "sweep_points": "int",
+        "trials_per_point": "int",
+    },
+    "nodes": {},
+    "radar": {
+        **{f.name: f.type for f in fields(RadarParams)},
+        "direct_path_gain_db": "float",
+    },
+    "sweep": dict.fromkeys(
+        ("baseline_l", "sum_range", "rcs_dbsm", "exclusion_deg", "sigma_tdoa_ns", "sigma_aoa_deg"),
+        "float",
+    ),
+    "motion": {f.name: f.type for f in fields(MotionConfig)},
 }
-_SWEEP_KEYS = {
-    "baseline_l",
-    "sum_range",
-    "rcs_dbsm",
-    "exclusion_deg",
-    "sigma_tdoa_ns",
-    "sigma_aoa_deg",
-}
-_MOTION_KEYS = {"speed_mps", "direction", "theta2_deg", "pulses"}
-_SECTIONS = {"nodes", "radar", "sweep", "motion"}
 
 
 def _parse_number(raw: str, line_no: int, key: str) -> float:
@@ -200,13 +200,13 @@ def _parse_int(raw: str, line_no: int, key: str) -> int:
     return int(value)
 
 
+_PARSERS = {"str": lambda raw, line_no, key: raw, "int": _parse_int, "float": _parse_number}
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse a scenario config from text; see the module docstring."""
     section: str | None = None
-    top: dict[str, str] = {}
-    radar: dict[str, float] = {}
-    sweep: dict[str, float] = {}
-    motion: dict[str, object] = {}
+    found: dict[str | None, dict] = {name: {} for name in _KEYS}
     nodes: list[NodePosition] = []
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -215,7 +215,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTIONS:
+            if section not in _KEYS:
                 raise ConfigError(f"line {line_no}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -226,13 +226,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if not value:
             raise ConfigError(f"line {line_no}: empty value for {key!r}")
 
-        if section is None:
-            if key not in _TOP_KEYS:
-                raise ConfigError(f"line {line_no}: unknown top-level key {key!r}")
-            top[key] = value if key in ("scenario_id", "engine") else str(
-                _parse_int(value, line_no, key)
-            )
-        elif section == "nodes":
+        if section == "nodes":
             if key != "node":
                 raise ConfigError(f"line {line_no}: only 'node' entries belong in [nodes]")
             parts = value.split()
@@ -247,24 +241,14 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 nodes.append(NodePosition(*numbers))
             except ValueError as exc:
                 raise ConfigError(f"line {line_no}: {exc}") from exc
-        elif section == "radar":
-            if key not in _RADAR_KEYS:
-                raise ConfigError(f"line {line_no}: unknown [radar] key {key!r}")
-            radar[key] = _parse_number(value, line_no, key)
-        elif section == "sweep":
-            if key not in _SWEEP_KEYS:
-                raise ConfigError(f"line {line_no}: unknown [sweep] key {key!r}")
-            sweep[key] = _parse_number(value, line_no, key)
-        else:
-            if key not in _MOTION_KEYS:
-                raise ConfigError(f"line {line_no}: unknown [motion] key {key!r}")
-            if key == "direction":
-                motion[key] = value
-            elif key == "pulses":
-                motion[key] = _parse_int(value, line_no, key)
-            else:
-                motion[key] = _parse_number(value, line_no, key)
+            continue
+        kind = _KEYS[section].get(key)
+        if kind is None:
+            where = "top-level" if section is None else f"[{section}]"
+            raise ConfigError(f"line {line_no}: unknown {where} key {key!r}")
+        found[section][key] = _PARSERS[kind](value, line_no, key)
 
+    top, radar, sweep, motion = (found[name] for name in (None, "radar", "sweep", "motion"))
     for required in ("baseline_l", "sum_range"):
         if required not in sweep:
             raise ConfigError(f"missing required [sweep] key {required!r}")
@@ -274,89 +258,54 @@ def parse_scenario(text: str) -> ScenarioConfig:
     override = None
     if "sigma_tdoa_ns" in sweep or "sigma_aoa_deg" in sweep:
         override = MeasurementErrorModel(
-            sigma_tdoa_s=sweep.get("sigma_tdoa_ns", 0.0) * 1e-9,
-            sigma_aoa_rad=math.radians(sweep.get("sigma_aoa_deg", 0.0)),
+            sigma_tdoa_s=sweep.pop("sigma_tdoa_ns", 0.0) * 1e-9,
+            sigma_aoa_rad=math.radians(sweep.pop("sigma_aoa_deg", 0.0)),
         )
-
-    radar_kwargs = dict(radar)
-    direct_gain = radar_kwargs.pop("direct_path_gain_db", None)
-    for int_key in ("tx_elements", "rx_elements"):
-        if int_key in radar_kwargs:
-            radar_kwargs[int_key] = int(radar_kwargs[int_key])
-
+    direct_gain = radar.pop("direct_path_gain_db", None)
     try:
-        params = RadarParams(**radar_kwargs)
-        motion_cfg = MotionConfig(**motion) if motion else None
         return ScenarioConfig(
-            scenario_id=top.get("scenario_id", "custom"),
+            scenario_id=top.pop("scenario_id", "custom"),
             nodes=nodes,
-            baseline_l=sweep["baseline_l"],
-            sum_range=sweep["sum_range"],
-            rcs_dbsm=sweep.get("rcs_dbsm", 0.0),
-            radar=params,
+            rcs_dbsm=sweep.pop("rcs_dbsm", 0.0),
+            radar=RadarParams(**radar),
             error_override=override,
-            sweep_points=int(top.get("sweep_points", 360)),
-            trials_per_point=int(top.get("trials_per_point", 1)),
-            seed=int(top.get("seed", 1)),
-            engine=top.get("engine", ENGINE_SIGNAL),
-            motion=motion_cfg,
-            exclusion_deg=sweep.get("exclusion_deg", 5.0),
+            motion=MotionConfig(**motion) if motion else None,
             direct_path_gain_db=direct_gain,
+            **top,
+            **sweep,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def dumps_scenario(cfg: ScenarioConfig) -> str:
     """Serialize a config to the text form ``parse_scenario`` accepts."""
-    lines = [
-        f"scenario_id = {cfg.scenario_id}",
-        f"seed = {cfg.seed}",
-        f"engine = {cfg.engine}",
-        f"sweep_points = {cfg.sweep_points}",
-        f"trials_per_point = {cfg.trials_per_point}",
-        "",
-        "[nodes]",
-    ]
-    for node in cfg.nodes:
-        lines.append(f"node = {node.x!r} {node.y!r} {node.sigma_x!r} {node.sigma_y!r}")
-    lines += [
-        "",
-        "[radar]",
-        f"carrier_hz = {cfg.radar.carrier_hz!r}",
-        f"bandwidth_hz = {cfg.radar.bandwidth_hz!r}",
-        f"subcarrier_spacing_hz = {cfg.radar.subcarrier_spacing_hz!r}",
-        f"eirp_dbm = {cfg.radar.eirp_dbm!r}",
-        f"tx_elements = {cfg.radar.tx_elements}",
-        f"rx_elements = {cfg.radar.rx_elements}",
-        f"noise_figure_db = {cfg.radar.noise_figure_db!r}",
-        f"sample_rate_hz = {cfg.radar.sample_rate_hz!r}",
-        f"reference_temp_k = {cfg.radar.reference_temp_k!r}",
-    ]
-    if cfg.direct_path_gain_db is not None:
-        lines.append(f"direct_path_gain_db = {cfg.direct_path_gain_db!r}")
-    lines += [
-        "",
-        "[sweep]",
-        f"baseline_l = {cfg.baseline_l!r}",
-        f"sum_range = {cfg.sum_range!r}",
-        f"rcs_dbsm = {cfg.rcs_dbsm!r}",
-        f"exclusion_deg = {cfg.exclusion_deg!r}",
-    ]
-    if cfg.error_override is not None:
-        lines.append(f"sigma_tdoa_ns = {cfg.error_override.sigma_tdoa_s * 1e9!r}")
-        lines.append(
-            f"sigma_aoa_deg = {math.degrees(cfg.error_override.sigma_aoa_rad)!r}"
-        )
-    if cfg.motion is not None:
-        lines += [
-            "",
-            "[motion]",
-            f"speed_mps = {cfg.motion.speed_mps!r}",
-            f"direction = {cfg.motion.direction}",
-            f"theta2_deg = {cfg.motion.theta2_deg!r}",
-            f"pulses = {cfg.motion.pulses}",
-        ]
+    err = cfg.error_override
+    sigmas = {} if err is None else {
+        "sigma_tdoa_ns": err.sigma_tdoa_s * 1e9,
+        "sigma_aoa_deg": math.degrees(err.sigma_aoa_rad),
+    }
+    gain = {} if cfg.direct_path_gain_db is None else {
+        "direct_path_gain_db": cfg.direct_path_gain_db
+    }
+    values = {
+        None: vars(cfg),
+        "radar": {**vars(cfg.radar), **gain},
+        "sweep": {**vars(cfg), **sigmas},
+        "motion": {} if cfg.motion is None else vars(cfg.motion),
+    }
+    lines = []
+    for section, keys in _KEYS.items():
+        if section == "nodes":
+            entries = [
+                ("node", f"{n.x!r} {n.y!r} {n.sigma_x!r} {n.sigma_y!r}") for n in cfg.nodes
+            ]
+        else:
+            entries = [(key, values[section][key]) for key in keys if key in values[section]]
+        if entries and section is not None:
+            lines += ["", f"[{section}]"]
+        for key, value in entries:
+            lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -39,13 +39,10 @@ MEAN_ABS_TO_SIGMA = math.sqrt(math.pi / 2.0)
 
 @dataclass(frozen=True)
 class Measurement:
-    """One TDOA/AoA (optionally Doppler) measurement from a pair."""
+    """One TDOA/AoA measurement from a pair."""
 
     tdoa_s: float
     aoa_rad: float
-    doppler_hz: float | None = None
-    snr_db: float | None = None
-    pair_index: int = 0
     mode: Mode = Mode.MODE1
 
     def __post_init__(self) -> None:

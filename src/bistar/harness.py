@@ -142,6 +142,8 @@ class GridSpec:
     ny: int
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
+            raise ValueError("grid bounds must be finite")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 points per axis")
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
@@ -180,6 +182,7 @@ def waveform_for_radar(params, seed: int = 0) -> WaveformConfig:
     return WaveformConfig(
         fft_size=fft,
         occupied_subcarriers=792 * scale,
+        subcarrier_spacing_hz=params.subcarrier_spacing_hz,
         cp_samples=72 * scale,
         seed=seed,
     )
@@ -474,28 +477,36 @@ def _format(value) -> str:
     return str(value)
 
 
-def _write_rows(handle, row_type, rows, summary) -> None:
-    names = [f.name for f in fields(row_type)]
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(names)
-    for row in rows:
-        writer.writerow([_format(getattr(row, name)) for name in names])
-    for key in sorted(summary):
-        handle.write(f"# {key} = {_format(summary[key])}\n")
+def _write_table(path, header, rows, summary: dict | None = None) -> None:
+    """The one CSV writer: ``header``, then ``rows`` of `_format`ted values,
+    then a ``# key = value`` line per ``summary`` entry in key order.
 
-
-def _emit(path, write) -> None:
-    """``write(handle)`` on ``path`` itself if it is writable, else on the file it names."""
-    if hasattr(path, "write"):
-        write(path)
-    else:
+    Writes to ``path`` itself if it is writable, else to the file it names.
+    """
+    if not hasattr(path, "write"):
         with open(path, "w", newline="") as handle:
-            write(handle)
+            _write_table(handle, header, rows, summary)
+        return
+    writer = csv.writer(path, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    for key in sorted(summary or {}):
+        path.write(f"# {key} = {_format(summary[key])}\n")
+
+
+def _records(names: list[str], records):
+    """One row of `_format`ted ``names`` attributes per record."""
+    return ([_format(getattr(record, name)) for name in names] for record in records)
+
+
+def _write_records(path, row_type, records, summary: dict | None = None) -> None:
+    names = [f.name for f in fields(row_type)]
+    _write_table(path, names, _records(names, records), summary)
 
 
 def write_sweep_csv(result: SweepResult, path: str | Path | io.TextIOBase) -> None:
     """Write sweep rows as CSV with a trailing ``#`` summary block."""
-    _emit(path, lambda handle: _write_rows(handle, SweepRow, result.rows, result.summary))
+    _write_records(path, SweepRow, result.rows, result.summary)
 
 
 def multistatic_nodes(cfg: ScenarioConfig) -> list[NodePosition]:
@@ -627,7 +638,7 @@ def run_multistatic(cfg: ScenarioConfig, workers: int = 1) -> MultistaticResult:
 
 
 def write_multistatic_csv(result: MultistaticResult, path) -> None:
-    _emit(path, lambda h: _write_rows(h, MultistaticRow, result.rows, result.summary))
+    _write_records(path, MultistaticRow, result.rows, result.summary)
 
 
 def moving_target(cfg: ScenarioConfig, motion: MotionConfig) -> TargetState:
@@ -701,33 +712,19 @@ def run_doppler(cfg: ScenarioConfig) -> DopplerResult:
 def write_doppler_csv(result: DopplerResult, path) -> None:
     """Single-row CSV of the Doppler run scalars."""
     names = [f.name for f in fields(DopplerResult) if f.name != "rd_map"]
-    row = [_format(getattr(result, name)) for name in names]
-
-    def emit(handle):
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(names)
-        writer.writerow(row)
-
-    _emit(path, emit)
+    _write_table(path, names, _records(names, [result]))
 
 
 def write_range_doppler_csv(
     rd_map: RangeDopplerMap, path, max_delay_bins: int = 256
 ) -> None:
     """Range-Doppler magnitudes: Doppler axis header, delay axis column."""
-    rows = min(max_delay_bins, rd_map.delay_axis_s.size)
-
-    def emit(handle):
-        writer = csv.writer(handle, lineterminator="\n")
-        axis = rd_map.doppler_axis_hz.tolist()
-        writer.writerow(["delay_s"] + [_format(v) for v in axis])
-        for i in range(rows):
-            writer.writerow(
-                [_format(rd_map.delay_axis_s[i])]
-                + [_format(v) for v in rd_map.magnitudes[i].tolist()]
-            )
-
-    _emit(path, emit)
+    rows = max(max_delay_bins, 0)
+    delays = rd_map.delay_axis_s[:rows].tolist()
+    magnitudes = rd_map.magnitudes[:rows].tolist()
+    header = ["delay_s"] + [_format(v) for v in rd_map.doppler_axis_hz.tolist()]
+    cells = ([_format(v) for v in [delay, *row]] for delay, row in zip(delays, magnitudes))
+    _write_table(path, header, cells)
 
 
 def run_gdop_map(cfg: ScenarioConfig, grid: GridSpec) -> list[GdopCell]:
@@ -758,4 +755,4 @@ def run_gdop_map(cfg: ScenarioConfig, grid: GridSpec) -> list[GdopCell]:
 
 
 def write_gdop_map_csv(cells: list[GdopCell], path) -> None:
-    _emit(path, lambda handle: _write_rows(handle, GdopCell, cells, {}))
+    _write_records(path, GdopCell, cells)

@@ -196,6 +196,8 @@ class TestParse:
             ("[sweep]\nsum_range = nan", 3, "must be finite"),
             ("[sweep]\nsigma_tdoa_ns = nan", 3, "must be finite"),
             ("[nodes]\nnode = 0 inf", 3, "must be finite"),
+            ("[radar]\ntx_elements = 8.5", 3, "must be an integer"),
+            ("[radar]\nrx_elements = 16.5", 3, "must be an integer"),
         ],
     )
     def test_top_level_errors_carry_line_numbers(self, mutation, line, fragment):
@@ -262,6 +264,45 @@ class TestRoundTrip:
         )
         cfg = parse_scenario(text)
         assert parse_scenario(dumps_scenario(cfg)) == cfg
+
+
+    def test_dumps_text_is_fixed(self):
+        text = GOOD_TEXT.replace("rx_elements = 16", "rx_elements = 16\ndirect_path_gain_db = -20")
+        assert dumps_scenario(parse_scenario(text)) == (
+            "scenario_id = custom\nseed = 7\nengine = model_based\n"
+            "sweep_points = 90\ntrials_per_point = 3\n"
+            "\n[nodes]\n"
+            "node = 0.0 0.0 0.01 0.01\nnode = 10.0 0.0 0.0 0.0\nnode = -4.0 6.5 0.0 0.02\n"
+            "\n[radar]\n"
+            "carrier_hz = 28000000000.0\nbandwidth_hz = 100000000.0\n"
+            "subcarrier_spacing_hz = 120000.0\neirp_dbm = 43.0\n"
+            "tx_elements = 8\nrx_elements = 16\nnoise_figure_db = 13.0\n"
+            "sample_rate_hz = 122880000.0\nreference_temp_k = 290.0\n"
+            "direct_path_gain_db = -20.0\n"
+            "\n[sweep]\n"
+            "baseline_l = 10.0\nsum_range = 24.0\nrcs_dbsm = -10.0\nexclusion_deg = 4.0\n"
+            "sigma_tdoa_ns = 2.5\nsigma_aoa_deg = 0.1\n"
+            "\n[motion]\n"
+            "speed_mps = 0.4\ndirection = radial_inward\ntheta2_deg = 45.0\npulses = 32\n"
+        )
+
+    def test_dumps_text_without_sigmas_or_motion(self):
+        cfg = parse_scenario(
+            "[nodes]\nnode = 0 0\nnode = 8 0\n[sweep]\nbaseline_l = 8\nsum_range = 20\n"
+        )
+        assert dumps_scenario(cfg) == (
+            "scenario_id = custom\nseed = 1\nengine = signal_level\n"
+            "sweep_points = 360\ntrials_per_point = 1\n"
+            "\n[nodes]\n"
+            "node = 0.0 0.0 0.0 0.0\nnode = 8.0 0.0 0.0 0.0\n"
+            "\n[radar]\n"
+            "carrier_hz = 28000000000.0\nbandwidth_hz = 100000000.0\n"
+            "subcarrier_spacing_hz = 120000.0\neirp_dbm = 43.0\n"
+            "tx_elements = 8\nrx_elements = 16\nnoise_figure_db = 13.0\n"
+            "sample_rate_hz = 122880000.0\nreference_temp_k = 290.0\n"
+            "\n[sweep]\n"
+            "baseline_l = 8.0\nsum_range = 20.0\nrcs_dbsm = 0.0\nexclusion_deg = 5.0\n"
+        )
 
 
 class TestLoadScenario:

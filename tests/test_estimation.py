@@ -56,7 +56,7 @@ class TestMeasurement:
 
     def test_defaults(self):
         m = Measurement(tdoa_s=1e-9, aoa_rad=0.5)
-        assert m.doppler_hz is None and m.mode is Mode.MODE1
+        assert m.mode is Mode.MODE1
 
 
 class TestRangeDopplerMap:

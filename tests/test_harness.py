@@ -43,10 +43,12 @@ from bistar import (
 )
 from bistar import harness
 from bistar.cli import main
-from bistar.config import ENGINE_MODEL
+from bistar.config import ENGINE_MODEL, parse_scenario
+from bistar.estimation import RangeDopplerMap
 from bistar.geometry import SPEED_OF_LIGHT
 from bistar.harness import (
     STATUS_EXCLUDED,
+    DopplerResult,
     STATUS_OK,
     SweepRow,
     _SignalBench,
@@ -129,6 +131,16 @@ class TestWaveformForRadar:
             waveform_for_radar(
                 RadarParams(sample_rate_hz=61.44e6, bandwidth_hz=50e6)
             )
+
+    def test_subcarrier_spacing_is_honoured(self):
+        cfg = parse_scenario(
+            "[nodes]\nnode = 0 0\nnode = 25 0\n"
+            "[radar]\nsubcarrier_spacing_hz = 60000.0\n"
+            "[sweep]\nbaseline_l = 25\nsum_range = 50\n"
+        )
+        bench = _SignalBench(cfg)
+        assert bench.wcfg.fft_size == 2048
+        assert bench.slot.sample_rate_hz == cfg.radar.sample_rate_hz
 
 
 class TestMultistaticNodes:
@@ -660,6 +672,48 @@ class TestDopplerRun:
         assert "np." not in map_csv.getvalue()
 
 
+class TestCsvBytes:
+    """Exact bytes: NaN is a blank cell, floats are shortest round-trip reprs."""
+
+    def test_doppler_csv(self):
+        result = DopplerResult(
+            theta2_deg=60.0,
+            doppler_true_hz=0.1 + 0.2,
+            doppler_est_hz=math.nan,
+            range_rate_true_mps=-1.5,
+            range_rate_est_mps=1e-20,
+            speed_true_mps=0.2,
+            speed_est_mps=2.0 / 3.0,
+            speed_err_mps=0.0,
+            tdoa_est_ns=8.138020833333334,
+            aoa_est_deg=359.99999999999994,
+            rd_map=RangeDopplerMap(np.ones((1, 1)), [0.0], [0.0]),
+        )
+        out = io.StringIO()
+        write_doppler_csv(result, out)
+        assert out.getvalue() == (
+            "theta2_deg,doppler_true_hz,doppler_est_hz,range_rate_true_mps,"
+            "range_rate_est_mps,speed_true_mps,speed_est_mps,speed_err_mps,"
+            "tdoa_est_ns,aoa_est_deg\n"
+            "60.0,0.30000000000000004,,-1.5,1e-20,0.2,0.6666666666666666,0.0,"
+            "8.138020833333334,359.99999999999994\n"
+        )
+
+    def test_range_doppler_csv(self, tmp_path):
+        rd_map = RangeDopplerMap(
+            [[1.0, math.nan], [0.1 + 0.2, 2.5], [3.0, 4.0]],
+            [0.0, 1e-9, 2e-9],
+            [-12.5, 1.0 / 3.0],
+        )
+        path = tmp_path / "rd.csv"
+        write_range_doppler_csv(rd_map, path, max_delay_bins=2)
+        assert path.read_bytes() == (
+            b"delay_s,-12.5,0.3333333333333333\n"
+            b"0.0,1.0,\n"
+            b"1e-09,0.30000000000000004,2.5\n"
+        )
+
+
 class TestGdopMap:
     def test_grid_layout_and_modes(self):
         cfg = preset_scenario("scenario1")
@@ -761,8 +815,24 @@ class TestCli:
         assert main(["sweep", "--scenario", "scenario9"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--points", "3"],
+            ["multistatic", "--trials", "0"],
+            ["doppler", "--pulses", "1"],
+            ["doppler", "--speed-mps", "nan"],
+            ["gdop-map", "--x-min", "nan"],
+        ],
+    )
+    def test_flag_problems_exit_1(self, argv, capsys):
+        assert main(argv + ["--scenario", "scenario1"]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and not captured.out
+
     def test_runtime_problem_exits_2(self, capsys):
-        assert main(["sweep", "--scenario", "scenario1", "--points", "3"]) == 2
+        argv = ["doppler", "--scenario", "scenario1", "--theta2-deg", "90", "--pulses", "2"]
+        assert main(argv) == 2
         assert "runtime failure:" in capsys.readouterr().err
 
     def test_zero_sigma_multistatic_exits_0(self, tmp_path, capsys):
