@@ -290,6 +290,33 @@ def _peak_with_floor(
     return peak
 
 
+@dataclass(frozen=True)
+class MatchedFilter:
+    """Pilot reference prepared for beams of ``length`` samples.
+
+    ``size`` is one transform size with room for every non-negative lag
+    of the linear correlation and for both tails of the autocorrelation
+    template; ``conj_spectrum`` is the conjugated reference spectrum at
+    that size and ``auto`` the circular autocorrelation template.
+    """
+
+    length: int
+    size: int
+    conj_spectrum: np.ndarray
+    auto: np.ndarray
+
+
+def matched_filter(reference: IqCapture, length: int) -> MatchedFilter:
+    """The matched filter `estimate_tdoa` uses for beams of ``length`` samples."""
+    ref = reference.samples[0]
+    size = 1
+    while size < max(length, ref.shape[0]) + ref.shape[0]:
+        size <<= 1
+    spectrum = np.fft.fft(ref, size)
+    conj = spectrum.conj()
+    return MatchedFilter(length, size, conj, np.fft.ifft(spectrum * conj))
+
+
 def estimate_tdoa(
     direct_beam: IqCapture,
     echo_beam: IqCapture,
@@ -300,6 +327,7 @@ def estimate_tdoa(
     direct_delay_hint_s: float | None = None,
     hint_window: int = 3,
     hint_floor_db: float = 12.0,
+    matched: MatchedFilter | None = None,
 ) -> float:
     """Matched-filter TDOA between the echo and direct streams, seconds.
 
@@ -318,9 +346,10 @@ def estimate_tdoa(
     which of the two neighboring lattice points wins.
 
     The beams are streams of one capture and must have equal length.
-    The reference is transformed once per call: the direct, echo and
-    guard beams are correlated with it in one FFT pass, and the same
-    spectrum yields the autocorrelation template.
+    They are correlated with the reference in one FFT pass through
+    ``matched``, the reference's `matched_filter` for that length; a
+    caller that correlates many captures passes it in, otherwise each
+    call builds it.
 
     ``guard_beam``, when given, is an interference-suppressed stream of
     the same capture (see `null_steer_beamform`) used as a guard channel
@@ -343,7 +372,8 @@ def estimate_tdoa(
 
     Raises:
         ValueError: when a beam is not a single stream, or the beams
-            differ in length or in sample rate from the reference.
+            differ in length or in sample rate from the reference, or
+            ``matched`` was prepared for another length.
         DetectionError: when the direct peak or the deflated echo peak
             fails to clear ``min_peak_db`` above the median correlation
             floor.
@@ -359,17 +389,13 @@ def estimate_tdoa(
             raise ValueError("sample rates must match the reference")
         if capture.samples.shape[1] != length:
             raise ValueError("beams must have equal length")
-    ref = reference.samples[0]
-    # One transform size leaves room for every non-negative lag of the
-    # linear correlation and for both tails of the autocorrelation
-    # template.
-    size = 1
-    while size < max(length, ref.shape[0]) + ref.shape[0]:
-        size <<= 1
-    spectrum = np.fft.fft(ref, size)
-    # Every beam is correlated with the reference in one FFT pass.
+    if matched is None:
+        matched = matched_filter(reference, length)
+    elif matched.length != length:
+        raise ValueError("matched filter was prepared for another beam length")
+    size, auto = matched.size, matched.auto
     streams = np.vstack([capture.samples[0] for capture in beams])
-    corr = np.fft.ifft(np.fft.fft(streams, size, axis=1) * spectrum.conj(), axis=1)
+    corr = np.fft.ifft(np.fft.fft(streams, size, axis=1) * matched.conj_spectrum, axis=1)
     corr = corr[:, :length]
 
     corr_direct = corr[0]
@@ -383,7 +409,6 @@ def estimate_tdoa(
         )
 
     corr_echo = corr[1]
-    auto = np.fft.ifft(spectrum * spectrum.conj())
     template = auto[(np.arange(length) - direct_peak) % size]
     corr_clean = corr_echo - corr_echo[direct_peak] / auto[0].real * template
 

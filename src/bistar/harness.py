@@ -30,6 +30,7 @@ from .estimation import (
     doppler_peak,
     doppler_to_velocity,
     estimate_tdoa,
+    matched_filter,
     model_measure_batch,
     music_aoa,
     null_steer_beamform,
@@ -249,6 +250,8 @@ class _SignalBench:
         self.wcfg = waveform_for_radar(cfg.radar, seed=cfg.seed)
         self.slot = generate_slot(self.wcfg)
         self.reference = matched_reference(self.wcfg)
+        # Matched filters by beam length: one per distinct path delay pad.
+        self.filters: dict = {}
 
     def receive(
         self,
@@ -290,12 +293,16 @@ class _SignalBench:
             IqCapture(beam.samples[:, first], capture.sample_rate_hz)
             for beam in (direct_beam, echo_beam, guard_beam)
         )
+        length = capture.samples_per_pulse
+        if length not in self.filters:
+            self.filters[length] = matched_filter(self.reference, length)
         tdoa = estimate_tdoa(
             direct0,
             echo0,
             self.reference,
             guard_beam=guard0,
             direct_delay_hint_s=pair.baseline / SPEED_OF_LIGHT,
+            matched=self.filters[length],
         )
         return aoa, tdoa, direct_beam, echo_beam
 

@@ -22,6 +22,7 @@ from bistar import (
     doppler_to_velocity,
     estimate_tdoa,
     make_rng,
+    matched_filter,
     matched_reference,
     model_measure_batch,
     music_aoa,
@@ -412,6 +413,36 @@ class TestEstimateTdoa:
             except DetectionError:
                 got = None
             assert got == three_pass_tdoa(direct, echo, ref, guard, hint_s)
+
+    @pytest.mark.parametrize("mhz", [100, 400])
+    def test_prepared_filter_matches_bare_call(self, mhz):
+        """A matched filter prepared once reads the same floats as a
+        bare call, which builds its own, and refuses another length."""
+        fs = FS * mhz / 100
+        ref = matched_reference(WaveformConfig.for_bandwidth(mhz * 1e6, seed=6))
+        r = ref.samples[0]
+        n = r.size + 40
+        matched = matched_filter(ref, n)
+        rng = np.random.default_rng(44)
+        for trial in range(6):
+            scale = 0.02 * 4 ** (trial % 3)
+
+            def noisy(placements):
+                noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                return IqCapture(lay_reference(n, placements, r) + scale * noise, fs)
+
+            lag = 12 + int(rng.integers(0, 20))
+            beams = (noisy([(6, 1.0)]), noisy([(6, 0.5), (lag, 0.05)]), ref)
+            kwargs = dict(guard_beam=noisy([(lag, 0.05)]), direct_delay_hint_s=6.0 / fs)
+            outcomes = []
+            for extra in ({}, {"matched": matched}):
+                try:
+                    outcomes.append(estimate_tdoa(*beams, **kwargs, **extra))
+                except DetectionError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+        with pytest.raises(ValueError):
+            estimate_tdoa(*beams, matched=matched_filter(ref, n - 1))
 
     def test_validation(self, ref):
         r = ref.samples[0]
