@@ -325,7 +325,7 @@ def estimate_tdoa(
     guard_beam: IqCapture | None = None,
     guard_fraction: float = 0.5,
     direct_delay_hint_s: float | None = None,
-    hint_window: int = 3,
+    hint_window: int = 1,
     hint_floor_db: float = 12.0,
     matched: MatchedFilter | None = None,
 ) -> float:
@@ -362,7 +362,11 @@ def estimate_tdoa(
     search to ``hint_window`` samples either side of that delay. Node
     positions are surveyed, so the baseline delay is predictable; the
     restriction keeps a strong echo from being mistaken for the direct
-    path when transmit-pattern nulls starve the reference. Inside the
+    path when transmit-pattern nulls starve the reference. One sample
+    either side is what a centimetre survey supports: the direct path's
+    lattice peak is the sample nearest its delay or a neighbour, while a
+    wider window reaches the rising skirt of an echo a few lags later,
+    and an anchor there shortens the TDOA by the lags it is off. Inside the
     window the anchor must clear the correlation floor by
     ``hint_floor_db`` rather than ``min_peak_db``: a handful of noise
     bins can top the median by several dB just by order statistics, and

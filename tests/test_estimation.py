@@ -279,7 +279,7 @@ def three_pass_tdoa(direct, echo, reference, guard=None, hint_s=None):
         else:
             center = int(round(hint_s * reference.sample_rate_hz))
             direct_peak = _peak_with_floor(
-                corr_direct, 12.0, "direct", window=(center - 3, center + 4)
+                corr_direct, 12.0, "direct", window=(center - 1, center + 2)
             )
     except DetectionError:
         return None
@@ -373,6 +373,29 @@ class TestEstimateTdoa:
         echo = IqCapture(lay_reference(n, [(6, 0.02), (13, 1.0)], r), FS)
         tdoa = estimate_tdoa(direct, echo, ref, direct_delay_hint_s=6.0 / FS)
         assert tdoa == pytest.approx(7.0 / FS, rel=1e-12)
+
+    def test_hint_window_ignores_echo_skirt(self, ref):
+        """A starved direct path 6.3 lags before a strong echo: three
+        lags after the hint, the echo's rising skirt outweighs the direct
+        peak, and an anchor there would read the TDOA 3 lags short."""
+        r = ref.samples[0]
+        n = r.size + 64
+        freq = np.fft.fftfreq(n)
+        spectrum = np.fft.fft(r, n)
+
+        def at(lag, amp):
+            return amp * np.fft.ifft(spectrum * np.exp(-2j * math.pi * freq * lag))
+
+        rng = np.random.default_rng(7)
+        noise = lambda: 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        direct = IqCapture(at(20, 0.05) + at(26.3, 1.0) + noise(), FS)
+        echo = IqCapture(at(20, 5e-4) + at(26.3, 1.0) + noise(), FS)
+        hint_s = 20.0 / FS
+        assert estimate_tdoa(direct, echo, ref, direct_delay_hint_s=hint_s) == (
+            pytest.approx(6.0 / FS, rel=1e-12)
+        )
+        wide = estimate_tdoa(direct, echo, ref, direct_delay_hint_s=hint_s, hint_window=3)
+        assert wide == pytest.approx(3.0 / FS, rel=1e-12)
 
     def test_hint_window_refuses_noise_anchor(self, ref):
         """A transmit-pattern null leaves only noise in the anchor window."""
