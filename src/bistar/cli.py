@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 
 from .config import (
@@ -73,6 +74,17 @@ def _checked(build, *args, **kwargs):
 def _updated(obj, **changes):
     """``obj`` with the ``changes`` that were given (not None) applied."""
     return _checked(replace, obj, **{k: v for k, v in changes.items() if v is not None})
+
+
+def _output(stack: ExitStack, path: str | None):
+    """``path`` opened for writing (stdout when None), checked before a run
+    so an unwritable path fails at once as a configuration problem."""
+    if path is None:
+        return sys.stdout
+    try:
+        return stack.enter_context(open(path, "w", newline=""))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
 def _load(args: argparse.Namespace):
@@ -145,37 +157,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "scenarios":
-            text = dumps_scenario(preset_scenario(args.scenario, args.bandwidth_mhz or 100))
-            if args.out is None:
-                sys.stdout.write(text)
-            else:
-                with open(args.out, "w") as handle:
-                    handle.write(text)
-            return 0
-
-        cfg = _load(args)
-        out = sys.stdout if args.out is None else args.out
-        if args.command == "sweep":
-            write_sweep_csv(run_iso_range_sweep(cfg, workers=args.workers), out)
-        elif args.command == "multistatic":
-            write_multistatic_csv(run_multistatic(cfg, workers=args.workers), out)
-        elif args.command == "doppler":
-            motion = _updated(
-                cfg.motion or MotionConfig(),
-                theta2_deg=args.theta2_deg,
-                speed_mps=args.speed_mps,
-                pulses=args.pulses,
-            )
-            result = run_doppler(replace(cfg, motion=motion))
-            write_doppler_csv(result, out)
-            if args.map_out is not None:
-                write_range_doppler_csv(result.rd_map, args.map_out)
-        else:
-            grid = _checked(
-                GridSpec, args.x_min, args.x_max, args.nx, args.y_min, args.y_max, args.ny
-            )
-            write_gdop_map_csv(run_gdop_map(cfg, grid), out)
+        with ExitStack() as stack:
+            _run(args, stack)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -183,6 +166,36 @@ def main(argv: list[str] | None = None) -> int:
     except (BistarError, ValueError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
+
+
+def _run(args: argparse.Namespace, stack: ExitStack) -> None:
+    if args.command == "scenarios":
+        text = dumps_scenario(preset_scenario(args.scenario, args.bandwidth_mhz or 100))
+        _output(stack, args.out).write(text)
+        return
+    cfg = _load(args)
+    out = _output(stack, args.out)
+    if args.command == "sweep":
+        write_sweep_csv(run_iso_range_sweep(cfg, workers=args.workers), out)
+    elif args.command == "multistatic":
+        write_multistatic_csv(run_multistatic(cfg, workers=args.workers), out)
+    elif args.command == "doppler":
+        map_out = None if args.map_out is None else _output(stack, args.map_out)
+        motion = _updated(
+            cfg.motion or MotionConfig(),
+            theta2_deg=args.theta2_deg,
+            speed_mps=args.speed_mps,
+            pulses=args.pulses,
+        )
+        result = run_doppler(replace(cfg, motion=motion))
+        write_doppler_csv(result, out)
+        if map_out is not None:
+            write_range_doppler_csv(result.rd_map, map_out)
+    else:
+        grid = _checked(
+            GridSpec, args.x_min, args.x_max, args.nx, args.y_min, args.y_max, args.ny
+        )
+        write_gdop_map_csv(run_gdop_map(cfg, grid), out)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from bistar import (
     write_multistatic_csv,
     write_sweep_csv,
 )
-from bistar import harness
+from bistar import cli, harness
 from bistar.cli import main
 from bistar.config import ENGINE_MODEL, parse_scenario
 from bistar.estimation import RangeDopplerMap
@@ -829,6 +829,29 @@ class TestCli:
         assert main(argv + ["--scenario", "scenario1"]) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err and not captured.out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gdop-map", "--nx", "3", "--ny", "3", "--out", "{missing}"],
+            ["sweep", "--out", ""],
+            ["doppler", "--map-out", "{missing}"],
+            ["scenarios", "--out", "{missing}"],
+        ],
+    )
+    def test_unwritable_output_exits_1_before_the_run(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started before the output was checked")
+
+        for name in ("run_gdop_map", "run_iso_range_sweep", "run_doppler"):
+            monkeypatch.setattr(cli, name, no_run)
+        missing = str(tmp_path / "missing" / "x.csv")
+        argv = [arg.format(missing=missing) for arg in argv]
+        assert main(argv + ["--scenario", "scenario1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write") and not captured.out
 
     def test_runtime_problem_exits_2(self, capsys):
         argv = ["doppler", "--scenario", "scenario1", "--theta2-deg", "90", "--pulses", "2"]
