@@ -178,17 +178,49 @@ def build_paths(
     return direct, echo
 
 
-def _delay_frames(
-    tx: IqCapture, delays_s: tuple[float, ...], spp_out: int
-) -> list[np.ndarray]:
-    """Pulse frames of ``tx`` padded to ``spp_out`` and delayed per path."""
-    spectra = np.fft.fft(tx.frames()[0], n=spp_out, axis=1)
-    freq = np.fft.fftfreq(spp_out, d=1.0 / tx.sample_rate_hz)
-    delayed = []
-    for delay in delays_s:
-        ramp = np.exp(-2j * math.pi * freq * delay)
-        delayed.append(np.fft.ifft(spectra * ramp[np.newaxis, :], axis=1))
-    return delayed
+def _path_frames(
+    tx: IqCapture, paths, params: RadarParams, delayed_frames: dict | None
+) -> tuple[int, list[np.ndarray], list[np.ndarray]]:
+    """Checks ``tx`` against ``params``; returns the output frame length
+    and, per path, its gain per pulse and its pulse frames padded to that
+    length and delayed. A train of one repeated frame is delayed once and
+    broadcast; ``delayed_frames`` caches the delayed frames by delays."""
+    if tx.elements != 1:
+        raise ValueError("transmit capture must be single element")
+    if abs(tx.sample_rate_hz - params.sample_rate_hz) > 1e-3:
+        raise ValueError("transmit capture sample rate does not match params")
+    fs = tx.sample_rate_hz
+    max_delay = max((p.delay_s for p in paths), default=0.0)
+    if any(p.delay_s < 0 for p in paths):
+        raise DegenerateGeometryError("negative path delay")
+    spp_out = tx.samples_per_pulse + int(math.ceil(max_delay * fs)) + _PAD_GUARD
+    pri = spp_out / fs
+
+    delays = tuple(p.delay_s for p in paths)
+    delayed = None if delayed_frames is None else delayed_frames.get(delays)
+    if delayed is None:
+        frames = tx.frames()[0]
+        if (frames == frames[:1]).all():
+            frames = frames[:1]
+        spectra = np.fft.fft(frames, n=spp_out, axis=1)
+        freq = np.fft.fftfreq(spp_out, d=1.0 / fs)
+        delayed = [
+            np.broadcast_to(
+                np.fft.ifft(spectra * np.exp(-2j * math.pi * freq * delay), axis=1),
+                (tx.pulses, spp_out),
+            )
+            for delay in delays
+        ]
+        if delayed_frames is not None:
+            delayed_frames[delays] = delayed
+    gains = []
+    for path in paths:
+        static = path.amplitude * np.exp(
+            1j * (path.phase_rad - 2.0 * math.pi * params.carrier_hz * path.delay_s)
+        )
+        doppler = np.exp(2j * math.pi * path.doppler_hz * pri * np.arange(tx.pulses))
+        gains.append(static * doppler)
+    return spp_out, gains, delayed
 
 
 def propagate(
@@ -205,68 +237,122 @@ def propagate(
     path with an exact frequency-domain phase ramp, rotated by the
     carrier phase exp(-j 2 pi f0 tau) plus any static path phase,
     advanced in Doppler phase per pulse, and spread over elements with
-    the array steering phases. The first path is written straight into
-    the output and later paths are added one element at a time, so no
-    temporary larger than one element's frames is built. Per-element
-    noise has total power k T_s f_s (the thermal density over the full
-    sampling bandwidth), drawn from a per-pulse substream of ``seed`` so
-    results do not depend on scheduling.
+    the array steering phases. Per-element noise has total power
+    k T_s f_s (the thermal density over the full sampling bandwidth),
+    drawn from a per-pulse substream of ``seed`` so results do not
+    depend on scheduling. This is the element-level reference that
+    `BeamCapture` draws the receiver's view of.
 
     ``delayed_frames``, when given, keeps the delayed path frames keyed
     by the path delays, and belongs to this one transmit capture. Calls
-    that pass the same dict and equal delays (both transmit modes and
-    all trials of one contour point) reuse the frames instead of
+    that pass the same dict and equal delays reuse the frames instead of
     repeating the FFTs; the output is bit-identical either way.
     """
-    if tx.elements != 1:
-        raise ValueError("transmit capture must be single element")
-    if abs(tx.sample_rate_hz - params.sample_rate_hz) > 1e-3:
-        raise ValueError("transmit capture sample rate does not match params")
-    fs = tx.sample_rate_hz
-    pulses = tx.pulses
-    max_delay = max((p.delay_s for p in paths), default=0.0)
-    if any(p.delay_s < 0 for p in paths):
-        raise DegenerateGeometryError("negative path delay")
-    pad = int(math.ceil(max_delay * fs)) + _PAD_GUARD
-    spp_out = tx.samples_per_pulse + pad
-    pri = spp_out / fs
-    pulse_index = np.arange(pulses)
-
-    delays = tuple(p.delay_s for p in paths)
-    delayed = None if delayed_frames is None else delayed_frames.get(delays)
-    if delayed is None:
-        delayed = _delay_frames(tx, delays, spp_out)
-        if delayed_frames is not None:
-            delayed_frames[delays] = delayed
-
-    out = np.zeros((rx_array.elements, pulses, spp_out), dtype=np.complex128)
-    scratch = np.empty((pulses, spp_out), dtype=np.complex128)
-    for index, (path, frame) in enumerate(zip(paths, delayed)):
-        static = path.amplitude * np.exp(
-            1j * (path.phase_rad - 2.0 * math.pi * params.carrier_hz * path.delay_s)
-        )
-        doppler = np.exp(2j * math.pi * path.doppler_hz * pri * pulse_index)
+    spp_out, gains, delayed = _path_frames(tx, paths, params, delayed_frames)
+    out = np.zeros((rx_array.elements, tx.pulses, spp_out), dtype=np.complex128)
+    for path, gain, frame in zip(paths, gains, delayed):
         steer = steering_vector(rx_array, path.aoa_rad)
-        gains = steer[:, np.newaxis] * (static * doppler)[np.newaxis, :]
-        for element in range(rx_array.elements):
-            gain = gains[element][:, np.newaxis]
-            if index == 0:
-                np.multiply(gain, frame, out=out[element])
-            else:
-                np.multiply(gain, frame, out=scratch)
-                out[element] += scratch
+        out += (steer[:, np.newaxis] * gain)[:, :, np.newaxis] * frame
 
-    noise_power = BOLTZMANN * params.noise_temp_k * fs
-    sigma = math.sqrt(noise_power / 2.0)
+    sigma = math.sqrt(BOLTZMANN * params.noise_temp_k * tx.sample_rate_hz / 2.0)
     noise = np.empty((rx_array.elements, 2 * spp_out))
-    for p in range(pulses):
+    for p in range(tx.pulses):
         make_rng(seed, p).standard_normal(out=noise)
         noise *= sigma
         out[:, p, :] += noise.view(np.complex128)
-
     return IqCapture(
-        out.reshape(rx_array.elements, pulses * spp_out),
-        fs,
-        pulses=pulses,
+        out.reshape(rx_array.elements, -1),
+        tx.sample_rate_hz,
+        pulses=tx.pulses,
         samples_per_pulse=spp_out,
     )
+
+
+def _complex_normals(rng: np.random.Generator, shape: tuple, power: float) -> np.ndarray:
+    """Circular complex normals of mean power ``power``."""
+    draws = rng.standard_normal((*shape[:-1], 2 * shape[-1]))
+    return math.sqrt(power / 2.0) * draws.view(np.complex128)
+
+
+class BeamCapture:
+    """What a receiver steered at ``direct_rad`` reads of one capture.
+
+    Equal in joint law to `propagate` followed by conjugate beams and
+    `project_out_stream`, with u the steering vector toward ``direct_rad``:
+    ``direct`` is the beam uᴴx/E over the capture, ``coeffs`` the
+    projection coefficients c = x dᴴ/‖d‖², ``pilot`` the element samples
+    at ``columns`` (flat sample indices) less c d, and `beams` forms
+    further beams wᴴx. A path enters a beam as wᴴa_p times its pulse
+    gains and delayed frames, so no element x samples array is built.
+    The noise splits into ζ = uᴴn/E over the capture and P⊥n
+    (P⊥ = I - uuᴴ/E) at ``columns``; the rest of P⊥n reaches c as one
+    E-vector y and the beams as streams conditioned on y. Substream
+    layout v3 draws ζ, the column samples, y and the beams, in that
+    order, from the one substream ``seed``.
+    """
+
+    def __init__(
+        self,
+        tx: IqCapture,
+        paths,
+        rx_array: ArrayModel,
+        params: RadarParams,
+        seed,
+        direct_rad: float,
+        columns: np.ndarray,
+        delayed_frames: dict | None = None,
+    ):
+        spp_out, gains, delayed = _path_frames(tx, paths, params, delayed_frames)
+        self.sample_rate_hz, self.samples_per_pulse = tx.sample_rate_hz, spp_out
+        self.columns = columns
+        units = np.empty((len(paths), tx.pulses, spp_out), dtype=np.complex128)
+        for unit, gain, frame in zip(units, gains, delayed):
+            np.multiply(gain[:, np.newaxis], frame, out=unit)
+        self._units = units.reshape(len(paths), -1)
+        self._steer = np.array([steering_vector(rx_array, p.aoa_rad) for p in paths]).T
+        u = self._u = steering_vector(rx_array, direct_rad)
+        elements = u.size
+        self._power = BOLTZMANN * params.noise_temp_k * tx.sample_rate_hz
+        self._rng = make_rng(seed)
+
+        self._zeta = _complex_normals(self._rng, self._units.shape[1:], self._power / elements)
+        d = self.direct = (u.conj() @ self._steer / elements) @ self._units + self._zeta
+        g = _complex_normals(self._rng, (elements, columns.size), self._power)
+        self._perp_g = g - np.outer(u, u.conj() @ g) / elements
+        d_cols = d[columns]
+        energy = np.vdot(d, d).real
+        self._energy_off = energy - np.vdot(d_cols, d_cols).real
+        h = _complex_normals(self._rng, (elements,), self._power * self._energy_off)
+        self._y = h - u * np.vdot(u, h) / elements
+        self.coeffs = (
+            self._steer @ (self._units @ d.conj())
+            + u * np.vdot(d, self._zeta)
+            + self._perp_g @ d_cols.conj()
+            + self._y
+        ) / energy
+        samples = self._steer @ self._units[:, columns] + np.outer(u, self._zeta[columns])
+        self.pilot = samples + self._perp_g - np.outer(self.coeffs, d_cols)
+
+    def beams(self, weights: np.ndarray) -> np.ndarray:
+        """Beams wᴴx over the capture, one row per column w of ``weights``.
+
+        All beams a receiver reads come from one call, which draws their
+        noise jointly; a second call is refused.
+        """
+        if self._rng is None:
+            raise RuntimeError("the beams of a capture are drawn once")
+        rng, self._rng = self._rng, None
+        a_h = weights.conj().T
+        u = self._u
+        perp = weights - np.outer(u, u.conj() @ weights) / u.size
+        values, vectors = np.linalg.eigh(perp.conj().T @ perp)
+        root = vectors * np.sqrt(np.clip(values, 0.0, None))
+        noise = root @ _complex_normals(rng, (weights.shape[1], self.direct.size), self._power)
+        # Off the columns, condition P⊥n on y, its projection onto the
+        # direct beam there; at the columns, use the drawn samples.
+        d_off = self.direct.copy()
+        d_off[self.columns] = 0.0
+        noise += np.outer((a_h @ self._y - noise @ d_off.conj()) / self._energy_off, d_off)
+        noise[:, self.columns] = a_h @ self._perp_g
+        noise += np.outer(a_h @ u, self._zeta)
+        return noise + (a_h @ self._steer) @ self._units

@@ -77,12 +77,9 @@ def _updated(obj, **changes):
 
 
 def _output(stack: ExitStack, path: str | None):
-    """``path`` opened for writing (stdout when None), checked before a run
-    so an unwritable path fails at once as a configuration problem."""
-    if path is None:
-        return sys.stdout
+    """``path`` opened for writing before the run, or stdout when None."""
     try:
-        return stack.enter_context(open(path, "w", newline=""))
+        return sys.stdout if path is None else stack.enter_context(open(path, "w", newline=""))
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from exc
 

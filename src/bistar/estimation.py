@@ -74,13 +74,16 @@ class RangeDopplerMap:
             raise ValueError("magnitudes must be non-negative")
 
 
-def _snapshots(capture: IqCapture, window: slice | None, count: int) -> np.ndarray:
-    samples = capture.samples if window is None else capture.samples[:, window]
-    total = samples.shape[1]
+def snapshot_index(total: int, count: int) -> np.ndarray:
+    """Which ``count`` of ``total`` samples `music_aoa` reads as snapshots."""
     if total < count:
         raise ValueError(f"window holds {total} samples, need at least {count}")
-    idx = (np.arange(count) * total) // count
-    return samples[:, idx]
+    return (np.arange(count) * total) // count
+
+
+def _snapshots(capture: IqCapture, window: slice | None, count: int) -> np.ndarray:
+    samples = capture.samples if window is None else capture.samples[:, window]
+    return samples[:, snapshot_index(samples.shape[1], count)]
 
 
 def _fb_smooth(x: np.ndarray, subarray: int) -> np.ndarray:
@@ -195,6 +198,17 @@ def beamform(capture: IqCapture, array: ArrayModel, angle_rad: float) -> IqCaptu
     )
 
 
+def null_steer_weights(array: ArrayModel, steer_rad: float, null_rad: float) -> np.ndarray:
+    """Weights w of the `null_steer_beamform` beam wᴴx."""
+    steer = steering_vector(array, steer_rad)
+    null = steering_vector(array, null_rad)
+    rho = np.vdot(null, steer) / array.elements
+    gain = array.elements * (1.0 - abs(rho) ** 2)
+    if gain <= 1e-9 * array.elements:
+        raise ValueError("null direction coincides with the steering direction")
+    return (steer - rho * null) / gain
+
+
 def null_steer_beamform(
     capture: IqCapture, array: ArrayModel, steer_rad: float, null_rad: float
 ) -> IqCapture:
@@ -213,14 +227,7 @@ def null_steer_beamform(
     """
     if capture.elements != array.elements:
         raise ValueError("capture and array element counts differ")
-    steer = steering_vector(array, steer_rad)
-    null = steering_vector(array, null_rad)
-    rho = np.vdot(null, steer) / array.elements
-    weights = steer - rho * null
-    gain = array.elements * (1.0 - abs(rho) ** 2)
-    if gain <= 1e-9 * array.elements:
-        raise ValueError("null direction coincides with the steering direction")
-    stream = weights.conj() @ capture.samples / gain
+    stream = null_steer_weights(array, steer_rad, null_rad).conj() @ capture.samples
     return IqCapture(
         stream,
         capture.sample_rate_hz,
@@ -229,19 +236,13 @@ def null_steer_beamform(
     )
 
 
-def project_out_stream(
-    capture: IqCapture, stream: np.ndarray, window: slice | None = None
-) -> IqCapture:
+def project_out_stream(capture: IqCapture, stream: np.ndarray) -> IqCapture:
     """Remove each element's least-squares projection onto ``stream``.
 
     Scales every element identically, so the spatial signature of any
     component not aligned with ``stream`` is preserved; used to strip
-    the direct path before single-source MUSIC and from the echo beam of
-    a Doppler run. The coefficients are
-    always fitted over the whole capture. ``window``, when given, limits
-    the returned cleaned samples to that sample range (for example the
-    pilot symbol MUSIC reads) as a single-pulse capture; those samples
-    equal the matching columns of the full projection bit for bit.
+    the direct path from the echo beam of a Doppler run, and the
+    element-level reference for the pilot samples of a `BeamCapture`.
     """
     reference = np.asarray(stream, dtype=np.complex128).reshape(-1)
     if reference.shape[0] != capture.samples.shape[1]:
@@ -250,18 +251,12 @@ def project_out_stream(
     if energy <= 0.0:
         raise ValueError("reference stream has no energy")
     coeffs = capture.samples @ reference.conj() / energy
-    if window is None:
-        cleaned = capture.samples - coeffs[:, np.newaxis] * reference[np.newaxis, :]
-        return IqCapture(
-            cleaned,
-            capture.sample_rate_hz,
-            pulses=capture.pulses,
-            samples_per_pulse=capture.samples_per_pulse,
-        )
-    cleaned = (
-        capture.samples[:, window] - coeffs[:, np.newaxis] * reference[np.newaxis, window]
+    return IqCapture(
+        capture.samples - coeffs[:, np.newaxis] * reference[np.newaxis, :],
+        capture.sample_rate_hz,
+        pulses=capture.pulses,
+        samples_per_pulse=capture.samples_per_pulse,
     )
-    return IqCapture(cleaned, capture.sample_rate_hz)
 
 
 def _peak_with_floor(
@@ -292,16 +287,12 @@ def _peak_with_floor(
 
 @dataclass(frozen=True)
 class MatchedFilter:
-    """Pilot reference prepared for beams of ``length`` samples.
-
-    ``size`` is one transform size with room for every non-negative lag
-    of the linear correlation and for both tails of the autocorrelation
-    template; ``conj_spectrum`` is the conjugated reference spectrum at
-    that size and ``auto`` the circular autocorrelation template.
-    """
+    """The pilot reference prepared for beams of ``length`` samples: its
+    conjugated spectrum and circular autocorrelation at one transform
+    size with room for every non-negative lag of the linear correlation
+    and for both tails of the autocorrelation template."""
 
     length: int
-    size: int
     conj_spectrum: np.ndarray
     auto: np.ndarray
 
@@ -314,7 +305,7 @@ def matched_filter(reference: IqCapture, length: int) -> MatchedFilter:
         size <<= 1
     spectrum = np.fft.fft(ref, size)
     conj = spectrum.conj()
-    return MatchedFilter(length, size, conj, np.fft.ifft(spectrum * conj))
+    return MatchedFilter(length, conj, np.fft.ifft(spectrum * conj))
 
 
 def estimate_tdoa(
@@ -397,7 +388,7 @@ def estimate_tdoa(
         matched = matched_filter(reference, length)
     elif matched.length != length:
         raise ValueError("matched filter was prepared for another beam length")
-    size, auto = matched.size, matched.auto
+    size, auto = matched.auto.size, matched.auto
     streams = np.vstack([capture.samples[0] for capture in beams])
     corr = np.fft.ifft(np.fft.fft(streams, size, axis=1) * matched.conj_spectrum, axis=1)
     corr = corr[:, :length]

@@ -5,8 +5,8 @@ one engine dispatch, `_measurements`, then locate by closed form or fuse.
 Every run is deterministic for a given config seed. Randomness comes from
 substreams keyed by seed, point and purpose, so workers never change
 results: sweep trials read rows of one block per purpose (layout v2),
-while channel noise and multistatic draws keep one substream per trial
-(layout v1).
+multistatic draws keep one substream per trial (layout v1), and the
+receiver draws one beam-space capture per trial and stream (layout v3).
 """
 
 from __future__ import annotations
@@ -20,22 +20,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ArrayModel, build_paths, make_rng, propagate
+from .channel import ArrayModel, BeamCapture, build_paths, make_rng, steering_vector
 from .config import ENGINE_MODEL, ENGINE_SIGNAL, MotionConfig, ScenarioConfig
 from .errors import ConfigError, DegenerateGeometryError, DetectionError
 from .estimation import (
     Measurement,
     RangeDopplerMap,
-    beamform,
     doppler_peak,
     doppler_to_velocity,
     estimate_tdoa,
     matched_filter,
     model_measure_batch,
     music_aoa,
-    null_steer_beamform,
+    null_steer_weights,
     project_out_stream,
     range_doppler,
+    snapshot_index,
 )
 from .fusion import gdop_weights, solve_multistatic_batch
 from .gdop import gdop_batch
@@ -250,6 +250,8 @@ class _SignalBench:
         self.wcfg = waveform_for_radar(cfg.radar, seed=cfg.seed)
         self.slot = generate_slot(self.wcfg)
         self.reference = matched_reference(self.wcfg)
+        window = self.wcfg.dmrs_window()
+        self.columns = window.start + snapshot_index(window.stop - window.start, 128)
         # Matched filters by beam length: one per distinct path delay pad.
         self.filters: dict = {}
 
@@ -261,15 +263,11 @@ class _SignalBench:
         seed_key: tuple[int, ...],
         delayed_frames: dict | None = None,
     ) -> tuple[float, float, IqCapture, IqCapture]:
-        """Receiver chain: propagate, beamform, MUSIC, correlate.
-
-        Propagates ``tx`` (one slot or a pulse train of it), strips the
-        direct path over the pilot symbol only, since that window is all
-        MUSIC reads, and reads the TDOA off the first pulse of the
-        direct, echo and guard beams. ``delayed_frames`` is passed to
-        `propagate`. Returns the echo angle, the TDOA and the direct and
-        echo beams of the whole capture.
-        """
+        """Receiver chain on ``tx`` (one slot or a pulse train of it): a
+        `BeamCapture` steered at the transmitter, MUSIC on its pilot
+        snapshots, and the TDOA off the first pulse of the direct, echo
+        and guard beams. Returns the echo angle, the TDOA and the direct
+        and echo beams of the whole capture."""
         params = self.cfg.radar
         rx, tx_node = pair.rx_node, pair.tx_node
         # The receive array looks straight at the transmitter: the direct
@@ -279,30 +277,28 @@ class _SignalBench:
         direct_aoa = boresight = true_aoa(rx, tx_node)
         rx_array = ArrayModel(params.rx_elements, 0.5, boresight)
         paths = build_paths(pair, target, params, self.cfg.direct_path_gain_db)
-        capture = propagate(tx, paths, rx_array, params, seed_key, delayed_frames)
-        direct_beam = beamform(capture, rx_array, direct_aoa)
-        pilot = project_out_stream(
-            capture, direct_beam.samples[0], self.wcfg.dmrs_window()
+        capture = BeamCapture(
+            tx, paths, rx_array, params, seed_key, direct_aoa, self.columns, delayed_frames
         )
-        aoa_raw = music_aoa(pilot, rx_array, 1, 0.1)[0]
+        fs, spp = capture.sample_rate_hz, capture.samples_per_pulse
+        aoa_raw = music_aoa(IqCapture(capture.pilot, fs), rx_array, 1, 0.1)[0]
         aoa = _resolve_survey_aoa(aoa_raw, boresight, true_aoa(rx, target))
-        echo_beam = beamform(capture, rx_array, aoa)
-        guard_beam = null_steer_beamform(capture, rx_array, aoa, direct_aoa)
-        first = slice(0, capture.samples_per_pulse)
-        direct0, echo0, guard0 = (
-            IqCapture(beam.samples[:, first], capture.sample_rate_hz)
-            for beam in (direct_beam, echo_beam, guard_beam)
-        )
-        length = capture.samples_per_pulse
-        if length not in self.filters:
-            self.filters[length] = matched_filter(self.reference, length)
+        echo, guard = capture.beams(np.stack([
+            steering_vector(rx_array, aoa) / rx_array.elements,
+            null_steer_weights(rx_array, aoa, direct_aoa),
+        ], axis=1))
+        if spp not in self.filters:
+            self.filters[spp] = matched_filter(self.reference, spp)
         tdoa = estimate_tdoa(
-            direct0,
-            echo0,
+            *(IqCapture(beam[:spp], fs) for beam in (capture.direct, echo)),
             self.reference,
-            guard_beam=guard0,
+            guard_beam=IqCapture(guard[:spp], fs),
             direct_delay_hint_s=pair.baseline / SPEED_OF_LIGHT,
-            matched=self.filters[length],
+            matched=self.filters[spp],
+        )
+        direct_beam, echo_beam = (
+            IqCapture(beam, fs, pulses=tx.pulses, samples_per_pulse=spp)
+            for beam in (capture.direct, echo)
         )
         return aoa, tdoa, direct_beam, echo_beam
 
@@ -697,9 +693,7 @@ def run_doppler(cfg: ScenarioConfig) -> DopplerResult:
     projection = math.hypot(*sum_range_gradient(pair, TargetState(px, py)))
     speed_est = rate_est / projection
 
-    direct_path, echo_path = build_paths(pair, target, params)
-    del direct_path
-    doppler_true = echo_path.doppler_hz
+    doppler_true = build_paths(pair, target, params)[1].doppler_hz
     rate_true = doppler_to_velocity(doppler_true, params.carrier_hz)
     return DopplerResult(
         theta2_deg=motion.theta2_deg,

@@ -8,6 +8,7 @@ import pytest
 
 from bistar import (
     ArrayModel,
+    BeamCapture,
     BistaticPair,
     DegenerateGeometryError,
     IqCapture,
@@ -17,10 +18,14 @@ from bistar import (
     RadarParams,
     TargetState,
     array_factor,
+    beamform,
     bistatic_ranges,
     bistatic_snr,
     build_paths,
     make_rng,
+    null_steer_beamform,
+    null_steer_weights,
+    project_out_stream,
     propagate,
     steering_vector,
     true_aoa,
@@ -331,3 +336,106 @@ class TestMakeRng:
     def test_generator_passes_through(self):
         rng = np.random.default_rng(1)
         assert make_rng(rng) is rng
+
+
+class TestBeamCapture:
+    """The beam-space capture against the element-level chain it stands
+    for: `propagate`, then `beamform` toward the direct path and the
+    echo, `null_steer_beamform` as the guard, and the coefficients and
+    cleaned samples of `project_out_stream`."""
+
+    ARRAY = ArrayModel(4, 0.5, boresight=0.1)
+    DIRECT, ECHO = 0.25, -0.6
+    COLUMNS = np.arange(3, 23, 2)  # first pulse only
+
+    def case(self, params):
+        """Two pulses, a direct path and a moving echo at a few times the
+        noise amplitude of the default radar, fractional delays."""
+        fs = params.sample_rate_hz
+        noise = math.sqrt(1.380649e-23 * RadarParams().noise_temp_k * fs)
+        rng = np.random.default_rng(9)
+        slot = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+        tx = IqCapture(np.tile(slot, 2), fs, pulses=2, samples_per_pulse=24)
+        paths = [
+            PathDescriptor(1.4 / fs, 2.0 * noise, aoa_rad=self.DIRECT, phase_rad=0.4),
+            PathDescriptor(5.7 / fs, noise, aoa_rad=self.ECHO, doppler_hz=2e5),
+        ]
+        return tx, paths
+
+    def weights(self):
+        """Echo and guard beam weights, one column each."""
+        echo = steering_vector(self.ARRAY, self.ECHO) / self.ARRAY.elements
+        return np.stack([echo, null_steer_weights(self.ARRAY, self.ECHO, self.DIRECT)], axis=1)
+
+    def element_chain(self, params, seed):
+        tx, paths = self.case(params)
+        capture = propagate(tx, paths, self.ARRAY, params, seed)
+        direct = beamform(capture, self.ARRAY, self.DIRECT).samples[0]
+        echo = beamform(capture, self.ARRAY, self.ECHO).samples[0]
+        guard = null_steer_beamform(capture, self.ARRAY, self.ECHO, self.DIRECT).samples[0]
+        coeffs = capture.samples @ direct.conj() / np.vdot(direct, direct).real
+        cleaned = project_out_stream(capture, direct).samples[:, self.COLUMNS]
+        return direct, echo, guard, coeffs, cleaned
+
+    def beam_chain(self, params, seed):
+        tx, paths = self.case(params)
+        capture = BeamCapture(tx, paths, self.ARRAY, params, seed, self.DIRECT, self.COLUMNS)
+        echo, guard = capture.beams(self.weights())
+        return capture.direct, echo, guard, capture.coeffs, capture.pilot
+
+    def test_signal_parts_match_without_noise(self):
+        params = replace(RadarParams(), reference_temp_k=1e-30)
+        for ours, reference in zip(
+            self.beam_chain(params, (1,)), self.element_chain(params, (1,))
+        ):
+            assert np.abs(ours - reference).max() <= 1e-9 * np.abs(reference).max()
+
+    def features(self, chain, seed):
+        """Beams in and off the columns (the second pulse too), every
+        coefficient and two cleaned column samples, as real numbers."""
+        direct, echo, guard, coeffs, cleaned = chain(RadarParams(), (seed,))
+        samples = [3, 17, 1, 40]  # the cleaned columns 0 and 7, then off the columns
+        picked = [beam[samples] for beam in (direct, echo, guard)]
+        # A beam's projection onto the direct beam, over the whole capture.
+        fits = [np.vdot(direct, beam) / np.vdot(direct, direct) for beam in (echo, guard)]
+        values = np.concatenate(picked + [coeffs, cleaned[[0, 3], [0, 7]], fits])
+        return np.concatenate([values.real, values.imag])
+
+    def test_joint_law_matches_the_element_chain(self):
+        """Means and covariances agree within 5 standard errors over 2000
+        seeds of each chain."""
+        seeds = 2000
+        ours = np.array([self.features(self.beam_chain, s) for s in range(seeds)])
+        reference = np.array(
+            [self.features(self.element_chain, s) for s in range(seeds, 2 * seeds)]
+        )
+
+        def moments(x):
+            centred = x - x.mean(axis=0)
+            products = (centred[:, :, None] * centred[:, None, :]).reshape(seeds, -1)
+            return [(x.mean(axis=0), x.var(axis=0)), (products.mean(0), products.var(0))]
+
+        for (m1, v1), (m2, v2) in zip(moments(ours), moments(reference)):
+            assert np.all(np.abs(m1 - m2) <= 5.0 * np.sqrt((v1 + v2) / seeds))
+
+    def test_beams_agree_with_the_coefficients(self):
+        """As for element captures, a beam's projection onto the direct
+        beam is its weights applied to the projection coefficients."""
+        weights = self.weights()
+        for seed in range(5):
+            tx, paths = self.case(RadarParams())
+            capture = BeamCapture(
+                tx, paths, self.ARRAY, RadarParams(), seed, self.DIRECT, self.COLUMNS
+            )
+            beams = capture.beams(weights)
+            fits = beams @ capture.direct.conj() / np.vdot(capture.direct, capture.direct)
+            assert np.allclose(fits, weights.conj().T @ capture.coeffs, rtol=1e-9, atol=0)
+
+    def test_beams_are_drawn_once(self):
+        params = RadarParams()
+        tx, paths = self.case(params)
+        capture = BeamCapture(tx, paths, self.ARRAY, params, 0, self.DIRECT, self.COLUMNS)
+        weights = self.weights()
+        capture.beams(weights)
+        with pytest.raises(RuntimeError):
+            capture.beams(weights)

@@ -207,17 +207,6 @@ class TestProjection:
         assert np.allclose(out.samples[0], other, atol=1e-9)
         assert np.allclose(out.samples[1], 0.0, atol=1e-9)
 
-    def test_window_matches_full_projection_columns(self):
-        rng = np.random.default_rng(33)
-        data = rng.standard_normal((4, 600)) + 1j * rng.standard_normal((4, 600))
-        stream = rng.standard_normal(600) + 1j * rng.standard_normal(600)
-        capture = IqCapture(data, FS, pulses=3, samples_per_pulse=200)
-        window = slice(230, 358)
-        full = project_out_stream(capture, stream)
-        part = project_out_stream(capture, stream, window)
-        assert part.pulses == 1 and part.samples.shape == (4, 128)
-        assert np.array_equal(part.samples, full.samples[:, window])
-
     def test_validation(self):
         cap = IqCapture(np.ones((2, 10), dtype=complex), FS)
         with pytest.raises(ValueError):

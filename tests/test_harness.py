@@ -463,7 +463,7 @@ class TestSignalSweepTrials:
         assert len(calls) == 8
 
     def test_trials_1_matches_pinned_rows(self, capsys):
-        """Rows recorded before sweeps and fusion runs shared one dispatch."""
+        """Rows of channel draw layout v3 (beam-space receiver)."""
         argv = [
             "sweep", "--scenario", "scenario3", "--bandwidth-mhz", "100",
             "--engine", "signal", "--points", "8", "--trials", "1", "--seed", "5",
@@ -481,16 +481,16 @@ class TestSignalSweepTrials:
         )
         assert lines[2] == (
             "45.0,4.490568974573982,20.509431025426018,83.391023799538,"
-            "81.38020833333333,-2.010815466204679,45.0,44.968848708315946,"
-            "-0.031151291684059033,0.3930290039213926,0.4049304888203555,"
-            "0.3930290039213926,0.4049304888203555,0.8742085455145368,"
+            "81.38020833333333,-2.010815466204679,45.0,44.9989298708925,"
+            "-0.0010701291074998586,0.3845738990166016,0.38039900775300484,"
+            "0.3845738990166016,0.38039900775300484,0.8742085455145368,"
             "0.8705449669033845,ok"
         )
         assert lines[9:] == [
-            "# mean_abs_aoa_err_deg = 0.029815933063288717",
+            "# mean_abs_aoa_err_deg = 0.03605038497379367",
             "# mean_abs_tdoa_err_ns = 2.010815466204679",
-            "# mean_err_mode1_m = 0.36222009930821",
-            "# mean_err_mode2_m = 0.36550600595886984",
+            "# mean_err_mode1_m = 0.3677144472042091",
+            "# mean_err_mode2_m = 0.35806087552417254",
             "# mean_gdop_mode1_m = 0.7942650544289366",
             "# mean_gdop_mode2_m = 0.7975065992834346",
             "# ok_points = 4.0",
