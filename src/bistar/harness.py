@@ -693,7 +693,9 @@ def run_doppler(cfg: ScenarioConfig) -> DopplerResult:
     projection = math.hypot(*sum_range_gradient(pair, TargetState(px, py)))
     speed_est = rate_est / projection
 
-    doppler_true = build_paths(pair, target, params)[1].doppler_hz
+    direct_path, echo_path = build_paths(pair, target, params)
+    del direct_path
+    doppler_true = echo_path.doppler_hz
     rate_true = doppler_to_velocity(doppler_true, params.carrier_hz)
     return DopplerResult(
         theta2_deg=motion.theta2_deg,
