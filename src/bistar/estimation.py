@@ -29,7 +29,7 @@ from .geometry import (
     wrap_angles,
 )
 from .gdop import MeasurementErrorModel
-from .waveform import IqCapture
+from .waveform import IqCapture, fast_length
 
 # Half-normal identity: for zero-mean Gaussian error, E|e| = sigma *
 # sqrt(2 / pi), so a reported mean absolute error maps back to sigma
@@ -287,25 +287,35 @@ def _peak_with_floor(
 
 @dataclass(frozen=True)
 class MatchedFilter:
-    """The pilot reference prepared for beams of ``length`` samples: its
-    conjugated spectrum and circular autocorrelation at one transform
+    """The pilot reference prepared for beams of ``length`` samples.
+
+    The reference is zero outside its pilot symbol, so only its non-zero
+    span, which begins at sample ``start``, is kept: its conjugated
+    spectrum and circular autocorrelation at one `fast_length` transform
     size with room for every non-negative lag of the linear correlation
-    and for both tails of the autocorrelation template."""
+    with a beam read from ``start`` on, and for both tails of the
+    autocorrelation template."""
 
     length: int
+    start: int
     conj_spectrum: np.ndarray
     auto: np.ndarray
 
 
 def matched_filter(reference: IqCapture, length: int) -> MatchedFilter:
-    """The matched filter `estimate_tdoa` uses for beams of ``length`` samples."""
+    """The matched filter `estimate_tdoa` uses for beams of ``length`` samples.
+
+    Correlating with the span from the reference's first to its last
+    non-zero sample gives the same sums as the whole reference, at the
+    smallest 5-smooth transform size of at least ``length`` plus that
+    span; an all-zero reference keeps its whole length."""
     ref = reference.samples[0]
-    size = 1
-    while size < max(length, ref.shape[0]) + ref.shape[0]:
-        size <<= 1
-    spectrum = np.fft.fft(ref, size)
+    nonzero = ref != 0
+    start = int(np.argmax(nonzero))
+    pilot = ref[start : ref.size - int(np.argmax(nonzero[::-1]))]
+    spectrum = np.fft.fft(pilot, fast_length(length + pilot.size))
     conj = spectrum.conj()
-    return MatchedFilter(length, conj, np.fft.ifft(spectrum * conj))
+    return MatchedFilter(length, start, conj, np.fft.ifft(spectrum * conj))
 
 
 def estimate_tdoa(
@@ -337,8 +347,8 @@ def estimate_tdoa(
     which of the two neighboring lattice points wins.
 
     The beams are streams of one capture and must have equal length.
-    They are correlated with the reference in one FFT pass through
-    ``matched``, the reference's `matched_filter` for that length; a
+    They are correlated with the reference's pilot span in one FFT pass
+    through ``matched``, the reference's `matched_filter` for that length; a
     caller that correlates many captures passes it in, otherwise each
     call builds it.
 
@@ -389,7 +399,7 @@ def estimate_tdoa(
     elif matched.length != length:
         raise ValueError("matched filter was prepared for another beam length")
     size, auto = matched.auto.size, matched.auto
-    streams = np.vstack([capture.samples[0] for capture in beams])
+    streams = np.vstack([capture.samples[0, matched.start :] for capture in beams])
     corr = np.fft.ifft(np.fft.fft(streams, size, axis=1) * matched.conj_spectrum, axis=1)
     corr = corr[:, :length]
 

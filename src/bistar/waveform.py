@@ -149,6 +149,22 @@ class IqCapture:
         return self.samples.reshape(self.elements, self.pulses, self.samples_per_pulse)
 
 
+def fast_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= ``n``: a transform length numpy's FFT
+    factors into small radices (a large prime factor costs Bluestein)."""
+    if n < 1:
+        raise ValueError("length must be positive")
+    best = 1 << (n - 1).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        fives *= 5
+    return best
+
+
 def _pilot_rng(cfg: WaveformConfig) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, _PILOT_STREAM]))
 

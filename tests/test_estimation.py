@@ -21,6 +21,7 @@ from bistar import (
     doppler_peak,
     doppler_to_velocity,
     estimate_tdoa,
+    fast_length,
     make_rng,
     matched_filter,
     matched_reference,
@@ -455,6 +456,69 @@ class TestEstimateTdoa:
             assert outcomes[0] == outcomes[1]
         with pytest.raises(ValueError):
             estimate_tdoa(*beams, matched=matched_filter(ref, n - 1))
+
+    @pytest.mark.parametrize("mhz", [100, 400])
+    def test_pilot_span_matches_full_reference(self, mhz):
+        """The filter keeps the DM-RS symbol at a 5-smooth size; its
+        correlation and template match the whole reference's at a power
+        of two within 1e-9 of the peak."""
+        cfg = WaveformConfig.for_bandwidth(mhz * 1e6, seed=6)
+        ref = matched_reference(cfg)
+        r = ref.samples[0]
+        n = fast_length(r.size + 29)
+        matched = matched_filter(ref, n)
+        window = cfg.dmrs_window()
+        size = fast_length(n + window.stop - window.start)
+        assert (matched.start, matched.auto.size) == (window.start, size)
+        rng = np.random.default_rng(45)
+        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        stream = lay_reference(n, [(6, 1.0), (19, 0.3)], r) + 0.1 * noise
+        full = _correlate(stream, r)
+        corr = np.fft.ifft(np.fft.fft(stream[matched.start :], size) * matched.conj_spectrum)
+        assert np.abs(corr[:n] - full).max() < 1e-9 * np.abs(full).max()
+        wide = 1 << (n + r.size - 1).bit_length()
+        spectrum = np.fft.fft(r, wide)
+        auto = np.fft.ifft(spectrum * spectrum.conj())
+        for peak in (0, 6, n - 1):
+            lags = np.arange(n) - peak
+            assert np.abs(matched.auto[lags % size] - auto[lags % wide]).max() < (
+                1e-9 * auto[0].real
+            )
+
+    def test_pilot_span_reads_the_reference_lags(self, ref):
+        """Over 60 noisy draws, with and without guard beam and anchor,
+        the pilot-span filter reads the lag (or refusal) of the
+        whole-reference `three_pass_tdoa`."""
+        r = ref.samples[0]
+        n = r.size + 96
+        rng = np.random.default_rng(46)
+
+        def noisy(placements, scale):
+            noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            return IqCapture(lay_reference(n, placements, r) + scale * noise, FS)
+
+        matched = matched_filter(ref, n)
+        for trial in range(60):
+            lag = 8 + int(rng.integers(0, 85))
+            scale = 0.01 * 5 ** (trial % 4)
+            direct = noisy([(6, 1.0)], scale)
+            echo = noisy([(6, 0.5), (lag, 0.05)], scale)
+            guard = noisy([(lag, 0.05)], scale) if trial % 3 else None
+            hint_s = 6.0 / FS if trial % 2 else None
+            try:
+                got = estimate_tdoa(
+                    direct, echo, ref, guard_beam=guard, direct_delay_hint_s=hint_s,
+                    matched=matched,
+                )
+            except DetectionError:
+                got = None
+            assert got == three_pass_tdoa(direct, echo, ref, guard, hint_s)
+
+    def test_all_zero_reference_raises(self, ref):
+        n = ref.samples.shape[1] + 64
+        beam = IqCapture(lay_reference(n, [(6, 1.0)], ref.samples[0]), FS)
+        with pytest.raises(DetectionError):
+            estimate_tdoa(beam, beam, IqCapture(np.zeros(ref.samples.shape[1]), FS))
 
     def test_validation(self, ref):
         r = ref.samples[0]

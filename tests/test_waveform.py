@@ -8,6 +8,7 @@ from bistar import (
     WaveformConfig,
     demodulate_slot,
     dump_iq,
+    fast_length,
     generate_slot,
     load_iq,
     matched_reference,
@@ -190,6 +191,29 @@ class TestMatchedReference:
         assert rel[1:512].max() < 0.3
         assert 0.4 < rel[512] < 0.7
         assert rel[1 : ref.size].max() < 0.625  # peak clears every lag by 4 dB
+
+
+class TestFastLength:
+    def test_smallest_5_smooth_length_by_brute_force(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        lengths = [m for m in range(1, 8193) if smooth(m)]
+        for n in range(1, 4097):
+            assert fast_length(n) == next(m for m in lengths if m >= n)
+
+    def test_signal_chain_sizes(self):
+        # Pulse frames and matched filters at 100 and 400 MHz.
+        assert [fast_length(n) for n in (15373, 61466, 16648, 66592)] == [
+            15552, 62208, 16875, 67500
+        ]
+
+    def test_rejects_non_positive_lengths(self):
+        with pytest.raises(ValueError):
+            fast_length(0)
 
 
 class TestPulseTrain:
