@@ -26,11 +26,11 @@ from .geometry import (
     sum_range_rate,
     true_aoa,
 )
-from .waveform import IqCapture
+from .waveform import IqCapture, fast_length
 
 # Extra samples appended to each pulse frame beyond the largest path
 # delay so the cyclic fractional delay cannot wrap signal into the
-# frame start.
+# frame start; the frame then grows to the next `fast_length`.
 _PAD_GUARD = 8
 
 
@@ -193,7 +193,7 @@ def _path_frames(
     max_delay = max((p.delay_s for p in paths), default=0.0)
     if any(p.delay_s < 0 for p in paths):
         raise DegenerateGeometryError("negative path delay")
-    spp_out = tx.samples_per_pulse + int(math.ceil(max_delay * fs)) + _PAD_GUARD
+    spp_out = fast_length(tx.samples_per_pulse + int(math.ceil(max_delay * fs)) + _PAD_GUARD)
     pri = spp_out / fs
 
     delays = tuple(p.delay_s for p in paths)
@@ -233,15 +233,15 @@ def propagate(
 ) -> IqCapture:
     """Apply paths and receiver noise to a transmit capture.
 
-    Each pulse frame is padded past the largest path delay, delayed per
-    path with an exact frequency-domain phase ramp, rotated by the
-    carrier phase exp(-j 2 pi f0 tau) plus any static path phase,
-    advanced in Doppler phase per pulse, and spread over elements with
-    the array steering phases. Per-element noise has total power
-    k T_s f_s (the thermal density over the full sampling bandwidth),
-    drawn from a per-pulse substream of ``seed`` so results do not
-    depend on scheduling. This is the element-level reference that
-    `BeamCapture` draws the receiver's view of.
+    Each pulse frame is padded past the largest path delay to a
+    `fast_length`, delayed per path with an exact frequency-domain phase
+    ramp, rotated by the carrier phase exp(-j 2 pi f0 tau) plus any
+    static path phase, advanced in Doppler phase per pulse, and spread
+    over elements with the array steering phases. Per-element noise has
+    total power k T_s f_s (the thermal density over the full sampling
+    bandwidth), drawn from a per-pulse substream of ``seed`` so results
+    do not depend on scheduling. This is the element-level reference
+    that `BeamCapture` draws the receiver's view of.
 
     ``delayed_frames``, when given, keeps the delayed path frames keyed
     by the path delays, and belongs to this one transmit capture. Calls

@@ -476,8 +476,8 @@ def range_doppler(
     fast = np.fft.ifft(spectra, axis=1)
 
     bins = train.pulses * pad_factor
-    slow = np.fft.fft(fast, n=bins, axis=0)
-    magnitudes = np.fft.fftshift(np.abs(slow), axes=0).T
+    slow = np.fft.fft(np.ascontiguousarray(fast.T), n=bins, axis=1)
+    magnitudes = np.fft.fftshift(np.abs(slow), axes=1)
     delay_axis = np.arange(spp) / fs
     doppler_axis = np.fft.fftshift(np.fft.fftfreq(bins, d=pri))
     return RangeDopplerMap(magnitudes, delay_axis, doppler_axis)

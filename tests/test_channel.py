@@ -22,6 +22,7 @@ from bistar import (
     bistatic_ranges,
     bistatic_snr,
     build_paths,
+    fast_length,
     make_rng,
     null_steer_beamform,
     null_steer_weights,
@@ -48,7 +49,7 @@ def broadcast_propagate(tx, paths, rx_array, params, seed):
     fs = tx.sample_rate_hz
     pulses = tx.pulses
     pad = int(math.ceil(max(p.delay_s for p in paths) * fs)) + 8
-    spp_out = tx.samples_per_pulse + pad
+    spp_out = fast_length(tx.samples_per_pulse + pad)
     pri = spp_out / fs
     spectra = np.fft.fft(tx.frames()[0], n=spp_out, axis=1)
     freq = np.fft.fftfreq(spp_out, d=1.0 / fs)
@@ -219,7 +220,7 @@ class TestPropagate:
         arr = ArrayModel(4, 0.5, boresight=0.0)
         path = PathDescriptor(delay, 2.0, aoa_rad=0.4, phase_rad=0.25)
         out = propagate(tx, [path], arr, params, seed=0)
-        assert out.samples_per_pulse == 64 + 5 + 8
+        assert out.samples_per_pulse == fast_length(64 + 5 + 8) == 80
         frame = out.frames()
         expected_static = 2.0 * np.exp(
             1j * (0.25 - 2.0 * math.pi * params.carrier_hz * delay)
@@ -430,6 +431,20 @@ class TestBeamCapture:
             beams = capture.beams(weights)
             fits = beams @ capture.direct.conj() / np.vdot(capture.direct, capture.direct)
             assert np.allclose(fits, weights.conj().T @ capture.coeffs, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("spp, delay, expected", [(24, 5.7, 40), (15344, 20.3, 15552)])
+    def test_frame_length_agrees_with_propagate(self, spp, delay, expected):
+        """Both pad the frame past the delay to the same 5-smooth length;
+        a 100 MHz slot with a 20.3-sample delay gets 15552, not 15373."""
+        params = RadarParams()
+        tx, paths = self.case(params)
+        if spp != 24:
+            tx = IqCapture(np.ones(spp, dtype=complex), tx.sample_rate_hz)
+            paths = [replace(paths[0], delay_s=delay / tx.sample_rate_hz)]
+        capture = BeamCapture(tx, paths, self.ARRAY, params, 0, self.DIRECT, self.COLUMNS)
+        out = propagate(tx, paths, self.ARRAY, params, 0)
+        assert capture.samples_per_pulse == out.samples_per_pulse == expected
+        assert expected == fast_length(spp + math.ceil(delay) + 8)
 
     def test_beams_are_drawn_once(self):
         params = RadarParams()

@@ -463,7 +463,8 @@ class TestSignalSweepTrials:
         assert len(calls) == 8
 
     def test_trials_1_matches_pinned_rows(self, capsys):
-        """Rows of channel draw layout v3 (beam-space receiver)."""
+        """Rows of channel draw layout v3 (beam-space receiver) on
+        5-smooth pulse frames."""
         argv = [
             "sweep", "--scenario", "scenario3", "--bandwidth-mhz", "100",
             "--engine", "signal", "--points", "8", "--trials", "1", "--seed", "5",
@@ -481,16 +482,16 @@ class TestSignalSweepTrials:
         )
         assert lines[2] == (
             "45.0,4.490568974573982,20.509431025426018,83.391023799538,"
-            "81.38020833333333,-2.010815466204679,45.0,44.9989298708925,"
-            "-0.0010701291074998586,0.3845738990166016,0.38039900775300484,"
-            "0.3845738990166016,0.38039900775300484,0.8742085455145368,"
+            "81.38020833333333,-2.010815466204679,45.0,44.9312949494059,"
+            "-0.06870505059409064,0.4043717378931754,0.38438968984887706,"
+            "0.4043717378931754,0.38438968984887706,0.8742085455145368,"
             "0.8705449669033845,ok"
         )
         assert lines[9:] == [
-            "# mean_abs_aoa_err_deg = 0.03605038497379367",
+            "# mean_abs_aoa_err_deg = 0.052190890120292315",
             "# mean_abs_tdoa_err_ns = 2.010815466204679",
-            "# mean_err_mode1_m = 0.3677144472042091",
-            "# mean_err_mode2_m = 0.35806087552417254",
+            "# mean_err_mode1_m = 0.37358083371378226",
+            "# mean_err_mode2_m = 0.36770800555399485",
             "# mean_gdop_mode1_m = 0.7942650544289366",
             "# mean_gdop_mode2_m = 0.7975065992834346",
             "# ok_points = 4.0",
