@@ -287,14 +287,11 @@ def _peak_with_floor(
 
 @dataclass(frozen=True)
 class MatchedFilter:
-    """The pilot reference prepared for beams of ``length`` samples.
-
-    The reference is zero outside its pilot symbol, so only its non-zero
-    span, which begins at sample ``start``, is kept: its conjugated
-    spectrum and circular autocorrelation at one `fast_length` transform
-    size with room for every non-negative lag of the linear correlation
-    with a beam read from ``start`` on, and for both tails of the
-    autocorrelation template."""
+    """The pilot reference prepared for beams of ``length`` samples: its
+    non-zero span, from sample ``start`` on, as conjugated spectrum and
+    circular autocorrelation at one `fast_length` transform size with
+    room for every non-negative lag of the linear correlation and for
+    both tails of the autocorrelation template."""
 
     length: int
     start: int
@@ -305,10 +302,9 @@ class MatchedFilter:
 def matched_filter(reference: IqCapture, length: int) -> MatchedFilter:
     """The matched filter `estimate_tdoa` uses for beams of ``length`` samples.
 
-    Correlating with the span from the reference's first to its last
-    non-zero sample gives the same sums as the whole reference, at the
-    smallest 5-smooth transform size of at least ``length`` plus that
-    span; an all-zero reference keeps its whole length."""
+    The reference is zero outside its pilot symbol, so its span from the
+    first to the last non-zero sample gives the same correlation sums (an
+    all-zero reference keeps its whole length)."""
     ref = reference.samples[0]
     nonzero = ref != 0
     start = int(np.argmax(nonzero))
@@ -348,9 +344,9 @@ def estimate_tdoa(
 
     The beams are streams of one capture and must have equal length.
     They are correlated with the reference's pilot span in one FFT pass
-    through ``matched``, the reference's `matched_filter` for that length; a
-    caller that correlates many captures passes it in, otherwise each
-    call builds it.
+    through ``matched``, the reference's `matched_filter` for that
+    length; a caller that correlates many captures passes it in,
+    otherwise each call builds it.
 
     ``guard_beam``, when given, is an interference-suppressed stream of
     the same capture (see `null_steer_beamform`) used as a guard channel
