@@ -94,8 +94,15 @@ def _load(args: argparse.Namespace):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration problem (exit 1), not argparse's exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bistar",
         description="Bistatic radar localization toolkit",
     )
@@ -151,9 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"--workers must be at least 1, not {args.workers}")
         with ExitStack() as stack:
             _run(args, stack)
         return 0

@@ -544,16 +544,17 @@ def _multistatic_point(
     nodes: list[NodePosition],
     index: int,
     theta_deg: float,
-) -> MultistaticRow:
+) -> tuple[MultistaticRow, tuple | None]:
+    """Draw stage of one fusion point: its row and the `_fuse` inputs of its
+    measured trials, or None when the row is already settled."""
     theta = math.radians(theta_deg)
-    err_model = cfg.error_override
     anchor = BistaticPair(nodes[0], nodes[1], Mode.MODE1)
     x, y = iso_range_point(anchor, cfg.sum_range, theta)
     target = TargetState(x, y, rcs_dbsm=cfg.rcs_dbsm)
     row = MultistaticRow(theta2_deg=theta_deg, x_m=x, y_m=y)
     if collinearity_deg(anchor, target) < cfg.exclusion_deg:
         row.status = STATUS_EXCLUDED
-        return row
+        return row, None
 
     true_pairs = [BistaticPair(nodes[0], rx, Mode.MODE1) for rx in nodes[1:]]
     usable = {
@@ -562,14 +563,14 @@ def _multistatic_point(
     }
     if not usable:
         row.status = "fail:no_usable_pair"
-        return row
+        return row, None
     row.pairs_used = len(usable)
 
     tdoa, aoa = _measurements(cfg, bench, index, target, usable, per_trial=True)
     measured = ~np.isnan(tdoa).any(axis=1)
     if not measured.any():
         row.status = "fail:detect"
-        return row
+        return row, None
     tdoa, aoa = tdoa[measured], aoa[measured]
     believed = _believed_nodes(cfg, index, nodes, per_trial=True)[measured]
     rx = believed[:, np.array(list(usable)) + 1]  # trial, pair, x/y
@@ -578,36 +579,50 @@ def _multistatic_point(
     for trial in believed.tolist():
         own = [NodePosition(*xy, n.sigma_x, n.sigma_y) for xy, n in zip(trial, nodes)]
         believed_pairs += [BistaticPair(own[0], own[i + 1]) for i in usable]
+    return row, (x, y, tx, rx, tdoa, aoa, believed_pairs)
 
-    # Every trial starts from the closed form of its pair with the best
-    # predicted dilution at the target and weights its pairs there.
-    predicted = gdop_batch(believed_pairs, x, y, err_model).reshape(tdoa.shape)
-    best = np.argmin(np.where(np.isnan(predicted), np.inf, predicted), axis=1)
-    rows = np.arange(len(best))
-    guess = locate_batch(tx[rows, best], rx[rows, best], tdoa[rows, best], aoa[rows, best])
-    at_guess = [np.repeat(guess[:, k], len(usable)) for k in (0, 1)]
-    weights = gdop_weights(
-        gdop_batch(believed_pairs, *at_guess, err_model).reshape(tdoa.shape)
-    )
-    # Whiten the two residual kinds by their standard deviations so
-    # meter-scale TDOA terms cannot drown the angle terms.
-    solution = solve_multistatic_batch(
-        tx, rx, tdoa, aoa, guess,
-        a=1.0 / (SPEED_OF_LIGHT * max(err_model.sigma_tdoa_s, 1e-15)),
-        b=1.0 / max(err_model.sigma_aoa_rad, 1e-12),
-        w=weights,
-    )
-    solved = ~solution.failed
-    fused = [math.hypot(px - x, py - y) for px, py in solution.xy[solved].tolist()]
-    closed = [math.hypot(px - x, py - y) for px, py in guess[solved].tolist()]
-    if not fused:
-        row.status = "fail:solver"
-        return row
-    row.err_fused_m = sum(fused) / len(fused)
-    row.err_best_pair_m = sum(closed) / len(closed)
-    row.fused_wins = sum(f <= c + 1e-12 for f, c in zip(fused, closed))
-    row.trials = len(fused)
-    return row
+
+def _fuse(err_model, points) -> list[MultistaticRow]:
+    """Fuse stage of a run, returning its rows. The measured trials of each
+    pair count in a block of 64 points (a memory bound) get one ranking,
+    weighting and solve, row-independent: rows read as if fused alone."""
+    groups: dict[tuple[int, int], list] = {}
+    for index, (row, inputs) in enumerate(points):
+        if inputs is not None:
+            groups.setdefault((row.pairs_used, index // 64), []).append((row, *inputs))
+    for group in groups.values():
+        rows, xs, ys, tx, rx, tdoa, aoa, pairs = zip(*group)
+        counts = [len(t) for t in tdoa]
+        tx, rx, tdoa, aoa = map(np.concatenate, (tx, rx, tdoa, aoa))
+        pairs = [pair for own in pairs for pair in own]
+        # Every trial starts from the closed form of its pair with the best
+        # predicted dilution at the target and weights its pairs there.
+        at_target = (np.repeat(v, np.multiply(counts, tdoa.shape[1])) for v in (xs, ys))
+        predicted = gdop_batch(pairs, *at_target, err_model).reshape(tdoa.shape)
+        best = np.argmin(np.where(np.isnan(predicted), np.inf, predicted), axis=1)
+        guess = locate_batch(*(v[np.arange(len(best)), best] for v in (tx, rx, tdoa, aoa)))
+        at_guess = [np.repeat(guess[:, k], tdoa.shape[1]) for k in (0, 1)]
+        weights = gdop_weights(gdop_batch(pairs, *at_guess, err_model).reshape(tdoa.shape))
+        # Whiten the two residual kinds by their standard deviations so
+        # meter-scale TDOA terms cannot drown the angle terms.
+        fit = solve_multistatic_batch(
+            tx, rx, tdoa, aoa, guess,
+            a=1.0 / (SPEED_OF_LIGHT * max(err_model.sigma_tdoa_s, 1e-15)),
+            b=1.0 / max(err_model.sigma_aoa_rad, 1e-12),
+            w=weights,
+        )
+        parts = (np.split(v, np.cumsum(counts)[:-1]) for v in (fit.xy, guess, ~fit.failed))
+        for row, x, y, fused_xy, closed_xy, solved in zip(rows, xs, ys, *parts):
+            fused = [math.hypot(px - x, py - y) for px, py in fused_xy[solved].tolist()]
+            closed = [math.hypot(px - x, py - y) for px, py in closed_xy[solved].tolist()]
+            if not fused:
+                row.status = "fail:solver"
+                continue
+            row.err_fused_m = sum(fused) / len(fused)
+            row.err_best_pair_m = sum(closed) / len(closed)
+            row.fused_wins = sum(f <= c + 1e-12 for f, c in zip(fused, closed))
+            row.trials = len(fused)
+    return [row for row, _ in points]
 
 
 def run_multistatic(cfg: ScenarioConfig, workers: int = 1) -> MultistaticResult:
@@ -617,15 +632,17 @@ def run_multistatic(cfg: ScenarioConfig, workers: int = 1) -> MultistaticResult:
     transmitter/receiver pair; every usable pair contributes a
     TDOA/AoA measurement and the weighted least-squares solver fuses
     them. Per trial the fused error is paired against the closed-form
-    solution of the pair with the best predicted dilution.
+    solution of the pair with the best predicted dilution. Points draw
+    one by one on ``workers`` threads, then `_fuse` fuses them in stacks.
     """
     if cfg.error_override is None:
         raise ConfigError("fusion weighting needs an error model (sigma overrides)")
     nodes = multistatic_nodes(cfg)
     bench = _SignalBench(cfg) if cfg.engine == ENGINE_SIGNAL else None
-    rows = _run_points(
+    points = _run_points(
         cfg, workers, lambda i, theta: _multistatic_point(cfg, bench, nodes, i, theta)
     )
+    rows = _fuse(cfg.error_override, points)
     ok = [r for r in rows if r.status == STATUS_OK]
     trials = sum(r.trials for r in ok)
     summary = {

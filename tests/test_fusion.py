@@ -451,6 +451,32 @@ class TestBatchedSolver:
         with pytest.raises(DegenerateGeometryError):
             solve_multistatic(problems[1], SolverOptions(initial_guess=guesses[1]))
 
+    def test_rows_solve_as_if_alone(self):
+        """Every output of every row of a stack equals that row solved
+        alone, bit for bit. A row with a NaN TDOA and a row whose weights
+        are NaN (every pair degenerate where they were predicted) fail
+        on their own and leave the other rows unchanged."""
+        rng = np.random.default_rng(612)
+        problems, guesses = map(list, zip(*(random_problem(rng, 3) for _ in range(8))))
+        clean = problems[2].measurements[1]
+        problems[2].measurements[1] = Measurement(math.nan, clean.aoa_rad, mode=clean.mode)
+        rows = [_rows(problem) for problem in problems]
+        columns = [np.array([row[k][0] for row in rows]) for k in range(4)]
+        a, b, w = (np.array([getattr(p, name) for p in problems]) for name in "abw")
+        tx = problems[5].pairs[0].tx_node
+        at_tx = gdop_batch(problems[5].pairs, tx.x, tx.y, MeasurementErrorModel(1e-9, 0.01))
+        w[5] = gdop_weights(at_tx[None])[0]
+        assert np.isnan(w[5]).all()
+        stacked = solve_multistatic_batch(*columns, guesses, a, b, w)
+        assert stacked.failed.tolist() == [row in (2, 5) for row in range(8)]
+        for row in range(8):
+            one = slice(row, row + 1)
+            alone = solve_multistatic_batch(
+                *(column[one] for column in columns), guesses[one], a[one], b[one], w[one]
+            )
+            for name in ("xy", "iterations", "converged", "loss", "failed"):
+                np.testing.assert_array_equal(getattr(stacked, name)[row], getattr(alone, name)[0])
+
     def test_empty_batch(self):
         empty = np.zeros((0, 3, 2))
         out = solve_multistatic_batch(empty, empty, np.zeros((0, 3)), np.zeros((0, 3)), [])

@@ -52,6 +52,7 @@ from bistar.harness import (
     STATUS_OK,
     SweepRow,
     _SignalBench,
+    _fuse,
     _multistatic_point,
     _primary_pair,
     _resolve_survey_aoa,
@@ -521,6 +522,22 @@ class TestMultistaticRuns:
         with pytest.raises(ConfigError):
             run_multistatic(cfg)
 
+    def test_stacked_fusion_matches_point_by_point(self):
+        """Fusing a run in stacks (two 64-point blocks and a remainder
+        here, mixed pair counts) writes the rows that fusing each point
+        alone writes."""
+        cfg = model_config("scenario3", points=130, trials=3, seed=8)
+        nodes = multistatic_nodes(cfg)
+
+        def draws():
+            thetas = theta_grid_deg(cfg.sweep_points)
+            return [_multistatic_point(cfg, None, nodes, i, t) for i, t in enumerate(thetas)]
+
+        stacked = _fuse(cfg.error_override, draws())
+        alone = [_fuse(cfg.error_override, [point])[0] for point in draws()]
+        assert len({row.pairs_used for row in stacked if row.status == STATUS_OK}) >= 2
+        assert list(map(repr, stacked)) == list(map(repr, alone))
+
     def test_matches_pinned_rows(self, capsys):
         """Rows of the per-trial draws (substream layout v1) under the
         batched solver: the best-pair columns equal the scalar solver's
@@ -622,10 +639,13 @@ class TestSignalMultistatic:
     and drops a trial whose measurement was refused."""
 
     def point(self, refuse):
+        """The row at 45 degrees through the draw stage, then the fuse stage."""
         cfg = preset_scenario("scenario3", seed=4)
         cfg.trials_per_point = 4
         bench = FakeReceiver(refuse)
-        return _multistatic_point(cfg, bench, multistatic_nodes(cfg), 0, 45.0), bench.calls
+        point = _multistatic_point(cfg, bench, multistatic_nodes(cfg), 0, 45.0)
+        _fuse(cfg.error_override, [point])
+        return point[0], bench.calls
 
     def test_refused_trial_is_dropped(self):
         clean, calls = self.point(())
@@ -824,12 +844,22 @@ class TestCli:
             ["doppler", "--pulses", "1"],
             ["doppler", "--speed-mps", "nan"],
             ["gdop-map", "--x-min", "nan"],
+            ["sweep", "--points", "x"],
+            ["sweep", "--bandwidth-mhz", "250"],
+            ["sweep", "--bogus"],
+            ["sweep", "--workers", "0"],
+            ["multistatic", "--workers", "-1"],
         ],
     )
     def test_flag_problems_exit_1(self, argv, capsys):
         assert main(argv + ["--scenario", "scenario1"]) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err and not captured.out
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["multistatic", "--help"])
+        assert exit_.value.code == 0 and "--workers" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",
