@@ -5,6 +5,16 @@ linearized measurement model to a position error covariance, and selects
 the transmit direction with the smaller predicted error.  One stacked
 kernel, `gdop_batch`, evaluates N geometries at once; the scalar
 functions are its one-row views.
+
+C1 is 2x2, so the kernel inverts it in closed form, elementwise over
+the rows, with no LAPACK call: B = adj(C1) / det.  That is invariant to
+the scale of C1's rows, which matters here: the TDOA row (seconds per
+meter) and the AoA row (radians per meter) differ by seven orders of
+magnitude.  Scaling a row by s scales det and the matching column of B
+by s and 1/s, so every rounding error is relative to the terms it
+touches.  An SVD instead leaves an absolute error of eps * s_max on the
+small singular value, about 1e-5 relative in P at ill-conditioned but
+accepted geometries.  Results do not depend on the LAPACK/BLAS build.
 """
 
 from __future__ import annotations
@@ -62,7 +72,8 @@ def _jacobians(
     baseline direction, over c, in the TDOA row; the AoA row is the
     negated target gradient in the receiving node's columns only.  Rows
     whose target sits on a node (or is not finite) hold an identity C1
-    and a zero C2 so the stacked SVDs stay finite; the mask refuses them.
+    and a zero C2 so the stacked arithmetic stays finite; the mask
+    refuses them.
     """
     n1x, n1y, n2x, n2y, length = np.array(
         [(p.n1.x, p.n1.y, p.n2.x, p.n2.y, p.baseline) for p in pairs], dtype=float
@@ -98,19 +109,41 @@ def _jacobians(
 def _covariance(
     c1: np.ndarray, c2: np.ndarray, meas: MeasurementErrorModel, pairs: Sequence[BistaticPair]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked P = B (R_z + C2 R_x C2^T) B^T and the condition numbers of C1."""
-    r_z = np.diag([meas.sigma_tdoa_s**2, meas.sigma_aoa_rad**2])
-    r_x = np.zeros((len(pairs), 4, 4))
-    r_x[:, range(4), range(4)] = np.array(
-        [(p.n1.sigma_x**2, p.n1.sigma_y**2, p.n2.sigma_x**2, p.n2.sigma_y**2) for p in pairs]
-    ).reshape(-1, 4)
-    b = np.linalg.pinv(c1)
-    p_dp = b @ (r_z + c2 @ r_x @ np.swapaxes(c2, -1, -2)) @ np.swapaxes(b, -1, -2)
-    return p_dp, np.linalg.cond(c1)
+    """Stacked P = B (R_z + C2 R_x C2^T) B^T and the condition numbers of C1.
+
+    Closed form of the 2x2 algebra, elementwise over the N rows: B is
+    adj(C1) / det, M = R_z + C2 R_x C2^T takes three sums because R_x is
+    diagonal, and P's off-diagonal entry is formed once, so P is exactly
+    symmetric.  cond = s_max^2 / |det|, with C1's larger singular value
+    s_max from two hypots.  Rows with det = 0 hold inf or NaN, and an
+    infinite or NaN condition number.
+    """
+    var = np.array(
+        [(p.n1.sigma_x**2, p.n1.sigma_y**2, p.n2.sigma_x**2, p.n2.sigma_y**2) for p in pairs],
+        dtype=float,
+    ).reshape(-1, 4).T
+    t, g = np.moveaxis(c2, 0, -1)  # TDOA and AoA rows, each 4 x N
+    tv, gv = t * var, g * var
+    m00 = meas.sigma_tdoa_s**2 + (t[0] * tv[0] + t[1] * tv[1] + t[2] * tv[2] + t[3] * tv[3])
+    m01 = t[0] * gv[0] + t[1] * gv[1] + t[2] * gv[2] + t[3] * gv[3]
+    m11 = meas.sigma_aoa_rad**2 + (g[0] * gv[0] + g[1] * gv[1] + g[2] * gv[2] + g[3] * gv[3])
+    a, b, c, d = np.moveaxis(c1.reshape(-1, 4), 0, -1)
+    det = a * d - b * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b00, b01, b10, b11 = d / det, -b / det, -c / det, a / det
+        s_max = (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2.0
+        condition = s_max * s_max / np.abs(det)
+        bm00, bm01 = b00 * m00 + b01 * m01, b00 * m01 + b01 * m11  # first row of B M
+        bm10, bm11 = b10 * m00 + b11 * m01, b10 * m01 + b11 * m11
+        p00 = bm00 * b00 + bm01 * b01
+        p01 = bm00 * b10 + bm01 * b11
+        p11 = bm10 * b10 + bm11 * b11
+    p_dp = np.stack([p00, p01, p01, p11], axis=-1).reshape(-1, 2, 2)
+    return p_dp, condition
 
 
 def _rms(p_dp: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.trace(p_dp, axis1=-2, axis2=-1))
+    return np.sqrt(p_dp[..., 0, 0] + p_dp[..., 1, 1])
 
 
 def gdop_batch(pairs: Sequence[BistaticPair], x, y, err: MeasurementErrorModel) -> np.ndarray:
@@ -152,15 +185,20 @@ def error_covariance(
     """2x2 position error covariance from measurement and node noise.
 
     Solves the linearized model dZ = C1 dp + C2 dX for dp with the
-    pseudo-inverse B of C1, giving
+    inverse B of C1, giving
 
         P = B (R_z + C2 R_x C2^T) B^T
 
     where R_z holds the measurement variances and R_x the node
-    coordinate variances.  B is computed by SVD rather than through the
-    normal equations because the TDOA row (seconds per meter) and the
-    AoA row (radians per meter) differ in scale by seven orders of
-    magnitude, and forming C1^T C1 would square that imbalance.
+    coordinate variances.  B = adj(C1) / det in closed form: each entry
+    of B is one entry of C1 over det, so scaling C1's TDOA row (seconds
+    per meter) against its AoA row (radians per meter), seven orders of
+    magnitude apart, scales the matching column of B exactly and leaves
+    the relative rounding error alone.  Neither the normal equations
+    (C1^T C1 squares the imbalance) nor an SVD (absolute error eps *
+    s_max on the small singular value) has that property.  P is exactly
+    symmetric, and zero sigmas need no special path: nothing divides by
+    a sigma.
 
     Raises:
         DegenerateGeometryError: when C1 is ill conditioned

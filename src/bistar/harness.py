@@ -16,6 +16,7 @@ import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -480,31 +481,54 @@ def _format(value) -> str:
     return str(value)
 
 
-def _write_table(path, header, rows, summary: dict | None = None) -> None:
-    """The one CSV writer: ``header``, then ``rows`` of `_format`ted values,
-    then a ``# key = value`` line per ``summary`` entry in key order.
+def _column_texts(column: list) -> list[str]:
+    """`_format` of each value of a column.
+
+    The `_format` of a float is its repr, blank for NaN, so a float
+    column is repr'd at C speed, and only once per distinct value when
+    values repeat.  Other columns go through `_format`: equal values of
+    other types (1, 1.0, True) print apart, and so do 0.0 and -0.0,
+    which share a key.
+    """
+    texts = dict.fromkeys(column)
+    if not all(type(value) is float for value in texts):
+        return list(map(_format, column))
+    if len(texts) * 2 > len(column):
+        out = list(map(repr, column))
+    else:
+        texts.update(zip(texts, map(repr, texts)))
+        out = list(map(texts.__getitem__, column))
+        if 0.0 in texts:
+            out = [repr(v) if v == 0.0 else text for v, text in zip(column, out)]
+    return [text if text != "nan" else "" for text in out] if "nan" in out else out
+
+
+def _write_table(path, header, columns, summary: dict | None = None) -> None:
+    """The one CSV writer: ``header``, then a row per index of the equal
+    length ``columns`` of values, each column `_format`ted at once, then
+    a ``# key = value`` line per ``summary`` entry in key order.
 
     Writes to ``path`` itself if it is writable, else to the file it names.
     """
     if not hasattr(path, "write"):
         with open(path, "w", newline="") as handle:
-            _write_table(handle, header, rows, summary)
+            _write_table(handle, header, columns, summary)
         return
     writer = csv.writer(path, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(zip(*map(_column_texts, columns)))
     for key in sorted(summary or {}):
         path.write(f"# {key} = {_format(summary[key])}\n")
 
 
-def _records(names: list[str], records):
-    """One row of `_format`ted ``names`` attributes per record."""
-    return ([_format(getattr(record, name)) for name in names] for record in records)
-
-
-def _write_records(path, row_type, records, summary: dict | None = None) -> None:
+def _write_records(path, row_type, records: list, summary: dict | None = None) -> None:
+    """One row per record, one column per field of ``row_type``."""
     names = [f.name for f in fields(row_type)]
-    _write_table(path, names, _records(names, records), summary)
+    _write_table(path, names, _columns(names, records), summary)
+
+
+def _columns(names: list[str], records: list) -> list[list]:
+    return [list(map(attrgetter(name), records)) for name in names]
 
 
 def write_sweep_csv(result: SweepResult, path: str | Path | io.TextIOBase) -> None:
@@ -732,7 +756,7 @@ def run_doppler(cfg: ScenarioConfig) -> DopplerResult:
 def write_doppler_csv(result: DopplerResult, path) -> None:
     """Single-row CSV of the Doppler run scalars."""
     names = [f.name for f in fields(DopplerResult) if f.name != "rd_map"]
-    _write_table(path, names, _records(names, [result]))
+    _write_table(path, names, _columns(names, [result]))
 
 
 def write_range_doppler_csv(
@@ -740,11 +764,9 @@ def write_range_doppler_csv(
 ) -> None:
     """Range-Doppler magnitudes: Doppler axis header, delay axis column."""
     rows = max(max_delay_bins, 0)
-    delays = rd_map.delay_axis_s[:rows].tolist()
-    magnitudes = rd_map.magnitudes[:rows].tolist()
+    columns = [rd_map.delay_axis_s[:rows].tolist(), *rd_map.magnitudes[:rows].T.tolist()]
     header = ["delay_s"] + [_format(v) for v in rd_map.doppler_axis_hz.tolist()]
-    cells = ([_format(v) for v in [delay, *row]] for delay, row in zip(delays, magnitudes))
-    _write_table(path, header, cells)
+    _write_table(path, header, columns)
 
 
 def run_gdop_map(cfg: ScenarioConfig, grid: GridSpec) -> list[GdopCell]:

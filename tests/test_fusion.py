@@ -322,7 +322,8 @@ class TestComputeWeights:
         assert weights.sum() == pytest.approx(3.0, rel=1e-12)
 
     def test_matches_pinned_weights(self):
-        """Weights recorded from the per-pair loop implementation."""
+        """Weights recorded from the closed-form GDOP kernel (the SVD kernel's
+        differed from the 9th digit on)."""
         tx = NodePosition(0.0, 0.0, 0.01, 0.01)
         pairs = []
         for i in range(3):
@@ -333,9 +334,9 @@ class TestComputeWeights:
             pairs=pairs, measurements=[exact_measurement(p) for p in pairs]
         )
         weights = compute_weights(problem, (10.0, 20.0), MeasurementErrorModel(1e-9, 0.01))
-        assert weights.tolist() == [1.1545865647149658, 0.9796814378148047, 0.8657319974702299]
+        assert weights.tolist() == [1.1545865656830245, 0.9796814374895276, 0.8657319968274484]
         weights = compute_weights(problem, (-3.0, 7.5), MeasurementErrorModel(2e-9, 0.003))
-        assert weights.tolist() == [0.8333534289759569, 0.5315489982532704, 1.6350975727707728]
+        assert weights.tolist() == [0.8333534302329911, 0.5315489980368783, 1.6350975717301304]
 
     def test_zero_predicted_error_shares_weight_equally(self):
         problem = exact_problem(3)

@@ -1,6 +1,8 @@
 """Dilution-of-precision predictions against numerical oracles."""
 
+import importlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from bistar import (
     error_covariance,
     gdop,
     gdop_batch,
+    gdop_weights,
     jacobian_c1,
     jacobian_c2,
     locate_bistatic,
@@ -26,6 +29,9 @@ from bistar import (
     true_aoa,
     true_tdoa,
 )
+
+# The package exports the function `gdop`, which shadows the module name.
+gdop_module = importlib.import_module("bistar.gdop")
 
 
 def pair_at(x1, y1, x2, y2, mode=Mode.MODE1, sigma=0.0):
@@ -35,7 +41,11 @@ def pair_at(x1, y1, x2, y2, mode=Mode.MODE1, sigma=0.0):
 
 
 def reference_gdop(pair, target, meas):
-    """Per-geometry formulas the stacked kernel replaced, kept as its oracle.
+    """Scalar closed form in Python floats, the stacked kernel's oracle.
+
+    Builds C1 and C2 entry by entry, M = R_z + C2 R_x C2^T, B = adj(C1) / det
+    and P = B M B^T, in the kernel's order of operations, and refuses C1
+    with condition number s_max^2 / |det| above CONDITION_LIMIT.
 
     Returns (C1, C2, P, gdop_m) or raises DegenerateGeometryError.
     """
@@ -47,40 +57,44 @@ def reference_gdop(pair, target, meas):
     if r_sq < 1e-18:
         raise DegenerateGeometryError("target coincides with the node")
     th_dx, th_dy = -dy / r_sq, -dx / r_sq
-    c1 = np.array(
-        [
-            [
-                ((target.x - n1.x) / r1 + (target.x - n2.x) / r2) / c,
-                ((target.y - n1.y) / r1 + (target.y - n2.y) / r2) / c,
-            ],
-            [th_dx, th_dy],
-        ]
-    )
+    a = ((target.x - n1.x) / r1 + (target.x - n2.x) / r2) / c
+    b = ((target.y - n1.y) / r1 + (target.y - n2.y) / r2) / c
     length = pair.baseline
-    row = np.zeros(4)
+    t = [
+        ((n1.x - target.x) / r1 - (n1.x - n2.x) / length) / c,
+        ((n1.y - target.y) / r1 - (n1.y - n2.y) / length) / c,
+        ((n2.x - target.x) / r2 - (n2.x - n1.x) / length) / c,
+        ((n2.y - target.y) / r2 - (n2.y - n1.y) / length) / c,
+    ]
+    g = [0.0] * 4
     if pair.mode is Mode.MODE1:
-        row[2], row[3] = -th_dx, -th_dy
+        g[2], g[3] = -th_dx, -th_dy
     else:
-        row[0], row[1] = -th_dx, -th_dy
-    c2 = np.array(
-        [
-            [
-                ((n1.x - target.x) / r1 - (n1.x - n2.x) / length) / c,
-                ((n1.y - target.y) / r1 - (n1.y - n2.y) / length) / c,
-                ((n2.x - target.x) / r2 - (n2.x - n1.x) / length) / c,
-                ((n2.y - target.y) / r2 - (n2.y - n1.y) / length) / c,
-            ],
-            row,
-        ]
+        g[0], g[1] = -th_dx, -th_dy
+    var = [n1.sigma_x**2, n1.sigma_y**2, n2.sigma_x**2, n2.sigma_y**2]
+    m00 = meas.sigma_tdoa_s**2 + (
+        t[0] * (t[0] * var[0]) + t[1] * (t[1] * var[1])
+        + t[2] * (t[2] * var[2]) + t[3] * (t[3] * var[3])
     )
-    condition = np.linalg.cond(c1)
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+    m01 = (
+        t[0] * (g[0] * var[0]) + t[1] * (g[1] * var[1])
+        + t[2] * (g[2] * var[2]) + t[3] * (g[3] * var[3])
+    )
+    m11 = meas.sigma_aoa_rad**2 + (
+        g[0] * (g[0] * var[0]) + g[1] * (g[1] * var[1])
+        + g[2] * (g[2] * var[2]) + g[3] * (g[3] * var[3])
+    )
+    det = a * th_dy - b * th_dx
+    s_max = (math.hypot(a + th_dy, b - th_dx) + math.hypot(a - th_dy, b + th_dx)) / 2.0
+    if det == 0.0 or not s_max * s_max / abs(det) <= CONDITION_LIMIT:
         raise DegenerateGeometryError("ill conditioned")
-    b = np.linalg.pinv(c1)
-    r_z = np.diag([meas.sigma_tdoa_s**2, meas.sigma_aoa_rad**2])
-    r_x = np.diag([n1.sigma_x**2, n1.sigma_y**2, n2.sigma_x**2, n2.sigma_y**2])
-    p_dp = b @ (r_z + c2 @ r_x @ c2.T) @ b.T
-    return c1, c2, p_dp, math.sqrt(np.trace(p_dp))
+    b00, b01, b10, b11 = th_dy / det, -b / det, -th_dx / det, a / det
+    p00 = (b00 * m00 + b01 * m01) * b00 + (b00 * m01 + b01 * m11) * b01
+    p01 = (b00 * m00 + b01 * m01) * b10 + (b00 * m01 + b01 * m11) * b11
+    p11 = (b10 * m00 + b11 * m01) * b10 + (b10 * m01 + b11 * m11) * b11
+    c1 = np.array([[a, b], [th_dx, th_dy]])
+    p_dp = np.array([[p00, p01], [p01, p11]])
+    return c1, np.array([t, g]), p_dp, math.sqrt(p00 + p11)
 
 
 def reference_or_nan(pair, target, meas):
@@ -88,6 +102,31 @@ def reference_or_nan(pair, target, meas):
         return reference_gdop(pair, target, meas)[3]
     except DegenerateGeometryError:
         return math.nan
+
+
+def exact_trace(c1, c2, meas, pair):
+    """trace(P) in rational arithmetic from the float entries of C1 and C2."""
+    (a, b), (c, d) = [[Fraction(v) for v in row] for row in c1.tolist()]
+    t, g = [[Fraction(v) for v in row] for row in c2.tolist()]
+    n1, n2 = pair.n1, pair.n2
+    var = [Fraction(s) ** 2 for s in (n1.sigma_x, n1.sigma_y, n2.sigma_x, n2.sigma_y)]
+    m00 = Fraction(meas.sigma_tdoa_s) ** 2 + sum(ti * ti * v for ti, v in zip(t, var))
+    m01 = sum(ti * gi * v for ti, gi, v in zip(t, g, var))
+    m11 = Fraction(meas.sigma_aoa_rad) ** 2 + sum(gi * gi * v for gi, v in zip(g, var))
+    # trace(adj M adj^T) / det^2 with adj = [[d, -b], [-c, a]].
+    num = (d * d + c * c) * m00 - 2 * (b * d + a * c) * m01 + (b * b + a * a) * m11
+    return num / (a * d - b * c) ** 2
+
+
+def exact_condition(c1):
+    """2-norm condition number of C1 from rational arithmetic: with
+    k = s_max / s_min, k + 1/k = ||C1||_F^2 / |det| exactly."""
+    (a, b), (c, d) = [[Fraction(v) for v in row] for row in c1.tolist()]
+    det = abs(a * d - b * c)
+    if det == 0:
+        return math.inf
+    q = float((a * a + b * b + c * c + d * d) / det)
+    return q if q > 1e150 else (q + math.sqrt(q * q - 4.0)) / 2.0
 
 
 def same_bits(a, b):
@@ -298,6 +337,45 @@ class TestStackedKernel:
             # One draw lands close enough to its baseline to be refused.
             assert np.isnan(stacked).sum() == 1
 
+    def test_matches_exact_rational(self):
+        rng = np.random.default_rng(404)
+        pairs, xs, ys = self.random_geometries(rng, 2000)
+        meas = MeasurementErrorModel(1.3e-9, math.radians(0.17))
+        stacked = gdop_batch(pairs, xs, ys, meas)
+        worst = 0.0
+        for pair, x, y, value in zip(pairs, xs, ys, stacked.tolist()):
+            if math.isnan(value):
+                continue
+            target = TargetState(x, y)
+            trace = exact_trace(jacobian_c1(pair, target), jacobian_c2(pair, target), meas, pair)
+            worst = max(worst, abs(Fraction(value) ** 2 / trace - 1))
+        assert worst <= 1e-13
+
+    def test_condition_matches_linalg_cond(self):
+        rng = np.random.default_rng(404)
+        pairs, xs, ys = self.random_geometries(rng, 2000)
+        # Targets closing in on the baseline segment push C1 towards singular.
+        near = pair_at(0, 0, 25, 0, mode=Mode.MODE2)
+        for k in range(1, 16):
+            for x in (3.0, 12.0, 21.5):
+                pairs.append(near)
+                xs.append(x)
+                ys.append(10.0**-k)
+        meas = MeasurementErrorModel(1e-9, 1e-3)
+        c1, c2, off_node = gdop_module._jacobians(pairs, xs, ys)
+        condition = gdop_module._covariance(c1, c2, meas, pairs)[1]
+        exact = np.array([exact_condition(m) for m in c1])
+        assert np.allclose(condition, exact, rtol=1e-13, atol=0.0)
+        # The SVD's small singular value is off by about eps * s_max, so
+        # np.linalg.cond itself is only good to ~1e-7 up to 1e9.
+        reference = np.linalg.cond(c1)
+        trusted = reference < 1e9
+        assert trusted.sum() > 1900
+        assert np.allclose(condition[trusted], reference[trusted], rtol=1e-6, atol=0.0)
+        refused = ~(off_node & (reference <= CONDITION_LIMIT))
+        assert refused.sum() > 1
+        assert np.array_equal(np.isnan(gdop_batch(pairs, xs, ys, meas)), refused)
+
     def test_scalar_report_matches_reference(self):
         rng = np.random.default_rng(405)
         pairs, xs, ys = self.random_geometries(rng, 200)
@@ -368,6 +446,53 @@ class TestStackedKernel:
     def test_empty_batch(self):
         values = gdop_batch([], [], [], MeasurementErrorModel(1e-9, 1e-3))
         assert values.shape == (0,)
+
+
+class TestNonFiniteAndZeroSigmaInputs:
+    """Properties of gdop_batch and gdop_weights at the edges of their inputs."""
+
+    meas = MeasurementErrorModel(1e-9, math.radians(0.1))
+
+    def test_non_finite_targets_give_nan_rows(self):
+        bad = [math.nan, math.inf, -math.inf]
+        for mode in (Mode.MODE1, Mode.MODE2):
+            pair = pair_at(0, 0, 25, 0, mode=mode, sigma=0.01)
+            xs = bad + [9.0] * 3 + bad
+            ys = [17.0] * 3 + bad + bad[::-1]
+            with np.errstate(all="raise"):
+                values = gdop_batch([pair], xs, ys, self.meas)
+            assert np.isnan(values).all()
+            weights = gdop_weights(np.stack([values, values, values], axis=1))
+            assert np.isnan(weights).all()
+
+    def test_target_on_a_node_gives_nan_and_no_weight(self):
+        pairs = [pair_at(0, 0, 25, 0, mode=m) for m in (Mode.MODE1, Mode.MODE2)]
+        pairs.append(pair_at(0, 0, 10, 30))
+        with np.errstate(all="raise"):
+            values = gdop_batch(pairs, 25.0, 0.0, self.meas)
+        assert np.isnan(values[:2]).all() and np.isfinite(values[2])
+        assert gdop_weights(values[None]).tolist() == [[0.0, 0.0, 3.0]]
+
+    def test_zero_sigmas_give_finite_psd_covariance(self):
+        rng = np.random.default_rng(31)
+        cases = [
+            (MeasurementErrorModel(2e-9, 0.0), 0.01),  # scenario1: sigma_aoa = 0
+            (MeasurementErrorModel(2e-9, math.radians(0.2)), 0.0),  # exact nodes
+            (MeasurementErrorModel(0.0, math.radians(0.2)), 0.01),
+        ]
+        for meas, sigma in cases:
+            for mode in (Mode.MODE1, Mode.MODE2):
+                pair = pair_at(0, 0, 25, 0, mode=mode, sigma=sigma)
+                xs, ys = rng.uniform(-20, 45, 50), rng.uniform(3, 40, 50)
+                with np.errstate(all="raise"):
+                    values = gdop_batch([pair], xs, ys, meas)
+                    weights = gdop_weights(values.reshape(-1, 2))
+                assert np.isfinite(values).all() and (values > 0.0).all()
+                assert np.isfinite(weights).all()
+                for x, y in zip(xs[:10].tolist(), ys[:10].tolist()):
+                    cov = gdop(pair, TargetState(x, y), meas).p_dp
+                    assert np.isfinite(cov).all() and cov[0, 1] == cov[1, 0]
+                    assert np.all(np.linalg.eigvalsh(cov) >= -1e-12 * np.trace(cov))
 
 
 class TestSelectModePinned:

@@ -331,7 +331,8 @@ def reference_sweep_point(cfg, index, theta_deg):
 
 class TestBatchedModelSweep:
     def test_trials_1_matches_pinned_rows(self, capsys):
-        """Rows recorded before the trials of a point were batched."""
+        """Rows recorded before the trials of a point were batched; the
+        GDOP columns re-recorded from the closed-form GDOP kernel."""
         argv = [
             "sweep", "--scenario", "scenario3", "--bandwidth-mhz", "100",
             "--engine", "model", "--points", "8", "--trials", "1", "--seed", "5",
@@ -342,15 +343,15 @@ class TestBatchedModelSweep:
             "45.0,4.490568974573982,20.509431025426018,83.391023799538,"
             "82.82290319921525,-0.5681206003227635,45.0,44.823490155144306,"
             "-0.1765098448557034,0.17220961367687926,0.5748847333805388,"
-            "0.17220961367687926,0.5748847333805388,0.8742085455145368,"
-            "0.8705449669033845,ok"
+            "0.17220961367687926,0.5748847333805388,0.8742085455107859,"
+            "0.8705449676505854,ok"
         )
         assert lines[8] == (
             "315.0,34.7951453111403,9.795145311140303,83.391023799538,"
             "78.53040997230205,-4.860613827235953,315.0,315.304173866606,"
             "0.3041738666059819,0.7803896857346155,0.8084000914661823,"
-            "0.7803896857346155,0.8084000914661823,0.7143215633438774,"
-            "0.7244682317613829,ok"
+            "0.7803896857346155,0.8084000914661823,0.7143215638289838,"
+            "0.7244682316491513,ok"
         )
         assert "# mean_err_mode1_m = 0.4949635927650092" in lines
         assert "# mean_err_mode2_m = 0.6776664424044787" in lines
@@ -465,7 +466,7 @@ class TestSignalSweepTrials:
 
     def test_trials_1_matches_pinned_rows(self, capsys):
         """Rows of channel draw layout v3 (beam-space receiver) on
-        5-smooth pulse frames."""
+        5-smooth pulse frames, GDOP columns from the closed-form kernel."""
         argv = [
             "sweep", "--scenario", "scenario3", "--bandwidth-mhz", "100",
             "--engine", "signal", "--points", "8", "--trials", "1", "--seed", "5",
@@ -479,22 +480,22 @@ class TestSignalSweepTrials:
         )
         assert lines[1] == (
             "0.0,25.0,18.75,83.391023799538,,,0.0,,,,,,,"
-            "0.8369757659409806,0.842688122724044,fail:detect"
+            "0.8369757659394245,0.842688122173002,fail:detect"
         )
         assert lines[2] == (
             "45.0,4.490568974573982,20.509431025426018,83.391023799538,"
             "81.38020833333333,-2.010815466204679,45.0,44.9312949494059,"
             "-0.06870505059409064,0.4043717378931754,0.38438968984887706,"
-            "0.4043717378931754,0.38438968984887706,0.8742085455145368,"
-            "0.8705449669033845,ok"
+            "0.4043717378931754,0.38438968984887706,0.8742085455107859,"
+            "0.8705449676505854,ok"
         )
         assert lines[9:] == [
             "# mean_abs_aoa_err_deg = 0.052190890120292315",
             "# mean_abs_tdoa_err_ns = 2.010815466204679",
             "# mean_err_mode1_m = 0.37358083371378226",
             "# mean_err_mode2_m = 0.36770800555399485",
-            "# mean_gdop_mode1_m = 0.7942650544289366",
-            "# mean_gdop_mode2_m = 0.7975065992834346",
+            "# mean_gdop_mode1_m = 0.794265054669885",
+            "# mean_gdop_mode2_m = 0.7975065996498684",
             "# ok_points = 4.0",
             "# points = 8.0",
         ]
@@ -541,7 +542,9 @@ class TestMultistaticRuns:
     def test_matches_pinned_rows(self, capsys):
         """Rows of the per-trial draws (substream layout v1) under the
         batched solver: the best-pair columns equal the scalar solver's
-        rows, the fused errors differ from them in the eleventh digit."""
+        rows, the fused errors differ from them in the eleventh digit.
+        The fused errors were re-recorded when the GDOP weights moved to
+        the closed-form kernel; the best-pair columns did not move."""
         argv = [
             "multistatic", "--scenario", "scenario3", "--bandwidth-mhz", "400",
             "--engine", "model", "--points", "8", "--trials", "4", "--seed", "5",
@@ -549,14 +552,14 @@ class TestMultistaticRuns:
         assert main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[2] == (
-            "45.0,4.490568974573982,20.509431025426018,0.012619217475804287,"
+            "45.0,4.490568974573982,20.509431025426018,0.012619217476818786,"
             "0.14691117107336385,4,4,3,ok"
         )
         assert lines[5] == (
-            "180.0,24.999999999999996,-18.75,0.023805280775462234,"
+            "180.0,24.999999999999996,-18.75,0.02380528076681703,"
             "0.02463030886960958,3,4,3,ok"
         )
-        assert "# mean_err_fused_m = 0.020485606954022892" in lines
+        assert "# mean_err_fused_m = 0.020485606853324286" in lines
 
     @pytest.mark.parametrize("name, trials", [("scenario1", 3), ("scenario3", 12)])
     def test_matches_per_trial_scalar_loop(self, name, trials):
@@ -734,6 +737,26 @@ class TestCsvBytes:
             b"1e-09,0.30000000000000004,2.5\n"
         )
 
+
+    def test_repeated_values_print_like_single_cells(self):
+        """The per-column text cache keeps `_format`'s contract: signed
+        zeros, NaN, numpy scalars and equal values of other types print
+        as each would alone."""
+        nan = math.nan
+        xs = [0.0, -0.0, 1.5, 1.5, -0.0, 0.0, nan, float("nan"), 1.5, 0.0]
+        ys = [1, 1.0, True, np.float64(1.0), np.int64(1), 1.0, 1, 1.0, True, 2]
+        g1 = [1e-20, 1e-20, 2.5, 2.5, nan, nan, 2.5, 1e-20, 2.5, 2.5]
+        g2 = np.linspace(0.0, 1.0, 10).tolist()
+        cells = [harness.GdopCell(*row, "mode1") for row in zip(xs, ys, g1, g2)]
+        out = io.StringIO()
+        harness.write_gdop_map_csv(cells, out)
+        expected = [
+            ",".join(map(harness._format, (c.x_m, c.y_m, c.gdop_mode1_m, c.gdop_mode2_m)))
+            + ",mode1"
+            for c in cells
+        ]
+        assert out.getvalue().splitlines()[1:] == expected
+        assert expected[:2] == ["0.0,1,1e-20,0.0,mode1", "-0.0,1.0,1e-20,0.1111111111111111,mode1"]
 
 class TestGdopMap:
     def test_grid_layout_and_modes(self):
