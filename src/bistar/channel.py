@@ -33,6 +33,17 @@ from .waveform import IqCapture, fast_length
 # frame start; the frame then grows to the next `fast_length`.
 _PAD_GUARD = 8
 
+# Samples per block of the capture-length products in `BeamCapture.beams`:
+# each block's temporaries are small. A power of two, so block edges fall
+# on the column unroll of the BLAS kernels and each sample is computed
+# as in the one-shot product (odd blocks round some samples otherwise).
+_BLOCK = 1 << 16
+
+
+def _blocks(n: int):
+    """Slices covering ``range(n)`` in `_BLOCK` steps."""
+    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
+
 
 def make_rng(seed, *key: int) -> np.random.Generator:
     """Generator of the substream named by ``seed`` and ``key``.
@@ -44,7 +55,13 @@ def make_rng(seed, *key: int) -> np.random.Generator:
     if isinstance(seed, np.random.Generator) and not key:
         return seed
     head = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
-    return np.random.default_rng(np.random.SeedSequence(head + [int(k) for k in key]))
+    words = head + [int(k) for k in key]
+    # SeedSequence splits each int into 32-bit words and takes a uint32
+    # array as it is: one state either way, and the array skips the slow
+    # per-int conversion. Negative and wider ints keep the int path.
+    if 0 <= min(words) and max(words) < 1 << 32:
+        words = np.array(words, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 @dataclass(frozen=True)
@@ -271,7 +288,8 @@ def propagate(
 def _complex_normals(rng: np.random.Generator, shape: tuple, power: float) -> np.ndarray:
     """Circular complex normals of mean power ``power``."""
     draws = rng.standard_normal((*shape[:-1], 2 * shape[-1]))
-    return math.sqrt(power / 2.0) * draws.view(np.complex128)
+    draws *= math.sqrt(power / 2.0)
+    return draws.view(np.complex128)
 
 
 class BeamCapture:
@@ -316,7 +334,8 @@ class BeamCapture:
         self._rng = make_rng(seed)
 
         self._zeta = _complex_normals(self._rng, self._units.shape[1:], self._power / elements)
-        d = self.direct = (u.conj() @ self._steer / elements) @ self._units + self._zeta
+        d = self.direct = (u.conj() @ self._steer / elements) @ self._units
+        d += self._zeta
         g = _complex_normals(self._rng, (elements, columns.size), self._power)
         self._perp_g = g - np.outer(u, u.conj() @ g) / elements
         d_cols = d[columns]
@@ -343,16 +362,28 @@ class BeamCapture:
             raise RuntimeError("the beams of a capture are drawn once")
         rng, self._rng = self._rng, None
         a_h = weights.conj().T
-        u = self._u
+        u, d, columns = self._u, self.direct, self.columns
         perp = weights - np.outer(u, u.conj() @ weights) / u.size
         values, vectors = np.linalg.eigh(perp.conj().T @ perp)
         root = vectors * np.sqrt(np.clip(values, 0.0, None))
-        noise = root @ _complex_normals(rng, (weights.shape[1], self.direct.size), self._power)
+        noise = _complex_normals(rng, (weights.shape[1], d.size), self._power)
+        for block in _blocks(d.size):
+            noise[:, block] = root @ noise[:, block]
         # Off the columns, condition P⊥n on y, its projection onto the
-        # direct beam there; at the columns, use the drawn samples.
-        d_off = self.direct.copy()
-        d_off[self.columns] = 0.0
-        noise += np.outer((a_h @ self._y - noise @ d_off.conj()) / self._energy_off, d_off)
-        noise[:, self.columns] = a_h @ self._perp_g
-        noise += np.outer(a_h @ u, self._zeta)
-        return noise + (a_h @ self._steer) @ self._units
+        # direct beam there; at the columns, use the drawn samples. The
+        # direct beam is zeroed at the columns and conjugated in place
+        # for the fit, then restored, so no copy of it is made.
+        d_cols = d[columns]
+        d[columns] = 0.0
+        np.conjugate(d, out=d)
+        fit = (a_h @ self._y - noise @ d) / self._energy_off
+        np.conjugate(d, out=d)
+        for block in _blocks(d.size):
+            noise[:, block] += fit[:, np.newaxis] * d[block]
+        d[columns] = d_cols
+        noise[:, columns] = a_h @ self._perp_g
+        zeta_gain, mix = a_h @ u, a_h @ self._steer
+        for block in _blocks(d.size):
+            noise[:, block] += zeta_gain[:, np.newaxis] * self._zeta[block]
+            noise[:, block] += mix @ self._units[:, block]
+        return noise

@@ -36,6 +36,10 @@ from .waveform import IqCapture, fast_length
 # through this factor.
 MEAN_ABS_TO_SIGMA = math.sqrt(math.pi / 2.0)
 
+# Delay rows per slow-time DFT block of `range_doppler` (4 MiB of
+# spectrum at 256 Doppler bins).
+_DELAY_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class Measurement:
@@ -251,8 +255,10 @@ def project_out_stream(capture: IqCapture, stream: np.ndarray) -> IqCapture:
     if energy <= 0.0:
         raise ValueError("reference stream has no energy")
     coeffs = capture.samples @ reference.conj() / energy
+    cleaned = coeffs[:, np.newaxis] * reference[np.newaxis, :]
+    np.subtract(capture.samples, cleaned, out=cleaned)
     return IqCapture(
-        capture.samples - coeffs[:, np.newaxis] * reference[np.newaxis, :],
+        cleaned,
         capture.sample_rate_hz,
         pulses=capture.pulses,
         samples_per_pulse=capture.samples_per_pulse,
@@ -468,12 +474,19 @@ def range_doppler(
     if ref.shape[0] > spp:
         raise ValueError("reference longer than one pulse frame")
 
-    spectra = np.fft.fft(frames, axis=1) * np.fft.fft(ref, spp).conj()[np.newaxis, :]
-    fast = np.fft.ifft(spectra, axis=1)
+    fast = np.fft.ifft(np.fft.fft(frames, axis=1) * np.fft.fft(ref, spp).conj(), axis=1)
 
+    # The slow-time DFT runs over blocks of delay rows, each written
+    # fftshifted into the one magnitude array: no spectrum of the whole
+    # train is held. Each row is the one-shot transform, bit for bit.
     bins = train.pulses * pad_factor
-    slow = np.fft.fft(np.ascontiguousarray(fast.T), n=bins, axis=1)
-    magnitudes = np.fft.fftshift(np.abs(slow), axes=1)
+    half = bins // 2
+    magnitudes = np.empty((spp, bins))
+    for start in range(0, spp, _DELAY_BLOCK):
+        rows = slice(start, start + _DELAY_BLOCK)
+        slow = np.fft.fft(np.ascontiguousarray(fast[:, rows].T), n=bins, axis=1)
+        np.abs(slow[:, : bins - half], out=magnitudes[rows, half:])
+        np.abs(slow[:, bins - half :], out=magnitudes[rows, :half])
     delay_axis = np.arange(spp) / fs
     doppler_axis = np.fft.fftshift(np.fft.fftfreq(bins, d=pri))
     return RangeDopplerMap(magnitudes, delay_axis, doppler_axis)

@@ -260,15 +260,15 @@ class _SignalBench:
         self,
         pair: BistaticPair,
         target: TargetState,
-        tx: IqCapture,
         seed_key: tuple[int, ...],
         delayed_frames: dict | None = None,
+        pulses: int = 1,
     ) -> tuple[float, float, IqCapture, IqCapture]:
-        """Receiver chain on ``tx`` (one slot or a pulse train of it): a
-        `BeamCapture` steered at the transmitter, MUSIC on its pilot
-        snapshots, and the TDOA off the first pulse of the direct, echo
-        and guard beams. Returns the echo angle, the TDOA and the direct
-        and echo beams of the whole capture."""
+        """Receiver chain on a train of ``pulses`` slots: a `BeamCapture`
+        steered at the transmitter, MUSIC on its pilot snapshots, and the
+        TDOA off the first pulse of the direct, echo and guard beams.
+        Returns the echo angle, the TDOA and the direct and echo beams of
+        the whole capture."""
         params = self.cfg.radar
         rx, tx_node = pair.rx_node, pair.tx_node
         # The receive array looks straight at the transmitter: the direct
@@ -278,8 +278,11 @@ class _SignalBench:
         direct_aoa = boresight = true_aoa(rx, tx_node)
         rx_array = ArrayModel(params.rx_elements, 0.5, boresight)
         paths = build_paths(pair, target, params, self.cfg.direct_path_gain_db)
+        # The capture keeps no reference to the train, which is freed
+        # before the beams are drawn.
         capture = BeamCapture(
-            tx, paths, rx_array, params, seed_key, direct_aoa, self.columns, delayed_frames
+            self.slot if pulses == 1 else pulse_train(self.slot, pulses),
+            paths, rx_array, params, seed_key, direct_aoa, self.columns, delayed_frames,
         )
         fs, spp = capture.sample_rate_hz, capture.samples_per_pulse
         aoa_raw = music_aoa(IqCapture(capture.pilot, fs), rx_array, 1, 0.1)[0]
@@ -298,7 +301,7 @@ class _SignalBench:
             matched=self.filters[spp],
         )
         direct_beam, echo_beam = (
-            IqCapture(beam, fs, pulses=tx.pulses, samples_per_pulse=spp)
+            IqCapture(beam, fs, pulses=pulses, samples_per_pulse=spp)
             for beam in (capture.direct, echo)
         )
         return aoa, tdoa, direct_beam, echo_beam
@@ -311,7 +314,7 @@ class _SignalBench:
         delayed_frames: dict | None = None,
     ) -> Measurement:
         """One slot through the receiver chain, as a measurement."""
-        aoa, tdoa, _, _ = self.receive(pair, target, self.slot, seed_key, delayed_frames)
+        aoa, tdoa, _, _ = self.receive(pair, target, seed_key, delayed_frames)
         return Measurement(tdoa_s=tdoa, aoa_rad=aoa, mode=pair.mode)
 
 
@@ -719,11 +722,11 @@ def run_doppler(cfg: ScenarioConfig) -> DopplerResult:
     params = cfg.radar
 
     bench = _SignalBench(cfg)
-    train = pulse_train(bench.slot, motion.pulses)
     aoa, tdoa, direct_beam, echo_beam = bench.receive(
-        pair, target, train, (cfg.seed, 0, 0, _TAG_CHANNEL)
+        pair, target, (cfg.seed, 0, 0, _TAG_CHANNEL), pulses=motion.pulses
     )
     echo_clean = project_out_stream(echo_beam, direct_beam.samples[0])
+    del direct_beam, echo_beam  # the map reads only the cleaned echo
 
     rd_map = range_doppler(echo_clean, bench.reference)
     _, doppler_est = doppler_peak(rd_map)

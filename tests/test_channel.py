@@ -1,5 +1,6 @@
 """Array response, path budgets, and propagation physics."""
 
+import copy
 import math
 from dataclasses import replace
 
@@ -31,6 +32,7 @@ from bistar import (
     steering_vector,
     true_aoa,
 )
+from bistar import channel
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -338,6 +340,21 @@ class TestMakeRng:
         rng = np.random.default_rng(1)
         assert make_rng(rng) is rng
 
+    @pytest.mark.parametrize("words", [(0,), (5, 0, 2**31, 2**32 - 1), (2**32 - 1, 0, 7)])
+    def test_word_array_and_int_list_seed_alike(self, words):
+        """Seeds of 32-bit words go to SeedSequence as a uint32 array;
+        its state equals that of the int list."""
+        as_array = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+        as_list = np.random.SeedSequence(list(words))
+        assert np.array_equal(as_array.generate_state(8), as_list.generate_state(8))
+        assert self.draws(make_rng(*words)) == self.draws(np.random.default_rng(as_list))
+
+    def test_ints_beyond_one_word_keep_the_int_path(self):
+        expected = np.random.default_rng(np.random.SeedSequence([2**32, 3]))
+        assert self.draws(make_rng(2**32, 3)) == self.draws(expected)
+        with pytest.raises(ValueError):
+            make_rng(-1, 3)
+
 
 class TestBeamCapture:
     """The beam-space capture against the element-level chain it stands
@@ -445,6 +462,36 @@ class TestBeamCapture:
         out = propagate(tx, paths, self.ARRAY, params, 0)
         assert capture.samples_per_pulse == out.samples_per_pulse == expected
         assert expected == fast_length(spp + math.ceil(delay) + 8)
+
+    def test_blocked_beams_match_one_shot_products(self, monkeypatch):
+        """`beams` in 32-sample blocks (80 samples: a partial last block)
+        writes the bytes of the one-shot products kept here, and leaves
+        the direct beam as it was."""
+        monkeypatch.setattr(channel, "_BLOCK", 32)
+        params = RadarParams()
+        tx, paths = self.case(params)
+        capture = BeamCapture(tx, paths, self.ARRAY, params, 3, self.DIRECT, self.COLUMNS)
+        u, d = capture._u, capture.direct.copy()
+        mix = u.conj() @ capture._steer / u.size
+        assert np.array_equal(d, mix @ capture._units + capture._zeta)
+
+        weights = self.weights()
+        rng = copy.deepcopy(capture._rng)
+        a_h = weights.conj().T
+        perp = weights - np.outer(u, u.conj() @ weights) / u.size
+        values, vectors = np.linalg.eigh(perp.conj().T @ perp)
+        root = vectors * np.sqrt(np.clip(values, 0.0, None))
+        draws = rng.standard_normal((2, 2 * d.size))
+        noise = root @ (math.sqrt(capture._power / 2.0) * draws.view(np.complex128))
+        d_off = d.copy()
+        d_off[self.COLUMNS] = 0.0
+        noise += np.outer((a_h @ capture._y - noise @ d_off.conj()) / capture._energy_off, d_off)
+        noise[:, self.COLUMNS] = a_h @ capture._perp_g
+        noise += np.outer(a_h @ u, capture._zeta)
+        one_shot = noise + (a_h @ capture._steer) @ capture._units
+
+        assert np.array_equal(capture.beams(weights), one_shot)
+        assert np.array_equal(capture.direct, d)
 
     def test_beams_are_drawn_once(self):
         params = RadarParams()

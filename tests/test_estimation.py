@@ -579,6 +579,19 @@ class TestRangeDoppler:
         shifted = np.fft.fftshift(np.fft.fft(fast, n=4 * pulses, axis=0), axes=0)
         assert np.array_equal(rd.magnitudes, np.abs(shifted).T)
 
+    @pytest.mark.parametrize("pulses, samples, pad_factor", [(16, 2500, 4), (3, 1100, 1)])
+    def test_blocks_match_one_shot_transform(self, pulses, samples, pad_factor):
+        """The blocked slow-time DFT equals the one-shot map bit for bit,
+        with a partial last block of delay rows and an odd bin count."""
+        rng = np.random.default_rng(4)
+        frames = rng.standard_normal((pulses, samples)) + 1j * rng.standard_normal((pulses, samples))
+        r = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        train = IqCapture(frames.reshape(-1), FS, pulses=pulses, samples_per_pulse=samples)
+        rd = range_doppler(train, IqCapture(r, FS), pad_factor=pad_factor)
+        fast = np.fft.ifft(np.fft.fft(frames, axis=1) * np.fft.fft(r, samples).conj(), axis=1)
+        one_shot = np.fft.fftshift(np.abs(np.fft.fft(fast.T, n=pulses * pad_factor)), axes=1)
+        assert np.array_equal(rd.magnitudes, one_shot)
+
     def test_validation(self):
         cfg = WaveformConfig(seed=8)
         ref = matched_reference(cfg)

@@ -1,7 +1,9 @@
 """Harness orchestration: determinism, row bookkeeping, CSV output, CLI."""
 
+import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -694,6 +696,59 @@ class TestDopplerRun:
         write_range_doppler_csv(result.rd_map, map_csv, max_delay_bins=16)
         assert len(map_csv.getvalue().splitlines()) == 17
         assert "np." not in map_csv.getvalue()
+
+    @staticmethod
+    def short_run(bandwidth_mhz):
+        cfg = preset_scenario("scenario3", bandwidth_mhz=bandwidth_mhz, seed=31)
+        cfg.motion = MotionConfig(speed_mps=0.2, theta2_deg=60.0, pulses=16)
+        return run_doppler(cfg)
+
+    @pytest.mark.parametrize("bandwidth_mhz, digests", [
+        (100, (
+            "34442153d35952f0ca80242ffd04e7755ffb3f4b36c34497f494e78d692f2768",
+            "5b28b3e3ce47c0a6be2318c5aa04ccf2164ed263e3e7115073019f8fce76bc04",
+            "ecae56c0e53cf39e3f4b1507ca62e2e878aaafaf3e56883798e955f4955b2ae6",
+        )),
+        (400, (
+            "593669acabb641cdde25db223fb7e96b9a70766c3c5b9441f438717f91cdee62",
+            "196ff5c7631461da5d208dd12f2b752b2cb1c9b3673a9deb8b6cd3732ea3bdbb",
+            "9c3e0576189557e058cea8e78e21553a3f5e94c392cf093024ac19af81ed29e4",
+        )),
+    ])
+    def test_matches_pinned_bytes(self, bandwidth_mhz, digests):
+        """SHA-256 of the Doppler CSV, the range-Doppler map CSV and the
+        whole magnitude array of a 16-pulse run, recorded before the
+        chain ran in bounded memory (numpy 2.4.6, OpenBLAS 0.3.31,
+        x86-64; other FFT or BLAS builds may round differently)."""
+        result = self.short_run(bandwidth_mhz)
+        doppler_csv, map_csv = io.StringIO(), io.StringIO()
+        write_doppler_csv(result, doppler_csv)
+        write_range_doppler_csv(result.rd_map, map_csv)
+        outputs = (
+            doppler_csv.getvalue().encode(),
+            map_csv.getvalue().encode(),
+            result.rd_map.magnitudes.tobytes(),
+        )
+        assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == digests
+
+    def test_peak_memory_in_capture_rows(self):
+        """The run's traced peak, in complex rows of its capture (pulses
+        x frame samples), was 15.2 while the chain kept full-size
+        temporaries; the bounded chain reads 6.9. A first run imports
+        numpy modules lazily, so the second is traced."""
+        self.short_run(100)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            result = self.short_run(100)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        row = result.rd_map.magnitudes.shape[0] * 16 * np.dtype(np.complex128).itemsize
+        assert peak / row < 7.5
 
 
 class TestCsvBytes:
