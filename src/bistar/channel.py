@@ -64,6 +64,114 @@ def make_rng(seed, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
+# SeedSequence's hash constants and PCG64's multiplier, as in numpy's
+# `bit_generator.pyx` and `pcg64.h`, for `substream_normals`.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_WORD = (1 << 32) - 1
+_WIDE = (1 << 128) - 1
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's split of an int: little-endian 32-bit words, one for 0."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _WORD]
+    while value := value >> 32:
+        words.append(value & _WORD)
+    return words
+
+
+def _pcg_states(entropy: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of ``default_rng(SeedSequence(row))`` for each
+    row of the uint32 ``entropy``: SeedSequence's pool hashing and
+    ``generate_state(4, np.uint64)`` over all rows at once, then PCG64's
+    seeding step per row."""
+    rows, count = entropy.shape
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _WORD
+        value *= const
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        value ^= value >> 16
+        return value
+
+    zeros = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < count else zeros) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, count):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    const = _INIT_B
+    state = np.empty((rows, 8), dtype=np.uint32)
+    for i in range(8):
+        state[:, i] = pool[i % 4] ^ const
+        const = const * _MULT_B & _WORD
+        state[:, i] *= const
+        state[:, i] ^= state[:, i] >> 16
+    # PCG64 reads the words as (seed high, seed low, inc high, inc low)
+    # and steps twice: state = ((inc + seed) * M + inc) mod 2^128.
+    out = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in state.astype("<u4").view("<u8").tolist():
+        inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _WIDE
+        out.append(((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc & _WIDE, inc))
+    return out
+
+
+def substream_normals(seed, keys, shape: tuple) -> np.ndarray:
+    """Standard normals of many substreams: row i is exactly
+    ``make_rng(seed, *keys[i]).standard_normal(shape)``.
+
+    ``keys`` is a rows x words array of non-negative ints. Instead of a
+    SeedSequence and a PCG64 per row, the seeding runs as array
+    arithmetic over the rows (`_pcg_states`), and one generator draws
+    each row from its state. Ints split into 32-bit words as in
+    SeedSequence, so a negative one raises ValueError.
+    """
+    head = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
+    head = [word for value in head for word in _words(value)]
+    keys = np.asarray(keys)
+    out = np.empty((len(keys), *shape))
+    if not len(keys):
+        return out
+    # Rows of one word count hash together: (row indices, entropy words).
+    if keys.dtype.kind in "iu" and keys.size and keys.min() >= 0 and keys.max() <= _WORD:
+        words = np.broadcast_to(np.array(head, np.uint32), (len(keys), len(head)))
+        groups = [(range(len(keys)), np.hstack([words, keys.astype(np.uint32)]))]
+    else:
+        rows = [head + [w for k in key for w in _words(int(k))] for key in keys.tolist()]
+        by_count: dict[int, list[int]] = {}
+        for i, row in enumerate(rows):
+            by_count.setdefault(len(row), []).append(i)
+        groups = [(group, np.array([rows[i] for i in group], np.uint32))
+                  for group in by_count.values()]
+    generator = np.random.Generator(np.random.PCG64(0))
+    bits = generator.bit_generator
+    flat = out.reshape(len(keys), -1)
+    for group, entropy in groups:
+        for i, (state, inc) in zip(group, _pcg_states(entropy)):
+            bits.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            generator.standard_normal(out=flat[i])
+    return out
+
+
 @dataclass(frozen=True)
 class ArrayModel:
     """Uniform linear array described in the global angle convention.
@@ -196,14 +304,17 @@ def build_paths(
 
 
 def _path_frames(
-    tx: IqCapture, paths, params: RadarParams, delayed_frames: dict | None
+    tx: IqCapture, paths, params: RadarParams, delayed_frames: dict | None, pulses: int
 ) -> tuple[int, list[np.ndarray], list[np.ndarray]]:
     """Checks ``tx`` against ``params``; returns the output frame length
-    and, per path, its gain per pulse and its pulse frames padded to that
-    length and delayed. A train of one repeated frame is delayed once and
-    broadcast; ``delayed_frames`` caches the delayed frames by delays."""
+    and, per path, its gain per pulse and the frames of ``tx`` padded to
+    that length and delayed. A one-frame ``tx`` stands for a train of
+    ``pulses`` copies of it: its one delayed frame broadcasts against the
+    gains. ``delayed_frames`` caches the delayed frames by delays."""
     if tx.elements != 1:
         raise ValueError("transmit capture must be single element")
+    if tx.pulses not in (1, pulses):
+        raise ValueError("transmit capture must be one frame or the whole train")
     if abs(tx.sample_rate_hz - params.sample_rate_hz) > 1e-3:
         raise ValueError("transmit capture sample rate does not match params")
     fs = tx.sample_rate_hz
@@ -216,16 +327,10 @@ def _path_frames(
     delays = tuple(p.delay_s for p in paths)
     delayed = None if delayed_frames is None else delayed_frames.get(delays)
     if delayed is None:
-        frames = tx.frames()[0]
-        if (frames == frames[:1]).all():
-            frames = frames[:1]
-        spectra = np.fft.fft(frames, n=spp_out, axis=1)
+        spectra = np.fft.fft(tx.frames()[0], n=spp_out, axis=1)
         freq = np.fft.fftfreq(spp_out, d=1.0 / fs)
         delayed = [
-            np.broadcast_to(
-                np.fft.ifft(spectra * np.exp(-2j * math.pi * freq * delay), axis=1),
-                (tx.pulses, spp_out),
-            )
+            np.fft.ifft(spectra * np.exp(-2j * math.pi * freq * delay), axis=1)
             for delay in delays
         ]
         if delayed_frames is not None:
@@ -235,7 +340,7 @@ def _path_frames(
         static = path.amplitude * np.exp(
             1j * (path.phase_rad - 2.0 * math.pi * params.carrier_hz * path.delay_s)
         )
-        doppler = np.exp(2j * math.pi * path.doppler_hz * pri * np.arange(tx.pulses))
+        doppler = np.exp(2j * math.pi * path.doppler_hz * pri * np.arange(pulses))
         gains.append(static * doppler)
     return spp_out, gains, delayed
 
@@ -265,7 +370,7 @@ def propagate(
     that pass the same dict and equal delays reuse the frames instead of
     repeating the FFTs; the output is bit-identical either way.
     """
-    spp_out, gains, delayed = _path_frames(tx, paths, params, delayed_frames)
+    spp_out, gains, delayed = _path_frames(tx, paths, params, delayed_frames, tx.pulses)
     out = np.zeros((rx_array.elements, tx.pulses, spp_out), dtype=np.complex128)
     for path, gain, frame in zip(paths, gains, delayed):
         steer = steering_vector(rx_array, path.aoa_rad)
@@ -306,7 +411,8 @@ class BeamCapture:
     (P⊥ = I - uuᴴ/E) at ``columns``; the rest of P⊥n reaches c as one
     E-vector y and the beams as streams conditioned on y. Substream
     layout v3 draws ζ, the column samples, y and the beams, in that
-    order, from the one substream ``seed``.
+    order, from the one substream ``seed``. A one-frame ``tx`` with
+    ``pulses`` > 1 is transmitted as a train of that many copies.
     """
 
     def __init__(
@@ -319,11 +425,13 @@ class BeamCapture:
         direct_rad: float,
         columns: np.ndarray,
         delayed_frames: dict | None = None,
+        pulses: int | None = None,
     ):
-        spp_out, gains, delayed = _path_frames(tx, paths, params, delayed_frames)
+        pulses = tx.pulses if pulses is None else pulses
+        spp_out, gains, delayed = _path_frames(tx, paths, params, delayed_frames, pulses)
         self.sample_rate_hz, self.samples_per_pulse = tx.sample_rate_hz, spp_out
         self.columns = columns
-        units = np.empty((len(paths), tx.pulses, spp_out), dtype=np.complex128)
+        units = np.empty((len(paths), pulses, spp_out), dtype=np.complex128)
         for unit, gain, frame in zip(units, gains, delayed):
             np.multiply(gain[:, np.newaxis], frame, out=unit)
         self._units = units.reshape(len(paths), -1)

@@ -7,6 +7,9 @@ substreams keyed by seed, point and purpose, so workers never change
 results: sweep trials read rows of one block per purpose (layout v2),
 multistatic draws keep one substream per trial (layout v1), and the
 receiver draws one beam-space capture per trial and stream (layout v3).
+A run seeds all its v1 and v2 draws before its points run, in one
+`substream_normals` call per purpose (`_draws`), with the values that
+`make_rng` would draw substream by substream.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ArrayModel, BeamCapture, build_paths, make_rng, steering_vector
+from .channel import ArrayModel, BeamCapture, build_paths, steering_vector, substream_normals
 from .config import ENGINE_MODEL, ENGINE_SIGNAL, MotionConfig, ScenarioConfig
 from .errors import ConfigError, DegenerateGeometryError, DetectionError
 from .estimation import (
@@ -55,12 +58,15 @@ from .geometry import (
     true_tdoa,
     wrap_angle,
 )
-from .waveform import IqCapture, WaveformConfig, generate_slot, matched_reference, pulse_train
+from .waveform import IqCapture, WaveformConfig, generate_slot, matched_reference
 
 # Substream purposes.
 _TAG_CHANNEL = 1
 _TAG_NODES = 2
 _TAG_MEAS = 3
+
+# The transmit directions of a sweep, whose values key its streams.
+_MODES = (Mode.MODE1, Mode.MODE2)
 
 STATUS_OK = "ok"
 STATUS_EXCLUDED = "excluded"
@@ -191,34 +197,57 @@ def waveform_for_radar(params, seed: int = 0) -> WaveformConfig:
 
 
 def _normals(
-    cfg: ScenarioConfig, index: int, shape, *purpose: int, per_trial: bool = False
+    cfg: ScenarioConfig, indices, shape, *purpose: int, per_trial: bool = False
 ) -> np.ndarray:
-    """Standard normals of every trial of a point, trials x ``shape``: the
+    """Standard normals of every trial of the contour points ``indices``,
+    points x trials x ``shape``, from one `substream_normals` call: the
     node wobble and the model engine's draws in `_measurements`.
 
-    Substream layout v2 draws one block from substream (seed, index, 0,
-    *purpose), trial t reading row t; layout v1 (``per_trial``, kept by
-    multistatic runs) gives trial t its own substream (seed, index, t,
-    *purpose).
+    Substream layout v2 draws one block per point from substream
+    (seed, index, 0, *purpose), trial t reading row t; layout v1
+    (``per_trial``, kept by multistatic runs) gives trial t its own
+    substream (seed, index, t, *purpose). Either way every value is the
+    one a `make_rng` of that key draws.
     """
-    if not per_trial:
-        rng = make_rng(cfg.seed, index, 0, *purpose)
-        return rng.standard_normal((cfg.trials_per_point, *shape))
-    return np.array([
-        make_rng(cfg.seed, index, t, *purpose).standard_normal(shape)
-        for t in range(cfg.trials_per_point)
-    ])
+    trials, indices = cfg.trials_per_point, np.asarray(indices)
+    index = np.repeat(indices, trials if per_trial else 1)
+    trial = np.tile(np.arange(trials), len(indices)) if per_trial else np.zeros_like(index)
+    keys = np.column_stack([index, trial, *(np.full_like(index, p) for p in purpose)])
+    if per_trial:
+        return substream_normals(cfg.seed, keys, shape).reshape(len(indices), trials, *shape)
+    return substream_normals(cfg.seed, keys, (trials, *shape))
 
 
-def _believed_nodes(
-    cfg: ScenarioConfig, index: int, nodes, per_trial: bool = False
-) -> np.ndarray:
+def _draws(cfg: ScenarioConfig, indices, nodes: int, streams, per_trial: bool) -> list:
+    """Per point of ``indices``, the (wobble, noise) its trials read: the
+    node wobble, trials x ``nodes`` x 2, and in the model engine the
+    measurement normals of each stream key in ``streams``, trials x 2."""
+    wobble = _normals(cfg, indices, (nodes, 2), _TAG_NODES, per_trial=per_trial)
+    noise = {
+        key: _normals(cfg, indices, (2,), _TAG_MEAS, key, per_trial=per_trial)
+        for key in (streams if cfg.engine == ENGINE_MODEL else ())
+    }
+    return [(wobble[k], {key: n[k] for key, n in noise.items()}) for k in range(len(indices))]
+
+
+def _believed_nodes(nodes, wobble: np.ndarray) -> np.ndarray:
     """Believed positions of ``nodes`` in every trial of a point, trials x
-    nodes x (x, y): truth plus per-axis Gaussian wobble (see `_normals`)."""
-    draws = _normals(cfg, index, (len(nodes), 2), _TAG_NODES, per_trial=per_trial)
+    nodes x (x, y): truth plus per-axis Gaussian ``wobble`` (see `_draws`)."""
     truth = np.array([[node.x, node.y] for node in nodes])
     sigma = np.array([[node.sigma_x, node.sigma_y] for node in nodes])
-    return truth + sigma * draws
+    return truth + sigma * wobble
+
+
+def _sweep_draws(cfg: ScenarioConfig, indices) -> list:
+    """`_draws` of sweep points: the primary pair's nodes and one stream
+    per mode, in layout v2."""
+    return _draws(cfg, indices, 2, [mode.value for mode in _MODES], per_trial=False)
+
+
+def _multistatic_draws(cfg: ScenarioConfig, nodes: list, indices) -> list:
+    """`_draws` of fusion points: every node and one stream per receiver,
+    in layout v1."""
+    return _draws(cfg, indices, len(nodes), range(len(nodes) - 1), per_trial=True)
 
 
 def _primary_pair(cfg: ScenarioConfig, mode: Mode = Mode.MODE1) -> BistaticPair:
@@ -278,11 +307,9 @@ class _SignalBench:
         direct_aoa = boresight = true_aoa(rx, tx_node)
         rx_array = ArrayModel(params.rx_elements, 0.5, boresight)
         paths = build_paths(pair, target, params, self.cfg.direct_path_gain_db)
-        # The capture keeps no reference to the train, which is freed
-        # before the beams are drawn.
         capture = BeamCapture(
-            self.slot if pulses == 1 else pulse_train(self.slot, pulses),
-            paths, rx_array, params, seed_key, direct_aoa, self.columns, delayed_frames,
+            self.slot, paths, rx_array, params, seed_key, direct_aoa, self.columns,
+            delayed_frames, pulses,
         )
         fs, spp = capture.sample_rate_hz, capture.samples_per_pulse
         aoa_raw = music_aoa(IqCapture(capture.pilot, fs), rx_array, 1, 0.1)[0]
@@ -324,8 +351,10 @@ def _sweep_point(
     index: int,
     theta_deg: float,
     gdops: tuple[float, float],
+    draws: tuple | None = None,
 ) -> SweepRow:
-    """One contour point; ``gdops`` holds its mode-1 and mode-2 GDOP."""
+    """One contour point; ``gdops`` holds its mode-1 and mode-2 GDOP and
+    ``draws`` its `_sweep_draws`, drawn here when not given."""
     theta = math.radians(theta_deg)
     pair1 = _primary_pair(cfg, Mode.MODE1)
     x, y = iso_range_point(pair1, cfg.sum_range, theta)
@@ -347,15 +376,15 @@ def _sweep_point(
         row.status = STATUS_EXCLUDED
         return row
 
-    modes = (Mode.MODE1, Mode.MODE2)
-    pairs = {mode.value: _primary_pair(cfg, mode) for mode in modes}
-    tdoa, aoa = _measurements(cfg, bench, index, target, pairs, per_trial=False)
+    wobble, noise = _sweep_draws(cfg, [index])[0] if draws is None else draws
+    pairs = {mode.value: _primary_pair(cfg, mode) for mode in _MODES}
+    tdoa, aoa = _measurements(cfg, bench, index, target, pairs, noise)
     if np.isnan(tdoa).any():
         row.status = "fail:detect"
         return row
-    believed = _believed_nodes(cfg, index, cfg.nodes[:2])
+    believed = _believed_nodes(cfg.nodes[:2], wobble)
     errors = []
-    for j, mode in enumerate(modes):
+    for j, mode in enumerate(_MODES):
         tx, rx = (0, 1) if mode is Mode.MODE1 else (1, 0)
         xy = locate_batch(believed[:, tx], believed[:, rx], tdoa[:, j], aoa[:, j])
         if np.isnan(xy).any():
@@ -379,15 +408,15 @@ def _sweep_point(
 
 
 def _measurements(
-    cfg: ScenarioConfig, bench, index: int, target: TargetState, pairs: dict, per_trial: bool
+    cfg: ScenarioConfig, bench, index: int, target: TargetState, pairs: dict, noise: dict
 ) -> tuple[np.ndarray, np.ndarray]:
     """TDOAs and AoAs (trials x pairs) of one point's trials: the one engine
     dispatch of sweeps and fusion runs. ``pairs`` maps a stream key (the
     mode value in sweeps, the receiver index in fusion runs), which keys
     the substreams, to the true pair.
 
-    The model engine draws the measurements of each stream from
-    `_normals` (layout v1 with ``per_trial``, else v2); the signal engine
+    The model engine reads the measurements of each stream from its
+    normals in ``noise`` (see `_draws`); the signal engine
     runs the receiver chain per trial and stream in trial-major order,
     each trial from its own channel substreams, and a trial with a
     refused measurement is a NaN row.
@@ -395,10 +424,7 @@ def _measurements(
     trials = cfg.trials_per_point
     if cfg.engine == ENGINE_MODEL:
         draws = [
-            model_measure_batch(
-                pair, target, cfg.error_override,
-                _normals(cfg, index, (2,), _TAG_MEAS, key, per_trial=per_trial),
-            )
+            model_measure_batch(pair, target, cfg.error_override, noise[key])
             for key, pair in pairs.items()
         ]
         return np.transpose([d[0] for d in draws]), np.transpose([d[1] for d in draws])
@@ -439,8 +465,9 @@ def run_iso_range_sweep(cfg: ScenarioConfig, workers: int = 1) -> SweepResult:
         raise ConfigError("model-based engine needs an error model (sigma overrides)")
     bench = _SignalBench(cfg) if cfg.engine == ENGINE_SIGNAL else None
     gdops = _contour_gdop(cfg)
+    draws = _sweep_draws(cfg, range(cfg.sweep_points))
     rows = _run_points(
-        cfg, workers, lambda i, theta: _sweep_point(cfg, bench, i, theta, gdops[i])
+        cfg, workers, lambda i, theta: _sweep_point(cfg, bench, i, theta, gdops[i], draws[i])
     )
     return SweepResult(rows=rows, summary=summarize_sweep(rows))
 
@@ -571,9 +598,11 @@ def _multistatic_point(
     nodes: list[NodePosition],
     index: int,
     theta_deg: float,
+    draws: tuple | None = None,
 ) -> tuple[MultistaticRow, tuple | None]:
     """Draw stage of one fusion point: its row and the `_fuse` inputs of its
-    measured trials, or None when the row is already settled."""
+    measured trials, or None when the row is already settled. ``draws`` is
+    its `_multistatic_draws`, drawn here when not given."""
     theta = math.radians(theta_deg)
     anchor = BistaticPair(nodes[0], nodes[1], Mode.MODE1)
     x, y = iso_range_point(anchor, cfg.sum_range, theta)
@@ -593,13 +622,14 @@ def _multistatic_point(
         return row, None
     row.pairs_used = len(usable)
 
-    tdoa, aoa = _measurements(cfg, bench, index, target, usable, per_trial=True)
+    wobble, noise = _multistatic_draws(cfg, nodes, [index])[0] if draws is None else draws
+    tdoa, aoa = _measurements(cfg, bench, index, target, usable, noise)
     measured = ~np.isnan(tdoa).any(axis=1)
     if not measured.any():
         row.status = "fail:detect"
         return row, None
     tdoa, aoa = tdoa[measured], aoa[measured]
-    believed = _believed_nodes(cfg, index, nodes, per_trial=True)[measured]
+    believed = _believed_nodes(nodes, wobble)[measured]
     rx = believed[:, np.array(list(usable)) + 1]  # trial, pair, x/y
     tx = np.broadcast_to(believed[:, :1], rx.shape)
     believed_pairs = []
@@ -666,8 +696,9 @@ def run_multistatic(cfg: ScenarioConfig, workers: int = 1) -> MultistaticResult:
         raise ConfigError("fusion weighting needs an error model (sigma overrides)")
     nodes = multistatic_nodes(cfg)
     bench = _SignalBench(cfg) if cfg.engine == ENGINE_SIGNAL else None
+    draws = _multistatic_draws(cfg, nodes, range(cfg.sweep_points))
     points = _run_points(
-        cfg, workers, lambda i, theta: _multistatic_point(cfg, bench, nodes, i, theta)
+        cfg, workers, lambda i, theta: _multistatic_point(cfg, bench, nodes, i, theta, draws[i])
     )
     rows = _fuse(cfg.error_override, points)
     ok = [r for r in rows if r.status == STATUS_OK]

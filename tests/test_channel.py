@@ -30,6 +30,7 @@ from bistar import (
     project_out_stream,
     propagate,
     steering_vector,
+    substream_normals,
     true_aoa,
 )
 from bistar import channel
@@ -282,6 +283,19 @@ class TestPropagate:
         expected = broadcast_propagate(tx, paths, arr, params, (9, 4))
         assert np.array_equal(out.samples, expected)
 
+    def test_distinct_frames_match_broadcast_reference(self):
+        """A train of distinct frames is delayed frame by frame."""
+        params = RadarParams()
+        tx, paths = two_path_case(params, 3)
+        rng = np.random.default_rng(4)
+        train = IqCapture(
+            rng.standard_normal(288) + 1j * rng.standard_normal(288),
+            tx.sample_rate_hz, pulses=3, samples_per_pulse=96,
+        )
+        arr = ArrayModel(3, 0.5, boresight=0.2)
+        out = propagate(train, paths, arr, params, seed=(2, 7))
+        assert np.array_equal(out.samples, broadcast_propagate(train, paths, arr, params, (2, 7)))
+
     def test_shared_delayed_frames_match_separate_calls(self):
         """Both transmit modes share path delays but not angles or seeds."""
         params = RadarParams()
@@ -354,6 +368,46 @@ class TestMakeRng:
         assert self.draws(make_rng(2**32, 3)) == self.draws(expected)
         with pytest.raises(ValueError):
             make_rng(-1, 3)
+
+
+class TestSubstreamNormals:
+    """Row i of `substream_normals` is the draw of ``make_rng(seed,
+    *keys[i])``, bit for bit."""
+
+    @staticmethod
+    def expected(seed, keys, shape):
+        return np.array([make_rng(seed, *map(int, key)).standard_normal(shape) for key in keys])
+
+    @pytest.mark.parametrize("words", range(1, 9))
+    @pytest.mark.parametrize("shape", [(2,), (4, 2), (100, 2)])
+    def test_matches_make_rng(self, words, shape):
+        keys = np.random.default_rng(words).integers(0, 2**32, (6, words), dtype=np.uint64)
+        keys[:3] = [[0], [2**31], [2**32 - 1]]
+        got = substream_normals(5, keys, shape)
+        assert got.shape == (6, *shape)
+        assert np.array_equal(got, self.expected(5, keys, shape))
+
+    @pytest.mark.parametrize("seed", [2**32 + 5, 2**64 + 3, (7, 2**32 - 1)])
+    def test_multi_word_seeds(self, seed):
+        keys = [(i, t, 3) for i in range(3) for t in range(4)]
+        assert np.array_equal(
+            substream_normals(seed, keys, (4, 2)), self.expected(seed, keys, (4, 2))
+        )
+
+    def test_multi_word_keys(self):
+        """Ints past one word split as in SeedSequence, rows of different
+        word counts mixed in one call."""
+        keys = [(1, 2**32), (0, 3), (2**70 + 9, 0), (2**32 - 1, 2**33)]
+        assert np.array_equal(substream_normals(4, keys, (3,)), self.expected(4, keys, (3,)))
+
+    def test_zero_rows(self):
+        assert substream_normals(1, np.zeros((0, 3), dtype=int), (4, 2)).shape == (0, 4, 2)
+        assert substream_normals(1, [], (2,)).shape == (0, 2)
+
+    def test_negative_words_raise(self):
+        for seed, keys in ((1, [(2, -1)]), (-1, [(2, 3)])):
+            with pytest.raises(ValueError):
+                substream_normals(seed, keys, (2,))
 
 
 class TestBeamCapture:
@@ -492,6 +546,22 @@ class TestBeamCapture:
 
         assert np.array_equal(capture.beams(weights), one_shot)
         assert np.array_equal(capture.direct, d)
+
+    def test_one_frame_and_a_pulse_count_transmit_the_train(self):
+        """A one-frame capture with ``pulses`` = 2 reads as the tiled
+        two-pulse train, bit for bit; other pulse counts are refused."""
+        params = RadarParams()
+        tx, paths = self.case(params)
+        slot = IqCapture(tx.samples[0, :24], tx.sample_rate_hz)
+        captures = [
+            BeamCapture(capture, paths, self.ARRAY, params, 6, self.DIRECT, self.COLUMNS,
+                        pulses=pulses)
+            for capture, pulses in ((tx, None), (slot, 2))
+        ]
+        train, repeated = ([c.direct, c.coeffs, c.pilot, c.beams(self.weights())] for c in captures)
+        assert all(np.array_equal(a, b) for a, b in zip(train, repeated))
+        with pytest.raises(ValueError):
+            BeamCapture(tx, paths, self.ARRAY, params, 6, self.DIRECT, self.COLUMNS, pulses=3)
 
     def test_beams_are_drawn_once(self):
         params = RadarParams()

@@ -43,7 +43,7 @@ from bistar import (
     write_multistatic_csv,
     write_sweep_csv,
 )
-from bistar import cli, harness
+from bistar import channel, cli, harness
 from bistar.cli import main
 from bistar.config import ENGINE_MODEL, parse_scenario
 from bistar.estimation import RangeDopplerMap
@@ -540,6 +540,28 @@ class TestMultistaticRuns:
         alone = [_fuse(cfg.error_override, [point])[0] for point in draws()]
         assert len({row.pairs_used for row in stacked if row.status == STATUS_OK}) >= 2
         assert list(map(repr, stacked)) == list(map(repr, alone))
+
+    def test_seeding_does_not_grow_with_points_and_trials(self, monkeypatch):
+        """A model run seeds all its draws in one `substream_normals` call
+        per purpose: neither those calls nor `make_rng` calls grow with
+        points x trials."""
+        calls = []
+
+        def counted(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(channel, "make_rng", counted(channel.make_rng))
+        monkeypatch.setattr(harness, "make_rng", counted(channel.make_rng), raising=False)
+        monkeypatch.setattr(harness, "substream_normals", counted(harness.substream_normals))
+        counts = []
+        for points, trials in ((4, 2), (12, 6)):
+            calls.clear()
+            run_multistatic(model_config("scenario3", points=points, trials=trials))
+            counts.append((calls.count("make_rng"), calls.count("substream_normals")))
+        assert counts[0] == counts[1] and counts[0][0] == 0
 
     def test_matches_pinned_rows(self, capsys):
         """Rows of the per-trial draws (substream layout v1) under the
