@@ -102,10 +102,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="bistar",
-        description="Bistatic radar localization toolkit",
-    )
+    parser = _Parser(prog="bistar", description="Bistatic radar localization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, about in (
@@ -120,39 +117,26 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=int, default=1, help="thread workers (same output regardless)"
         )
 
-    doppler = sub.add_parser(
-        "doppler", help="velocity estimation for a moving contour target"
-    )
+    doppler = sub.add_parser("doppler", help="velocity estimation for a moving contour target")
     _add_scenario_args(doppler)
-    doppler.add_argument(
-        "--theta2-deg", type=float, default=None, help="contour position of the mover"
-    )
-    doppler.add_argument(
-        "--speed-mps", type=float, default=None, help="inward speed of the mover"
-    )
-    doppler.add_argument(
-        "--pulses", type=int, default=None, help="slots in the transmitted train"
-    )
-    doppler.add_argument(
-        "--map-out", default=None, help="also write the range-Doppler map CSV here"
-    )
+    for flag, kind, about in (
+        ("--theta2-deg", float, "contour position of the mover"),
+        ("--speed-mps", float, "inward speed of the mover"),
+        ("--pulses", int, "slots in the transmitted train"),
+    ):
+        doppler.add_argument(flag, type=kind, default=None, help=about)
+    doppler.add_argument("--map-out", default=None, help="also write the range-Doppler map CSV")
 
-    gmap = sub.add_parser(
-        "gdop-map", help="dilution-of-precision map over a rectangular grid"
-    )
+    gmap = sub.add_parser("gdop-map", help="dilution-of-precision map over a rectangular grid")
     _add_scenario_args(gmap)
-    gmap.add_argument("--x-min", type=float, default=-30.0)
-    gmap.add_argument("--x-max", type=float, default=30.0)
-    gmap.add_argument("--nx", type=int, default=61)
-    gmap.add_argument("--y-min", type=float, default=-30.0)
-    gmap.add_argument("--y-max", type=float, default=30.0)
-    gmap.add_argument("--ny", type=int, default=61)
+    for axis in ("x", "y"):
+        gmap.add_argument(f"--{axis}-min", type=float, default=-30.0)
+        gmap.add_argument(f"--{axis}-max", type=float, default=30.0)
+        gmap.add_argument(f"--n{axis}", type=int, default=61)
 
     scen = sub.add_parser("scenarios", help="print a preset as a config file")
     scen.add_argument("--scenario", default="scenario1")
-    scen.add_argument(
-        "--bandwidth-mhz", type=int, choices=(100, 400), default=None
-    )
+    scen.add_argument("--bandwidth-mhz", type=int, choices=(100, 400), default=None)
     scen.add_argument("--out", default=None)
     return parser
 

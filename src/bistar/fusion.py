@@ -24,7 +24,9 @@ import numpy as np
 from .errors import DegenerateGeometryError
 from .estimation import Measurement
 from .gdop import MeasurementErrorModel, gdop_batch
-from .geometry import MIN_RANGE_M, SPEED_OF_LIGHT, BistaticPair, locate_batch, wrap_angles
+from .geometry import (
+    MIN_RANGE_M, SPEED_OF_LIGHT, BistaticPair, locate_batch, ordered_sum, wrap_angles,
+)
 
 # Reference error model used only to rank pairs for the initial guess.
 _RANKING_ERR = MeasurementErrorModel(1e-9, math.radians(0.1))
@@ -202,7 +204,7 @@ def _initial_guess(problem: FusionProblem) -> tuple[float, float]:
     ys = [p for pair in problem.pairs for p in (pair.n1.y, pair.n2.y)]
     # Offset the centroid off the node row so the loss is evaluable even
     # when every node lies on one line.
-    return (sum(xs) / len(xs), sum(ys) / len(ys) + 1.0)
+    return (ordered_sum(xs) / len(xs), ordered_sum(ys) / len(ys) + 1.0)
 
 
 def _damped_steps(normal, diag, damping, gradient) -> np.ndarray:

@@ -3,8 +3,11 @@
 Propagates measurement noise and node position uncertainty through the
 linearized measurement model to a position error covariance, and selects
 the transmit direction with the smaller predicted error.  One stacked
-kernel, `gdop_batch`, evaluates N geometries at once; the scalar
-functions are its one-row views.
+kernel evaluates N geometries at once from coordinate arrays
+(`gdop_arrays`: node coordinates, node variances and a MODE2 mask per
+row), so callers with many drawn node positions build no objects.
+`gdop_batch` is its view over `BistaticPair` objects, and the scalar
+functions are one-row views.
 
 C1 is 2x2, so the kernel inverts it in closed form, elementwise over
 the rows, with no LAPACK call: B = adj(C1) / det.  That is invariant to
@@ -61,11 +64,11 @@ def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=float)
 
 
-def _jacobians(
-    pairs: Sequence[BistaticPair], x, y
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _jacobians(n1_xy, n2_xy, mode2, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked C1 (N x 2 x 2), C2 (N x 2 x 4) and the rows off the nodes.
 
+    Row i is the pair of nodes ``n1_xy[i]`` and ``n2_xy[i]`` (N x 2, or
+    one row for all), receiving at n1 where ``mode2[i]``, else at n2.
     C1 is the Jacobian of (TDOA, AoA at the receiving node) w.r.t. the
     target (x, y); C2 the Jacobian w.r.t. the node coordinates (x1, y1,
     x2, y2): per node, minus its unit vector toward the target minus its
@@ -73,12 +76,16 @@ def _jacobians(
     negated target gradient in the receiving node's columns only.  Rows
     whose target sits on a node (or is not finite) hold an identity C1
     and a zero C2 so the stacked arithmetic stays finite; the mask
-    refuses them.
+    refuses them.  Non-finite or coincident nodes raise ValueError.
     """
-    n1x, n1y, n2x, n2y, length = np.array(
-        [(p.n1.x, p.n1.y, p.n2.x, p.n2.y, p.baseline) for p in pairs], dtype=float
-    ).reshape(-1, 5).T
-    mode2 = np.array([p.mode is Mode.MODE2 for p in pairs])
+    n1, n2 = (np.asarray(n, dtype=float).reshape(-1, 2) for n in (n1_xy, n2_xy))
+    if not (np.isfinite(n1).all() and np.isfinite(n2).all()):
+        raise ValueError("node coordinates must be finite")
+    (n1x, n1y), (n2x, n2y) = n1.T, n2.T
+    length = _hypot(n2x - n1x, n2y - n1y)
+    if not (length >= MIN_RANGE_M).all():
+        raise ValueError("nodes of a pair must not be coincident")
+    mode2 = np.asarray(mode2, dtype=bool)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     r1 = _hypot(x - n1x, y - n1y)
     r2 = _hypot(x - n2x, y - n2y)
@@ -106,22 +113,21 @@ def _jacobians(
     return c1, c2, off_node
 
 
-def _covariance(
-    c1: np.ndarray, c2: np.ndarray, meas: MeasurementErrorModel, pairs: Sequence[BistaticPair]
-) -> tuple[np.ndarray, np.ndarray]:
+def _covariance(c1: np.ndarray, c2: np.ndarray, meas: MeasurementErrorModel, var) -> tuple:
     """Stacked P = B (R_z + C2 R_x C2^T) B^T and the condition numbers of C1.
 
-    Closed form of the 2x2 algebra, elementwise over the N rows: B is
-    adj(C1) / det, M = R_z + C2 R_x C2^T takes three sums because R_x is
-    diagonal, and P's off-diagonal entry is formed once, so P is exactly
-    symmetric.  cond = s_max^2 / |det|, with C1's larger singular value
-    s_max from two hypots.  Rows with det = 0 hold inf or NaN, and an
-    infinite or NaN condition number.
+    ``var`` holds the variances of the node coordinates (x1, y1, x2, y2),
+    N x 4 or one row for all: the diagonal of R_x.  Closed form of the
+    2x2 algebra, elementwise over the N rows: B is adj(C1) / det, M = R_z
+    + C2 R_x C2^T takes three sums because R_x is diagonal, and P's
+    off-diagonal entry is formed once, so P is exactly symmetric.  cond
+    = s_max^2 / |det|, with C1's larger singular value s_max from two
+    hypots.  Rows with det = 0 hold inf or NaN, and an infinite or NaN
+    condition number.  A negative or non-finite variance raises ValueError.
     """
-    var = np.array(
-        [(p.n1.sigma_x**2, p.n1.sigma_y**2, p.n2.sigma_x**2, p.n2.sigma_y**2) for p in pairs],
-        dtype=float,
-    ).reshape(-1, 4).T
+    var = np.asarray(var, dtype=float).reshape(-1, 4).T
+    if not (np.isfinite(var).all() and (var >= 0.0).all()):
+        raise ValueError("node variances must be finite and non-negative")
     t, g = np.moveaxis(c2, 0, -1)  # TDOA and AoA rows, each 4 x N
     tv, gv = t * var, g * var
     m00 = meas.sigma_tdoa_s**2 + (t[0] * tv[0] + t[1] * tv[1] + t[2] * tv[2] + t[3] * tv[3])
@@ -142,28 +148,51 @@ def _covariance(
     return p_dp, condition
 
 
+def _node_arrays(pairs: Sequence[BistaticPair]) -> tuple:
+    """The `gdop_arrays` inputs of ``pairs``: n1 and n2 coordinates, the
+    node variances and the MODE2 mask, one row per pair."""
+    rows = np.array([
+        (p.n1.x, p.n1.y, p.n2.x, p.n2.y, p.n1.sigma_x**2, p.n1.sigma_y**2,
+         p.n2.sigma_x**2, p.n2.sigma_y**2, p.mode is Mode.MODE2) for p in pairs
+    ], dtype=float).reshape(-1, 9)
+    return rows[:, 0:2], rows[:, 2:4], rows[:, 4:8], rows[:, 8] == 1.0
+
+
 def _rms(p_dp: np.ndarray) -> np.ndarray:
     return np.sqrt(p_dp[..., 0, 0] + p_dp[..., 1, 1])
 
 
-def gdop_batch(pairs: Sequence[BistaticPair], x, y, err: MeasurementErrorModel) -> np.ndarray:
+def gdop_arrays(n1_xy, n2_xy, var, mode2, x, y, err: MeasurementErrorModel) -> np.ndarray:
     """Predicted RMS position error of N geometries, NaN where degenerate.
 
-    ``pairs`` holds one pair or N pairs; ``x`` and ``y`` are the target
-    coordinates, scalars or length-N arrays, broadcast against the pairs.
-    A row is NaN exactly where `gdop` raises: the target on a node, or
-    C1 conditioned worse than CONDITION_LIMIT.  Every row equals the
-    `gdop` value of its geometry bit for bit.
+    Row i is the pair of nodes at ``n1_xy[i]`` and ``n2_xy[i]`` (N x 2)
+    with coordinate variances ``var[i]`` (sigma squared of x1, y1, x2,
+    y2; N x 4), receiving at n1 where ``mode2[i]`` and at n2 elsewhere,
+    and the target ``(x[i], y[i])``; the nodes or the targets set N, any
+    other input may be one row for all.  A row is NaN exactly where `gdop`
+    raises (target on a node, or C1 conditioned worse than CONDITION_LIMIT),
+    and ValueError is raised where `NodePosition` or `BistaticPair` would:
+    non-finite coordinates, coincident nodes, a negative variance.
     """
-    c1, c2, off_node = _jacobians(pairs, x, y)
-    p_dp, condition = _covariance(c1, c2, err, pairs)
+    c1, c2, off_node = _jacobians(n1_xy, n2_xy, mode2, x, y)
+    p_dp, condition = _covariance(c1, c2, err, var)
     usable = off_node & (condition <= CONDITION_LIMIT)
     with np.errstate(invalid="ignore"):
         return np.where(usable, _rms(p_dp), np.nan)
 
 
+def gdop_batch(pairs: Sequence[BistaticPair], x, y, err: MeasurementErrorModel) -> np.ndarray:
+    """`gdop_arrays` of ``pairs``, one pair or N pairs, at the targets
+    ``x`` and ``y``, scalars or length-N arrays broadcast against the
+    pairs.  Every row equals the `gdop` value of its geometry bit for bit.
+    """
+    n1_xy, n2_xy, var, mode2 = _node_arrays(pairs)
+    return gdop_arrays(n1_xy, n2_xy, var, mode2, x, y, err)
+
+
 def _one_row(pair: BistaticPair, target: TargetState) -> tuple[np.ndarray, np.ndarray]:
-    c1, c2, off_node = _jacobians([pair], target.x, target.y)
+    n1_xy, n2_xy, _, mode2 = _node_arrays([pair])
+    c1, c2, off_node = _jacobians(n1_xy, n2_xy, mode2, target.x, target.y)
     if not off_node[0]:
         raise DegenerateGeometryError("target coincides with a node")
     return c1[0], c2[0]
@@ -185,20 +214,13 @@ def error_covariance(
     """2x2 position error covariance from measurement and node noise.
 
     Solves the linearized model dZ = C1 dp + C2 dX for dp with the
-    inverse B of C1, giving
-
-        P = B (R_z + C2 R_x C2^T) B^T
-
-    where R_z holds the measurement variances and R_x the node
-    coordinate variances.  B = adj(C1) / det in closed form: each entry
-    of B is one entry of C1 over det, so scaling C1's TDOA row (seconds
-    per meter) against its AoA row (radians per meter), seven orders of
-    magnitude apart, scales the matching column of B exactly and leaves
-    the relative rounding error alone.  Neither the normal equations
-    (C1^T C1 squares the imbalance) nor an SVD (absolute error eps *
-    s_max on the small singular value) has that property.  P is exactly
+    inverse B = adj(C1) / det of C1 (see the module docstring), giving
+    P = B (R_z + C2 R_x C2^T) B^T, where R_z holds the measurement
+    variances and R_x the node coordinate variances.  P is exactly
     symmetric, and zero sigmas need no special path: nothing divides by
-    a sigma.
+    a sigma.  Neither the normal equations (C1^T C1 squares the row
+    imbalance) nor an SVD keeps the relative error that the closed form
+    keeps.
 
     Raises:
         DegenerateGeometryError: when C1 is ill conditioned
@@ -206,7 +228,7 @@ def error_covariance(
     """
     c1 = np.asarray(c1, dtype=float)[None]
     c2 = np.asarray(c2, dtype=float)[None]
-    p_dp, condition = _covariance(c1, c2, meas, [pair])
+    p_dp, condition = _covariance(c1, c2, meas, _node_arrays([pair])[2])
     if not condition[0] <= CONDITION_LIMIT:
         raise DegenerateGeometryError(
             f"measurement Jacobian condition number {condition[0]:.3e} exceeds "

@@ -49,6 +49,16 @@ def wrap_angles(angles: np.ndarray) -> np.ndarray:
     return np.where(wrapped <= -math.pi, wrapped + turn, wrapped)
 
 
+def ordered_sum(values):
+    """Sums along the last axis, added left to right from 0.0, as Python
+    floats: bit for bit the builtin `sum` of floats up to Python 3.11,
+    where 3.12's compensates (``sum([1e16, 1.0, -1e16])`` is 1.0 there,
+    0.0 here). A cumulative sum adds in order; numpy's `sum` is pairwise.
+    """
+    values = np.asarray(values, dtype=float)
+    return np.cumsum(np.insert(values, 0, 0.0, axis=-1), axis=-1)[..., -1].tolist()
+
+
 def _each(fn, *columns: np.ndarray) -> np.ndarray:
     """``fn`` of math row by row: numpy's atan2, hypot, sin and cos may
     differ from math's in the last bit, and the scalar API uses math."""

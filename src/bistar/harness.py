@@ -1,7 +1,7 @@
 """Experiment orchestration: contour sweeps, fusion runs, Doppler runs.
 
 Sweeps and fusion runs measure every trial of a contour point through
-one engine dispatch, `_measurements`, then locate by closed form or fuse.
+one engine dispatch, `_measurements`, then locate or fuse in `_stacks`.
 Every run is deterministic for a given config seed. Randomness comes from
 substreams keyed by seed, point and purpose, so workers never change
 results: sweep trials read rows of one block per purpose (layout v2),
@@ -42,7 +42,7 @@ from .estimation import (
     snapshot_index,
 )
 from .fusion import gdop_weights, solve_multistatic_batch
-from .gdop import gdop_batch
+from .gdop import gdop_arrays, gdop_batch
 from .geometry import (
     SPEED_OF_LIGHT,
     BistaticPair,
@@ -53,6 +53,7 @@ from .geometry import (
     iso_range_point,
     locate_batch,
     locate_bistatic,
+    ordered_sum,
     sum_range_gradient,
     true_aoa,
     true_tdoa,
@@ -352,59 +353,69 @@ def _sweep_point(
     theta_deg: float,
     gdops: tuple[float, float],
     draws: tuple | None = None,
-) -> SweepRow:
-    """One contour point; ``gdops`` holds its mode-1 and mode-2 GDOP and
-    ``draws`` its `_sweep_draws`, drawn here when not given."""
+) -> tuple[SweepRow, tuple | None]:
+    """Draw stage of one contour point: its row and the `_score_sweep`
+    inputs of its trials, or None when the row is already settled.
+    ``gdops`` holds its mode-1 and mode-2 GDOP and ``draws`` its
+    `_sweep_draws`, drawn here when not given."""
     theta = math.radians(theta_deg)
     pair1 = _primary_pair(cfg, Mode.MODE1)
     x, y = iso_range_point(pair1, cfg.sum_range, theta)
     target = TargetState(x, y, rcs_dbsm=cfg.rcs_dbsm)
 
-    tdoa_true = true_tdoa(pair1, target)
-    aoa_true = true_aoa(pair1.n2, target)
-    row = SweepRow(
-        theta2_deg=theta_deg,
-        x_m=x,
-        y_m=y,
-        tdoa_true_ns=tdoa_true * 1e9,
-        aoa_true_deg=deg360(aoa_true),
-        gdop_mode1_m=gdops[0],
-        gdop_mode2_m=gdops[1],
-    )
-
+    tdoa_true, aoa_true = true_tdoa(pair1, target), true_aoa(pair1.n2, target)
+    row = SweepRow(theta_deg, x, y, tdoa_true * 1e9, aoa_true_deg=deg360(aoa_true),
+                   gdop_mode1_m=gdops[0], gdop_mode2_m=gdops[1])
     if collinearity_deg(pair1, target) < cfg.exclusion_deg:
         row.status = STATUS_EXCLUDED
-        return row
+        return row, None
 
     wobble, noise = _sweep_draws(cfg, [index])[0] if draws is None else draws
     pairs = {mode.value: _primary_pair(cfg, mode) for mode in _MODES}
     tdoa, aoa = _measurements(cfg, bench, index, target, pairs, noise)
     if np.isnan(tdoa).any():
         row.status = "fail:detect"
-        return row
-    believed = _believed_nodes(cfg.nodes[:2], wobble)
-    errors = []
-    for j, mode in enumerate(_MODES):
-        tx, rx = (0, 1) if mode is Mode.MODE1 else (1, 0)
-        xy = locate_batch(believed[:, tx], believed[:, rx], tdoa[:, j], aoa[:, j])
-        if np.isnan(xy).any():
-            row.status = "fail:degenerate"
-            return row
-        errors.append([math.hypot(*d) for d in (xy - (x, y)).tolist()])
-
+        return row, None
     tdoa_first, aoa_first = float(tdoa[0, 0]), float(aoa[0, 0])
-    row.tdoa_meas_ns = tdoa_first * 1e9
-    row.tdoa_err_ns = (tdoa_first - tdoa_true) * 1e9
-    row.aoa_meas_deg = deg360(aoa_first)
-    row.aoa_err_deg = math.degrees(
-        (aoa_first - aoa_true + math.pi) % (2 * math.pi) - math.pi
-    )
-    e1, e2 = errors
-    row.err_mode1_m = sum(e1) / len(e1)
-    row.err_mode2_m = sum(e2) / len(e2)
-    row.err_rms_mode1_m = math.sqrt(sum(e * e for e in e1) / len(e1))
-    row.err_rms_mode2_m = math.sqrt(sum(e * e for e in e2) / len(e2))
-    return row
+    first = (tdoa_first * 1e9, (tdoa_first - tdoa_true) * 1e9, deg360(aoa_first),
+             math.degrees((aoa_first - aoa_true + math.pi) % (2 * math.pi) - math.pi))
+    return row, (x, y, _believed_nodes(cfg.nodes[:2], wobble), tdoa, aoa, first)
+
+
+def _stacks(points: list, key=lambda row: None) -> list[tuple]:
+    """The measured ``points`` ((row, inputs or None) pairs) in stacks, one
+    per block of 64 contour points (a memory bound) and value of
+    ``key(row)``: per stack a tuple of the rows, then of each input."""
+    groups: dict[tuple, list] = {}
+    for index, (row, inputs) in enumerate(points):
+        if inputs is not None:
+            groups.setdefault((key(row), index // 64), []).append((row, *inputs))
+    return [tuple(zip(*group)) for group in groups.values()]
+
+
+def _score_sweep(points: list) -> list[SweepRow]:
+    """Scoring stage of a sweep, returning its rows. The trials of each
+    block's measured points get one `locate_batch` call per mode, rows
+    independent, so each row reads as if scored alone: any trial located
+    at infinity fails its own point."""
+    for rows, xs, ys, believed, tdoa, aoa, firsts in _stacks(points):
+        trials = len(tdoa[0])
+        target = np.repeat(np.column_stack([xs, ys]), trials, axis=0)
+        believed, tdoa, aoa = map(np.concatenate, (believed, tdoa, aoa))
+        degenerate, means, rms = np.zeros(len(rows), dtype=bool), [], []
+        for j, (tx, rx) in enumerate(((0, 1), (1, 0))):  # MODE1, MODE2
+            xy = locate_batch(believed[:, tx], believed[:, rx], tdoa[:, j], aoa[:, j])
+            degenerate |= np.isnan(xy).reshape(len(rows), -1).any(axis=1)
+            errors = np.reshape(list(map(math.hypot, *(xy - target).T.tolist())), (len(rows), -1))
+            means.append([total / trials for total in ordered_sum(errors)])
+            rms.append([math.sqrt(total / trials) for total in ordered_sum(errors * errors)])
+        for row, first, bad, *errors in zip(rows, firsts, degenerate, *means, *rms):
+            if bad:
+                row.status = "fail:degenerate"
+                continue
+            row.tdoa_meas_ns, row.tdoa_err_ns, row.aoa_meas_deg, row.aoa_err_deg = first
+            row.err_mode1_m, row.err_mode2_m, row.err_rms_mode1_m, row.err_rms_mode2_m = errors
+    return [row for row, _ in points]
 
 
 def _measurements(
@@ -459,16 +470,18 @@ def run_iso_range_sweep(cfg: ScenarioConfig, workers: int = 1) -> SweepResult:
     excluded and failed points (flagged in ``status`` with the remaining
     columns blank). The signal-level engine runs the OFDM receiver chain
     for both transmit directions; the model-based engine draws from the
-    statistical measurement model instead.
+    statistical measurement model instead. Points measure one by one on
+    ``workers`` threads, then `_score_sweep` locates them in stacks.
     """
     if cfg.engine == ENGINE_MODEL and cfg.error_override is None:
         raise ConfigError("model-based engine needs an error model (sigma overrides)")
     bench = _SignalBench(cfg) if cfg.engine == ENGINE_SIGNAL else None
     gdops = _contour_gdop(cfg)
     draws = _sweep_draws(cfg, range(cfg.sweep_points))
-    rows = _run_points(
+    points = _run_points(
         cfg, workers, lambda i, theta: _sweep_point(cfg, bench, i, theta, gdops[i], draws[i])
     )
+    rows = _score_sweep(points)
     return SweepResult(rows=rows, summary=summarize_sweep(rows))
 
 
@@ -487,7 +500,7 @@ def _contour_gdop(cfg: ScenarioConfig) -> list[tuple[float, float]]:
 
 def _mean(values) -> float:
     kept = [v for v in values if not math.isnan(v)]
-    return sum(kept) / len(kept) if kept else math.nan
+    return ordered_sum(kept) / len(kept) if kept else math.nan
 
 
 def summarize_sweep(rows: list[SweepRow]) -> dict[str, float]:
@@ -581,14 +594,8 @@ def multistatic_nodes(cfg: ScenarioConfig) -> list[NodePosition]:
     out = [tx, rx1]
     for k in (1, 2):
         angle = start + k * 2.0 * math.pi / 3.0
-        out.append(
-            NodePosition(
-                tx.x + radius * math.cos(angle),
-                tx.y + radius * math.sin(angle),
-                rx1.sigma_x,
-                rx1.sigma_y,
-            )
-        )
+        x, y = tx.x + radius * math.cos(angle), tx.y + radius * math.sin(angle)
+        out.append(NodePosition(x, y, rx1.sigma_x, rx1.sigma_y))
     return out
 
 
@@ -601,8 +608,12 @@ def _multistatic_point(
     draws: tuple | None = None,
 ) -> tuple[MultistaticRow, tuple | None]:
     """Draw stage of one fusion point: its row and the `_fuse` inputs of its
-    measured trials, or None when the row is already settled. ``draws`` is
-    its `_multistatic_draws`, drawn here when not given."""
+    measured trials, or None when the row is already settled. The inputs
+    are arrays: the believed transmitter and receiver coordinates of
+    each trial and usable pair (trials x pairs x 2), the measurements
+    (trials x pairs) and the pairs' node variances (pairs x 4), so no
+    node or pair object is built per trial. ``draws`` is its
+    `_multistatic_draws`, drawn here when not given."""
     theta = math.radians(theta_deg)
     anchor = BistaticPair(nodes[0], nodes[1], Mode.MODE1)
     x, y = iso_range_point(anchor, cfg.sum_range, theta)
@@ -613,10 +624,8 @@ def _multistatic_point(
         return row, None
 
     true_pairs = [BistaticPair(nodes[0], rx, Mode.MODE1) for rx in nodes[1:]]
-    usable = {
-        i: pair for i, pair in enumerate(true_pairs)
-        if collinearity_deg(pair, target) >= cfg.exclusion_deg
-    }
+    usable = {i: pair for i, pair in enumerate(true_pairs)
+              if collinearity_deg(pair, target) >= cfg.exclusion_deg}
     if not usable:
         row.status = "fail:no_usable_pair"
         return row, None
@@ -632,34 +641,32 @@ def _multistatic_point(
     believed = _believed_nodes(nodes, wobble)[measured]
     rx = believed[:, np.array(list(usable)) + 1]  # trial, pair, x/y
     tx = np.broadcast_to(believed[:, :1], rx.shape)
-    believed_pairs = []
-    for trial in believed.tolist():
-        own = [NodePosition(*xy, n.sigma_x, n.sigma_y) for xy, n in zip(trial, nodes)]
-        believed_pairs += [BistaticPair(own[0], own[i + 1]) for i in usable]
-    return row, (x, y, tx, rx, tdoa, aoa, believed_pairs)
+    tx_var = (nodes[0].sigma_x**2, nodes[0].sigma_y**2)
+    var = [tx_var + (nodes[i + 1].sigma_x**2, nodes[i + 1].sigma_y**2) for i in usable]
+    return row, (x, y, tx, rx, tdoa, aoa, var)
 
 
 def _fuse(err_model, points) -> list[MultistaticRow]:
     """Fuse stage of a run, returning its rows. The measured trials of each
     pair count in a block of 64 points (a memory bound) get one ranking,
-    weighting and solve, row-independent: rows read as if fused alone."""
-    groups: dict[tuple[int, int], list] = {}
-    for index, (row, inputs) in enumerate(points):
-        if inputs is not None:
-            groups.setdefault((row.pairs_used, index // 64), []).append((row, *inputs))
-    for group in groups.values():
-        rows, xs, ys, tx, rx, tdoa, aoa, pairs = zip(*group)
+    weighting and solve, row-independent: rows read as if fused alone.
+    The GDOP ranking and weights come from `gdop_arrays` on the believed
+    coordinates; no pair object is built."""
+    for rows, xs, ys, tx, rx, tdoa, aoa, var in _stacks(points, attrgetter("pairs_used")):
         counts = [len(t) for t in tdoa]
         tx, rx, tdoa, aoa = map(np.concatenate, (tx, rx, tdoa, aoa))
-        pairs = [pair for own in pairs for pair in own]
+        n1_xy, n2_xy = tx.reshape(-1, 2), rx.reshape(-1, 2)
+        var = np.repeat(var, counts, axis=0).reshape(-1, 4)
+
+        def predicted(x, y):
+            return gdop_arrays(n1_xy, n2_xy, var, False, x, y, err_model).reshape(tdoa.shape)
+
         # Every trial starts from the closed form of its pair with the best
         # predicted dilution at the target and weights its pairs there.
-        at_target = (np.repeat(v, np.multiply(counts, tdoa.shape[1])) for v in (xs, ys))
-        predicted = gdop_batch(pairs, *at_target, err_model).reshape(tdoa.shape)
-        best = np.argmin(np.where(np.isnan(predicted), np.inf, predicted), axis=1)
+        at_target = predicted(*(np.repeat(v, np.multiply(counts, tdoa.shape[1])) for v in (xs, ys)))
+        best = np.argmin(np.where(np.isnan(at_target), np.inf, at_target), axis=1)
         guess = locate_batch(*(v[np.arange(len(best)), best] for v in (tx, rx, tdoa, aoa)))
-        at_guess = [np.repeat(guess[:, k], tdoa.shape[1]) for k in (0, 1)]
-        weights = gdop_weights(gdop_batch(pairs, *at_guess, err_model).reshape(tdoa.shape))
+        weights = gdop_weights(predicted(*(np.repeat(guess[:, k], tdoa.shape[1]) for k in (0, 1))))
         # Whiten the two residual kinds by their standard deviations so
         # meter-scale TDOA terms cannot drown the angle terms.
         fit = solve_multistatic_batch(
@@ -675,8 +682,8 @@ def _fuse(err_model, points) -> list[MultistaticRow]:
             if not fused:
                 row.status = "fail:solver"
                 continue
-            row.err_fused_m = sum(fused) / len(fused)
-            row.err_best_pair_m = sum(closed) / len(closed)
+            row.err_fused_m = ordered_sum(fused) / len(fused)
+            row.err_best_pair_m = ordered_sum(closed) / len(closed)
             row.fused_wins = sum(f <= c + 1e-12 for f, c in zip(fused, closed))
             row.trials = len(fused)
     return [row for row, _ in points]
@@ -812,22 +819,12 @@ def run_gdop_map(cfg: ScenarioConfig, grid: GridSpec) -> list[GdopCell]:
     err = cfg.error_override
     if err is None:
         raise ConfigError("gdop map needs an error model (sigma overrides)")
-    pair1 = _primary_pair(cfg, Mode.MODE1)
-    pair2 = _primary_pair(cfg, Mode.MODE2)
     xs = np.tile(np.linspace(grid.x_min, grid.x_max, grid.nx), grid.ny)
     ys = np.repeat(np.linspace(grid.y_min, grid.y_max, grid.ny), grid.nx)
-    g1s = gdop_batch([pair1], xs, ys, err).tolist()
-    g2s = gdop_batch([pair2], xs, ys, err).tolist()
-    cells = []
-    for xv, yv, g1, g2 in zip(xs.tolist(), ys.tolist(), g1s, g2s):
-        if math.isnan(g1) and math.isnan(g2):
-            best = "degenerate"
-        elif math.isnan(g2) or g1 <= g2:
-            best = "mode1"
-        else:
-            best = "mode2"
-        cells.append(GdopCell(xv, yv, g1, g2, best))
-    return cells
+    g1, g2 = (gdop_batch([_primary_pair(cfg, mode)], xs, ys, err) for mode in _MODES)
+    mode1 = np.where(np.isnan(g2) | (g1 <= g2), "mode1", "mode2")
+    best = np.where(np.isnan(g1) & np.isnan(g2), "degenerate", mode1)
+    return list(map(GdopCell, xs.tolist(), ys.tolist(), g1.tolist(), g2.tolist(), best.tolist()))
 
 
 def write_gdop_map_csv(cells: list[GdopCell], path) -> None:

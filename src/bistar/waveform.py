@@ -243,21 +243,6 @@ def demodulate_slot(cfg: WaveformConfig, capture: IqCapture) -> np.ndarray:
     return grid
 
 
-def pulse_train(slot: IqCapture, count: int) -> IqCapture:
-    """Repeat a single-pulse capture ``count`` times back to back."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if slot.pulses != 1:
-        raise ValueError("pulse_train expects a single-pulse capture")
-    tiled = np.tile(slot.samples, (1, count))
-    return IqCapture(
-        tiled,
-        slot.sample_rate_hz,
-        pulses=count,
-        samples_per_pulse=slot.samples.shape[1],
-    )
-
-
 def dump_iq(capture: IqCapture, path: str | Path) -> None:
     """Write raw interleaved float32 I/Q plus a text metadata sidecar.
 

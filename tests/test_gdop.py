@@ -362,8 +362,9 @@ class TestStackedKernel:
                 xs.append(x)
                 ys.append(10.0**-k)
         meas = MeasurementErrorModel(1e-9, 1e-3)
-        c1, c2, off_node = gdop_module._jacobians(pairs, xs, ys)
-        condition = gdop_module._covariance(c1, c2, meas, pairs)[1]
+        n1_xy, n2_xy, var, mode2 = gdop_module._node_arrays(pairs)
+        c1, c2, off_node = gdop_module._jacobians(n1_xy, n2_xy, mode2, xs, ys)
+        condition = gdop_module._covariance(c1, c2, meas, var)[1]
         exact = np.array([exact_condition(m) for m in c1])
         assert np.allclose(condition, exact, rtol=1e-13, atol=0.0)
         # The SVD's small singular value is off by about eps * s_max, so
@@ -446,6 +447,87 @@ class TestStackedKernel:
     def test_empty_batch(self):
         values = gdop_batch([], [], [], MeasurementErrorModel(1e-9, 1e-3))
         assert values.shape == (0,)
+
+
+def array_inputs(pairs):
+    """`gdop_arrays` inputs of ``pairs`` built in plain Python, with the
+    variances as `NodePosition` sigmas squared."""
+    n1 = [(p.n1.x, p.n1.y) for p in pairs]
+    n2 = [(p.n2.x, p.n2.y) for p in pairs]
+    var = [(p.n1.sigma_x**2, p.n1.sigma_y**2, p.n2.sigma_x**2, p.n2.sigma_y**2) for p in pairs]
+    return n1, n2, var, [p.mode is Mode.MODE2 for p in pairs]
+
+
+class TestArrayEntry:
+    """gdop_arrays against the object path (`gdop_batch` and the scalar
+    reference), bit for bit, and the refusals of the node objects."""
+
+    meas = MeasurementErrorModel(1.3e-9, math.radians(0.17))
+
+    def test_random_geometries_match_the_object_path(self):
+        rng = np.random.default_rng(407)
+        pairs, xs, ys = TestStackedKernel().random_geometries(rng, 2000)
+        # Targets on a node and closing in on the baseline segment (C1
+        # near singular), in both modes and with zero sigmas.
+        for k in range(1, 16):
+            for mode in (Mode.MODE1, Mode.MODE2):
+                pairs.append(pair_at(0, 0, 25, 0, mode=mode, sigma=0.01 * (k % 2)))
+                xs.append(12.0)
+                ys.append(10.0**-k)
+        for mode in (Mode.MODE1, Mode.MODE2):
+            pairs += [pair_at(0, 0, 25, 0, mode=mode)] * 2
+            xs += [0.0, 25.0]
+            ys += [0.0, 0.0]
+        n1, n2, var, mode2 = array_inputs(pairs)
+        assert any(mode2) and not all(mode2)
+        for meas in (self.meas, MeasurementErrorModel(0.0, 0.0), MeasurementErrorModel(2e-9, 0.0)):
+            values = gdop_module.gdop_arrays(n1, n2, var, mode2, xs, ys, meas)
+            assert same_bits(values, gdop_batch(pairs, xs, ys, meas))
+            expected = [
+                reference_or_nan(p, TargetState(x, y), meas) for p, x, y in zip(pairs, xs, ys)
+            ]
+            assert same_bits(values, expected)
+            assert np.isnan(values[-4:]).all() and np.isnan(values[2000:2030]).any()
+
+    def test_one_row_broadcasts_over_targets(self):
+        pair = pair_at(0, 0, 15, 0, mode=Mode.MODE2, sigma=0.01)
+        xs, ys = np.linspace(-20, 30, 40), np.linspace(3, 25, 40)
+        n1, n2, var, mode2 = array_inputs([pair])
+        values = gdop_module.gdop_arrays(n1, n2, var, True, xs, ys, self.meas)
+        assert same_bits(values, gdop_batch([pair], xs, ys, self.meas))
+
+    def geometry(self, **change):
+        inputs = dict(n1_xy=[[0.0, 0.0], [0.0, 0.0]], n2_xy=[[25.0, 0.0], [10.0, 30.0]],
+                      var=[[1e-4] * 4] * 2, mode2=False, x=9.0, y=17.0, err=self.meas)
+        inputs.update(change)
+        return inputs
+
+    def test_valid_inputs_are_finite(self):
+        assert np.isfinite(gdop_module.gdop_arrays(**self.geometry())).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_are_refused(self, bad):
+        for name in ("n1_xy", "n2_xy"):
+            coords = [[0.0, 0.0], [10.0, bad]]
+            with pytest.raises(ValueError, match="finite"):
+                gdop_module.gdop_arrays(**self.geometry(**{name: coords}))
+
+    def test_negative_variances_are_refused(self):
+        for column in range(4):
+            var = [[1e-4] * 4, [1e-4] * 4]
+            var[1][column] = -1e-4
+            with pytest.raises(ValueError, match="non-negative"):
+                gdop_module.gdop_arrays(**self.geometry(var=var))
+        with pytest.raises(ValueError, match="non-negative"):
+            gdop_module.gdop_arrays(**self.geometry(var=[[math.nan] * 4] * 2))
+
+    def test_coincident_nodes_are_refused(self):
+        for offset in (0.0, 0.5e-9):
+            n2 = [[25.0, 0.0], [offset, 0.0]]
+            with pytest.raises(ValueError, match="coincident"):
+                gdop_module.gdop_arrays(**self.geometry(n2_xy=n2))
+            with pytest.raises(ValueError, match="coincident"):
+                BistaticPair(NodePosition(0.0, 0.0), NodePosition(offset, 0.0))
 
 
 class TestNonFiniteAndZeroSigmaInputs:

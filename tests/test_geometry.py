@@ -1,6 +1,7 @@
 """Geometry forward models, inversion, and the link budget."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from bistar import (
     wrap_angle,
     wrap_angles,
 )
+from bistar.geometry import ordered_sum
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -70,6 +72,38 @@ class TestWrapAngle:
         )
         expected = [wrap_angle(v) for v in values.tolist()]
         assert wrap_angles(values).tolist() == expected
+
+
+def float_loop(values):
+    """Left-to-right float sum from 0.0: Python 3.11's `sum` of floats."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+class TestOrderedSum:
+    def test_no_compensation(self):
+        # Compensated summation (math.fsum, Python 3.12's sum) gives 1.0 and 2.0.
+        for values in ([1e16, 1.0, -1e16], [1.0, 1e100, 1.0, -1e100]):
+            assert ordered_sum(values) == float_loop(values) == 0.0 != math.fsum(values)
+
+    def test_matches_a_float_loop_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal((40, 37)) * 10.0 ** rng.integers(-9, 9, (40, 37))
+        rows = values.tolist()
+        assert ordered_sum(values) == [float_loop(row) for row in rows]
+        assert ordered_sum(rows[3]) == float_loop(rows[3])
+        assert ordered_sum(values) != [math.fsum(row) for row in rows]
+        if sys.version_info < (3, 12):
+            assert ordered_sum(values) == [sum(row) for row in rows]
+
+    def test_edges(self):
+        assert math.copysign(1.0, ordered_sum([-0.0, -0.0])) == 1.0  # starts from +0.0
+        assert ordered_sum([]) == 0.0 and ordered_sum(np.zeros((3, 0))) == [0.0] * 3
+        assert math.isnan(ordered_sum([1.0, math.nan, 2.0]))
+        assert ordered_sum([1.0, math.inf]) == math.inf
+        assert type(ordered_sum([1.0, 2.0])) is float
 
 
 class TestDataclasses:

@@ -47,7 +47,7 @@ from bistar import channel, cli, harness
 from bistar.cli import main
 from bistar.config import ENGINE_MODEL, parse_scenario
 from bistar.estimation import RangeDopplerMap
-from bistar.geometry import SPEED_OF_LIGHT
+from bistar.geometry import SPEED_OF_LIGHT, ordered_sum
 from bistar.harness import (
     STATUS_EXCLUDED,
     DopplerResult,
@@ -58,6 +58,8 @@ from bistar.harness import (
     _multistatic_point,
     _primary_pair,
     _resolve_survey_aoa,
+    _score_sweep,
+    _sweep_draws,
     _sweep_point,
     deg360,
     moving_target,
@@ -370,34 +372,88 @@ class TestBatchedModelSweep:
             e1, e2 = errors[Mode.MODE1], errors[Mode.MODE2]
             assert row.tdoa_meas_ns == first.tdoa_s * 1e9
             assert row.aoa_meas_deg == deg360(first.aoa_rad)
-            assert row.err_mode1_m == sum(e1) / trials
-            assert row.err_mode2_m == sum(e2) / trials
-            assert row.err_rms_mode1_m == math.sqrt(sum(e * e for e in e1) / trials)
-            assert row.err_rms_mode2_m == math.sqrt(sum(e * e for e in e2) / trials)
+            assert row.err_mode1_m == ordered_sum(e1) / trials
+            assert row.err_mode2_m == ordered_sum(e2) / trials
+            assert row.err_rms_mode1_m == math.sqrt(ordered_sum([e * e for e in e1]) / trials)
+            assert row.err_rms_mode2_m == math.sqrt(ordered_sum([e * e for e in e2]) / trials)
 
     @pytest.mark.parametrize("where", [0, 4, 8])
     @pytest.mark.parametrize("mode", [Mode.MODE1, Mode.MODE2])
     def test_degenerate_trial_anywhere_fails_the_point(self, monkeypatch, where, mode):
+        """A trial located at infinity fails exactly its own point. The
+        hole is row (point k, trial ``where``) of the stacked call of
+        ``mode``, for the first, a middle and the last measured point."""
         cfg = model_config("scenario3", points=8, trials=9)
         clean = run_iso_range_sweep(cfg).rows
+        measured = [i for i, row in enumerate(clean) if row.status != STATUS_EXCLUDED]
+        assert len(measured) >= 3 and all(clean[i].status == STATUS_OK for i in measured)
+        for k in (0, len(measured) // 2, len(measured) - 1):
+            calls = []
+
+            def locate_with_hole(tx, rx, tdoa, aoa):
+                located = locate_batch(tx, rx, tdoa, aoa)
+                calls.append(len(located))
+                # The block locates mode 1, then mode 2, each over its
+                # measured points in contour order, trial by trial.
+                if len(calls) == mode.value:
+                    located[k * cfg.trials_per_point + where] = math.nan
+                return located
+
+            monkeypatch.setattr(harness, "locate_batch", locate_with_hole)
+            rows = run_iso_range_sweep(cfg).rows
+            assert calls == [len(measured) * cfg.trials_per_point] * 2
+            for index, (before, after) in enumerate(zip(clean, rows)):
+                if index != measured[k]:
+                    assert repr(after) == repr(before)
+                    continue
+                assert after.status == "fail:degenerate"
+                assert math.isnan(after.err_mode1_m) and math.isnan(after.tdoa_meas_ns)
+
+    def test_locates_twice_per_block(self, monkeypatch):
+        """One `locate_batch` call per mode and 64-point block, over all
+        trials of the block's measured points."""
         calls = []
 
-        def locate_with_hole(tx, rx, tdoa, aoa):
-            located = locate_batch(tx, rx, tdoa, aoa)
-            calls.append(None)
-            # Per point the sweep locates mode 1, then mode 2.
-            if len(calls) % 2 == mode.value % 2:
-                located[where] = math.nan
-            return located
+        def counted(tx, rx, tdoa, aoa):
+            calls.append(len(tdoa))
+            return locate_batch(tx, rx, tdoa, aoa)
 
-        monkeypatch.setattr(harness, "locate_batch", locate_with_hole)
-        rows = run_iso_range_sweep(cfg).rows
-        assert any(row.status == STATUS_OK for row in clean)
-        for before, after in zip(clean, rows):
-            expected = "fail:degenerate" if before.status == STATUS_OK else before.status
-            assert after.status == expected
-            if after.status == "fail:degenerate":
-                assert math.isnan(after.err_mode1_m) and math.isnan(after.tdoa_meas_ns)
+        monkeypatch.setattr(harness, "locate_batch", counted)
+        rows = run_iso_range_sweep(model_config("scenario3", points=130, trials=3)).rows
+        blocks = {i // 64 for i, row in enumerate(rows) if row.status == STATUS_OK}
+        assert len(blocks) == 3 and len(calls) == 2 * len(blocks)
+        assert sum(calls) == 2 * 3 * sum(row.status == STATUS_OK for row in rows)
+
+    def test_stacked_scoring_matches_point_by_point(self, monkeypatch):
+        """Scoring a sweep in stacks (two 64-point blocks and a remainder)
+        writes the rows that scoring each point alone writes, among them
+        excluded points, refused points (fail:detect) and a trial located
+        at infinity (fail:degenerate) in the middle of a stack."""
+        cfg = model_config("scenario3", points=130, trials=3, seed=8)
+        measure = harness._measurements
+
+        def refusing(cfg, bench, index, *args):
+            tdoa, aoa = measure(cfg, bench, index, *args)
+            if index in (20, 100):
+                tdoa[1, 0] = math.nan
+            return tdoa, aoa
+
+        monkeypatch.setattr(harness, "_measurements", refusing)
+        gdops, draws = harness._contour_gdop(cfg), _sweep_draws(cfg, range(130))
+
+        def points():
+            thetas = theta_grid_deg(cfg.sweep_points)
+            out = [_sweep_point(cfg, None, i, t, gdops[i], draws[i]) for i, t in enumerate(thetas)]
+            out[40][1][4][2, 1] = math.nan  # trial 2's mode-2 AoA: no finite location
+            return out
+
+        stacked = _score_sweep(points())
+        alone = [_score_sweep([point])[0] for point in points()]
+        assert [stacked[i].status for i in (20, 32, 40, 100)] == [
+            "fail:detect", STATUS_EXCLUDED, "fail:degenerate", "fail:detect"
+        ]
+        assert sum(row.status == STATUS_OK for row in stacked) > 100
+        assert list(map(repr, stacked)) == list(map(repr, alone))
 
 
 class FakeReceiver:
@@ -422,49 +478,64 @@ class FakeReceiver:
 class TestSignalSweepTrials:
     """The signal engine measures every trial, mode 1 before mode 2. A
     refusal skips the rest of its own trial and fails the point as
-    fail:detect, which outranks a degenerate location."""
+    fail:detect, which outranks a degenerate location: a refused point
+    never reaches the scoring stage."""
 
-    def sweep_point(self, monkeypatch, refuse, hole=None):
-        """The point at 45 degrees; ``hole`` is (locate call, trial) of a
-        location that comes out NaN."""
+    def sweep_points(self, monkeypatch, refuse, hole=None):
+        """The points at 45 and 135 degrees through the draw stage, then one
+        scoring stage. ``refuse`` applies to the first point's receiver;
+        ``hole`` is (mode, point, trial), the row of the stacked call of
+        that mode that comes out NaN, points counted within the stack.
+        Returns the rows, the first point's receiver calls and the row
+        counts of the stacked calls."""
         cfg = preset_scenario("scenario1", seed=4)
         cfg.trials_per_point = 4
         located = []
 
         def locate_with_hole(tx, rx, tdoa, aoa):
             xy = locate_batch(tx, rx, tdoa, aoa)
-            located.append(None)
-            if hole is not None and len(located) == hole[0]:
-                xy[hole[1]] = math.nan
+            located.append(len(xy))
+            if hole is not None and len(located) == hole[0].value:
+                xy[hole[1] * cfg.trials_per_point + hole[2]] = math.nan
             return xy
 
         monkeypatch.setattr(harness, "locate_batch", locate_with_hole)
-        bench = FakeReceiver(refuse)
-        row = _sweep_point(cfg, bench, 0, 45.0, (math.nan, math.nan))
-        return row, bench.calls, len(located)
+        benches = [FakeReceiver(refuse), FakeReceiver()]
+        points = [
+            _sweep_point(cfg, bench, index, theta, (math.nan, math.nan))
+            for bench, index, theta in zip(benches, (0, 1), (45.0, 135.0))
+        ]
+        return _score_sweep(points), benches[0].calls, located
 
     def test_trial_major_order(self, monkeypatch):
-        row, calls, located = self.sweep_point(monkeypatch, ())
-        assert row.status == STATUS_OK and located == 2
+        rows, calls, located = self.sweep_points(monkeypatch, ())
+        assert [row.status for row in rows] == [STATUS_OK] * 2 and located == [8, 8]
         assert calls == [(t, m) for t in range(4) for m in (1, 2)]
-        assert row.tdoa_err_ns == 0.0 and row.err_mode1_m < 1.0  # trial 0, mode 1
+        assert rows[0].tdoa_err_ns == 0.0 and rows[0].err_mode1_m < 1.0  # trial 0, mode 1
 
     def test_refusal_skips_the_rest_of_its_trial(self, monkeypatch):
-        row, calls, located = self.sweep_point(monkeypatch, {(1, 1)})
-        assert row.status == "fail:detect" and located == 0
+        rows, calls, located = self.sweep_points(monkeypatch, {(1, 1)})
+        assert rows[0].status == "fail:detect" and rows[1].status == STATUS_OK
+        assert located == [4, 4]  # only the second point's trials
         assert calls == [(0, 1), (0, 2), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
-        assert math.isnan(row.tdoa_meas_ns) and math.isnan(row.err_mode1_m)
+        assert math.isnan(rows[0].tdoa_meas_ns) and math.isnan(rows[0].err_mode1_m)
 
     def test_degenerate_location_fails_the_point(self, monkeypatch):
-        for call, trial in ((1, 0), (2, 3)):
-            row, calls, located = self.sweep_point(monkeypatch, (), hole=(call, trial))
-            assert row.status == "fail:degenerate" and located == call
-            assert len(calls) == 8 and math.isnan(row.err_mode2_m)
+        for mode, point, trial in ((Mode.MODE1, 0, 0), (Mode.MODE2, 0, 3), (Mode.MODE2, 1, 2)):
+            rows, calls, located = self.sweep_points(monkeypatch, (), hole=(mode, point, trial))
+            assert rows[point].status == "fail:degenerate" and located == [8, 8]
+            assert rows[1 - point].status == STATUS_OK
+            assert len(calls) == 8 and math.isnan(rows[point].err_mode2_m)
 
     def test_refusal_before_the_degenerate_location(self, monkeypatch):
-        row, calls, located = self.sweep_point(monkeypatch, {(3, 2)}, hole=(1, 0))
-        assert row.status == "fail:detect" and located == 0
+        rows, calls, located = self.sweep_points(
+            monkeypatch, {(3, 2)}, hole=(Mode.MODE1, 0, 0)
+        )
+        assert rows[0].status == "fail:detect" and located == [4, 4]
         assert len(calls) == 8
+        # The refused point is not in the stack, so its hole row falls on
+        # the second point.
+        assert rows[1].status == "fail:degenerate"
 
     def test_trials_1_matches_pinned_rows(self, capsys):
         """Rows of channel draw layout v3 (beam-space receiver) on
@@ -596,8 +667,8 @@ class TestMultistaticRuns:
                 continue
             fused, closed = reference_multistatic_point(cfg, nodes, index, row.theta2_deg)
             assert row.trials == len(fused) and row.trials >= 1
-            assert row.err_fused_m == sum(fused) / len(fused)
-            assert row.err_best_pair_m == sum(closed) / len(closed)
+            assert row.err_fused_m == ordered_sum(fused) / len(fused)
+            assert row.err_best_pair_m == ordered_sum(closed) / len(closed)
             assert row.fused_wins == sum(f <= c + 1e-12 for f, c in zip(fused, closed))
 
 

@@ -12,7 +12,6 @@ from bistar import (
     generate_slot,
     load_iq,
     matched_reference,
-    pulse_train,
     resource_grid,
 )
 
@@ -214,22 +213,6 @@ class TestFastLength:
     def test_rejects_non_positive_lengths(self):
         with pytest.raises(ValueError):
             fast_length(0)
-
-
-class TestPulseTrain:
-    def test_tiles_and_annotates(self):
-        slot = generate_slot(WaveformConfig(seed=1))
-        train = pulse_train(slot, 4)
-        assert train.pulses == 4
-        assert train.samples_per_pulse == slot.samples.shape[1]
-        assert np.array_equal(train.frames()[0, 2], slot.samples[0])
-
-    def test_rejects_bad_inputs(self):
-        slot = generate_slot(WaveformConfig())
-        with pytest.raises(ValueError):
-            pulse_train(slot, 0)
-        with pytest.raises(ValueError):
-            pulse_train(pulse_train(slot, 2), 2)
 
 
 class TestIqFiles:
