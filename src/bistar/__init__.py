@@ -8,6 +8,8 @@ delay, range-Doppler processing), weighted multistatic fusion, and
 reproducible experiment sweeps with CSV output.
 """
 
+from types import ModuleType as _ModuleType
+
 from .channel import (
     ArrayModel,
     BeamCapture,
@@ -56,26 +58,15 @@ from .estimation import (
 )
 from .fusion import (
     FusionBatchResult,
-    FusionProblem,
-    FusionResult,
     SolverOptions,
-    compute_weights,
     gdop_weights,
-    solve_multistatic,
     solve_multistatic_batch,
-    wls_loss,
 )
 from .gdop import (
     CONDITION_LIMIT,
-    GdopReport,
     MeasurementErrorModel,
-    error_covariance,
-    gdop,
     gdop_arrays,
     gdop_batch,
-    jacobian_c1,
-    jacobian_c2,
-    select_mode,
 )
 from .geometry import (
     BOLTZMANN,
@@ -135,111 +126,8 @@ from .waveform import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrayModel",
-    "BOLTZMANN",
-    "BeamCapture",
-    "BistarError",
-    "BistaticPair",
-    "CONDITION_LIMIT",
-    "ConfigError",
-    "DegenerateGeometryError",
-    "DetectionError",
-    "DopplerResult",
-    "ENGINE_MODEL",
-    "ENGINE_SIGNAL",
-    "ExcludedGeometryError",
-    "FusionBatchResult",
-    "FusionProblem",
-    "FusionResult",
-    "GdopCell",
-    "GdopReport",
-    "GridSpec",
-    "IqCapture",
-    "MEAN_ABS_TO_SIGMA",
-    "Measurement",
-    "MeasurementErrorModel",
-    "Mode",
-    "MotionConfig",
-    "MultistaticResult",
-    "MultistaticRow",
-    "NodePosition",
-    "PathDescriptor",
-    "RadarParams",
-    "RangeDopplerMap",
-    "SPEED_OF_LIGHT",
-    "ScenarioConfig",
-    "SolverOptions",
-    "SweepResult",
-    "SweepRow",
-    "TargetState",
-    "WaveformConfig",
-    "apply_bandwidth",
-    "aoa_gradient",
-    "array_factor",
-    "beamform",
-    "bistatic_angle",
-    "bistatic_ranges",
-    "bistatic_snr",
-    "build_paths",
-    "collinearity_deg",
-    "compute_weights",
-    "demodulate_slot",
-    "doppler_peak",
-    "doppler_to_velocity",
-    "dump_iq",
-    "dumps_scenario",
-    "error_covariance",
-    "error_model_for",
-    "estimate_tdoa",
-    "fast_length",
-    "gdop",
-    "gdop_arrays",
-    "gdop_batch",
-    "gdop_weights",
-    "generate_slot",
-    "iso_range_point",
-    "iso_range_target",
-    "jacobian_c1",
-    "jacobian_c2",
-    "load_iq",
-    "load_scenario",
-    "locate_batch",
-    "locate_bistatic",
-    "make_rng",
-    "matched_filter",
-    "matched_reference",
-    "model_measure_batch",
-    "music_aoa",
-    "null_steer_beamform",
-    "null_steer_weights",
-    "parse_scenario",
-    "preset_scenario",
-    "project_out_stream",
-    "propagate",
-    "r2_from_measurements",
-    "range_doppler",
-    "resource_grid",
-    "run_doppler",
-    "run_gdop_map",
-    "run_iso_range_sweep",
-    "run_multistatic",
-    "select_mode",
-    "solve_multistatic",
-    "solve_multistatic_batch",
-    "steering_vector",
-    "substream_normals",
-    "sum_range_gradient",
-    "sum_range_rate",
-    "true_aoa",
-    "true_tdoa",
-    "waveform_for_radar",
-    "wls_loss",
-    "wrap_angle",
-    "wrap_angles",
-    "write_doppler_csv",
-    "write_gdop_map_csv",
-    "write_multistatic_csv",
-    "write_range_doppler_csv",
-    "write_sweep_csv",
-]
+# Every public name imported above, and no submodule.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -36,6 +36,9 @@ from .waveform import IqCapture, fast_length
 # through this factor.
 MEAN_ABS_TO_SIGMA = math.sqrt(math.pi / 2.0)
 
+# Spacing of the MUSIC scan grid; the parabolic fit refines within it.
+MUSIC_GRID_DEG = 0.1
+
 # Delay rows per slow-time DFT block of `range_doppler` (4 MiB of
 # spectrum at 256 Doppler bins).
 _DELAY_BLOCK = 1024
@@ -79,109 +82,61 @@ class RangeDopplerMap:
 
 
 def snapshot_index(total: int, count: int) -> np.ndarray:
-    """Which ``count`` of ``total`` samples `music_aoa` reads as snapshots."""
+    """Which ``count`` of ``total`` samples the receiver hands `music_aoa`."""
     if total < count:
         raise ValueError(f"window holds {total} samples, need at least {count}")
     return (np.arange(count) * total) // count
 
 
-def _snapshots(capture: IqCapture, window: slice | None, count: int) -> np.ndarray:
-    samples = capture.samples if window is None else capture.samples[:, window]
-    return samples[:, snapshot_index(samples.shape[1], count)]
+def music_aoa(capture: IqCapture, array: ArrayModel) -> float:
+    """MUSIC arrival angle of one source from an element capture.
 
-
-def _fb_smooth(x: np.ndarray, subarray: int) -> np.ndarray:
-    """Forward-backward spatially smoothed covariance from snapshots."""
-    elements, count = x.shape
-    hops = elements - subarray + 1
-    r = np.zeros((subarray, subarray), dtype=np.complex128)
-    for k in range(hops):
-        sub = x[k : k + subarray]
-        r += sub @ sub.conj().T
-    r /= hops * count
-    flip = np.flipud(np.fliplr(r.conj()))
-    return 0.5 * (r + flip)
-
-
-def music_aoa(
-    capture: IqCapture,
-    array: ArrayModel,
-    n_sources: int = 1,
-    grid_deg: float = 0.1,
-    window: slice | None = None,
-    snapshots: int = 128,
-    smoothing_subarray: int | None = None,
-) -> list[float]:
-    """MUSIC arrival angles from an element capture.
-
-    Builds a covariance from decimated snapshots (by default the whole
-    capture; pass ``window`` to restrict to, say, the pilot symbol),
-    scans the noise-subspace null spectrum over a grid of angles within
-    the front half plane of the array, and refines each peak with a
-    parabolic fit of the null spectrum.
-
-    Coherent sources defeat plain MUSIC, so for ``n_sources >= 2`` a
-    forward-backward spatially smoothed covariance over subarrays is
-    used (default subarray of 12 on a 16-element array).
+    Builds the covariance from every sample of the capture (at least 64
+    snapshots), scans the noise-subspace null spectrum over a grid of
+    angles `MUSIC_GRID_DEG` apart within the front half plane of the
+    array, and refines its deepest minimum with a parabolic fit of the
+    null spectrum.
 
     Returns:
-        Angles in radians (global convention), strongest peak first.
-        A linear array cannot tell front from back; the returned angles
-        live in (boresight - pi/2, boresight + pi/2); a bearing hint
-        picks the alias (see the harness's survey resolver).
+        The angle in radians (global convention). A linear array cannot
+        tell front from back; the returned angle lives in (boresight -
+        pi/2, boresight + pi/2); a bearing hint picks the alias (see the
+        harness's survey resolver).
     """
-    if n_sources < 1:
-        raise ValueError("n_sources must be at least 1")
     if capture.elements != array.elements:
         raise ValueError("capture and array element counts differ")
-    if capture.elements < n_sources + 1:
-        raise ValueError("need more elements than sources")
-    if snapshots < 64:
+    if capture.elements < 2:
+        raise ValueError("MUSIC needs at least two elements")
+    x = capture.samples
+    if x.shape[1] < 64:
         raise ValueError("need at least 64 snapshots")
-    x = _snapshots(capture, window, snapshots)
 
-    if smoothing_subarray is None and n_sources >= 2:
-        smoothing_subarray = min(12, array.elements - 1)
-    if smoothing_subarray is not None:
-        if not n_sources < smoothing_subarray <= array.elements:
-            raise ValueError("smoothing subarray must be in (n_sources, elements]")
-        r = _fb_smooth(x, smoothing_subarray)
-        effective = smoothing_subarray
-    else:
-        r = x @ x.conj().T / x.shape[1]
-        effective = array.elements
+    r = x @ x.conj().T / x.shape[1]
+    elements = array.elements
+    _, eigvecs = np.linalg.eigh(r)
+    noise_basis = eigvecs[:, : elements - 1]
 
-    eigvals, eigvecs = np.linalg.eigh(r)
-    noise_basis = eigvecs[:, : effective - n_sources]
-
-    offsets_deg = np.arange(-90.0 + grid_deg, 90.0, grid_deg)
+    offsets_deg = np.arange(-90.0 + MUSIC_GRID_DEG, 90.0, MUSIC_GRID_DEG)
     offsets = np.radians(offsets_deg)
-    scan = ArrayModel(effective, array.spacing_wavelengths, boresight=0.0)
     steer = np.exp(
         1j
         * 2.0
         * math.pi
-        * np.arange(effective)[:, np.newaxis]
-        * scan.spacing_wavelengths
+        * np.arange(elements)[:, np.newaxis]
+        * array.spacing_wavelengths
         * np.sin(offsets)[np.newaxis, :]
     )
-    null = np.sum(np.abs(noise_basis.conj().T @ steer) ** 2, axis=0) / effective
+    null = np.sum(np.abs(noise_basis.conj().T @ steer) ** 2, axis=0) / elements
 
     interior = (null[1:-1] < null[:-2]) & (null[1:-1] <= null[2:])
     minima = np.flatnonzero(interior) + 1
     if minima.size == 0:
         raise DetectionError("MUSIC found no spectrum peaks")
-    order = minima[np.argsort(null[minima])]
-    picks = order[:n_sources]
-
-    results = []
-    for i in picks:
-        lower, center, upper = null[i - 1], null[i], null[i + 1]
-        denom = lower - 2.0 * center + upper
-        shift = 0.0 if denom <= 0 else 0.5 * (lower - upper) / denom
-        angle = offsets[i] + shift * math.radians(grid_deg)
-        results.append(wrap_angle(array.boresight + angle))
-    return results
+    i = minima[np.argmin(null[minima])]
+    lower, center, upper = null[i - 1], null[i], null[i + 1]
+    denom = lower - 2.0 * center + upper
+    shift = 0.0 if denom <= 0 else 0.5 * (lower - upper) / denom
+    return wrap_angle(array.boresight + (offsets[i] + shift * math.radians(MUSIC_GRID_DEG)))
 
 
 def beamform(capture: IqCapture, array: ArrayModel, angle_rad: float) -> IqCapture:

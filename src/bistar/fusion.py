@@ -12,6 +12,9 @@ angle whitens the residuals, which balances the two measurement kinds
 regardless of their units. A Levenberg-Marquardt solver with an
 analytic Jacobian minimizes the losses of many problems at once: row r
 of every array is one problem, with its own damping and stopping state.
+`solve_multistatic_batch` is the one entry, and a single problem is a
+batch of one row. `gdop_weights` turns predicted errors (R x P, from
+`gdop.gdop_arrays`) into the pair weights w.
 """
 
 from __future__ import annotations
@@ -21,46 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
-from .estimation import Measurement
-from .gdop import MeasurementErrorModel, gdop_batch
-from .geometry import (
-    MIN_RANGE_M, SPEED_OF_LIGHT, BistaticPair, locate_batch, ordered_sum, wrap_angles,
-)
-
-# Reference error model used only to rank pairs for the initial guess.
-_RANKING_ERR = MeasurementErrorModel(1e-9, math.radians(0.1))
-
-
-@dataclass
-class FusionProblem:
-    """Measurements from several pairs plus loss scaling factors.
-
-    ``a`` (1/m units) scales distance-converted TDOA residuals, ``b``
-    (1/rad units) scales angle residuals, ``w`` weights pairs; scalars
-    broadcast to all pairs.
-    """
-
-    pairs: list[BistaticPair]
-    measurements: list[Measurement]
-    a: np.ndarray | float = 1.0
-    b: np.ndarray | float = 1.0
-    w: np.ndarray | float = 1.0
-
-    def __post_init__(self) -> None:
-        if len(self.pairs) < 1:
-            raise ValueError("need at least one pair")
-        if len(self.pairs) != len(self.measurements):
-            raise ValueError("pairs and measurements must align")
-        count = len(self.pairs)
-        for name in ("a", "b", "w"):
-            value = np.broadcast_to(np.asarray(getattr(self, name), dtype=float), (count,))
-            if np.any(value < 0) or not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} factors must be finite and non-negative")
-            setattr(self, name, value.copy())
-        for pair, meas in zip(self.pairs, self.measurements):
-            if meas.mode is not pair.mode:
-                raise ValueError("measurement mode must match its pair")
+from .geometry import MIN_RANGE_M, SPEED_OF_LIGHT, wrap_angles
 
 
 @dataclass(frozen=True)
@@ -71,22 +35,6 @@ class SolverOptions:
     gradient_tol: float = 1e-12
     step_tol: float = 1e-10
     initial_damping: float = 1e-3
-    initial_guess: tuple[float, float] | None = None
-
-
-@dataclass(frozen=True)
-class FusionResult:
-    """Converged position estimate and solver diagnostics."""
-
-    x: float
-    y: float
-    iterations: int
-    converged: bool
-    loss: float
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -141,25 +89,6 @@ def _linearize(batch: tuple, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return res, jac, np.where(off_node, np.square(res).sum(axis=(1, 2)), np.inf)
 
 
-def _rows(problem: FusionProblem) -> tuple:
-    """`solve_multistatic_batch` arguments of a problem as one row."""
-    return (
-        [[(p.tx_node.x, p.tx_node.y) for p in problem.pairs]],
-        [[(p.rx_node.x, p.rx_node.y) for p in problem.pairs]],
-        [[m.tdoa_s for m in problem.measurements]],
-        [[m.aoa_rad for m in problem.measurements]],
-    )
-
-
-def wls_loss(x: float, y: float, problem: FusionProblem) -> float:
-    """Weighted least-squares loss at a candidate position."""
-    batch = _prepare(*_rows(problem), problem.a, problem.b, problem.w)
-    loss = float(_linearize(batch, np.array([[x, y]], dtype=float))[2][0])
-    if loss == math.inf:
-        raise DegenerateGeometryError("candidate position coincides with a node")
-    return loss
-
-
 def gdop_weights(predicted) -> np.ndarray:
     """Per-pair weights of R problems from their predicted errors (R x P,
     NaN where a pair is degenerate): inverse to the error, summing to P
@@ -174,37 +103,6 @@ def gdop_weights(predicted) -> np.ndarray:
         raw = np.where(exact.any(axis=1, keepdims=True), exact * 1.0, inverse)
         total = raw.sum(axis=1, keepdims=True)
         return np.where(total > 0.0, raw * (predicted.shape[1] / total), np.nan)
-
-
-def compute_weights(
-    problem: FusionProblem,
-    rough_position: tuple[float, float],
-    err: MeasurementErrorModel,
-) -> np.ndarray:
-    """`gdop_weights` of the problem's pairs at the rough position.
-
-    Raises DegenerateGeometryError if every pair is degenerate there.
-    """
-    predicted = gdop_batch(problem.pairs, rough_position[0], rough_position[1], err)
-    weights = gdop_weights(predicted[None])[0]
-    if np.isnan(weights[0]):
-        raise DegenerateGeometryError("every pair is degenerate at the rough position")
-    return weights
-
-
-def _initial_guess(problem: FusionProblem) -> tuple[float, float]:
-    """Closed-form solution of the best-ranked pair, else node centroid."""
-    located = locate_batch(*(np.asarray(column[0], dtype=float) for column in _rows(problem)))
-    scores = gdop_batch(problem.pairs, located[:, 0], located[:, 1], _RANKING_ERR)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(problem.w > 0, scores / problem.w, np.nan)
-    if not np.isnan(scores).all():
-        return tuple(located[np.nanargmin(scores)].tolist())
-    xs = [p for pair in problem.pairs for p in (pair.n1.x, pair.n2.x)]
-    ys = [p for pair in problem.pairs for p in (pair.n1.y, pair.n2.y)]
-    # Offset the centroid off the node row so the loss is evaluable even
-    # when every node lies on one line.
-    return (ordered_sum(xs) / len(xs), ordered_sum(ys) / len(ys) + 1.0)
 
 
 def _damped_steps(normal, diag, damping, gradient) -> np.ndarray:
@@ -228,8 +126,7 @@ def solve_multistatic_batch(
     Row r is one problem: P pairs transmitting from ``tx_xy[r]`` and
     receiving at ``rx_xy[r]`` (R x P x 2), their TDOAs and global AoAs
     ``tdoa_s[r]`` and ``aoa_rad[r]`` (R x P), and the guess ``guess[r]``;
-    ``a``, ``b`` and ``w`` broadcast to R x P, ``opts.initial_guess`` is
-    ignored. Each row steps on its own by (J^T J + damping diag(J^T J))
+    ``a``, ``b`` and ``w`` broadcast to R x P. Each row steps on its own by (J^T J + damping diag(J^T J))
     delta = -J^T r: a step that lowers its loss is taken and divides its
     damping by 10 (floor 1e-15), a rejected or singular one multiplies
     it by 10. A row converges when its gradient drops below
@@ -290,20 +187,3 @@ def solve_multistatic_batch(
     loss[failed] = math.nan
     return FusionBatchResult(xy, iterations, converged, loss, failed)
 
-
-def solve_multistatic(
-    problem: FusionProblem, opts: SolverOptions | None = None
-) -> FusionResult:
-    """The one-row view of `solve_multistatic_batch`, from
-    ``opts.initial_guess`` or else the best-ranked pair's closed form.
-    Raises DegenerateGeometryError if the loss at the guess is not finite.
-    """
-    opts = opts or SolverOptions()
-    guess = opts.initial_guess if opts.initial_guess is not None else _initial_guess(problem)
-    out = solve_multistatic_batch(
-        *_rows(problem), [guess], problem.a, problem.b, problem.w, opts
-    )
-    if out.failed[0]:
-        raise DegenerateGeometryError("initial guess is degenerate")
-    (x, y), = out.xy.tolist()
-    return FusionResult(x, y, int(out.iterations[0]), bool(out.converged[0]), float(out.loss[0]))

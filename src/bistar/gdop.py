@@ -1,13 +1,16 @@
 """Dilution of precision for TDOA/AoA bistatic localization.
 
 Propagates measurement noise and node position uncertainty through the
-linearized measurement model to a position error covariance, and selects
-the transmit direction with the smaller predicted error.  One stacked
-kernel evaluates N geometries at once from coordinate arrays
-(`gdop_arrays`: node coordinates, node variances and a MODE2 mask per
-row), so callers with many drawn node positions build no objects.
-`gdop_batch` is its view over `BistaticPair` objects, and the scalar
-functions are one-row views.
+linearized measurement model to a position error covariance and its
+RMS, the dilution of precision.  One stacked kernel evaluates N
+geometries at once from coordinate arrays (`gdop_arrays`: node
+coordinates, node variances and a MODE2 mask per row), so callers with
+many drawn node positions build no objects.
+`gdop_batch` is its one view, over `BistaticPair` objects; one geometry
+is a batch of one row.  A degenerate row (target on a node, or C1
+conditioned worse than CONDITION_LIMIT) is NaN.  The transmit direction
+to prefer at a target is the one whose row predicts the smaller error,
+MODE1 on a tie, as the `best_mode` of `harness.run_gdop_map` picks it.
 
 C1 is 2x2, so the kernel inverts it in closed form, elementwise over
 the rows, with no LAPACK call: B = adj(C1) / det.  That is invariant to
@@ -24,12 +27,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
-from .geometry import MIN_RANGE_M, SPEED_OF_LIGHT, BistaticPair, Mode, TargetState
+from .geometry import MIN_RANGE_M, SPEED_OF_LIGHT, BistaticPair, Mode
 
 # Geometries whose measurement Jacobian is worse conditioned than this
 # are refused rather than inverted.
@@ -46,17 +48,6 @@ class MeasurementErrorModel:
     def __post_init__(self) -> None:
         if self.sigma_tdoa_s < 0.0 or self.sigma_aoa_rad < 0.0:
             raise ValueError("measurement sigmas must be non-negative")
-
-
-@dataclass(frozen=True)
-class GdopReport:
-    """Intermediate matrices and the scalar dilution value for one geometry."""
-
-    c1: np.ndarray
-    c2: np.ndarray
-    p_dp: np.ndarray
-    gdop_m: float
-    mode: Mode
 
 
 def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -169,10 +160,11 @@ def gdop_arrays(n1_xy, n2_xy, var, mode2, x, y, err: MeasurementErrorModel) -> n
     with coordinate variances ``var[i]`` (sigma squared of x1, y1, x2,
     y2; N x 4), receiving at n1 where ``mode2[i]`` and at n2 elsewhere,
     and the target ``(x[i], y[i])``; the nodes or the targets set N, any
-    other input may be one row for all.  A row is NaN exactly where `gdop`
-    raises (target on a node, or C1 conditioned worse than CONDITION_LIMIT),
-    and ValueError is raised where `NodePosition` or `BistaticPair` would:
-    non-finite coordinates, coincident nodes, a negative variance.
+    other input may be one row for all.  A row is NaN where the target
+    sits on a node (or is not finite) or C1 is conditioned worse than
+    CONDITION_LIMIT, and ValueError is raised where `NodePosition` or
+    `BistaticPair` would: non-finite coordinates, coincident nodes, a
+    negative variance.
     """
     c1, c2, off_node = _jacobians(n1_xy, n2_xy, mode2, x, y)
     p_dp, condition = _covariance(c1, c2, err, var)
@@ -184,72 +176,8 @@ def gdop_arrays(n1_xy, n2_xy, var, mode2, x, y, err: MeasurementErrorModel) -> n
 def gdop_batch(pairs: Sequence[BistaticPair], x, y, err: MeasurementErrorModel) -> np.ndarray:
     """`gdop_arrays` of ``pairs``, one pair or N pairs, at the targets
     ``x`` and ``y``, scalars or length-N arrays broadcast against the
-    pairs.  Every row equals the `gdop` value of its geometry bit for bit.
+    pairs.
     """
     n1_xy, n2_xy, var, mode2 = _node_arrays(pairs)
     return gdop_arrays(n1_xy, n2_xy, var, mode2, x, y, err)
 
-
-def _one_row(pair: BistaticPair, target: TargetState) -> tuple[np.ndarray, np.ndarray]:
-    n1_xy, n2_xy, _, mode2 = _node_arrays([pair])
-    c1, c2, off_node = _jacobians(n1_xy, n2_xy, mode2, target.x, target.y)
-    if not off_node[0]:
-        raise DegenerateGeometryError("target coincides with a node")
-    return c1[0], c2[0]
-
-
-def jacobian_c1(pair: BistaticPair, target: TargetState) -> np.ndarray:
-    """2x2 Jacobian of (TDOA, AoA at the receiving node) w.r.t. target (x, y)."""
-    return _one_row(pair, target)[0]
-
-
-def jacobian_c2(pair: BistaticPair, target: TargetState) -> np.ndarray:
-    """2x4 Jacobian of (TDOA, AoA) w.r.t. node coordinates (x1, y1, x2, y2)."""
-    return _one_row(pair, target)[1]
-
-
-def error_covariance(
-    c1: np.ndarray, c2: np.ndarray, meas: MeasurementErrorModel, pair: BistaticPair
-) -> np.ndarray:
-    """2x2 position error covariance from measurement and node noise.
-
-    Solves the linearized model dZ = C1 dp + C2 dX for dp with the
-    inverse B = adj(C1) / det of C1 (see the module docstring), giving
-    P = B (R_z + C2 R_x C2^T) B^T, where R_z holds the measurement
-    variances and R_x the node coordinate variances.  P is exactly
-    symmetric, and zero sigmas need no special path: nothing divides by
-    a sigma.  Neither the normal equations (C1^T C1 squares the row
-    imbalance) nor an SVD keeps the relative error that the closed form
-    keeps.
-
-    Raises:
-        DegenerateGeometryError: when C1 is ill conditioned
-            (condition number above CONDITION_LIMIT).
-    """
-    c1 = np.asarray(c1, dtype=float)[None]
-    c2 = np.asarray(c2, dtype=float)[None]
-    p_dp, condition = _covariance(c1, c2, meas, _node_arrays([pair])[2])
-    if not condition[0] <= CONDITION_LIMIT:
-        raise DegenerateGeometryError(
-            f"measurement Jacobian condition number {condition[0]:.3e} exceeds "
-            f"{CONDITION_LIMIT:.0e}"
-        )
-    return p_dp[0]
-
-
-def gdop(pair: BistaticPair, target: TargetState, meas: MeasurementErrorModel) -> GdopReport:
-    """Predicted RMS position error for one pair, target, and error model."""
-    c1, c2 = _one_row(pair, target)
-    p_dp = error_covariance(c1, c2, meas, pair)
-    return GdopReport(c1=c1, c2=c2, p_dp=p_dp, gdop_m=float(_rms(p_dp)), mode=pair.mode)
-
-
-def select_mode(
-    pair: BistaticPair, target: TargetState, meas: MeasurementErrorModel
-) -> Mode:
-    """Transmit direction with the lower predicted error; ties pick MODE1."""
-    pairs = [replace(pair, mode=Mode.MODE1), replace(pair, mode=Mode.MODE2)]
-    g1, g2 = gdop_batch(pairs, target.x, target.y, meas).tolist()
-    if math.isnan(g1) and math.isnan(g2):
-        raise DegenerateGeometryError("both transmit directions are degenerate")
-    return Mode.MODE1 if math.isnan(g2) or g1 <= g2 else Mode.MODE2

@@ -295,21 +295,26 @@ def locate_batch(
     ``tx_xy[i]`` and receives at ``rx_xy[i]`` (both N x 2), bit for bit
     as `locate_bistatic` does. Rows where that raises
     `DegenerateGeometryError` (coincident nodes, or a target at infinity
-    along the baseline) are NaN.
+    along the baseline) are NaN, and so are rows with a NaN or infinite
+    TDOA or AoA, without a warning.
 
     Raises:
-        ValueError: if any TDOA is negative.
+        ValueError: if any finite TDOA is negative.
     """
     tx = np.asarray(tx_xy, dtype=float)
     rx = np.asarray(rx_xy, dtype=float)
     tdoa = np.asarray(tdoa_s, dtype=float)
     aoa = np.asarray(aoa_rad, dtype=float)
-    if np.any(tdoa < 0.0):
+    finite = np.isfinite(tdoa)
+    if np.any(finite & (tdoa < 0.0)):
         raise ValueError("tdoa must be non-negative")
+    finite &= np.isfinite(aoa)
+    # Non-finite rows invert zeros instead, then read NaN.
+    tdoa, aoa = np.where(finite, tdoa, 0.0), np.where(finite, aoa, 0.0)
     baseline, (numerator, denominator) = _inversion(
         rx[:, 0] - tx[:, 0], tx[:, 1] - rx[:, 1], tdoa, aoa, _each, wrap_angles
     )
-    usable = (baseline >= MIN_RANGE_M) & (denominator > MIN_RANGE_M)
+    usable = finite & (baseline >= MIN_RANGE_M) & (denominator > MIN_RANGE_M)
     r_rx = numerator / np.where(usable, denominator, 1.0)
     xy = np.stack(
         (rx[:, 0] - r_rx * _each(math.sin, aoa), rx[:, 1] + r_rx * _each(math.cos, aoa)),

@@ -313,7 +313,7 @@ class _SignalBench:
             delayed_frames, pulses,
         )
         fs, spp = capture.sample_rate_hz, capture.samples_per_pulse
-        aoa_raw = music_aoa(IqCapture(capture.pilot, fs), rx_array, 1, 0.1)[0]
+        aoa_raw = music_aoa(IqCapture(capture.pilot, fs), rx_array)
         aoa = _resolve_survey_aoa(aoa_raw, boresight, true_aoa(rx, target))
         echo, guard = capture.beams(np.stack([
             steering_vector(rx_array, aoa) / rx_array.elements,

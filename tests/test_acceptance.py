@@ -18,9 +18,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import bistar.gdop as gdop_module
 from bistar import (
     BistaticPair,
-    FusionProblem,
     Measurement,
     MeasurementErrorModel,
     Mode,
@@ -31,23 +31,19 @@ from bistar import (
     TargetState,
     bistatic_ranges,
     collinearity_deg,
-    gdop,
-    jacobian_c1,
-    jacobian_c2,
+    locate_batch,
     locate_bistatic,
     preset_scenario,
     run_doppler,
     run_iso_range_sweep,
     run_multistatic,
-    select_mode,
-    solve_multistatic,
+    solve_multistatic_batch,
     true_aoa,
     true_tdoa,
-    wls_loss,
     write_sweep_csv,
 )
 from bistar.config import ENGINE_MODEL
-from bistar.fusion import _linearize, _prepare, _rows
+from bistar.fusion import _linearize, _prepare
 from bistar.geometry import SPEED_OF_LIGHT
 from bistar.harness import STATUS_OK
 
@@ -185,16 +181,14 @@ def test_c4_gdop_predicts_monte_carlo(report):
     rows = [r for r in result.rows if r.status == STATUS_OK]
     ratios = []
     agree = 0
-    pair = BistaticPair(cfg.nodes[0], cfg.nodes[1], Mode.MODE1)
     for row in rows:
         ratios.append(row.err_rms_mode1_m / row.gdop_mode1_m)
         ratios.append(row.err_rms_mode2_m / row.gdop_mode2_m)
         empirical = (
             Mode.MODE1 if row.err_rms_mode1_m <= row.err_rms_mode2_m else Mode.MODE2
         )
-        predicted = select_mode(
-            pair, TargetState(row.x_m, row.y_m), cfg.error_override
-        )
+        # The mode with the smaller predicted error, MODE1 on a tie.
+        predicted = Mode.MODE1 if row.gdop_mode1_m <= row.gdop_mode2_m else Mode.MODE2
         agree += empirical is predicted
     ratio_lo, ratio_hi = min(ratios), max(ratios)
     fraction = agree / len(rows)
@@ -257,6 +251,24 @@ def test_c7_velocity_recovery(report):
     )
 
 
+def _kernel_row(pair, target, err=MeasurementErrorModel(0.0, 0.0)):
+    """C1, C2 and P of one geometry: a one-row batch of the GDOP kernel."""
+    n1_xy, n2_xy, var, mode2 = gdop_module._node_arrays([pair])
+    c1, c2, _ = gdop_module._jacobians(n1_xy, n2_xy, mode2, target.x, target.y)
+    return c1[0], c2[0], gdop_module._covariance(c1, c2, err, var)[0][0]
+
+
+def _fusion_columns(pairs, tdoa, aoa):
+    """One fusion problem as a one-row batch: transmitter and receiver
+    coordinates, TDOAs and AoAs of its pairs."""
+    return (
+        [[(p.tx_node.x, p.tx_node.y) for p in pairs]],
+        [[(p.rx_node.x, p.rx_node.y) for p in pairs]],
+        [tdoa],
+        [aoa],
+    )
+
+
 def _check_jacobians(rng, trials=20):
     """Max relative finite-difference mismatch across random setups."""
     worst = 0.0
@@ -281,11 +293,10 @@ def _check_jacobians(rng, trials=20):
             meas_vec(TargetState(target.x, target.y + h))
             - meas_vec(TargetState(target.x, target.y - h))
         ) / (2 * h)
-        c1 = jacobian_c1(pair, target)
+        c1, c2, _ = _kernel_row(pair, target)
         scale = np.maximum(np.abs(c1), 1e-6)
         worst = max(worst, float(np.max(np.abs(c1 - fd) / scale)))
 
-        c2 = jacobian_c2(pair, target)
         fd2 = np.empty((2, 4))
         for j, (node, attr) in enumerate(
             [(pair.n1, "x"), (pair.n1, "y"), (pair.n2, "x"), (pair.n2, "y")]
@@ -310,20 +321,14 @@ def _check_jacobians(rng, trials=20):
         # Fusion residual jacobian on a 3-pair problem.
         pairs = [BistaticPair(*random_pair(rng), Mode.MODE1) for _ in range(3)]
         fused_target = random_clear_target(rng, pairs[0])
-        problem = FusionProblem(
-            pairs=pairs,
-            measurements=[
-                Measurement(
-                    tdoa_s=true_tdoa(p, fused_target),
-                    aoa_rad=true_aoa(p.rx_node, fused_target),
-                    mode=p.mode,
-                )
-                for p in pairs
-            ],
+        columns = _fusion_columns(
+            pairs,
+            [true_tdoa(p, fused_target) for p in pairs],
+            [true_aoa(p.rx_node, fused_target) for p in pairs],
         )
         x = fused_target.x + 0.7
         y = fused_target.y - 0.4
-        stack = _prepare(*_rows(problem), problem.a, problem.b, problem.w)
+        stack = _prepare(*columns, 1.0, 1.0, 1.0)
         # Rows: the candidate and its four central-difference neighbours.
         points = np.array([[x, y], [x + h, y], [x - h, y], [x, y + h], [x, y - h]])
         res, jacs, _ = _linearize(stack, points)
@@ -344,7 +349,7 @@ def _check_covariance_psd(rng, trials=50):
         n2 = NodePosition(n2.x, n2.y, 0.015, 0.01)
         pair = BistaticPair(n1, n2, Mode.MODE2)
         target = random_clear_target(rng, pair)
-        cov = gdop(pair, target, err).p_dp
+        cov = _kernel_row(pair, target, err)[2]
         scale = max(abs(cov).max(), 1e-30)
         worst_asym = max(worst_asym, float(abs(cov - cov.T).max() / scale))
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(cov).min() / scale))
@@ -357,20 +362,16 @@ def _check_lm_properties(rng):
     for _ in range(25):
         pairs = [BistaticPair(*random_pair(rng), Mode.MODE1) for _ in range(3)]
         target = random_clear_target(rng, pairs[0])
-        measurements = [
-            Measurement(
-                tdoa_s=max(true_tdoa(p, target) + rng.normal(0.0, 2e-9), 0.0),
-                aoa_rad=true_aoa(p.rx_node, target) + rng.normal(0.0, 0.02),
-                mode=p.mode,
-            )
-            for p in pairs
-        ]
-        problem = FusionProblem(pairs=pairs, measurements=measurements)
-        guess = (target.x + rng.uniform(-5, 5), target.y + rng.uniform(-5, 5))
-        result = solve_multistatic(problem, SolverOptions(initial_guess=guess))
-        worst_gap = max(
-            worst_gap, result.loss - wls_loss(guess[0], guess[1], problem)
-        )
+        tdoa, aoa = [], []
+        for p in pairs:
+            tdoa.append(max(true_tdoa(p, target) + rng.normal(0.0, 2e-9), 0.0))
+            aoa.append(true_aoa(p.rx_node, target) + rng.normal(0.0, 0.02))
+        columns = _fusion_columns(pairs, tdoa, aoa)
+        guess = [(target.x + rng.uniform(-5, 5), target.y + rng.uniform(-5, 5))]
+        result = solve_multistatic_batch(*columns, guess)
+        # The loss at the guess: the same solve, stopped before its first step.
+        idle = solve_multistatic_batch(*columns, guess, opts=SolverOptions(max_iterations=0))
+        worst_gap = max(worst_gap, result.loss[0] - idle.loss[0])
 
     worst_dist = 0.0
     for _ in range(20):
@@ -383,8 +384,10 @@ def _check_lm_properties(rng):
             mode=mode,
         )
         cx, cy = locate_bistatic(pair, meas)
-        res = solve_multistatic(FusionProblem(pairs=[pair], measurements=[meas]))
-        worst_dist = max(worst_dist, math.hypot(res.x - cx, res.y - cy))
+        columns = _fusion_columns([pair], [meas.tdoa_s], [meas.aoa_rad])
+        guess = locate_batch(*(np.asarray(column[0], dtype=float) for column in columns))
+        (x, y), = solve_multistatic_batch(*columns, guess).xy.tolist()
+        worst_dist = max(worst_dist, math.hypot(x - cx, y - cy))
     return worst_gap, worst_dist
 
 

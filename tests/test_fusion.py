@@ -8,8 +8,6 @@ import pytest
 from bistar import (
     BistaticPair,
     DegenerateGeometryError,
-    FusionProblem,
-    FusionResult,
     Measurement,
     MeasurementErrorModel,
     Mode,
@@ -17,53 +15,94 @@ from bistar import (
     SolverOptions,
     TargetState,
     aoa_gradient,
-    compute_weights,
+    gdop_arrays,
     gdop_batch,
     gdop_weights,
-    locate_bistatic,
-    solve_multistatic,
+    locate_batch,
     solve_multistatic_batch,
     sum_range_gradient,
     true_aoa,
     true_tdoa,
-    wls_loss,
     wrap_angle,
 )
-from bistar.fusion import _initial_guess, _linearize, _prepare, _rows
+from bistar.fusion import _linearize, _prepare
 from bistar.geometry import SPEED_OF_LIGHT
 
 TRUTH = TargetState(12.0, 21.0)
+COLUMNS = ("tx_xy", "rx_xy", "tdoa_s", "aoa_rad")
+
+
+def problem_of(pairs, measurements, a=1.0, b=1.0, w=1.0):
+    """One fusion problem as a row of `solve_multistatic_batch`: the
+    pairs' transmitter and receiver coordinates (P x 2), their TDOAs and
+    AoAs, and the scales a, b and w broadcast to P."""
+    count = len(pairs)
+    scales = {k: np.broadcast_to(np.asarray(v, dtype=float), (count,)).copy()
+              for k, v in (("a", a), ("b", b), ("w", w))}
+    return {
+        "tx_xy": np.array([(p.tx_node.x, p.tx_node.y) for p in pairs], dtype=float),
+        "rx_xy": np.array([(p.rx_node.x, p.rx_node.y) for p in pairs], dtype=float),
+        "tdoa_s": np.array([m.tdoa_s for m in measurements], dtype=float),
+        "aoa_rad": np.array([m.aoa_rad for m in measurements], dtype=float),
+        **scales,
+    }
+
+
+def solve_stacked(problems, guesses, opts=None):
+    """`solve_multistatic_batch` over problems with equal pair counts."""
+    rows = {k: np.stack([p[k] for p in problems]) for k in problems[0]}
+    return solve_multistatic_batch(
+        *(rows[k] for k in COLUMNS), guesses, rows["a"], rows["b"], rows["w"], opts=opts
+    )
+
+
+def loss_at(problem, x, y):
+    """The loss of one problem at (x, y): the solver's loss at its guess
+    after no iteration, NaN where (x, y) sits on a node."""
+    idle = solve_stacked([problem], [(x, y)], SolverOptions(max_iterations=0))
+    return float(idle.loss[0])
 
 
 # The per-pair scalar solver that the batched one replaced, kept as the
 # reference: residuals, Jacobian and Levenberg-Marquardt loop.
+def reference_pairs(problem):
+    """The problem's pairs as objects, each transmitting from n1."""
+    return [
+        BistaticPair(NodePosition(*tx), NodePosition(*rx))
+        for tx, rx in zip(problem["tx_xy"].tolist(), problem["rx_xy"].tolist())
+    ]
+
+
 def reference_residuals(x, y, problem):
     point = TargetState(x, y)
-    out = np.empty(2 * len(problem.pairs))
-    for i, (pair, meas) in enumerate(zip(problem.pairs, problem.measurements)):
-        root_w = math.sqrt(problem.w[i])
+    pairs = reference_pairs(problem)
+    out = np.empty(2 * len(pairs))
+    for i, pair in enumerate(pairs):
+        root_w = math.sqrt(problem["w"][i])
         out[2 * i] = (
-            root_w * problem.a[i] * SPEED_OF_LIGHT * (meas.tdoa_s - true_tdoa(pair, point))
+            root_w * problem["a"][i] * SPEED_OF_LIGHT
+            * (problem["tdoa_s"][i] - true_tdoa(pair, point))
         )
         out[2 * i + 1] = (
-            root_w * problem.b[i] * wrap_angle(meas.aoa_rad - true_aoa(pair.rx_node, point))
+            root_w * problem["b"][i]
+            * wrap_angle(problem["aoa_rad"][i] - true_aoa(pair.rx_node, point))
         )
     return out
 
 
 def reference_jacobian(x, y, problem):
     point = TargetState(x, y)
-    out = np.empty((2 * len(problem.pairs), 2))
-    for i, pair in enumerate(problem.pairs):
-        root_w = math.sqrt(problem.w[i])
+    pairs = reference_pairs(problem)
+    out = np.empty((2 * len(pairs), 2))
+    for i, pair in enumerate(pairs):
+        root_w = math.sqrt(problem["w"][i])
         gx, gy = sum_range_gradient(pair, point)
         th_dx, th_dy = aoa_gradient(pair.rx_node, point)
-        scale_t = -root_w * problem.a[i] * SPEED_OF_LIGHT
-        scale_a = -root_w * problem.b[i]
+        scale_t = -root_w * problem["a"][i] * SPEED_OF_LIGHT
+        scale_a = -root_w * problem["b"][i]
         out[2 * i] = (scale_t * (gx / SPEED_OF_LIGHT), scale_t * (gy / SPEED_OF_LIGHT))
         out[2 * i + 1] = (scale_a * th_dx, scale_a * th_dy)
     return out
-
 
 def reference_loss(x, y, problem):
     try:
@@ -118,7 +157,8 @@ def reference_solve(problem, guess, opts=SolverOptions()):
 def linearize_one(problem, points):
     """Residuals (rows x 2P) and Jacobians (rows x 2P x 2) of one problem
     at several candidate positions, in the reference's row order."""
-    stack = _prepare(*_rows(problem), problem.a, problem.b, problem.w)
+    columns = (problem[k][None] for k in COLUMNS)
+    stack = _prepare(*columns, problem["a"], problem["b"], problem["w"])
     res, jac, loss = _linearize(stack, np.asarray(points, dtype=float))
     return res.reshape(len(points), -1), jac.reshape(len(points), -1, 2), loss
 
@@ -145,54 +185,20 @@ def exact_measurement(pair, target=TRUTH):
 
 def exact_problem(count=3, **kw):
     pairs = ring_pairs(count)
-    return FusionProblem(
-        pairs=pairs, measurements=[exact_measurement(p) for p in pairs], **kw
-    )
-
-
-class TestFusionProblem:
-    def test_broadcasts_scalars(self):
-        problem = exact_problem(a=2.0, b=0.5, w=3.0)
-        assert problem.a.shape == (3,) and problem.a[1] == 2.0
-        assert problem.w.sum() == 9.0
-
-    def test_validation(self):
-        pairs = ring_pairs(2)
-        meas = [exact_measurement(p) for p in pairs]
-        with pytest.raises(ValueError):
-            FusionProblem(pairs=[], measurements=[])
-        with pytest.raises(ValueError):
-            FusionProblem(pairs=pairs, measurements=meas[:1])
-        with pytest.raises(ValueError):
-            FusionProblem(pairs=pairs, measurements=meas, a=-1.0)
-        with pytest.raises(ValueError):
-            FusionProblem(pairs=pairs, measurements=meas, b=math.nan)
-        with pytest.raises(ValueError):
-            FusionProblem(pairs=pairs, measurements=meas, w=[1.0, -2.0])
-
-    def test_mode_mismatch_rejected(self):
-        pairs = ring_pairs(2)
-        meas = [exact_measurement(p) for p in pairs]
-        flipped = Measurement(
-            tdoa_s=meas[0].tdoa_s, aoa_rad=meas[0].aoa_rad, mode=Mode.MODE2
-        )
-        with pytest.raises(ValueError):
-            FusionProblem(pairs=pairs, measurements=[flipped, meas[1]])
+    return problem_of(pairs, [exact_measurement(p) for p in pairs], **kw)
 
 
 class TestLoss:
     def test_zero_at_truth_positive_elsewhere(self):
         problem = exact_problem()
-        assert wls_loss(TRUTH.x, TRUTH.y, problem) < 1e-18
-        assert wls_loss(TRUTH.x + 0.5, TRUTH.y, problem) > 1e-6
+        assert loss_at(problem, TRUTH.x, TRUTH.y) < 1e-18
+        assert loss_at(problem, TRUTH.x + 0.5, TRUTH.y) > 1e-6
 
     def test_weights_scale_loss_linearly(self):
         base = exact_problem()
         boosted = exact_problem(w=4.0)
         x, y = 14.0, 19.0
-        assert wls_loss(x, y, boosted) == pytest.approx(
-            4.0 * wls_loss(x, y, base), rel=1e-12
-        )
+        assert loss_at(boosted, x, y) == pytest.approx(4.0 * loss_at(base, x, y), rel=1e-12)
 
 
 class TestJacobian:
@@ -203,9 +209,9 @@ class TestJacobian:
             modes = [Mode.MODE1 if rng.random() < 0.5 else Mode.MODE2 for _ in range(count)]
             pairs = ring_pairs(count, radius=float(rng.uniform(15, 40)), modes=modes)
             target = TargetState(float(rng.uniform(-15, 15)), float(rng.uniform(8, 30)))
-            problem = FusionProblem(
-                pairs=pairs,
-                measurements=[exact_measurement(p, target) for p in pairs],
+            problem = problem_of(
+                pairs,
+                [exact_measurement(p, target) for p in pairs],
                 a=rng.uniform(0.5, 2.0, count),
                 b=rng.uniform(0.5, 2.0, count),
                 w=rng.uniform(0.2, 3.0, count),
@@ -227,30 +233,23 @@ class TestJacobian:
 
 class TestSolver:
     def test_recovers_truth_from_far_guess(self):
-        problem = exact_problem()
-        result = solve_multistatic(
-            problem, SolverOptions(initial_guess=(40.0, 60.0), max_iterations=200)
+        result = solve_stacked(
+            [exact_problem()], [(40.0, 60.0)], SolverOptions(max_iterations=200)
         )
-        assert result.converged
-        assert math.hypot(result.x - TRUTH.x, result.y - TRUTH.y) < 1e-6
-        assert result.loss < 1e-12
-
-    def test_default_guess_also_converges(self):
-        result = solve_multistatic(exact_problem())
-        assert math.hypot(result.x - TRUTH.x, result.y - TRUTH.y) < 1e-6
-        assert isinstance(result, FusionResult)
-        assert result.position == (result.x, result.y)
+        assert result.converged[0]
+        assert math.hypot(result.xy[0, 0] - TRUTH.x, result.xy[0, 1] - TRUTH.y) < 1e-6
+        assert result.loss[0] < 1e-12
 
     def test_single_pair_matches_closed_form(self):
-        """One pair: the iterative solution equals direct inversion."""
+        """One pair, started from its closed form: the iterative solution
+        equals direct inversion."""
         for mode in (Mode.MODE1, Mode.MODE2):
             pair = BistaticPair(NodePosition(-12.0, 0.0), NodePosition(12.0, 0.0), mode)
-            meas = exact_measurement(pair)
-            closed_x, closed_y = locate_bistatic(pair, meas)
-            problem = FusionProblem(pairs=[pair], measurements=[meas])
-            result = solve_multistatic(problem)
-            assert result.x == pytest.approx(closed_x, abs=1e-6)
-            assert result.y == pytest.approx(closed_y, abs=1e-6)
+            problem = problem_of([pair], [exact_measurement(pair)])
+            (closed_x, closed_y), = locate_batch(*(problem[k] for k in COLUMNS)).tolist()
+            result = solve_stacked([problem], [(closed_x, closed_y)])
+            assert result.xy[0, 0] == pytest.approx(closed_x, abs=1e-6)
+            assert result.xy[0, 1] == pytest.approx(closed_y, abs=1e-6)
 
     def test_loss_never_exceeds_initial_guess(self):
         rng = np.random.default_rng(51)
@@ -266,22 +265,10 @@ class TestSolver:
                         mode=pair.mode,
                     )
                 )
-            problem = FusionProblem(pairs=pairs, measurements=measurements)
+            problem = problem_of(pairs, measurements)
             guess = (float(rng.uniform(-20, 20)), float(rng.uniform(5, 40)))
-            result = solve_multistatic(problem, SolverOptions(initial_guess=guess))
-            assert result.loss <= wls_loss(guess[0], guess[1], problem) + 1e-12
-
-    def test_unusable_pairs_fall_back_to_the_centroid(self):
-        pairs = ring_pairs(2)
-        problem = FusionProblem(
-            pairs=pairs, measurements=[exact_measurement(p) for p in pairs], w=[0.0, 0.0]
-        )
-        nodes = [n for pair in pairs for n in (pair.n1, pair.n2)]
-        assert _initial_guess(problem) == (
-            sum(n.x for n in nodes) / 4, sum(n.y for n in nodes) / 4 + 1.0
-        )
-        problem.w = np.array([0.0, 1.0])
-        assert _initial_guess(problem) == locate_bistatic(pairs[1], problem.measurements[1])
+            result = solve_stacked([problem], [guess])
+            assert result.loss[0] <= loss_at(problem, *guess) + 1e-12
 
     def test_down_weighting_a_biased_pair_helps(self):
         pairs = ring_pairs(2)
@@ -292,32 +279,34 @@ class TestSolver:
             aoa_rad=biased_src.aoa_rad + 0.05,
             mode=pairs[1].mode,
         )
-        uniform = FusionProblem(pairs=pairs, measurements=[clean, biased])
-        skewed = FusionProblem(
-            pairs=pairs, measurements=[clean, biased], w=[50.0, 1.0]
-        )
-        err_u = solve_multistatic(uniform)
-        err_s = solve_multistatic(skewed)
-        dist = lambda r: math.hypot(r.x - TRUTH.x, r.y - TRUTH.y)
+        uniform = problem_of(pairs, [clean, biased])
+        skewed = problem_of(pairs, [clean, biased], w=[50.0, 1.0])
+        guess = [(TRUTH.x + 3.0, TRUTH.y - 2.0)]
+        err_u, err_s = (solve_stacked([p], guess).xy[0] for p in (uniform, skewed))
+        dist = lambda xy: math.hypot(xy[0] - TRUTH.x, xy[1] - TRUTH.y)
         assert dist(err_s) < dist(err_u)
 
 
+def weights_at(pairs, position, err):
+    """The pair weights of one problem at a position: `gdop_weights` of
+    the pairs' `gdop_batch` predictions there."""
+    return gdop_weights(gdop_batch(pairs, position[0], position[1], err)[None])[0]
+
+
 class TestComputeWeights:
+    """Pair weights of one problem from the GDOP kernel at a position."""
+
     def test_normalized_to_pair_count(self):
-        problem = exact_problem(4)
-        weights = compute_weights(problem, (10.0, 20.0), MeasurementErrorModel(1e-9, 0.01))
+        weights = weights_at(ring_pairs(4), (10.0, 20.0), MeasurementErrorModel(1e-9, 0.01))
         assert weights.shape == (4,)
         assert weights.sum() == pytest.approx(4.0, rel=1e-12)
         assert np.all(weights > 0)
 
     def test_degenerate_pair_gets_zero(self):
         pairs = ring_pairs(3)
-        problem = FusionProblem(
-            pairs=pairs, measurements=[exact_measurement(p) for p in pairs]
-        )
         # Evaluating exactly on a receiver makes that pair undefined.
         rx = pairs[1].rx_node
-        weights = compute_weights(problem, (rx.x, rx.y), MeasurementErrorModel(1e-9, 0.01))
+        weights = weights_at(pairs, (rx.x, rx.y), MeasurementErrorModel(1e-9, 0.01))
         assert weights[1] == 0.0
         assert weights.sum() == pytest.approx(3.0, rel=1e-12)
 
@@ -330,17 +319,13 @@ class TestComputeWeights:
             angle = 2.0 * math.pi * (i + 0.35) / 3
             rx = NodePosition(25 * math.cos(angle), 25 * math.sin(angle), 0.01, 0.01)
             pairs.append(BistaticPair(tx, rx))
-        problem = FusionProblem(
-            pairs=pairs, measurements=[exact_measurement(p) for p in pairs]
-        )
-        weights = compute_weights(problem, (10.0, 20.0), MeasurementErrorModel(1e-9, 0.01))
+        weights = weights_at(pairs, (10.0, 20.0), MeasurementErrorModel(1e-9, 0.01))
         assert weights.tolist() == [1.1545865656830245, 0.9796814374895276, 0.8657319968274484]
-        weights = compute_weights(problem, (-3.0, 7.5), MeasurementErrorModel(2e-9, 0.003))
+        weights = weights_at(pairs, (-3.0, 7.5), MeasurementErrorModel(2e-9, 0.003))
         assert weights.tolist() == [0.8333534302329911, 0.5315489980368783, 1.6350975717301304]
 
     def test_zero_predicted_error_shares_weight_equally(self):
-        problem = exact_problem(3)
-        weights = compute_weights(problem, (10.0, 20.0), MeasurementErrorModel(0.0, 0.0))
+        weights = weights_at(ring_pairs(3), (10.0, 20.0), MeasurementErrorModel(0.0, 0.0))
         assert weights.tolist() == [1.0, 1.0, 1.0]
 
     def test_only_zero_error_pairs_get_weight(self):
@@ -352,20 +337,14 @@ class TestComputeWeights:
             BistaticPair(tx, NodePosition(0.0, 25.0, 0.01, 0.01)),
             BistaticPair(tx, NodePosition(-25.0, 0.0, 0.01, 0.01)),
         ]
-        problem = FusionProblem(
-            pairs=pairs, measurements=[exact_measurement(p) for p in pairs]
-        )
-        weights = compute_weights(problem, (10.0, 20.0), MeasurementErrorModel(0.0, 0.0))
+        weights = weights_at(pairs, (10.0, 20.0), MeasurementErrorModel(0.0, 0.0))
         assert weights.tolist() == [3.0, 0.0, 0.0]
 
-    def test_all_degenerate_raises(self):
+    def test_all_degenerate_is_nan(self):
         pair = BistaticPair(NodePosition(0.0, 0.0), NodePosition(25.0, 0.0), Mode.MODE1)
-        problem = FusionProblem(
-            pairs=[pair], measurements=[exact_measurement(pair)]
-        )
         rx = pair.rx_node
-        with pytest.raises(DegenerateGeometryError):
-            compute_weights(problem, (rx.x, rx.y), MeasurementErrorModel(1e-9, 0.01))
+        weights = weights_at([pair], (rx.x, rx.y), MeasurementErrorModel(1e-9, 0.01))
+        assert np.isnan(weights).all()
 
 
 def random_problem(rng, count):
@@ -400,22 +379,14 @@ def random_problem(rng, count):
                 mode=mode,
             )
         )
-    problem = FusionProblem(
-        pairs=pairs,
-        measurements=measurements,
+    problem = problem_of(
+        pairs,
+        measurements,
         a=rng.uniform(0.1, 3.0, count),
         b=rng.uniform(1.0, 100.0, count),
         w=rng.uniform(0.2, 3.0, count),
     )
     return problem, (target.x + rng.uniform(-3.0, 3.0), target.y + rng.uniform(-3.0, 3.0))
-
-
-def solve_stacked(problems, guesses, opts=None):
-    """`solve_multistatic_batch` over problems with equal pair counts."""
-    rows = [_rows(problem) for problem in problems]
-    columns = [[row[k][0] for row in rows] for k in range(4)]
-    scales = [np.array([getattr(p, name) for p in problems]) for name in "abw"]
-    return solve_multistatic_batch(*columns, guesses, *scales, opts=opts)
 
 
 class TestBatchedSolver:
@@ -429,17 +400,26 @@ class TestBatchedSolver:
             x, y, _, _, _ = reference_solve(problem, guess)
             assert math.hypot(out.xy[row, 0] - x, out.xy[row, 1] - y) < 1e-6
             # The LM property, per row: never worse than the guess.
-            assert out.loss[row] <= wls_loss(*guess, problem) + 1e-12
-            assert out.loss[row] == wls_loss(*out.xy[row], problem)
+            assert out.loss[row] <= loss_at(problem, *guess) + 1e-12
+            assert out.loss[row] == loss_at(problem, *out.xy[row])
+
+    def test_scalars_broadcast(self):
+        """Scalar a, b and w act as the same value for every pair."""
+        rng = np.random.default_rng(613)
+        problems, guesses = zip(*(random_problem(rng, 3) for _ in range(4)))
+        full = [dict(p, a=np.full(3, 2.0), b=np.full(3, 0.5), w=np.full(3, 3.0)) for p in problems]
+        columns = [np.stack([p[k] for p in problems]) for k in COLUMNS]
+        scalar = solve_multistatic_batch(*columns, guesses, a=2.0, b=0.5, w=3.0)
+        arrays = solve_stacked(full, guesses)
+        for name in ("xy", "iterations", "converged", "loss", "failed"):
+            np.testing.assert_array_equal(getattr(scalar, name), getattr(arrays, name))
 
     def test_failed_rows_stay_alone(self):
         rng = np.random.default_rng(610)
         problems, guesses = map(list, zip(*(random_problem(rng, 3) for _ in range(6))))
-        receiver = problems[1].pairs[2].rx_node
-        guesses[1] = (receiver.x, receiver.y)  # guess on a node
+        guesses[1] = tuple(problems[1]["rx_xy"][2].tolist())  # guess on a node
         guesses[4] = (math.nan, 2.0)
-        clean = problems[3].measurements[0]
-        problems[3].measurements[0] = Measurement(math.nan, clean.aoa_rad, mode=clean.mode)
+        problems[3]["tdoa_s"][0] = math.nan
         out = solve_stacked(problems, guesses)
         assert out.failed.tolist() == [False, True, False, True, True, False]
         assert np.isnan(out.xy[out.failed]).all() and np.isnan(out.loss[out.failed]).all()
@@ -449,8 +429,6 @@ class TestBatchedSolver:
             alone = solve_stacked([problems[row]], [guesses[row]])
             assert out.xy[row].tolist() == alone.xy[0].tolist()
             assert out.iterations[row] == alone.iterations[0]
-        with pytest.raises(DegenerateGeometryError):
-            solve_multistatic(problems[1], SolverOptions(initial_guess=guesses[1]))
 
     def test_rows_solve_as_if_alone(self):
         """Every output of every row of a stack equals that row solved
@@ -459,13 +437,13 @@ class TestBatchedSolver:
         on their own and leave the other rows unchanged."""
         rng = np.random.default_rng(612)
         problems, guesses = map(list, zip(*(random_problem(rng, 3) for _ in range(8))))
-        clean = problems[2].measurements[1]
-        problems[2].measurements[1] = Measurement(math.nan, clean.aoa_rad, mode=clean.mode)
-        rows = [_rows(problem) for problem in problems]
-        columns = [np.array([row[k][0] for row in rows]) for k in range(4)]
-        a, b, w = (np.array([getattr(p, name) for p in problems]) for name in "abw")
-        tx = problems[5].pairs[0].tx_node
-        at_tx = gdop_batch(problems[5].pairs, tx.x, tx.y, MeasurementErrorModel(1e-9, 0.01))
+        problems[2]["tdoa_s"][1] = math.nan
+        columns = [np.stack([p[k] for p in problems]) for k in COLUMNS]
+        a, b, w = (np.stack([p[k] for p in problems]) for k in "abw")
+        tx_xy, rx_xy = problems[5]["tx_xy"], problems[5]["rx_xy"]
+        at_tx = gdop_arrays(
+            tx_xy, rx_xy, [0.0] * 4, False, *tx_xy[0], MeasurementErrorModel(1e-9, 0.01)
+        )
         w[5] = gdop_weights(at_tx[None])[0]
         assert np.isnan(w[5]).all()
         stacked = solve_multistatic_batch(*columns, guesses, a, b, w)
@@ -495,15 +473,13 @@ class TestBatchedSolver:
 
 
 class TestGdopWeights:
-    def test_rows_match_compute_weights(self):
+    def test_rows_match_rows_alone(self):
         err = MeasurementErrorModel(1e-9, 0.01)
-        problem = exact_problem(4)
+        pairs = ring_pairs(4)
         positions = [(10.0, 20.0), (-3.0, 7.5), (5.0, -12.0)]
-        stacked = gdop_weights(
-            [gdop_batch(problem.pairs, x, y, err) for x, y in positions]
-        )
+        stacked = gdop_weights([gdop_batch(pairs, x, y, err) for x, y in positions])
         for row, position in zip(stacked, positions):
-            assert row.tolist() == compute_weights(problem, position, err).tolist()
+            assert row.tolist() == weights_at(pairs, position, err).tolist()
 
     def test_zero_error_and_degenerate_rows(self):
         nan = math.nan

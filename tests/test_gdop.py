@@ -1,12 +1,13 @@
 """Dilution-of-precision predictions against numerical oracles."""
 
-import importlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import bistar.gdop as gdop_module
 from bistar import (
     CONDITION_LIMIT,
     SPEED_OF_LIGHT,
@@ -18,20 +19,12 @@ from bistar import (
     NodePosition,
     TargetState,
     bistatic_ranges,
-    error_covariance,
-    gdop,
     gdop_batch,
     gdop_weights,
-    jacobian_c1,
-    jacobian_c2,
     locate_bistatic,
-    select_mode,
     true_aoa,
     true_tdoa,
 )
-
-# The package exports the function `gdop`, which shadows the module name.
-gdop_module = importlib.import_module("bistar.gdop")
 
 
 def pair_at(x1, y1, x2, y2, mode=Mode.MODE1, sigma=0.0):
@@ -104,12 +97,12 @@ def reference_or_nan(pair, target, meas):
         return math.nan
 
 
-def exact_trace(c1, c2, meas, pair):
-    """trace(P) in rational arithmetic from the float entries of C1 and C2."""
+def exact_trace(c1, c2, meas, var):
+    """trace(P) in rational arithmetic from the float entries of C1, C2
+    and the node variances (x1, y1, x2, y2)."""
     (a, b), (c, d) = [[Fraction(v) for v in row] for row in c1.tolist()]
     t, g = [[Fraction(v) for v in row] for row in c2.tolist()]
-    n1, n2 = pair.n1, pair.n2
-    var = [Fraction(s) ** 2 for s in (n1.sigma_x, n1.sigma_y, n2.sigma_x, n2.sigma_y)]
+    var = [Fraction(v) for v in var.tolist()]
     m00 = Fraction(meas.sigma_tdoa_s) ** 2 + sum(ti * ti * v for ti, v in zip(t, var))
     m01 = sum(ti * gi * v for ti, gi, v in zip(t, g, var))
     m11 = Fraction(meas.sigma_aoa_rad) ** 2 + sum(gi * gi * v for gi, v in zip(g, var))
@@ -134,6 +127,20 @@ def same_bits(a, b):
     return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
 
 
+def one_row(pair, target, meas=MeasurementErrorModel(0.0, 0.0)):
+    """C1, C2 and P of one geometry from the stacked kernel, whether its
+    target is off the nodes, and C1's condition number."""
+    n1_xy, n2_xy, var, mode2 = gdop_module._node_arrays([pair])
+    c1, c2, off_node = gdop_module._jacobians(n1_xy, n2_xy, mode2, target.x, target.y)
+    p_dp, condition = gdop_module._covariance(c1, c2, meas, var)
+    return c1[0], c2[0], p_dp[0], bool(off_node[0]), float(condition[0])
+
+
+def gdop_at(pair, target, meas):
+    """The predicted RMS error of one geometry, NaN where degenerate."""
+    return float(gdop_batch([pair], target.x, target.y, meas)[0])
+
+
 def measurement_vector(pair, target):
     return np.array(
         [true_tdoa(pair, target), true_aoa(pair.rx_node, target)]
@@ -149,7 +156,7 @@ class TestJacobians:
                 rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(10, 30), rng.uniform(-5, 5)
             )
             target = TargetState(float(rng.uniform(-20, 20)), float(rng.uniform(5, 30)))
-            jac = jacobian_c1(pair, target)
+            jac = one_row(pair, target)[0]
             for col, (dx, dy) in enumerate(((h, 0.0), (0.0, h))):
                 plus = measurement_vector(pair, TargetState(target.x + dx, target.y + dy))
                 minus = measurement_vector(pair, TargetState(target.x - dx, target.y - dy))
@@ -169,7 +176,7 @@ class TestJacobians:
                 ]
                 target = TargetState(float(rng.uniform(-20, 20)), float(rng.uniform(5, 30)))
                 pair = pair_at(*coords, mode=mode)
-                jac = jacobian_c2(pair, target)
+                jac = one_row(pair, target)[1]
                 for col in range(4):
                     bumped = list(coords)
                     bumped[col] += h
@@ -181,10 +188,10 @@ class TestJacobians:
 
     def test_c2_aoa_row_mode_structure(self):
         target = TargetState(7.0, 13.0)
-        j1 = jacobian_c2(pair_at(0, 0, 25, 0, Mode.MODE1), target)
+        j1 = one_row(pair_at(0, 0, 25, 0, Mode.MODE1), target)[1]
         assert j1[1, 0] == 0.0 and j1[1, 1] == 0.0
         assert j1[1, 2] != 0.0 or j1[1, 3] != 0.0
-        j2 = jacobian_c2(pair_at(0, 0, 25, 0, Mode.MODE2), target)
+        j2 = one_row(pair_at(0, 0, 25, 0, Mode.MODE2), target)[1]
         assert j2[1, 2] == 0.0 and j2[1, 3] == 0.0
         assert j2[1, 0] != 0.0 or j2[1, 1] != 0.0
 
@@ -194,7 +201,7 @@ class TestCovariance:
         pair = pair_at(0, 0, 25, 0, sigma=0.01)
         target = TargetState(9.0, 17.0)
         model = MeasurementErrorModel(2e-9, math.radians(0.2))
-        cov = error_covariance(jacobian_c1(pair, target), jacobian_c2(pair, target), model, pair)
+        cov = one_row(pair, target, model)[2]
         assert cov.shape == (2, 2)
         assert cov[0, 1] == pytest.approx(cov[1, 0], rel=1e-12)
         assert np.all(np.linalg.eigvalsh(cov) >= -1e-18)
@@ -202,24 +209,23 @@ class TestCovariance:
     def test_zero_noise_gives_zero(self):
         pair = pair_at(0, 0, 25, 0)
         target = TargetState(9.0, 17.0)
-        report = gdop(pair, target, MeasurementErrorModel(0.0, 0.0))
-        assert report.gdop_m == 0.0
+        assert gdop_at(pair, target, MeasurementErrorModel(0.0, 0.0)) == 0.0
 
     def test_gdop_linear_in_measurement_sigma(self):
         pair = pair_at(0, 0, 25, 0)
         target = TargetState(9.0, 17.0)
-        one = gdop(pair, target, MeasurementErrorModel(1e-9, math.radians(0.1))).gdop_m
-        two = gdop(pair, target, MeasurementErrorModel(2e-9, math.radians(0.2))).gdop_m
+        one = gdop_at(pair, target, MeasurementErrorModel(1e-9, math.radians(0.1)))
+        two = gdop_at(pair, target, MeasurementErrorModel(2e-9, math.radians(0.2)))
         assert two == pytest.approx(2.0 * one, rel=1e-9)
 
     def test_translation_invariance(self):
         model = MeasurementErrorModel(1.5e-9, math.radians(0.15))
-        base = gdop(pair_at(0, 0, 25, 0, sigma=0.01), TargetState(9.0, 17.0), model).gdop_m
-        moved = gdop(
+        base = gdop_at(pair_at(0, 0, 25, 0, sigma=0.01), TargetState(9.0, 17.0), model)
+        moved = gdop_at(
             pair_at(100.0, -40.0, 125.0, -40.0, sigma=0.01),
             TargetState(109.0, -23.0),
             model,
-        ).gdop_m
+        )
         assert moved == pytest.approx(base, rel=1e-7)
 
     def test_rotation_invariance_of_scalar(self):
@@ -230,17 +236,16 @@ class TestCovariance:
         def rot(x, y):
             return (c * x - s * y, s * x + c * y)
 
-        base = gdop(pair_at(0, 0, 25, 0, sigma=0.01), TargetState(9.0, 17.0), model).gdop_m
+        base = gdop_at(pair_at(0, 0, 25, 0, sigma=0.01), TargetState(9.0, 17.0), model)
         x1, y1 = rot(0, 0)
         x2, y2 = rot(25, 0)
         tx, ty = rot(9.0, 17.0)
-        turned = gdop(pair_at(x1, y1, x2, y2, sigma=0.01), TargetState(tx, ty), model).gdop_m
+        turned = gdop_at(pair_at(x1, y1, x2, y2, sigma=0.01), TargetState(tx, ty), model)
         assert turned == pytest.approx(base, rel=1e-7)
 
     def test_degenerate_on_baseline_refused(self):
         pair = pair_at(0, 0, 25, 0)
-        with pytest.raises(DegenerateGeometryError):
-            gdop(pair, TargetState(12.0, 0.0), MeasurementErrorModel(1e-9, 1e-3))
+        assert math.isnan(gdop_at(pair, TargetState(12.0, 0.0), MeasurementErrorModel(1e-9, 1e-3)))
 
 
 class TestMonteCarlo:
@@ -250,7 +255,7 @@ class TestMonteCarlo:
         pair = pair_at(0, 0, 25, 0, sigma=0.01)
         target = TargetState(8.0, 16.0)
         model = MeasurementErrorModel(1.0e-9, math.radians(0.1))
-        predicted = gdop(pair, target, model).gdop_m
+        predicted = gdop_at(pair, target, model)
 
         tdoa0 = true_tdoa(pair, target)
         aoa0 = true_aoa(pair.rx_node, target)
@@ -272,35 +277,25 @@ class TestMonteCarlo:
         assert 0.9 < simulated / predicted < 1.1
 
 
+def both_modes(pair, x, y, meas):
+    """Predicted errors of ``pair`` transmitting in MODE1 and in MODE2 at
+    the targets (two rows), from one `gdop_batch` call per mode."""
+    return np.stack([gdop_batch([replace(pair, mode=m)], x, y, meas) for m in Mode])
+
+
 class TestModeSelection:
     def test_prefers_lower_dilution(self):
         model = MeasurementErrorModel(1e-9, math.radians(0.1))
         pair = pair_at(0, 0, 25, 0)
         # Close to n1: receiving there (MODE2) resolves angle errors better.
-        target_near_n1 = TargetState(2.0, 6.0)
-        assert select_mode(pair, target_near_n1, model) is Mode.MODE2
-        target_near_n2 = TargetState(23.0, 6.0)
-        assert select_mode(pair, target_near_n2, model) is Mode.MODE1
-
-    def test_selected_mode_has_smaller_gdop(self):
-        from dataclasses import replace
-
-        rng = np.random.default_rng(5)
-        model = MeasurementErrorModel(2e-9, math.radians(0.2))
-        pair = pair_at(0, 0, 25, 0)
-        for _ in range(50):
-            target = TargetState(float(rng.uniform(-20, 45)), float(rng.uniform(3, 40)))
-            chosen = select_mode(pair, target, model)
-            values = {}
-            for mode in (Mode.MODE1, Mode.MODE2):
-                values[mode] = gdop(replace(pair, mode=mode), target, model).gdop_m
-            assert values[chosen] == min(values.values())
+        mode1, mode2 = both_modes(pair, [2.0, 23.0], [6.0, 6.0], model)
+        assert mode2[0] < mode1[0]
+        assert mode1[1] < mode2[1]
 
     def test_degenerate_both_modes_raises(self):
         model = MeasurementErrorModel(1e-9, math.radians(0.1))
         pair = pair_at(0, 0, 25, 0)
-        with pytest.raises(DegenerateGeometryError):
-            select_mode(pair, TargetState(12.0, 0.0), model)
+        assert np.isnan(both_modes(pair, 12.0, 0.0, model)).all()
 
 
 class TestStackedKernel:
@@ -346,8 +341,8 @@ class TestStackedKernel:
         for pair, x, y, value in zip(pairs, xs, ys, stacked.tolist()):
             if math.isnan(value):
                 continue
-            target = TargetState(x, y)
-            trace = exact_trace(jacobian_c1(pair, target), jacobian_c2(pair, target), meas, pair)
+            c1, c2 = one_row(pair, TargetState(x, y))[:2]
+            trace = exact_trace(c1, c2, meas, gdop_module._node_arrays([pair])[2][0])
             worst = max(worst, abs(Fraction(value) ** 2 / trace - 1))
         assert worst <= 1e-13
 
@@ -378,18 +373,16 @@ class TestStackedKernel:
         assert np.array_equal(np.isnan(gdop_batch(pairs, xs, ys, meas)), refused)
 
     def test_scalar_report_matches_reference(self):
+        """C1, C2, P and the value of one-row batches, bit for bit."""
         rng = np.random.default_rng(405)
         pairs, xs, ys = self.random_geometries(rng, 200)
         meas = MeasurementErrorModel(1e-9, math.radians(0.2))
         for pair, x, y in zip(pairs, xs, ys):
             target = TargetState(x, y)
             c1, c2, p_dp, value = reference_gdop(pair, target, meas)
-            report = gdop(pair, target, meas)
-            assert same_bits(report.c1, c1) and same_bits(report.c2, c2)
-            assert same_bits(report.p_dp, p_dp) and report.gdop_m == value
-            assert same_bits(jacobian_c1(pair, target), c1)
-            assert same_bits(jacobian_c2(pair, target), c2)
-            assert same_bits(error_covariance(c1, c2, meas, pair), p_dp)
+            got_c1, got_c2, got_p = one_row(pair, target, meas)[:3]
+            assert same_bits(got_c1, c1) and same_bits(got_c2, c2)
+            assert same_bits(got_p, p_dp) and gdop_at(pair, target, meas) == value
 
     def test_one_pair_over_many_targets(self):
         rng = np.random.default_rng(406)
@@ -410,22 +403,17 @@ class TestStackedKernel:
             values = gdop_batch([pair, pair, pair], [0.0, 25.0, 9.0], [0.0, 0.0, 17.0], meas)
             assert np.isnan(values[:2]).all() and np.isfinite(values[2])
             for node in (pair.n1, pair.n2):
-                with pytest.raises(DegenerateGeometryError):
-                    gdop(pair, TargetState(node.x, node.y), meas)
-                with pytest.raises(DegenerateGeometryError):
-                    jacobian_c1(pair, TargetState(node.x, node.y))
+                assert not one_row(pair, TargetState(node.x, node.y))[3]
 
     def test_condition_limit_on_the_baseline_segment(self):
         meas = MeasurementErrorModel(1e-9, 1e-3)
         pair = pair_at(0, 0, 25, 0)
         # On the segment C1 is singular; just off it, finite but too large.
         near = TargetState(12.0, 1e-2)
-        condition = np.linalg.cond(jacobian_c1(pair, near))
+        condition = np.linalg.cond(one_row(pair, near)[0])
         assert CONDITION_LIMIT < condition < np.inf
         values = gdop_batch([pair], [12.0, near.x], [0.0, near.y], meas)
         assert np.isnan(values).all()
-        with pytest.raises(DegenerateGeometryError):
-            gdop(pair, near, meas)
 
     def test_collinear_beyond_the_nodes_is_finite(self):
         meas = MeasurementErrorModel(1e-9, 1e-3)
@@ -572,19 +560,23 @@ class TestNonFiniteAndZeroSigmaInputs:
                 assert np.isfinite(values).all() and (values > 0.0).all()
                 assert np.isfinite(weights).all()
                 for x, y in zip(xs[:10].tolist(), ys[:10].tolist()):
-                    cov = gdop(pair, TargetState(x, y), meas).p_dp
+                    cov = one_row(pair, TargetState(x, y), meas)[2]
                     assert np.isfinite(cov).all() and cov[0, 1] == cov[1, 0]
                     assert np.all(np.linalg.eigvalsh(cov) >= -1e-12 * np.trace(cov))
 
 
 class TestSelectModePinned:
     def test_matches_pinned_choices(self):
-        """Choices recorded from the per-geometry implementation."""
+        """Choices recorded from the per-geometry implementation: the mode
+        with the smaller predicted error, MODE1 on a tie."""
         rng = np.random.default_rng(17)
         model = MeasurementErrorModel(2e-9, math.radians(0.2))
         pair = pair_at(0, 0, 25, 0, sigma=0.01)
-        chosen = ""
+        xs, ys = [], []
         for _ in range(40):
-            target = TargetState(float(rng.uniform(-20, 45)), float(rng.uniform(-30, 30)))
-            chosen += str(select_mode(pair, target, model).value)
+            xs.append(float(rng.uniform(-20, 45)))
+            ys.append(float(rng.uniform(-30, 30)))
+        mode1, mode2 = both_modes(pair, xs, ys, model)
+        assert np.isfinite(mode1).all() and np.isfinite(mode2).all()
+        chosen = "".join("1" if g1 <= g2 else "2" for g1, g2 in zip(mode1, mode2))
         assert chosen == "1122122112211222111112221111222211221121"

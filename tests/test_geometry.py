@@ -345,6 +345,26 @@ class TestLocateBatch:
         assert all(math.isnan(v) for v in locate_bistatic(pair, meas))
         assert np.isnan(locate_batch([[0.0, 0.0]], [[25.0, 0.0]], [math.nan], [0.3])).all()
 
+    @pytest.mark.parametrize("column", ["tdoa", "aoa"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_give_nan_rows(self, column, bad):
+        """A NaN or infinite TDOA or AoA reads NaN with no warning, and
+        every finite row keeps its bits."""
+        rng = np.random.default_rng(2010)
+        pairs, measurements = self.random_problems(rng, 64, Mode.MODE1)
+        tx = [[p.tx_node.x, p.tx_node.y] for p in pairs]
+        rx = [[p.rx_node.x, p.rx_node.y] for p in pairs]
+        tdoa = np.array([m.tdoa_s for m in measurements])
+        aoa = np.array([m.aoa_rad for m in measurements])
+        clean = locate_batch(tx, rx, tdoa, aoa)
+        hit = np.zeros(len(pairs), dtype=bool)
+        hit[[0, 5, 17, 63]] = True
+        (tdoa if column == "tdoa" else aoa)[hit] = bad
+        with np.errstate(all="raise"):
+            located = locate_batch(tx, rx, tdoa, aoa)
+        assert np.isnan(located[hit]).all()
+        assert np.array_equal(located[~hit], clean[~hit], equal_nan=True)
+
     def test_coincident_nodes_are_degenerate(self):
         located = locate_batch([[1.0, 2.0]], [[1.0, 2.0]], [1e-9], [0.3])
         assert np.isnan(located).all()

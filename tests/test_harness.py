@@ -10,8 +10,6 @@ import pytest
 
 from bistar import (
     BistaticPair,
-    FusionProblem,
-    SolverOptions,
     ConfigError,
     DegenerateGeometryError,
     GridSpec,
@@ -24,8 +22,8 @@ from bistar import (
     RadarParams,
     TargetState,
     collinearity_deg,
-    compute_weights,
-    gdop,
+    gdop_batch,
+    gdop_weights,
     iso_range_point,
     iso_range_target,
     locate_batch,
@@ -36,7 +34,7 @@ from bistar import (
     run_gdop_map,
     run_iso_range_sweep,
     run_multistatic,
-    solve_multistatic,
+    solve_multistatic_batch,
     true_aoa,
     true_tdoa,
     wrap_angle,
@@ -674,9 +672,9 @@ class TestMultistaticRuns:
 
 def reference_multistatic_point(cfg, nodes, index, theta_deg):
     """Fused and best-pair errors of one model-engine fusion point by a
-    per-trial loop over the v1 draws (one substream per trial) through
-    the one-row API: scalar GDOP ranking, closed form, `compute_weights`
-    and `solve_multistatic`."""
+    per-trial loop over the v1 draws (one substream per trial), each
+    trial on its own: GDOP ranking at the target, closed form, weights
+    at the closed form and a one-row solve."""
     err = cfg.error_override
     anchor = BistaticPair(nodes[0], nodes[1])
     x, y = iso_range_point(anchor, cfg.sum_range, math.radians(theta_deg))
@@ -708,26 +706,30 @@ def reference_multistatic_point(cfg, nodes, index, theta_deg):
             tdoa = true_tdoa(truth, target) + err.sigma_tdoa_s * noise_t
             aoa = true_aoa(truth.rx_node, target) + err.sigma_aoa_rad * noise_a
             measurements.append(Measurement(max(0.0, tdoa), wrap_angle(aoa)))
-        ranks = []
-        for pair in pairs:
-            try:
-                ranks.append(gdop(pair, target, err).gdop_m)
-            except DegenerateGeometryError:
-                ranks.append(math.inf)
+        ranks = [
+            math.inf if math.isnan(g) else g
+            for g in (float(gdop_batch([pair], x, y, err)[0]) for pair in pairs)
+        ]
         best = ranks.index(min(ranks))
         try:
             guess = locate_bistatic(pairs[best], measurements[best])
-            problem = FusionProblem(
-                pairs=pairs,
-                measurements=measurements,
-                a=1.0 / (SPEED_OF_LIGHT * max(err.sigma_tdoa_s, 1e-15)),
-                b=1.0 / max(err.sigma_aoa_rad, 1e-12),
-            )
-            problem.w = compute_weights(problem, guess, err)
-            solution = solve_multistatic(problem, SolverOptions(initial_guess=guess))
         except DegenerateGeometryError:
             continue
-        fused.append(math.hypot(solution.x - x, solution.y - y))
+        weights = gdop_weights(gdop_batch(pairs, guess[0], guess[1], err)[None])
+        solution = solve_multistatic_batch(
+            [[(p.tx_node.x, p.tx_node.y) for p in pairs]],
+            [[(p.rx_node.x, p.rx_node.y) for p in pairs]],
+            [[m.tdoa_s for m in measurements]],
+            [[m.aoa_rad for m in measurements]],
+            [guess],
+            a=1.0 / (SPEED_OF_LIGHT * max(err.sigma_tdoa_s, 1e-15)),
+            b=1.0 / max(err.sigma_aoa_rad, 1e-12),
+            w=weights,
+        )
+        if solution.failed[0]:
+            continue
+        (fused_x, fused_y), = solution.xy.tolist()
+        fused.append(math.hypot(fused_x - x, fused_y - y))
         closed.append(math.hypot(guess[0] - x, guess[1] - y))
     return fused, closed
 
@@ -939,13 +941,9 @@ class TestGdopMap:
         for yv in np.linspace(grid.y_min, grid.y_max, grid.ny):
             for xv in np.linspace(grid.x_min, grid.x_max, grid.nx):
                 target = TargetState(float(xv), float(yv))
-                values = []
-                for pair in (pair1, pair2):
-                    try:
-                        values.append(gdop(pair, target, err).gdop_m)
-                    except DegenerateGeometryError:
-                        values.append(math.nan)
-                g1, g2 = values
+                g1, g2 = (
+                    float(gdop_batch([p], target.x, target.y, err)[0]) for p in (pair1, pair2)
+                )
                 if math.isnan(g1) and math.isnan(g2):
                     best = "degenerate"
                 elif math.isnan(g2) or g1 <= g2:
