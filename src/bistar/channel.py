@@ -33,6 +33,9 @@ from .waveform import IqCapture, fast_length
 # frame start; the frame then grows to the next `fast_length`.
 _PAD_GUARD = 8
 
+# Delay keys a `delayed_frames` cache holds before it is emptied.
+_FRAME_KEYS = 8
+
 # Samples per block of the capture-length products in `BeamCapture.beams`:
 # each block's temporaries are small. A power of two, so block edges fall
 # on the column unroll of the BLAS kernels and each sample is computed
@@ -310,7 +313,8 @@ def _path_frames(
     and, per path, its gain per pulse and the frames of ``tx`` padded to
     that length and delayed. A one-frame ``tx`` stands for a train of
     ``pulses`` copies of it: its one delayed frame broadcasts against the
-    gains. ``delayed_frames`` caches the delayed frames by delays."""
+    gains. ``delayed_frames`` caches them by exact delays for one ``tx``,
+    emptied at `_FRAME_KEYS` keys (`dict.clear` is atomic: threads share it)."""
     if tx.elements != 1:
         raise ValueError("transmit capture must be single element")
     if tx.pulses not in (1, pulses):
@@ -334,6 +338,8 @@ def _path_frames(
             for delay in delays
         ]
         if delayed_frames is not None:
+            if len(delayed_frames) >= _FRAME_KEYS:
+                delayed_frames.clear()
             delayed_frames[delays] = delayed
     gains = []
     for path in paths:
@@ -366,9 +372,10 @@ def propagate(
     that `BeamCapture` draws the receiver's view of.
 
     ``delayed_frames``, when given, keeps the delayed path frames keyed
-    by the path delays, and belongs to this one transmit capture. Calls
-    that pass the same dict and equal delays reuse the frames instead of
-    repeating the FFTs; the output is bit-identical either way.
+    by the exact path delays for every call on one transmit capture (a
+    run's slot), emptied at `_FRAME_KEYS` keys. Calls that pass the same
+    dict and equal delays reuse the frames instead of repeating the
+    FFTs; the output is bit-identical either way.
     """
     spp_out, gains, delayed = _path_frames(tx, paths, params, delayed_frames, tx.pulses)
     out = np.zeros((rx_array.elements, tx.pulses, spp_out), dtype=np.complex128)
@@ -413,6 +420,8 @@ class BeamCapture:
     layout v3 draws ζ, the column samples, y and the beams, in that
     order, from the one substream ``seed``. A one-frame ``tx`` with
     ``pulses`` > 1 is transmitted as a train of that many copies.
+    ``delayed_frames`` is the delayed-frame cache of `propagate`, shared
+    by every capture of ``tx`` in a run (a sweep's or fusion run's).
     """
 
     def __init__(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,6 +89,18 @@ def snapshot_index(total: int, count: int) -> np.ndarray:
     return (np.arange(count) * total) // count
 
 
+@lru_cache(maxsize=8)
+def _music_scan(elements: int, spacing_wavelengths: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scan of `music_aoa` for an array shape, read-only: the grid
+    offsets from boresight (radians) and their steering vectors as
+    columns (elements x offsets)."""
+    offsets = np.radians(np.arange(-90.0 + MUSIC_GRID_DEG, 90.0, MUSIC_GRID_DEG))
+    phase = 1j * 2.0 * math.pi * np.arange(elements)[:, np.newaxis] * spacing_wavelengths
+    steer = np.exp(phase * np.sin(offsets)[np.newaxis, :])
+    offsets.flags.writeable = steer.flags.writeable = False
+    return offsets, steer
+
+
 def music_aoa(capture: IqCapture, array: ArrayModel) -> float:
     """MUSIC arrival angle of one source from an element capture.
 
@@ -116,16 +129,7 @@ def music_aoa(capture: IqCapture, array: ArrayModel) -> float:
     _, eigvecs = np.linalg.eigh(r)
     noise_basis = eigvecs[:, : elements - 1]
 
-    offsets_deg = np.arange(-90.0 + MUSIC_GRID_DEG, 90.0, MUSIC_GRID_DEG)
-    offsets = np.radians(offsets_deg)
-    steer = np.exp(
-        1j
-        * 2.0
-        * math.pi
-        * np.arange(elements)[:, np.newaxis]
-        * array.spacing_wavelengths
-        * np.sin(offsets)[np.newaxis, :]
-    )
+    offsets, steer = _music_scan(elements, array.spacing_wavelengths)
     null = np.sum(np.abs(noise_basis.conj().T @ steer) ** 2, axis=0) / elements
 
     interior = (null[1:-1] < null[:-2]) & (null[1:-1] <= null[2:])

@@ -296,7 +296,7 @@ def locate_batch(
     as `locate_bistatic` does. Rows where that raises
     `DegenerateGeometryError` (coincident nodes, or a target at infinity
     along the baseline) are NaN, and so are rows with a NaN or infinite
-    TDOA or AoA, without a warning.
+    TDOA, AoA or node coordinate, without a warning.
 
     Raises:
         ValueError: if any finite TDOA is negative.
@@ -308,9 +308,11 @@ def locate_batch(
     finite = np.isfinite(tdoa)
     if np.any(finite & (tdoa < 0.0)):
         raise ValueError("tdoa must be non-negative")
-    finite &= np.isfinite(aoa)
-    # Non-finite rows invert zeros instead, then read NaN.
-    tdoa, aoa = np.where(finite, tdoa, 0.0), np.where(finite, aoa, 0.0)
+    for column in (aoa, tx[:, 0], tx[:, 1], rx[:, 0], rx[:, 1]):
+        finite &= np.isfinite(column)
+    if not finite.all():  # non-finite rows invert zeros instead, then read NaN
+        tdoa, aoa = np.where(finite, tdoa, 0.0), np.where(finite, aoa, 0.0)
+        tx, rx = (np.where(finite[:, np.newaxis], xy, 0.0) for xy in (tx, rx))
     baseline, (numerator, denominator) = _inversion(
         rx[:, 0] - tx[:, 0], tx[:, 1] - rx[:, 1], tdoa, aoa, _each, wrap_angles
     )

@@ -274,7 +274,7 @@ def _resolve_survey_aoa(raw: float, boresight: float, hint: float) -> float:
 
 
 class _SignalBench:
-    """Shared transmit waveform and receiver chain for one sweep."""
+    """Shared transmit waveform and receiver chain for one run."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -285,6 +285,8 @@ class _SignalBench:
         self.columns = window.start + snapshot_index(window.stop - window.start, 128)
         # Matched filters by beam length: one per distinct path delay pad.
         self.filters: dict = {}
+        # The slot's delayed path frames by exact delays, for every point.
+        self.delayed_frames: dict = {}
 
     def receive(
         self,
@@ -429,8 +431,8 @@ def _measurements(
     The model engine reads the measurements of each stream from its
     normals in ``noise`` (see `_draws`); the signal engine
     runs the receiver chain per trial and stream in trial-major order,
-    each trial from its own channel substreams, and a trial with a
-    refused measurement is a NaN row.
+    each trial from its own channel substreams, through the run's shared
+    delayed frames, and a trial with a refused measurement is a NaN row.
     """
     trials = cfg.trials_per_point
     if cfg.engine == ENGINE_MODEL:
@@ -440,13 +442,11 @@ def _measurements(
         ]
         return np.transpose([d[0] for d in draws]), np.transpose([d[1] for d in draws])
     out = np.full((2, trials, len(pairs)), math.nan)
-    # All trials and streams see the same path delays.
-    delayed_frames: dict = {}
     for trial in range(trials):
         try:
             for j, (key, pair) in enumerate(pairs.items()):
                 seed_key = (cfg.seed, index, trial, _TAG_CHANNEL, key)
-                meas = bench.measure(pair, target, seed_key, delayed_frames)
+                meas = bench.measure(pair, target, seed_key, bench.delayed_frames)
                 out[:, trial, j] = meas.tdoa_s, meas.aoa_rad
         except DetectionError:
             out[:, trial] = math.nan
@@ -533,13 +533,13 @@ def _column_texts(column: list) -> list[str]:
     other types (1, 1.0, True) print apart, and so do 0.0 and -0.0,
     which share a key.
     """
-    texts = dict.fromkeys(column)
-    if not all(type(value) is float for value in texts):
+    if set(map(type, column)) != {float}:
         return list(map(_format, column))
-    if len(texts) * 2 > len(column):
+    distinct = set(column)
+    if len(distinct) * 2 > len(column):
         out = list(map(repr, column))
     else:
-        texts.update(zip(texts, map(repr, texts)))
+        texts = dict(zip(distinct, map(repr, distinct)))
         out = list(map(texts.__getitem__, column))
         if 0.0 in texts:
             out = [repr(v) if v == 0.0 else text for v, text in zip(column, out)]
@@ -559,7 +559,16 @@ def _write_table(path, header, columns, summary: dict | None = None) -> None:
         return
     writer = csv.writer(path, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(zip(*map(_column_texts, columns)))
+    texts = list(map(_column_texts, columns))
+    rows = list(map(",".join, zip(*texts)))
+    body = "\n".join(rows) + "\n"
+    # Rows of two or more fields without a comma, quote or line break in
+    # a text need no quoting: joined, they are the csv module's bytes.
+    counts = [body.count(mark) for mark in ',\n"\r']
+    if len(texts) > 1 and counts == [len(rows) * (len(texts) - 1), len(rows), 0, 0]:
+        path.write(body)
+    else:
+        writer.writerows(zip(*texts))
     for key in sorted(summary or {}):
         path.write(f"# {key} = {_format(summary[key])}\n")
 

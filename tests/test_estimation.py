@@ -35,7 +35,7 @@ from bistar import (
     true_tdoa,
     wrap_angle,
 )
-from bistar.estimation import MEAN_ABS_TO_SIGMA, _peak_with_floor
+from bistar.estimation import MEAN_ABS_TO_SIGMA, MUSIC_GRID_DEG, _music_scan, _peak_with_floor
 
 FS = 122.88e6
 
@@ -109,6 +109,45 @@ class TestMusic:
         data += 1e-4 * (rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape))
         est = music_aoa(IqCapture(data[:, 256:512], FS), array)
         assert math.degrees(abs(est - angle)) < 0.05
+
+    def test_scan_is_shared_and_read_only(self):
+        offsets, steer = _music_scan(16, 0.5)
+        assert _music_scan(16, 0.5)[1] is steer
+        assert steer.shape == (16, offsets.size) == (16, 1799)
+        for values in (offsets, steer):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+    @pytest.mark.parametrize("elements, spacing, bore_deg", [(16, 0.5, 0.0), (8, 0.45, 120.0)])
+    def test_shared_scan_matches_per_call_construction(self, elements, spacing, bore_deg):
+        """The same bits as a scan built inside every call."""
+
+        def per_call(capture, array):
+            x = capture.samples
+            _, eigvecs = np.linalg.eigh(x @ x.conj().T / x.shape[1])
+            noise_basis = eigvecs[:, : array.elements - 1]
+            offsets = np.radians(np.arange(-90.0 + MUSIC_GRID_DEG, 90.0, MUSIC_GRID_DEG))
+            steer = np.exp(
+                1j * 2.0 * math.pi * np.arange(array.elements)[:, np.newaxis]
+                * array.spacing_wavelengths * np.sin(offsets)[np.newaxis, :]
+            )
+            null = np.sum(np.abs(noise_basis.conj().T @ steer) ** 2, axis=0) / array.elements
+            minima = np.flatnonzero((null[1:-1] < null[:-2]) & (null[1:-1] <= null[2:])) + 1
+            i = minima[np.argmin(null[minima])]
+            lower, center, upper = null[i - 1], null[i], null[i + 1]
+            denom = lower - 2.0 * center + upper
+            shift = 0.0 if denom <= 0 else 0.5 * (lower - upper) / denom
+            return wrap_angle(array.boresight + (offsets[i] + shift * math.radians(MUSIC_GRID_DEG)))
+
+        rng = np.random.default_rng(12)
+        array = ArrayModel(elements, spacing, boresight=math.radians(bore_deg))
+        for offset_deg in rng.uniform(-80.0, 80.0, 20):
+            data = plane_wave(array, array.boresight + math.radians(offset_deg),
+                              random_symbols(rng, 128))
+            data += 0.1 * (rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape))
+            capture = IqCapture(data, FS)
+            assert music_aoa(capture, array) == per_call(capture, array)
 
     def test_validation(self):
         array = ArrayModel(8, 0.5)
@@ -516,6 +555,45 @@ class TestEstimateTdoa:
         )
         with pytest.raises(DetectionError):
             estimate_tdoa(noise(), noise(), ref, direct_delay_hint_s=20.0 / FS)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beam_sample_raises(self, ref, bad):
+        """`IqCapture` refuses the sample before `estimate_tdoa` reads it."""
+        r = ref.samples[0]
+        samples = lay_reference(r.size + 64, [(6, 1.0)], r)
+        good = IqCapture(samples, FS)
+        for where in (samples.real, samples.imag):
+            where[40] = bad
+            with pytest.raises(ValueError, match="finite"):
+                estimate_tdoa(good, IqCapture(samples, FS), ref)
+            with pytest.raises(ValueError, match="finite"):
+                estimate_tdoa(IqCapture(samples, FS), good, ref, guard_beam=good)
+            where[40] = 0.0
+
+    def test_all_zero_echo_raises(self, ref):
+        r = ref.samples[0]
+        n = r.size + 64
+        direct = IqCapture(lay_reference(n, [(6, 1.0)], r), FS)
+        with pytest.raises(DetectionError, match="echo"):
+            estimate_tdoa(direct, IqCapture(np.zeros(n, dtype=complex), FS), ref)
+
+    def test_unequal_beam_lengths_raise(self, ref):
+        r = ref.samples[0]
+        n = r.size + 64
+        beam = IqCapture(lay_reference(n, [(6, 1.0)], r), FS)
+        longer = IqCapture(lay_reference(n + 1, [(6, 1.0)], r), FS)
+        for direct, echo, guard in ((beam, longer, None), (longer, beam, None),
+                                    (beam, beam, longer)):
+            with pytest.raises(ValueError, match="equal length"):
+                estimate_tdoa(direct, echo, ref, guard_beam=guard)
+
+    def test_filter_for_another_length_raises(self, ref):
+        r = ref.samples[0]
+        n = r.size + 64
+        beam = IqCapture(lay_reference(n, [(6, 1.0)], r), FS)
+        for length in (n - 1, n + 1):
+            with pytest.raises(ValueError, match="another beam length"):
+                estimate_tdoa(beam, beam, ref, matched=matched_filter(ref, length))
 
     def test_empty_capture_raises(self, ref):
         n = ref.samples.shape[1] + 64

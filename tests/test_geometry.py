@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -345,22 +346,25 @@ class TestLocateBatch:
         assert all(math.isnan(v) for v in locate_bistatic(pair, meas))
         assert np.isnan(locate_batch([[0.0, 0.0]], [[25.0, 0.0]], [math.nan], [0.3])).all()
 
-    @pytest.mark.parametrize("column", ["tdoa", "aoa"])
+    @pytest.mark.parametrize("column", ["tdoa", "aoa", "tx_x", "tx_y", "rx_x", "rx_y"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_inputs_give_nan_rows(self, column, bad):
-        """A NaN or infinite TDOA or AoA reads NaN with no warning, and
-        every finite row keeps its bits."""
+        """A NaN or infinite TDOA, AoA or node coordinate reads NaN with
+        no warning, and every finite row keeps its bits."""
         rng = np.random.default_rng(2010)
         pairs, measurements = self.random_problems(rng, 64, Mode.MODE1)
-        tx = [[p.tx_node.x, p.tx_node.y] for p in pairs]
-        rx = [[p.rx_node.x, p.rx_node.y] for p in pairs]
+        tx = np.array([[p.tx_node.x, p.tx_node.y] for p in pairs])
+        rx = np.array([[p.rx_node.x, p.rx_node.y] for p in pairs])
         tdoa = np.array([m.tdoa_s for m in measurements])
         aoa = np.array([m.aoa_rad for m in measurements])
         clean = locate_batch(tx, rx, tdoa, aoa)
         hit = np.zeros(len(pairs), dtype=bool)
         hit[[0, 5, 17, 63]] = True
-        (tdoa if column == "tdoa" else aoa)[hit] = bad
-        with np.errstate(all="raise"):
+        columns = {"tdoa": tdoa, "aoa": aoa, "tx_x": tx[:, 0], "tx_y": tx[:, 1],
+                   "rx_x": rx[:, 0], "rx_y": rx[:, 1]}
+        columns[column][hit] = bad
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
             located = locate_batch(tx, rx, tdoa, aoa)
         assert np.isnan(located[hit]).all()
         assert np.array_equal(located[~hit], clean[~hit], equal_nan=True)

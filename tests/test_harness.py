@@ -1,8 +1,10 @@
 """Harness orchestration: determinism, row bookkeeping, CSV output, CLI."""
 
+import csv
 import hashlib
 import io
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -43,7 +45,7 @@ from bistar import (
 )
 from bistar import channel, cli, harness
 from bistar.cli import main
-from bistar.config import ENGINE_MODEL, parse_scenario
+from bistar.config import ENGINE_MODEL, ENGINE_SIGNAL, parse_scenario
 from bistar.estimation import RangeDopplerMap
 from bistar.geometry import SPEED_OF_LIGHT, ordered_sum
 from bistar.harness import (
@@ -462,6 +464,7 @@ class FakeReceiver:
     def __init__(self, refuse=()):
         self.refuse = set(refuse)
         self.calls = []
+        self.delayed_frames = {}
 
     def measure(self, pair, target, seed_key, delayed_frames=None):
         trial, stream = seed_key[2], seed_key[4]
@@ -772,6 +775,86 @@ class TestSignalMultistatic:
         assert "fail:detect" in {row[-1] for row in rows}
 
 
+class RecordingBench(_SignalBench):
+    """A bench that records each measurement (None for a refusal) and the
+    size of its run-wide frame cache after it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.seen, self.sizes = [], []
+
+    def measure(self, pair, target, seed_key, delayed_frames=None):
+        assert delayed_frames is self.delayed_frames
+        meas = None
+        try:
+            meas = super().measure(pair, target, seed_key, delayed_frames)
+            return meas
+        finally:
+            self.seen.append((pair, target, seed_key, meas))
+            self.sizes.append(len(delayed_frames))
+
+
+class TestRunWideFrames:
+    """One run's points share the delayed path frames of its slot."""
+
+    @staticmethod
+    def recorded_run(monkeypatch, run, cfg) -> RecordingBench:
+        benches = []
+        monkeypatch.setattr(
+            harness, "_SignalBench", lambda c: benches.append(RecordingBench(c)) or benches[-1]
+        )
+        run(cfg)
+        (bench,) = benches
+        return bench
+
+    def test_sweep_matches_uncached_measurements(self, monkeypatch):
+        cfg = preset_scenario("scenario3", bandwidth_mhz=400, seed=18)
+        cfg.engine, cfg.sweep_points, cfg.trials_per_point = ENGINE_SIGNAL, 24, 1
+        bench = self.recorded_run(monkeypatch, run_iso_range_sweep, cfg)
+        uncached = _SignalBench(cfg)
+        measured = [seen for seen in bench.seen if seen[3] is not None]
+        assert len(measured) >= 36
+        for pair, target, key, meas in bench.seen:
+            if meas is None:
+                with pytest.raises(DetectionError):
+                    uncached.measure(pair, target, key)
+                continue
+            alone = uncached.measure(pair, target, key)
+            assert (alone.tdoa_s.hex(), alone.aoa_rad.hex()) == (
+                meas.tdoa_s.hex(), meas.aoa_rad.hex()
+            )
+        assert 1 <= len(bench.delayed_frames) <= len(bench.seen) // 8  # few exact delays
+
+    def test_multistatic_cache_stays_bounded(self, monkeypatch):
+        cfg = preset_scenario("scenario3", seed=18)
+        cfg.engine, cfg.sweep_points, cfg.trials_per_point = ENGINE_SIGNAL, 12, 1
+        bench = self.recorded_run(monkeypatch, run_multistatic, cfg)
+        delays = {
+            tuple(p.delay_s for p in channel.build_paths(pair, target, cfg.radar,
+                                                         cfg.direct_path_gain_db))
+            for pair, target, _, _ in bench.seen
+        }
+        assert len(delays) > channel._FRAME_KEYS  # more keys than the bound
+        assert max(bench.sizes) == channel._FRAME_KEYS
+        assert any(after < before for before, after in zip(bench.sizes, bench.sizes[1:]))
+
+    def test_threads_share_the_cache(self):
+        """More workers than cores, switching threads every microsecond,
+        write the bytes of one worker."""
+        cfg = preset_scenario("scenario3", seed=18)
+        cfg.engine, cfg.sweep_points, cfg.trials_per_point = ENGINE_SIGNAL, 8, 1
+        serial, threaded = io.StringIO(), io.StringIO()
+        write_multistatic_csv(run_multistatic(cfg), serial)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            write_multistatic_csv(run_multistatic(cfg, workers=4), threaded)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.getvalue() == serial.getvalue()
+        assert serial.getvalue().count(",ok\n") >= 4
+
+
 class TestDopplerRun:
     def test_short_run_recovers_speed(self):
         cfg = preset_scenario("scenario1", seed=2)
@@ -887,6 +970,56 @@ class TestCsvBytes:
             b"1e-09,0.30000000000000004,2.5\n"
         )
 
+
+    def test_range_doppler_csv_matches_csv_module(self, tmp_path):
+        """Byte for byte the csv module's output of the formatted values,
+        with NaN blank, signed zeros, the smallest subnormal and huge
+        values, in distinct and in repeating columns."""
+        rng = np.random.default_rng(18)
+        magnitudes = rng.uniform(0.0, 3.0, (40, 9))
+        specials = [math.nan, -0.0, 0.0, 5e-324, 1e300]
+        magnitudes.flat[rng.choice(magnitudes.size, 60, replace=False)] = rng.choice(specials, 60)
+        magnitudes[:, 4] = rng.choice(specials, 40)  # a column of repeats
+        rd_map = RangeDopplerMap(
+            magnitudes, np.arange(40) * 1e-9, [-1e300, -2.5, -0.0, 5e-324, 0.1, 1.0, 7.0, 1e20, 1e300]
+        )
+
+        def text(value):
+            return "" if math.isnan(value) else repr(value)
+
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["delay_s", *map(text, rd_map.doppler_axis_hz.tolist())])
+        for delay, row in zip(rd_map.delay_axis_s[:32].tolist(), magnitudes[:32].tolist()):
+            writer.writerow([text(delay), *map(text, row)])
+        path = tmp_path / "rd.csv"
+        write_range_doppler_csv(rd_map, path, max_delay_bins=32)
+        assert path.read_bytes() == expected.getvalue().encode()
+        assert b",," in path.read_bytes() and b"-0.0" in path.read_bytes()
+
+    def test_texts_that_need_quoting_keep_csv_quoting(self):
+        """Tables with a text holding a comma, quote or line break, or with
+        one column of which a value prints blank, are quoted as the csv
+        module quotes them."""
+        nan = math.nan
+        tables = [
+            [["a,b", 'say "hi"', "two\nlines", "cr\r", "plain"], [1.0, nan, 2.0, -0.0, 3.0]],
+            [[nan, 1.0, nan]],
+            [[nan, 2.0], [1.0, nan]],
+            [["x", "y"], [1, 2]],
+        ]
+        for columns in tables:
+            header = [f"c{i}" for i in range(len(columns))]
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(zip(*([harness._format(v) for v in c] for c in columns)))
+            out = io.StringIO()
+            harness._write_table(out, header, columns)
+            assert out.getvalue() == expected.getvalue()
+        out = io.StringIO()
+        harness._write_table(out, ["c0"], [[nan, 1.0]])
+        assert out.getvalue() == 'c0\n""\n1.0\n'
 
     def test_repeated_values_print_like_single_cells(self):
         """The per-column text cache keeps `_format`'s contract: signed
