@@ -38,7 +38,6 @@ from .errors import (
     ConfigError,
     DegenerateGeometryError,
     DetectionError,
-    ExcludedGeometryError,
 )
 from .estimation import (
     MEAN_ABS_TO_SIGMA,
@@ -77,12 +76,10 @@ from .geometry import (
     RadarParams,
     TargetState,
     aoa_gradient,
-    bistatic_angle,
     bistatic_ranges,
     bistatic_snr,
     collinearity_deg,
     iso_range_point,
-    iso_range_target,
     locate_batch,
     locate_bistatic,
     r2_from_measurements,
@@ -116,10 +113,8 @@ from .waveform import (
     IqCapture,
     WaveformConfig,
     demodulate_slot,
-    dump_iq,
     fast_length,
     generate_slot,
-    load_iq,
     matched_reference,
     resource_grid,
 )

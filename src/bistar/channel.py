@@ -33,7 +33,7 @@ from .waveform import IqCapture, fast_length
 # frame start; the frame then grows to the next `fast_length`.
 _PAD_GUARD = 8
 
-# Delay keys a `delayed_frames` cache holds before it is emptied.
+# Delay keys whose frames a `delayed_frames` cache holds before it is emptied.
 _FRAME_KEYS = 8
 
 # Samples per block of the capture-length products in `BeamCapture.beams`:
@@ -53,10 +53,8 @@ def make_rng(seed, *key: int) -> np.random.Generator:
 
     ``seed`` is an integer or a sequence of integers; ``key`` extends it,
     so ``make_rng(seed, index, trial, purpose)`` draws one substream of
-    a run. A Generator passed as ``seed`` with no key is returned as is.
+    a run.
     """
-    if isinstance(seed, np.random.Generator) and not key:
-        return seed
     head = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
     words = head + [int(k) for k in key]
     # SeedSequence splits each int into 32-bit words and takes a uint32
@@ -313,8 +311,10 @@ def _path_frames(
     and, per path, its gain per pulse and the frames of ``tx`` padded to
     that length and delayed. A one-frame ``tx`` stands for a train of
     ``pulses`` copies of it: its one delayed frame broadcasts against the
-    gains. ``delayed_frames`` caches them by exact delays for one ``tx``,
-    emptied at `_FRAME_KEYS` keys (`dict.clear` is atomic: threads share it)."""
+    gains. ``delayed_frames`` caches them by exact delays for one ``tx``:
+    a key's first call marks it (None), its second stores the frames, so
+    keys met once hold no memory; the dict is emptied before a store past
+    `_FRAME_KEYS` frames (`dict.clear` is atomic: threads share it)."""
     if tx.elements != 1:
         raise ValueError("transmit capture must be single element")
     if tx.pulses not in (1, pulses):
@@ -338,9 +338,13 @@ def _path_frames(
             for delay in delays
         ]
         if delayed_frames is not None:
-            if len(delayed_frames) >= _FRAME_KEYS:
-                delayed_frames.clear()
-            delayed_frames[delays] = delayed
+            if delays not in delayed_frames:
+                delayed_frames[delays] = None
+            else:
+                stored = len(delayed_frames) - list(delayed_frames.values()).count(None)
+                if stored >= _FRAME_KEYS:
+                    delayed_frames.clear()
+                delayed_frames[delays] = delayed
     gains = []
     for path in paths:
         static = path.amplitude * np.exp(
@@ -373,9 +377,10 @@ def propagate(
 
     ``delayed_frames``, when given, keeps the delayed path frames keyed
     by the exact path delays for every call on one transmit capture (a
-    run's slot), emptied at `_FRAME_KEYS` keys. Calls that pass the same
-    dict and equal delays reuse the frames instead of repeating the
-    FFTs; the output is bit-identical either way.
+    run's slot), from the second call with those delays on, for at most
+    `_FRAME_KEYS` keys. Later calls that pass the same dict and equal
+    delays reuse the frames instead of repeating the FFTs; the output is
+    bit-identical either way.
     """
     spp_out, gains, delayed = _path_frames(tx, paths, params, delayed_frames, tx.pulses)
     out = np.zeros((rx_array.elements, tx.pulses, spp_out), dtype=np.complex128)

@@ -9,10 +9,6 @@ class DegenerateGeometryError(BistarError, ValueError):
     """Geometry is too close to a singular configuration to evaluate."""
 
 
-class ExcludedGeometryError(BistarError, ValueError):
-    """Requested point lies in an excluded near-collinear region."""
-
-
 class DetectionError(BistarError, RuntimeError):
     """A signal-level estimator could not find a usable peak."""
 

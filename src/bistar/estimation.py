@@ -4,9 +4,9 @@ The signal-level chain works on element captures: MUSIC for the echo
 arrival angle, conjugate beamforming toward the direct and echo
 directions, least-squares direct-path cancellation, matched-filter TDOA
 on the sample lattice, and a range-Doppler map across a pulse train.
-``model_measure_batch`` is the cheap statistical stand-in that produces
-measurements with the same lattice and error behavior without
-simulating waveforms.
+``model_measure_batch`` is the cheap statistical stand-in: it adds
+Gaussian errors of the model's sigmas to the true TDOA and AoA, with no
+lattice rounding and no waveform simulated.
 """
 
 from __future__ import annotations
@@ -39,6 +39,18 @@ MEAN_ABS_TO_SIGMA = math.sqrt(math.pi / 2.0)
 
 # Spacing of the MUSIC scan grid; the parabolic fit refines within it.
 MUSIC_GRID_DEG = 0.1
+
+# Detection threshold of `estimate_tdoa` over the median correlation floor.
+MIN_PEAK_DB = 6.0
+# Share of the guard correlation's peak the winning echo lag must hold.
+GUARD_FRACTION = 0.5
+# Samples either side of the surveyed direct delay that `estimate_tdoa`
+# searches for the direct path, and the floor that anchor must clear.
+HINT_WINDOW = 1
+HINT_FLOOR_DB = 12.0
+
+# Zero-padding factor of the slow-time DFT of `range_doppler`.
+DOPPLER_PAD = 4
 
 # Delay rows per slow-time DFT block of `range_doppler` (4 MiB of
 # spectrum at 256 Doppler bins).
@@ -283,12 +295,8 @@ def estimate_tdoa(
     direct_beam: IqCapture,
     echo_beam: IqCapture,
     reference: IqCapture,
-    min_peak_db: float = 6.0,
     guard_beam: IqCapture | None = None,
-    guard_fraction: float = 0.5,
     direct_delay_hint_s: float | None = None,
-    hint_window: int = 1,
-    hint_floor_db: float = 12.0,
     matched: MatchedFilter | None = None,
 ) -> float:
     """Matched-filter TDOA between the echo and direct streams, seconds.
@@ -316,12 +324,12 @@ def estimate_tdoa(
     ``guard_beam``, when given, is an interference-suppressed stream of
     the same capture (see `null_steer_beamform`) used as a guard channel
     to blank false detections: if the winning lag holds less than
-    ``guard_fraction`` of the guard correlation's own peak, the main
-    detection is attributed to deflation residue and the guard's peak
-    lag is reported instead.
+    `GUARD_FRACTION` (half) of the guard correlation's own peak, the
+    main detection is attributed to deflation residue and the guard's
+    peak lag is reported instead.
 
     ``direct_delay_hint_s``, when given, restricts the direct-path peak
-    search to ``hint_window`` samples either side of that delay. Node
+    search to `HINT_WINDOW` samples either side of that delay. Node
     positions are surveyed, so the baseline delay is predictable; the
     restriction keeps a strong echo from being mistaken for the direct
     path when transmit-pattern nulls starve the reference. One sample
@@ -330,7 +338,7 @@ def estimate_tdoa(
     wider window reaches the rising skirt of an echo a few lags later,
     and an anchor there shortens the TDOA by the lags it is off. Inside the
     window the anchor must clear the correlation floor by
-    ``hint_floor_db`` rather than ``min_peak_db``: a handful of noise
+    `HINT_FLOOR_DB` (12 dB) rather than `MIN_PEAK_DB` (6 dB): a handful of noise
     bins can top the median by several dB just by order statistics, and
     a false anchor corrupts every downstream lag, while a physically
     present direct path enjoys the reference's full processing gain and
@@ -341,7 +349,7 @@ def estimate_tdoa(
             differ in length or in sample rate from the reference, or
             ``matched`` was prepared for another length.
         DetectionError: when the direct peak or the deflated echo peak
-            fails to clear ``min_peak_db`` above the median correlation
+            fails to clear `MIN_PEAK_DB` above the median correlation
             floor.
     """
     beams = [direct_beam, echo_beam]
@@ -366,12 +374,12 @@ def estimate_tdoa(
 
     corr_direct = corr[0]
     if direct_delay_hint_s is None:
-        direct_peak = _peak_with_floor(corr_direct, min_peak_db, "direct")
+        direct_peak = _peak_with_floor(corr_direct, MIN_PEAK_DB, "direct")
     else:
         center = int(round(direct_delay_hint_s * reference.sample_rate_hz))
-        lo, hi = center - hint_window, center + hint_window + 1
+        lo, hi = center - HINT_WINDOW, center + HINT_WINDOW + 1
         direct_peak = _peak_with_floor(
-            corr_direct, hint_floor_db, "direct", window=(lo, hi)
+            corr_direct, HINT_FLOOR_DB, "direct", window=(lo, hi)
         )
 
     corr_echo = corr[1]
@@ -384,24 +392,24 @@ def estimate_tdoa(
         raise DetectionError("no lags left after the direct peak")
     offset = int(np.argmax(tail))
     floor = float(np.median(magnitude))
-    if floor <= 0.0 or 20.0 * math.log10(tail[offset] / floor) < min_peak_db:
+    if floor <= 0.0 or 20.0 * math.log10(tail[offset] / floor) < MIN_PEAK_DB:
         raise DetectionError(
-            f"echo correlation peak is below the {min_peak_db:.1f} dB detection threshold"
+            f"echo correlation peak is below the {MIN_PEAK_DB:.1f} dB detection threshold"
         )
     if guard_beam is not None:
         guard_tail = np.abs(corr[2, direct_peak + 1 :])
         guard_peak = float(guard_tail.max())
         if guard_peak <= 0.0:
             raise DetectionError("guard correlation is empty")
-        if guard_tail[offset] < guard_fraction * guard_peak:
+        if guard_tail[offset] < GUARD_FRACTION * guard_peak:
             offset = int(np.argmax(guard_tail))
             guard_floor = float(np.median(guard_tail))
             if (
                 guard_floor <= 0.0
-                or 20.0 * math.log10(guard_peak / guard_floor) < min_peak_db
+                or 20.0 * math.log10(guard_peak / guard_floor) < MIN_PEAK_DB
             ):
                 raise DetectionError(
-                    f"guard correlation peak is below the {min_peak_db:.1f} dB "
+                    f"guard correlation peak is below the {MIN_PEAK_DB:.1f} dB "
                     "detection threshold"
                 )
     return (offset + 1) / reference.sample_rate_hz
@@ -410,21 +418,18 @@ def estimate_tdoa(
 def range_doppler(
     train: IqCapture,
     reference: IqCapture,
-    pad_factor: int = 4,
 ) -> RangeDopplerMap:
     """Fast-time matched filter and slow-time DFT over a pulse train.
 
-    Each pulse frame is correlated with the pilot reference, then a
-    zero-padded DFT across pulses resolves Doppler per delay bin. The
-    Doppler axis spans plus or minus half the pulse repetition rate
-    with bin spacing 1 / (pad_factor * pulses * PRI).
+    Each pulse frame is correlated with the pilot reference, then a DFT
+    across pulses, zero-padded `DOPPLER_PAD` (4) times, resolves Doppler
+    per delay bin. The Doppler axis spans plus or minus half the pulse
+    repetition rate with bin spacing 1 / (DOPPLER_PAD * pulses * PRI).
     """
     if train.elements != 1:
         raise ValueError("range_doppler expects a single beamformed stream")
     if train.pulses < 2:
         raise ValueError("need at least 2 pulses for Doppler")
-    if pad_factor < 1:
-        raise ValueError("pad_factor must be at least 1")
     fs = train.sample_rate_hz
     spp = train.samples_per_pulse
     pri = spp / fs
@@ -438,7 +443,7 @@ def range_doppler(
     # The slow-time DFT runs over blocks of delay rows, each written
     # fftshifted into the one magnitude array: no spectrum of the whole
     # train is held. Each row is the one-shot transform, bit for bit.
-    bins = train.pulses * pad_factor
+    bins = train.pulses * DOPPLER_PAD
     half = bins // 2
     magnitudes = np.empty((spp, bins))
     for start in range(0, spp, _DELAY_BLOCK):
@@ -478,15 +483,12 @@ def model_measure_batch(
     target: TargetState,
     err: MeasurementErrorModel,
     noise: np.ndarray,
-    sample_rate_hz: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """TDOAs and AoAs (seconds, radians) of statistical measurements.
 
-    The true TDOA is rounded to the lattice of ``sample_rate_hz`` when
-    one is given (pass ``params.sample_rate_hz`` to mimic the
-    matched-filter quantization, or None for no quantization), then
-    Gaussian errors with the model's sigmas are added to both the TDOA
-    and the AoA. A negative noisy TDOA clamps to zero, matching the
+    Gaussian errors with the model's sigmas are added to the true TDOA,
+    which is not rounded to the sample lattice, and to the true AoA.
+    A negative noisy TDOA clamps to zero, matching the
     matched filter which never reports the echo before the direct path.
     Trial t reads row t of ``noise``, a (trials, 2) array of standard
     normal draws (TDOA, AoA); a non-finite draw raises ValueError.
@@ -495,10 +497,6 @@ def model_measure_batch(
     if not np.isfinite(noise).all():
         raise ValueError("noise draws must be finite")
     tdoa = true_tdoa(pair, target)
-    if sample_rate_hz is not None and math.isfinite(sample_rate_hz):
-        if sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        tdoa = round(tdoa * sample_rate_hz) / sample_rate_hz
     aoa = true_aoa(pair.rx_node, target)
     noisy = tdoa + err.sigma_tdoa_s * noise[:, 0]
     return (

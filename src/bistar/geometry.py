@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, ExcludedGeometryError
+from .errors import DegenerateGeometryError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .estimation import Measurement
@@ -181,10 +181,9 @@ class RadarParams:
         """System noise temperature, reference temperature times the noise factor."""
         return self.reference_temp_k * 10.0 ** (self.noise_figure_db / 10.0)
 
-    def noise_power_w(self, bandwidth_hz: float | None = None) -> float:
-        """Thermal noise power k*T_s*B in the given (default: signal) bandwidth."""
-        band = self.bandwidth_hz if bandwidth_hz is None else bandwidth_hz
-        return BOLTZMANN * self.noise_temp_k * band
+    def noise_power_w(self) -> float:
+        """Thermal noise power k*T_s*B in the signal bandwidth."""
+        return BOLTZMANN * self.noise_temp_k * self.bandwidth_hz
 
 
 def _range(a, b) -> float:
@@ -378,55 +377,6 @@ def iso_range_point(
     r2 = r2_from_measurements(tdoa, relative, length)
     n2 = pair.n2
     return (n2.x - r2 * math.sin(theta2_rad), n2.y + r2 * math.cos(theta2_rad))
-
-
-def iso_range_target(
-    pair: BistaticPair,
-    sum_range_m: float,
-    theta2_rad: float,
-    rcs_dbsm: float = 0.0,
-    exclusion_deg: float = 5.0,
-) -> TargetState:
-    """Target on the iso-range contour R1 + R2 = sum_range at a given angle.
-
-    The contour is the ellipse with the two nodes as foci; theta2 is the
-    arrival angle the target would present at node n2, which sweeps the
-    whole contour once over a full turn.
-
-    Args:
-        pair: node pair defining the contour foci.
-        sum_range_m: bistatic range sum, must exceed the baseline.
-        theta2_rad: contour parameter, arrival angle at n2.
-        rcs_dbsm: radar cross section assigned to the returned target.
-        exclusion_deg: half-width of the near-collinear band to refuse.
-
-    Raises:
-        ExcludedGeometryError: when the point falls within
-            ``exclusion_deg`` of the baseline directions, where the
-            direct signal would mask the echo.
-    """
-    if sum_range_m <= pair.baseline:
-        raise ValueError("sum range must exceed the baseline")
-    x, y = iso_range_point(pair, sum_range_m, theta2_rad)
-    target = TargetState(x, y, rcs_dbsm=rcs_dbsm)
-    separation = collinearity_deg(pair, target)
-    if separation < exclusion_deg:
-        raise ExcludedGeometryError(
-            f"target {separation:.2f} deg from the baseline is inside the "
-            f"{exclusion_deg:.1f} deg exclusion band"
-        )
-    return target
-
-
-def bistatic_angle(pair: BistaticPair, target: TargetState) -> float:
-    """Angle at the target subtended by the two nodes, radians in [0, pi]."""
-    r1, r2 = bistatic_ranges(pair, target)
-    u1x = (pair.n1.x - target.x) / r1
-    u1y = (pair.n1.y - target.y) / r1
-    u2x = (pair.n2.x - target.x) / r2
-    u2y = (pair.n2.y - target.y) / r2
-    cosine = min(1.0, max(-1.0, u1x * u2x + u1y * u2y))
-    return math.acos(cosine)
 
 
 def sum_range_gradient(pair: BistaticPair, target) -> tuple[float, float]:

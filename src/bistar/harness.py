@@ -293,7 +293,6 @@ class _SignalBench:
         pair: BistaticPair,
         target: TargetState,
         seed_key: tuple[int, ...],
-        delayed_frames: dict | None = None,
         pulses: int = 1,
     ) -> tuple[float, float, IqCapture, IqCapture]:
         """Receiver chain on a train of ``pulses`` slots: a `BeamCapture`
@@ -312,7 +311,7 @@ class _SignalBench:
         paths = build_paths(pair, target, params, self.cfg.direct_path_gain_db)
         capture = BeamCapture(
             self.slot, paths, rx_array, params, seed_key, direct_aoa, self.columns,
-            delayed_frames, pulses,
+            self.delayed_frames, pulses,
         )
         fs, spp = capture.sample_rate_hz, capture.samples_per_pulse
         aoa_raw = music_aoa(IqCapture(capture.pilot, fs), rx_array)
@@ -341,10 +340,9 @@ class _SignalBench:
         pair: BistaticPair,
         target: TargetState,
         seed_key: tuple[int, ...],
-        delayed_frames: dict | None = None,
     ) -> Measurement:
         """One slot through the receiver chain, as a measurement."""
-        aoa, tdoa, _, _ = self.receive(pair, target, seed_key, delayed_frames)
+        aoa, tdoa, _, _ = self.receive(pair, target, seed_key)
         return Measurement(tdoa_s=tdoa, aoa_rad=aoa, mode=pair.mode)
 
 
@@ -446,7 +444,7 @@ def _measurements(
         try:
             for j, (key, pair) in enumerate(pairs.items()):
                 seed_key = (cfg.seed, index, trial, _TAG_CHANNEL, key)
-                meas = bench.measure(pair, target, seed_key, bench.delayed_frames)
+                meas = bench.measure(pair, target, seed_key)
                 out[:, trial, j] = meas.tdoa_s, meas.aoa_rad
         except DetectionError:
             out[:, trial] = math.nan

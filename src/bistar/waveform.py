@@ -1,7 +1,7 @@
 """CP-OFDM slot generation with a comb pilot symbol.
 
-One slot is 14 OFDM symbols. A single pilot symbol carries seeded QPSK
-on alternating occupied subcarriers (half the occupied band); every
+One slot is 14 OFDM symbols. A single pilot symbol, the third, carries
+seeded QPSK on the even occupied subcarriers (half the occupied band); every
 other resource element of the slot carries seeded QPSK data. The pilot
 portion alone forms the matched-filter reference, so the reference is
 independent of the data stream.
@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+# OFDM symbols per slot, and the index of the DM-RS pilot symbol.
+SYMBOLS_PER_SLOT = 14
+DMRS_SYMBOL = 2
 
 # Substream tags separating the pilot and data random draws.
 _PILOT_STREAM = 0x70696C6F
@@ -37,11 +40,7 @@ class WaveformConfig:
     occupied_subcarriers: int = 792
     subcarrier_spacing_hz: float = 120e3
     cp_samples: int = 72
-    dmrs_symbol_index: int = 2
-    symbols_per_slot: int = 14
-    pilot_comb_offset: int = 0
     seed: int = 0
-    data_seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
@@ -52,12 +51,6 @@ class WaveformConfig:
             raise ValueError("occupied_subcarriers must be even for the comb")
         if self.cp_samples < 0:
             raise ValueError("cp_samples must be non-negative")
-        if not 0 <= self.dmrs_symbol_index < self.symbols_per_slot:
-            raise ValueError("dmrs_symbol_index outside the slot")
-        if self.pilot_comb_offset not in (0, 1):
-            raise ValueError("pilot_comb_offset must be 0 or 1")
-        if self.symbols_per_slot < 1:
-            raise ValueError("symbols_per_slot must be positive")
         if self.subcarrier_spacing_hz <= 0:
             raise ValueError("subcarrier_spacing_hz must be positive")
         if self.seed < 0:
@@ -73,11 +66,7 @@ class WaveformConfig:
 
     @property
     def samples_per_slot(self) -> int:
-        return self.symbols_per_slot * self.samples_per_symbol
-
-    @property
-    def slot_duration_s(self) -> float:
-        return self.samples_per_slot / self.sample_rate_hz
+        return SYMBOLS_PER_SLOT * self.samples_per_symbol
 
     def occupied_bins(self) -> np.ndarray:
         """FFT bin index of each occupied subcarrier, centered on DC."""
@@ -85,24 +74,14 @@ class WaveformConfig:
         return np.mod(offsets, self.fft_size)
 
     def pilot_mask(self) -> np.ndarray:
-        """Boolean mask over occupied subcarriers selecting the pilot comb."""
-        comb = np.arange(self.occupied_subcarriers) % 2 == self.pilot_comb_offset
-        return comb
+        """Boolean mask over occupied subcarriers selecting the pilot comb:
+        the even ones."""
+        return np.arange(self.occupied_subcarriers) % 2 == 0
 
     def dmrs_window(self) -> slice:
         """Sample range of the pilot symbol within the slot."""
-        start = self.dmrs_symbol_index * self.samples_per_symbol
+        start = DMRS_SYMBOL * self.samples_per_symbol
         return slice(start, start + self.samples_per_symbol)
-
-    @classmethod
-    def for_bandwidth(cls, bandwidth_hz: float, seed: int = 0) -> "WaveformConfig":
-        """Standard numerology for the two supported RF bandwidths."""
-        table = {100e6: (1024, 792, 72), 400e6: (4096, 3168, 288)}
-        key = float(bandwidth_hz)
-        if key not in table:
-            raise ValueError(f"unsupported bandwidth {bandwidth_hz}, expected 100e6 or 400e6")
-        fft, occupied, cp = table[key]
-        return cls(fft_size=fft, occupied_subcarriers=occupied, cp_samples=cp, seed=seed)
 
 
 @dataclass
@@ -140,10 +119,6 @@ class IqCapture:
     def elements(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.shape[1] / self.sample_rate_hz
-
     def frames(self) -> np.ndarray:
         """View shaped (elements, pulses, samples_per_pulse)."""
         return self.samples.reshape(self.elements, self.pulses, self.samples_per_pulse)
@@ -170,8 +145,7 @@ def _pilot_rng(cfg: WaveformConfig) -> np.random.Generator:
 
 
 def _data_rng(cfg: WaveformConfig) -> np.random.Generator:
-    seed = cfg.seed if cfg.data_seed is None else cfg.data_seed
-    return np.random.default_rng(np.random.SeedSequence([seed, _DATA_STREAM]))
+    return np.random.default_rng(np.random.SeedSequence([cfg.seed, _DATA_STREAM]))
 
 
 def _qpsk(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -181,10 +155,10 @@ def _qpsk(rng: np.random.Generator, count: int) -> np.ndarray:
 def resource_grid(cfg: WaveformConfig) -> np.ndarray:
     """Frequency-domain grid (symbols x occupied subcarriers) of one slot."""
     occupied = cfg.occupied_subcarriers
-    grid = _qpsk(_data_rng(cfg), cfg.symbols_per_slot * occupied)
-    grid = grid.reshape(cfg.symbols_per_slot, occupied)
+    grid = _qpsk(_data_rng(cfg), SYMBOLS_PER_SLOT * occupied)
+    grid = grid.reshape(SYMBOLS_PER_SLOT, occupied)
     mask = cfg.pilot_mask()
-    grid[cfg.dmrs_symbol_index, mask] = _qpsk(_pilot_rng(cfg), int(mask.sum()))
+    grid[DMRS_SYMBOL, mask] = _qpsk(_pilot_rng(cfg), int(mask.sum()))
     return grid
 
 
@@ -208,8 +182,7 @@ def generate_slot(cfg: WaveformConfig) -> IqCapture:
     """One CP-OFDM slot with pilots and data, as a single-element capture.
 
     Deterministic for a given config: the pilot and data streams are
-    drawn from independent substreams of ``cfg.seed`` (the data stream
-    moves to ``cfg.data_seed`` when set).
+    drawn from independent substreams of ``cfg.seed``.
     """
     return IqCapture(_modulate(cfg, resource_grid(cfg)), cfg.sample_rate_hz)
 
@@ -221,9 +194,9 @@ def matched_reference(cfg: WaveformConfig) -> IqCapture:
     zeroed, so it depends only on the pilot substream of the seed.
     """
     occupied = cfg.occupied_subcarriers
-    grid = np.zeros((cfg.symbols_per_slot, occupied), dtype=np.complex128)
+    grid = np.zeros((SYMBOLS_PER_SLOT, occupied), dtype=np.complex128)
     mask = cfg.pilot_mask()
-    grid[cfg.dmrs_symbol_index, mask] = _qpsk(_pilot_rng(cfg), int(mask.sum()))
+    grid[DMRS_SYMBOL, mask] = _qpsk(_pilot_rng(cfg), int(mask.sum()))
     return IqCapture(_modulate(cfg, grid), cfg.sample_rate_hz)
 
 
@@ -235,50 +208,10 @@ def demodulate_slot(cfg: WaveformConfig, capture: IqCapture) -> np.ndarray:
         raise ValueError("capture shorter than one slot")
     bins = cfg.occupied_bins()
     scale = cfg.fft_size / math.sqrt(cfg.occupied_subcarriers)
-    grid = np.empty((cfg.symbols_per_slot, cfg.occupied_subcarriers), dtype=np.complex128)
-    for sym in range(cfg.symbols_per_slot):
+    grid = np.empty((SYMBOLS_PER_SLOT, cfg.occupied_subcarriers), dtype=np.complex128)
+    for sym in range(SYMBOLS_PER_SLOT):
         start = sym * cfg.samples_per_symbol + cfg.cp_samples
         body = capture.samples[0, start : start + cfg.fft_size]
         grid[sym] = np.fft.fft(body / scale)[bins]
     return grid
 
-
-def dump_iq(capture: IqCapture, path: str | Path) -> None:
-    """Write raw interleaved float32 I/Q plus a text metadata sidecar.
-
-    Layout is element major: all samples of element 0, then element 1,
-    and so on, each sample stored as little-endian I then Q.
-    """
-    path = Path(path)
-    interleaved = np.empty(2 * capture.samples.size, dtype="<f4")
-    flat = capture.samples.reshape(-1)
-    interleaved[0::2] = flat.real
-    interleaved[1::2] = flat.imag
-    interleaved.tofile(path)
-    meta = (
-        f"sample_rate_hz = {capture.sample_rate_hz!r}\n"
-        f"elements = {capture.elements}\n"
-        f"pulses = {capture.pulses}\n"
-        f"samples_per_pulse = {capture.samples_per_pulse}\n"
-        "format = interleaved float32 little-endian, element major\n"
-    )
-    path.with_suffix(path.suffix + ".meta").write_text(meta)
-
-
-def load_iq(path: str | Path) -> IqCapture:
-    """Read a capture written by ``dump_iq``."""
-    path = Path(path)
-    meta: dict[str, str] = {}
-    for line in path.with_suffix(path.suffix + ".meta").read_text().splitlines():
-        if "=" in line:
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
-    raw = np.fromfile(path, dtype="<f4")
-    flat = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
-    elements = int(meta["elements"])
-    return IqCapture(
-        flat.reshape(elements, -1),
-        float(meta["sample_rate_hz"]),
-        pulses=int(meta["pulses"]),
-        samples_per_pulse=int(meta["samples_per_pulse"]),
-    )

@@ -14,6 +14,7 @@ from bistar import (
     MeasurementErrorModel,
     Mode,
     NodePosition,
+    RadarParams,
     RangeDopplerMap,
     TargetState,
     WaveformConfig,
@@ -33,8 +34,10 @@ from bistar import (
     steering_vector,
     true_aoa,
     true_tdoa,
+    waveform_for_radar,
     wrap_angle,
 )
+from bistar import estimation
 from bistar.estimation import MEAN_ABS_TO_SIGMA, MUSIC_GRID_DEG, _music_scan, _peak_with_floor
 
 FS = 122.88e6
@@ -43,6 +46,12 @@ FS = 122.88e6
 def plane_wave(array, angle, waveform):
     """Element capture of a far-field source with the given baseband stream."""
     return steering_vector(array, angle)[:, np.newaxis] * waveform[np.newaxis, :]
+
+
+def reference_config(mhz, seed):
+    """The waveform of a run at ``mhz`` of bandwidth."""
+    radar = RadarParams(bandwidth_hz=mhz * 1e6, sample_rate_hz=FS * mhz / 100)
+    return waveform_for_radar(radar, seed)
 
 
 def random_symbols(rng, count):
@@ -377,10 +386,11 @@ class TestEstimateTdoa:
         tdoa = estimate_tdoa(direct, echo, ref, direct_delay_hint_s=6.0 / FS)
         assert tdoa == pytest.approx(7.0 / FS, rel=1e-12)
 
-    def test_hint_window_ignores_echo_skirt(self, ref):
+    def test_hint_window_ignores_echo_skirt(self, ref, monkeypatch):
         """A starved direct path 6.3 lags before a strong echo: three
         lags after the hint, the echo's rising skirt outweighs the direct
-        peak, and an anchor there would read the TDOA 3 lags short."""
+        peak, and an anchor there (a `HINT_WINDOW` of 3) would read the
+        TDOA 3 lags short."""
         r = ref.samples[0]
         n = r.size + 64
         freq = np.fft.fftfreq(n)
@@ -397,7 +407,8 @@ class TestEstimateTdoa:
         assert estimate_tdoa(direct, echo, ref, direct_delay_hint_s=hint_s) == (
             pytest.approx(6.0 / FS, rel=1e-12)
         )
-        wide = estimate_tdoa(direct, echo, ref, direct_delay_hint_s=hint_s, hint_window=3)
+        monkeypatch.setattr(estimation, "HINT_WINDOW", 3)
+        wide = estimate_tdoa(direct, echo, ref, direct_delay_hint_s=hint_s)
         assert wide == pytest.approx(3.0 / FS, rel=1e-12)
 
     def test_hint_window_refuses_noise_anchor(self, ref):
@@ -445,7 +456,7 @@ class TestEstimateTdoa:
         """A matched filter prepared once reads the same floats as a
         bare call, which builds its own, and refuses another length."""
         fs = FS * mhz / 100
-        ref = matched_reference(WaveformConfig.for_bandwidth(mhz * 1e6, seed=6))
+        ref = matched_reference(reference_config(mhz, seed=6))
         r = ref.samples[0]
         n = r.size + 40
         matched = matched_filter(ref, n)
@@ -475,7 +486,7 @@ class TestEstimateTdoa:
         """The filter keeps the DM-RS symbol at a 5-smooth size; its
         correlation and template match the whole reference's at a power
         of two within 1e-9 of the peak."""
-        cfg = WaveformConfig.for_bandwidth(mhz * 1e6, seed=6)
+        cfg = reference_config(mhz, seed=6)
         ref = matched_reference(cfg)
         r = ref.samples[0]
         n = fast_length(r.size + 29)
@@ -618,7 +629,7 @@ class TestRangeDoppler:
             frame[12 : 12 + r.size] = r
             frames.append(frame * np.exp(2j * math.pi * doppler * pri * p))
         train = IqCapture(np.concatenate(frames), fs, pulses=pulses, samples_per_pulse=spp)
-        rd = range_doppler(train, ref, pad_factor=4)
+        rd = range_doppler(train, ref)
         delay, dop = doppler_peak(rd)
         assert delay == pytest.approx(12 / fs, abs=1e-12)
         bin_hz = rd.doppler_axis_hz[1] - rd.doppler_axis_hz[0]
@@ -631,17 +642,19 @@ class TestRangeDoppler:
         shifted = np.fft.fftshift(np.fft.fft(fast, n=4 * pulses, axis=0), axes=0)
         assert np.array_equal(rd.magnitudes, np.abs(shifted).T)
 
-    @pytest.mark.parametrize("pulses, samples, pad_factor", [(16, 2500, 4), (3, 1100, 1)])
-    def test_blocks_match_one_shot_transform(self, pulses, samples, pad_factor):
+    @pytest.mark.parametrize("pulses, samples, pad", [(16, 2500, 4), (3, 1100, 1)])
+    def test_blocks_match_one_shot_transform(self, pulses, samples, pad, monkeypatch):
         """The blocked slow-time DFT equals the one-shot map bit for bit,
-        with a partial last block of delay rows and an odd bin count."""
+        with a partial last block of delay rows and an odd bin count (a
+        `DOPPLER_PAD` of 1)."""
+        monkeypatch.setattr(estimation, "DOPPLER_PAD", pad)
         rng = np.random.default_rng(4)
         frames = rng.standard_normal((pulses, samples)) + 1j * rng.standard_normal((pulses, samples))
         r = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         train = IqCapture(frames.reshape(-1), FS, pulses=pulses, samples_per_pulse=samples)
-        rd = range_doppler(train, IqCapture(r, FS), pad_factor=pad_factor)
+        rd = range_doppler(train, IqCapture(r, FS))
         fast = np.fft.ifft(np.fft.fft(frames, axis=1) * np.fft.fft(r, samples).conj(), axis=1)
-        one_shot = np.fft.fftshift(np.abs(np.fft.fft(fast.T, n=pulses * pad_factor)), axes=1)
+        one_shot = np.fft.fftshift(np.abs(np.fft.fft(fast.T, n=pulses * pad)), axes=1)
         assert np.array_equal(rd.magnitudes, one_shot)
 
     def test_validation(self):
@@ -682,14 +695,6 @@ class TestModelBasedMeasure:
         assert tdoa.tolist() == [true_tdoa(pair, target)] * 3
         assert aoa.tolist() == [true_aoa(pair.rx_node, target)] * 3
 
-    def test_lattice_quantization(self):
-        pair = self.pair()
-        target = TargetState(10.0, 18.0)
-        err = MeasurementErrorModel(0.0, 0.0)
-        tdoa, _ = model_measure_batch(pair, target, err, draws(1, 2), sample_rate_hz=FS)
-        assert tdoa.tolist() == [round(true_tdoa(pair, target) * FS) / FS] * 2
-        assert tdoa[0] != true_tdoa(pair, target)
-
     def test_error_statistics_match_half_normal(self):
         pair = self.pair()
         target = TargetState(10.0, 18.0)
@@ -708,17 +713,14 @@ class TestModelBasedMeasure:
         tdoa, _ = model_measure_batch(pair, target, MeasurementErrorModel(1e-6, 0.0), draws(78, 200))
         assert tdoa.min() == 0.0
 
-    @pytest.mark.parametrize("rate", [None, FS])
-    def test_batch_rows_are_successive_scalar_draws(self, rate):
+    def test_batch_rows_are_successive_scalar_draws(self):
         """Row t against a per-trial scalar formula on successive draws."""
         pair = self.pair()
         target = TargetState(12.5, 1.0)  # tiny true TDOA: some draws clamp
         err = MeasurementErrorModel(2e-9, math.radians(3.0))
-        tdoa, aoa = model_measure_batch(pair, target, err, draws((7, 1, 0, 3), 300), rate)
+        tdoa, aoa = model_measure_batch(pair, target, err, draws((7, 1, 0, 3), 300))
         rng = make_rng((7, 1, 0, 3))
         tdoa_true = true_tdoa(pair, target)
-        if rate is not None:
-            tdoa_true = round(tdoa_true * rate) / rate
         aoa_true = true_aoa(pair.rx_node, target)
         expected = []
         for _ in range(300):
@@ -729,16 +731,6 @@ class TestModelBasedMeasure:
             )
         assert list(zip(tdoa.tolist(), aoa.tolist())) == expected
         assert 0.0 in tdoa.tolist()
-
-    def test_rejects_bad_sample_rate(self):
-        with pytest.raises(ValueError):
-            model_measure_batch(
-                self.pair(),
-                TargetState(10.0, 18.0),
-                MeasurementErrorModel(0.0, 0.0),
-                draws(1, 1),
-                sample_rate_hz=-1.0,
-            )
 
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,6 +1,7 @@
 """Multistatic weighted least-squares fusion solver tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -455,6 +456,28 @@ class TestBatchedSolver:
             )
             for name in ("xy", "iterations", "converged", "loss", "failed"):
                 np.testing.assert_array_equal(getattr(stacked, name)[row], getattr(alone, name)[0])
+
+    @pytest.mark.parametrize("column", ["tx_xy", "rx_xy", "tdoa_s", "aoa_rad", "guess", "w"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_fails_its_row_alone(self, column, bad):
+        """A NaN or infinite value in one input of row 3 of 8 fails that
+        row with a NaN position and no warning; every other row is the
+        clean solve's, bit for bit."""
+        rng = np.random.default_rng(614)
+        problems, guesses = zip(*(random_problem(rng, 3) for _ in range(8)))
+        inputs = {k: np.stack([p[k] for p in problems]) for k in (*COLUMNS, "a", "b", "w")}
+        inputs["guess"] = np.array(guesses)
+        names = (*COLUMNS, "guess", "a", "b", "w")
+        clean = solve_multistatic_batch(*(inputs[k] for k in names))
+        inputs[column][3].flat[1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = solve_multistatic_batch(*(inputs[k] for k in names))
+        assert out.failed.tolist() == [row == 3 for row in range(8)]
+        assert np.isnan(out.xy[3]).all()
+        for name in ("xy", "iterations", "converged", "loss", "failed"):
+            kept = np.delete(getattr(out, name), 3, axis=0)
+            np.testing.assert_array_equal(kept, np.delete(getattr(clean, name), 3, axis=0))
 
     def test_empty_batch(self):
         empty = np.zeros((0, 3, 2))

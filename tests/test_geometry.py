@@ -1,5 +1,6 @@
 """Geometry forward models, inversion, and the link budget."""
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -10,21 +11,19 @@ import pytest
 from bistar import (
     BistaticPair,
     DegenerateGeometryError,
-    ExcludedGeometryError,
     Measurement,
     Mode,
     NodePosition,
     RadarParams,
     TargetState,
     aoa_gradient,
-    bistatic_angle,
     bistatic_ranges,
     bistatic_snr,
     collinearity_deg,
     iso_range_point,
-    iso_range_target,
     locate_batch,
     locate_bistatic,
+    preset_scenario,
     r2_from_measurements,
     sum_range_gradient,
     sum_range_rate,
@@ -150,8 +149,8 @@ class TestDataclasses:
         assert params.eirp_w == pytest.approx(10.0 ** (13.0 / 10.0))
         # 13 dB noise figure is a factor of ~19.95 on 290 K.
         assert params.noise_temp_k == pytest.approx(290.0 * 10 ** 1.3)
-        assert params.noise_power_w(1.0) == pytest.approx(
-            1.380649e-23 * 290.0 * 10 ** 1.3
+        assert params.noise_power_w() == pytest.approx(
+            1.380649e-23 * 290.0 * 10 ** 1.3 * 100e6
         )
 
 
@@ -386,9 +385,8 @@ class TestIsoRange:
     def test_contour_points_satisfy_sum(self):
         pair = make_pair()
         for deg in range(0, 360, 7):
-            try:
-                target = iso_range_target(pair, 50.0, math.radians(deg))
-            except ExcludedGeometryError:
+            target = TargetState(*iso_range_point(pair, 50.0, math.radians(deg)))
+            if collinearity_deg(pair, target) < 5.0:
                 continue
             r1, r2 = bistatic_ranges(pair, target)
             assert r1 + r2 == pytest.approx(50.0, abs=1e-6)
@@ -397,25 +395,28 @@ class TestIsoRange:
             )
 
     def test_exclusion_band_refused(self):
+        """2 degrees off the direction toward the peer, the contour point
+        lies inside the 5 degree band that runs mark excluded."""
         pair = make_pair()
         toward_peer = true_aoa(pair.n2, pair.n1)
-        with pytest.raises(ExcludedGeometryError):
-            iso_range_target(pair, 50.0, toward_peer + math.radians(2.0))
+        point = iso_range_point(pair, 50.0, toward_peer + math.radians(2.0))
+        assert collinearity_deg(pair, TargetState(*point)) < 5.0
 
     def test_point_is_the_target_position(self):
+        """On a tilted, offset pair too, a target at the contour point
+        lies on the contour and presents the arrival angle theta2 at n2."""
         pair = make_pair(-4.0, 2.0, 21.0, -3.0)
         for deg in (10.0, 100.0, 250.0):
-            x, y = iso_range_point(pair, 50.0, math.radians(deg))
-            target = iso_range_target(pair, 50.0, math.radians(deg))
-            assert (x, y) == (target.x, target.y)
+            target = TargetState(*iso_range_point(pair, 50.0, math.radians(deg)))
+            assert sum(bistatic_ranges(pair, target)) == pytest.approx(50.0, abs=1e-9)
+            assert true_aoa(pair.n2, target) == pytest.approx(
+                wrap_angle(math.radians(deg)), abs=1e-9
+            )
 
     def test_sum_range_must_exceed_baseline(self):
-        with pytest.raises(ValueError):
-            iso_range_target(make_pair(), 25.0, 0.1)
-
-    def test_rcs_carried_through(self):
-        target = iso_range_target(make_pair(), 50.0, 0.2, rcs_dbsm=-20.0)
-        assert target.rcs_dbsm == -20.0
+        """A scenario refuses a contour that does not enclose its baseline."""
+        with pytest.raises(ValueError, match="exceed the baseline"):
+            dataclasses.replace(preset_scenario("scenario3"), sum_range=25.0)
 
 
 class TestCollinearity:
@@ -428,12 +429,6 @@ class TestCollinearity:
         pair = make_pair()
         assert collinearity_deg(pair, TargetState(25.0, 30.0)) == pytest.approx(90.0)
 
-    def test_bistatic_angle_right_triangle(self):
-        pair = make_pair(0, 0, 10, 0)
-        # Target at (0, 10): the node directions subtend 45 degrees.
-        assert bistatic_angle(pair, TargetState(0.0, 10.0)) == pytest.approx(
-            math.pi / 4
-        )
 
 
 class TestRangeRate:

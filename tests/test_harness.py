@@ -16,6 +16,7 @@ from bistar import (
     DegenerateGeometryError,
     GridSpec,
     DetectionError,
+    IqCapture,
     Measurement,
     MeasurementErrorModel,
     Mode,
@@ -27,7 +28,6 @@ from bistar import (
     gdop_batch,
     gdop_weights,
     iso_range_point,
-    iso_range_target,
     locate_batch,
     locate_bistatic,
     preset_scenario,
@@ -276,18 +276,20 @@ class TestSweepRuns:
             assert out.getvalue().splitlines()[1].startswith("0.0,")
 
     def test_modes_share_delayed_frames_bit_for_bit(self):
+        """Both modes of a point have the same path delays: the first
+        measurement marks the key, the second stores its frames and the
+        third reads them, each equal to an uncached measurement."""
         cfg = preset_scenario("scenario3", seed=6)
-        bench = _SignalBench(cfg)
-        target = iso_range_target(
-            _primary_pair(cfg), cfg.sum_range, math.radians(50.0), cfg.rcs_dbsm
-        )
-        shared: dict = {}
-        for mode in (Mode.MODE1, Mode.MODE2):
+        bench, uncached = _SignalBench(cfg), _SignalBench(cfg)
+        uncached.delayed_frames = None
+        point = iso_range_point(_primary_pair(cfg), cfg.sum_range, math.radians(50.0))
+        target = TargetState(*point, rcs_dbsm=cfg.rcs_dbsm)
+        for mode in (Mode.MODE1, Mode.MODE2, Mode.MODE1):
             pair = _primary_pair(cfg, mode)
             key = (cfg.seed, 0, 0, 1, mode.value)
-            alone = bench.measure(pair, target, key)
-            assert bench.measure(pair, target, key, shared) == alone
-        assert len(shared) == 1
+            assert bench.measure(pair, target, key) == uncached.measure(pair, target, key)
+        (frames,) = bench.delayed_frames.values()
+        assert frames is not None
 
     def test_model_engine_requires_error_model(self):
         cfg = model_config()
@@ -464,9 +466,8 @@ class FakeReceiver:
     def __init__(self, refuse=()):
         self.refuse = set(refuse)
         self.calls = []
-        self.delayed_frames = {}
 
-    def measure(self, pair, target, seed_key, delayed_frames=None):
+    def measure(self, pair, target, seed_key):
         trial, stream = seed_key[2], seed_key[4]
         self.calls.append((trial, stream))
         if (trial, stream) in self.refuse:
@@ -775,23 +776,32 @@ class TestSignalMultistatic:
         assert "fail:detect" in {row[-1] for row in rows}
 
 
+def stored_frames(cache: dict) -> int:
+    """Keys of a delayed-frame cache that hold frames, not just a mark."""
+    return sum(frames is not None for frames in cache.values())
+
+
 class RecordingBench(_SignalBench):
-    """A bench that records each measurement (None for a refusal) and the
-    size of its run-wide frame cache after it."""
+    """A bench that records each measurement (None for a refusal), its
+    path delays, whether its frames came from the run-wide cache, and the
+    count of stored frames after it."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
-        self.seen, self.sizes = [], []
+        self.seen, self.delays, self.hits, self.sizes = [], [], [], []
 
-    def measure(self, pair, target, seed_key, delayed_frames=None):
-        assert delayed_frames is self.delayed_frames
+    def measure(self, pair, target, seed_key):
+        paths = channel.build_paths(pair, target, self.cfg.radar, self.cfg.direct_path_gain_db)
+        delays = tuple(p.delay_s for p in paths)
+        self.delays.append(delays)
+        self.hits.append(self.delayed_frames.get(delays) is not None)
         meas = None
         try:
-            meas = super().measure(pair, target, seed_key, delayed_frames)
+            meas = super().measure(pair, target, seed_key)
             return meas
         finally:
             self.seen.append((pair, target, seed_key, meas))
-            self.sizes.append(len(delayed_frames))
+            self.sizes.append(stored_frames(self.delayed_frames))
 
 
 class TestRunWideFrames:
@@ -812,6 +822,7 @@ class TestRunWideFrames:
         cfg.engine, cfg.sweep_points, cfg.trials_per_point = ENGINE_SIGNAL, 24, 1
         bench = self.recorded_run(monkeypatch, run_iso_range_sweep, cfg)
         uncached = _SignalBench(cfg)
+        uncached.delayed_frames = None
         measured = [seen for seen in bench.seen if seen[3] is not None]
         assert len(measured) >= 36
         for pair, target, key, meas in bench.seen:
@@ -826,17 +837,36 @@ class TestRunWideFrames:
         assert 1 <= len(bench.delayed_frames) <= len(bench.seen) // 8  # few exact delays
 
     def test_multistatic_cache_stays_bounded(self, monkeypatch):
+        """A signal `multistatic` run meets more keys than the bound, most
+        of them once: only keys met again store frames, so every later
+        receive of a repeating key hits and one-off keys hold none."""
         cfg = preset_scenario("scenario3", seed=18)
         cfg.engine, cfg.sweep_points, cfg.trials_per_point = ENGINE_SIGNAL, 12, 1
         bench = self.recorded_run(monkeypatch, run_multistatic, cfg)
-        delays = {
-            tuple(p.delay_s for p in channel.build_paths(pair, target, cfg.radar,
-                                                         cfg.direct_path_gain_db))
-            for pair, target, _, _ in bench.seen
-        }
-        assert len(delays) > channel._FRAME_KEYS  # more keys than the bound
-        assert max(bench.sizes) == channel._FRAME_KEYS
-        assert any(after < before for before, after in zip(bench.sizes, bench.sizes[1:]))
+        counts = {key: bench.delays.count(key) for key in bench.delays}
+        repeating = {key for key, count in counts.items() if count > 1}
+        assert len(counts) > channel._FRAME_KEYS > len(repeating) > 0
+        assert sum(bench.hits) == sum(counts[key] - 2 for key in repeating)
+        stored = {key for key, frames in bench.delayed_frames.items() if frames is not None}
+        assert stored == repeating
+        assert max(bench.sizes) == len(repeating)
+
+    def test_stored_keys_stay_bounded(self):
+        """Past `_FRAME_KEYS` stored keys the cache empties before it
+        stores another; a key met once is only marked."""
+        params = RadarParams()
+        tx = IqCapture(np.ones(64, dtype=complex), params.sample_rate_hz)
+        cache, sizes = {}, []
+        for k in range(2 * channel._FRAME_KEYS + 3):
+            paths = [channel.PathDescriptor(delay_s=k * 1e-9, amplitude=1.0, aoa_rad=0.0)]
+            for _ in range(2):
+                channel._path_frames(tx, paths, params, cache, 1)
+                sizes.append(stored_frames(cache))
+        assert max(sizes) == channel._FRAME_KEYS
+        assert sizes[:4] == [0, 1, 1, 2]
+        assert any(after < before for before, after in zip(sizes, sizes[1:]))
+        channel._path_frames(tx, [channel.PathDescriptor(5e-7, 1.0, 0.0)], params, cache, 1)
+        assert cache[(5e-7,)] is None
 
     def test_threads_share_the_cache(self):
         """More workers than cores, switching threads every microsecond,

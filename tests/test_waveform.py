@@ -1,4 +1,4 @@
-"""Slot generation, reference properties, and I/Q round trips."""
+"""Slot generation and reference properties."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,13 @@ from bistar import (
     IqCapture,
     WaveformConfig,
     demodulate_slot,
-    dump_iq,
     fast_length,
     generate_slot,
-    load_iq,
     matched_reference,
     resource_grid,
 )
+from bistar import waveform
+from bistar.waveform import DMRS_SYMBOL, SYMBOLS_PER_SLOT
 
 
 class TestWaveformConfig:
@@ -22,20 +22,6 @@ class TestWaveformConfig:
         assert cfg.sample_rate_hz == pytest.approx(122.88e6)
         assert cfg.samples_per_symbol == 1096
         assert cfg.samples_per_slot == 14 * 1096
-        assert cfg.slot_duration_s == pytest.approx(14 * 1096 / 122.88e6)
-
-    def test_for_bandwidth_table(self):
-        wide = WaveformConfig.for_bandwidth(400e6)
-        assert (wide.fft_size, wide.occupied_subcarriers, wide.cp_samples) == (
-            4096,
-            3168,
-            288,
-        )
-        assert wide.sample_rate_hz == pytest.approx(491.52e6)
-        narrow = WaveformConfig.for_bandwidth(100e6)
-        assert narrow == WaveformConfig()
-        with pytest.raises(ValueError):
-            WaveformConfig.for_bandwidth(200e6)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -45,11 +31,10 @@ class TestWaveformConfig:
             {"occupied_subcarriers": 793},
             {"occupied_subcarriers": 2048},
             {"cp_samples": -1},
-            {"dmrs_symbol_index": 14},
-            {"pilot_comb_offset": 2},
-            {"symbols_per_slot": 0},
-            {"subcarrier_spacing_hz": 0.0},
-            {"seed": -1},
+            # kwargs5-7 covered config fields that are now module constants;
+            # the remaining cases keep their ids.
+            pytest.param({"subcarrier_spacing_hz": 0.0}, id="kwargs8"),
+            pytest.param({"seed": -1}, id="kwargs9"),
         ],
     )
     def test_validation(self, kwargs):
@@ -70,10 +55,7 @@ class TestWaveformConfig:
         cfg = WaveformConfig()
         mask = cfg.pilot_mask()
         assert mask.sum() == 396
-        assert mask[0] and not mask[1]
-        shifted = WaveformConfig(pilot_comb_offset=1).pilot_mask()
-        assert not shifted[0] and shifted[1]
-        assert np.array_equal(mask, ~shifted)
+        assert np.array_equal(mask, np.arange(792) % 2 == 0)
 
     def test_dmrs_window_covers_symbol_two(self):
         cfg = WaveformConfig()
@@ -87,7 +69,6 @@ class TestIqCapture:
         cap = IqCapture(np.ones(8, dtype=complex), 1e6)
         assert cap.samples.shape == (1, 8)
         assert cap.elements == 1
-        assert cap.duration_s == pytest.approx(8e-6)
 
     def test_pulse_bookkeeping(self):
         cap = IqCapture(np.zeros((2, 12), dtype=complex), 1e6, pulses=3)
@@ -118,7 +99,7 @@ class TestSlotGeneration:
     def test_cyclic_prefix_repeats_symbol_tail(self):
         cfg = WaveformConfig()
         slot = generate_slot(cfg).samples[0]
-        for sym in range(cfg.symbols_per_slot):
+        for sym in range(SYMBOLS_PER_SLOT):
             start = sym * cfg.samples_per_symbol
             cp = slot[start : start + cfg.cp_samples]
             tail = slot[start + cfg.samples_per_symbol - cfg.cp_samples : start + cfg.samples_per_symbol]
@@ -131,7 +112,7 @@ class TestSlotGeneration:
         start = data_sym * cfg.samples_per_symbol + cfg.cp_samples
         body = slot[start : start + cfg.fft_size]
         assert np.mean(np.abs(body) ** 2) == pytest.approx(1.0, rel=1e-12)
-        pilot_start = cfg.dmrs_symbol_index * cfg.samples_per_symbol + cfg.cp_samples
+        pilot_start = DMRS_SYMBOL * cfg.samples_per_symbol + cfg.cp_samples
         pilot_body = slot[pilot_start : pilot_start + cfg.fft_size]
         # The pilot symbol still carries data on the non-comb half, so the
         # slot is full power there too; only the reference is half power.
@@ -163,21 +144,21 @@ class TestMatchedReference:
         assert np.max(np.abs(outside)) < 1e-12
         assert np.max(np.abs(ref[window])) > 0.1
 
-    def test_independent_of_data_stream(self):
-        base = matched_reference(WaveformConfig(seed=5)).samples
-        other_data = matched_reference(WaveformConfig(seed=5, data_seed=99)).samples
-        assert np.array_equal(base, other_data)
-        slot_a = generate_slot(WaveformConfig(seed=5)).samples
-        slot_b = generate_slot(WaveformConfig(seed=5, data_seed=99)).samples
-        assert not np.array_equal(slot_a, slot_b)
+    def test_independent_of_data_stream(self, monkeypatch):
+        """Another data substream changes the slot but not the reference."""
+        cfg = WaveformConfig(seed=5)
+        base, slot_a = matched_reference(cfg).samples, generate_slot(cfg).samples
+        monkeypatch.setattr(waveform, "_DATA_STREAM", waveform._DATA_STREAM + 1)
+        assert np.array_equal(base, matched_reference(cfg).samples)
+        assert not np.array_equal(slot_a, generate_slot(cfg).samples)
 
     def test_reference_matches_pilot_portion_of_slot(self):
         cfg = WaveformConfig(seed=2)
         grid = resource_grid(cfg)
         mask = cfg.pilot_mask()
         ref_grid = demodulate_slot(cfg, matched_reference(cfg))
-        assert np.allclose(ref_grid[cfg.dmrs_symbol_index, mask], grid[cfg.dmrs_symbol_index, mask], atol=1e-9)
-        assert np.max(np.abs(ref_grid[cfg.dmrs_symbol_index, ~mask])) < 1e-9
+        assert np.allclose(ref_grid[DMRS_SYMBOL, mask], grid[DMRS_SYMBOL, mask], atol=1e-9)
+        assert np.max(np.abs(ref_grid[DMRS_SYMBOL, ~mask])) < 1e-9
 
     def test_autocorrelation_peak_dominates(self):
         """Zero lag wins; the comb alias at half the FFT size stays below it."""
@@ -214,26 +195,3 @@ class TestFastLength:
         with pytest.raises(ValueError):
             fast_length(0)
 
-
-class TestIqFiles:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(99)
-        samples = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
-        cap = IqCapture(samples, 122.88e6, pulses=2)
-        path = tmp_path / "capture.iq"
-        dump_iq(cap, path)
-        loaded = load_iq(path)
-        assert loaded.sample_rate_hz == cap.sample_rate_hz
-        assert loaded.pulses == 2
-        assert loaded.samples_per_pulse == 32
-        assert loaded.samples.shape == (3, 64)
-        # float32 storage keeps about 7 significant digits.
-        assert np.allclose(loaded.samples, cap.samples, atol=1e-5)
-
-    def test_sidecar_describes_layout(self, tmp_path):
-        cap = IqCapture(np.ones((1, 8), dtype=complex), 1e6)
-        path = tmp_path / "x.iq"
-        dump_iq(cap, path)
-        meta = (tmp_path / "x.iq.meta").read_text()
-        assert "sample_rate_hz" in meta and "float32" in meta
-        assert path.stat().st_size == 2 * 4 * 8
