@@ -57,7 +57,6 @@ from .estimation import (
 )
 from .fusion import (
     FusionBatchResult,
-    SolverOptions,
     gdop_weights,
     solve_multistatic_batch,
 )

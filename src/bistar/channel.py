@@ -33,6 +33,9 @@ from .waveform import IqCapture, fast_length
 # frame start; the frame then grows to the next `fast_length`.
 _PAD_GUARD = 8
 
+# Element spacing of every array, in carrier wavelengths.
+SPACING_WAVELENGTHS = 0.5
+
 # Delay keys whose frames a `delayed_frames` cache holds before it is emptied.
 _FRAME_KEYS = 8
 
@@ -48,23 +51,6 @@ def _blocks(n: int):
     return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
 
 
-def make_rng(seed, *key: int) -> np.random.Generator:
-    """Generator of the substream named by ``seed`` and ``key``.
-
-    ``seed`` is an integer or a sequence of integers; ``key`` extends it,
-    so ``make_rng(seed, index, trial, purpose)`` draws one substream of
-    a run.
-    """
-    head = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
-    words = head + [int(k) for k in key]
-    # SeedSequence splits each int into 32-bit words and takes a uint32
-    # array as it is: one state either way, and the array skips the slow
-    # per-int conversion. Negative and wider ints keep the int path.
-    if 0 <= min(words) and max(words) < 1 << 32:
-        words = np.array(words, dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(words))
-
-
 # SeedSequence's hash constants and PCG64's multiplier, as in numpy's
 # `bit_generator.pyx` and `pcg64.h`, for `substream_normals`.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -75,14 +61,31 @@ _WORD = (1 << 32) - 1
 _WIDE = (1 << 128) - 1
 
 
-def _words(value: int) -> list[int]:
-    """SeedSequence's split of an int: little-endian 32-bit words, one for 0."""
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _WORD]
-    while value := value >> 32:
+def _seed_words(seed, key=()) -> list[int]:
+    """SeedSequence's split of ``seed`` (an int or a sequence of ints)
+    extended by ``key``: little-endian 32-bit words per int, one for 0;
+    a negative int raises ValueError."""
+    values = [seed] if isinstance(seed, (int, np.integer)) else [*seed]
+    words = []
+    for value in map(int, values + [*key]):
+        if value < 0:
+            raise ValueError("expected non-negative integer")
         words.append(value & _WORD)
+        while value := value >> 32:
+            words.append(value & _WORD)
     return words
+
+
+def make_rng(seed, *key: int) -> np.random.Generator:
+    """Generator of the substream named by ``seed`` and ``key``.
+
+    ``seed`` is an integer or a sequence of integers; ``key`` extends it,
+    so ``make_rng(seed, index, trial, purpose)`` draws one substream of
+    a run. SeedSequence gets the ints as their uint32 words: the state
+    of the ints themselves, without the slow per-int conversion.
+    """
+    words = np.array(_seed_words(seed, key), dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 def _pcg_states(entropy: np.ndarray) -> list[tuple[int, int]]:
@@ -135,41 +138,31 @@ def substream_normals(seed, keys, shape: tuple) -> np.ndarray:
     """Standard normals of many substreams: row i is exactly
     ``make_rng(seed, *keys[i]).standard_normal(shape)``.
 
-    ``keys`` is a rows x words array of non-negative ints. Instead of a
+    ``keys`` is a rows x words array of ints of one 32-bit word each; a
+    key below 0 or from 2**32 on raises ValueError. Instead of a
     SeedSequence and a PCG64 per row, the seeding runs as array
     arithmetic over the rows (`_pcg_states`), and one generator draws
-    each row from its state. Ints split into 32-bit words as in
-    SeedSequence, so a negative one raises ValueError.
+    each row from its state.
     """
-    head = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
-    head = [word for value in head for word in _words(value)]
+    head = _seed_words(seed)
     keys = np.asarray(keys)
     out = np.empty((len(keys), *shape))
     if not len(keys):
         return out
-    # Rows of one word count hash together: (row indices, entropy words).
-    if keys.dtype.kind in "iu" and keys.size and keys.min() >= 0 and keys.max() <= _WORD:
-        words = np.broadcast_to(np.array(head, np.uint32), (len(keys), len(head)))
-        groups = [(range(len(keys)), np.hstack([words, keys.astype(np.uint32)]))]
-    else:
-        rows = [head + [w for k in key for w in _words(int(k))] for key in keys.tolist()]
-        by_count: dict[int, list[int]] = {}
-        for i, row in enumerate(rows):
-            by_count.setdefault(len(row), []).append(i)
-        groups = [(group, np.array([rows[i] for i in group], np.uint32))
-                  for group in by_count.values()]
+    if keys.dtype.kind not in "iu" or keys.min() < 0 or keys.max() > _WORD:
+        raise ValueError("substream keys must be integers of one 32-bit word")
+    words = np.broadcast_to(np.array(head, np.uint32), (len(keys), len(head)))
     generator = np.random.Generator(np.random.PCG64(0))
     bits = generator.bit_generator
     flat = out.reshape(len(keys), -1)
-    for group, entropy in groups:
-        for i, (state, inc) in zip(group, _pcg_states(entropy)):
-            bits.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            generator.standard_normal(out=flat[i])
+    for i, (state, inc) in enumerate(_pcg_states(np.hstack([words, keys.astype(np.uint32)]))):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        generator.standard_normal(out=flat[i])
     return out
 
 
@@ -178,19 +171,16 @@ class ArrayModel:
     """Uniform linear array described in the global angle convention.
 
     ``boresight`` is the arrival angle (radians, same convention as
-    ``true_aoa``) at which all elements are in phase. Element spacing is
-    a fraction of the carrier wavelength.
+    ``true_aoa``) at which all elements are in phase. Elements sit
+    `SPACING_WAVELENGTHS` carrier wavelengths apart.
     """
 
     elements: int
-    spacing_wavelengths: float = 0.5
     boresight: float = 0.0
 
     def __post_init__(self) -> None:
         if self.elements < 1:
             raise ValueError("elements must be at least 1")
-        if self.spacing_wavelengths <= 0.0:
-            raise ValueError("spacing must be positive")
 
 
 @dataclass(frozen=True)
@@ -228,7 +218,7 @@ def steering_vector(array: ArrayModel, angle_rad: float) -> np.ndarray:
         2.0
         * math.pi
         * np.arange(array.elements)
-        * array.spacing_wavelengths
+        * SPACING_WAVELENGTHS
         * math.sin(angle_rad - array.boresight)
     )
     return np.exp(1j * phase)
@@ -283,9 +273,7 @@ def build_paths(
         / ((4.0 * math.pi * baseline) ** 2 * noise_w)
     )
     if direct_path_gain_db is None:
-        tx_array = ArrayModel(
-            params.tx_elements, 0.5, boresight=true_aoa(tx, rx)
-        )
+        tx_array = ArrayModel(params.tx_elements, boresight=true_aoa(tx, rx))
         factor = array_factor(
             tx_array, true_aoa(tx, rx), true_aoa(tx, target)
         )
@@ -361,7 +349,6 @@ def propagate(
     rx_array: ArrayModel,
     params: RadarParams,
     seed: int | tuple[int, ...] = 0,
-    delayed_frames: dict | None = None,
 ) -> IqCapture:
     """Apply paths and receiver noise to a transmit capture.
 
@@ -374,15 +361,8 @@ def propagate(
     bandwidth), drawn from a per-pulse substream of ``seed`` so results
     do not depend on scheduling. This is the element-level reference
     that `BeamCapture` draws the receiver's view of.
-
-    ``delayed_frames``, when given, keeps the delayed path frames keyed
-    by the exact path delays for every call on one transmit capture (a
-    run's slot), from the second call with those delays on, for at most
-    `_FRAME_KEYS` keys. Later calls that pass the same dict and equal
-    delays reuse the frames instead of repeating the FFTs; the output is
-    bit-identical either way.
     """
-    spp_out, gains, delayed = _path_frames(tx, paths, params, delayed_frames, tx.pulses)
+    spp_out, gains, delayed = _path_frames(tx, paths, params, None, tx.pulses)
     out = np.zeros((rx_array.elements, tx.pulses, spp_out), dtype=np.complex128)
     for path, gain, frame in zip(paths, gains, delayed):
         steer = steering_vector(rx_array, path.aoa_rad)
@@ -425,8 +405,8 @@ class BeamCapture:
     layout v3 draws ζ, the column samples, y and the beams, in that
     order, from the one substream ``seed``. A one-frame ``tx`` with
     ``pulses`` > 1 is transmitted as a train of that many copies.
-    ``delayed_frames`` is the delayed-frame cache of `propagate`, shared
-    by every capture of ``tx`` in a run (a sweep's or fusion run's).
+    ``delayed_frames`` is the frame cache of `_path_frames` shared by every
+    capture of ``tx`` in a run (a sweep's or fusion run's), or None.
     """
 
     def __init__(
@@ -438,10 +418,9 @@ class BeamCapture:
         seed,
         direct_rad: float,
         columns: np.ndarray,
-        delayed_frames: dict | None = None,
-        pulses: int | None = None,
+        delayed_frames: dict | None,
+        pulses: int,
     ):
-        pulses = tx.pulses if pulses is None else pulses
         spp_out, gains, delayed = _path_frames(tx, paths, params, delayed_frames, pulses)
         self.sample_rate_hz, self.samples_per_pulse = tx.sample_rate_hz, spp_out
         self.columns = columns

@@ -58,7 +58,6 @@ class MotionConfig:
     """Constant-speed target motion along the inward contour normal."""
 
     speed_mps: float = 0.2
-    direction: str = "radial_inward"
     theta2_deg: float = 60.0
     pulses: int = 64
 
@@ -67,19 +66,17 @@ class MotionConfig:
             raise ValueError("speed and theta2_deg must be finite")
         if self.speed_mps < 0:
             raise ValueError("speed must be non-negative")
-        if self.direction != "radial_inward":
-            raise ValueError(f"unsupported motion direction {self.direction!r}")
         if self.pulses < 2:
             raise ValueError("need at least 2 pulses for Doppler processing")
 
 
 @dataclass
 class ScenarioConfig:
-    """Everything needed to run one experiment."""
+    """Everything needed to run one experiment; the first two nodes are
+    the primary pair, ``baseline_l`` apart."""
 
     scenario_id: str
     nodes: list[NodePosition]
-    baseline_l: float
     sum_range: float
     rcs_dbsm: float
     radar: RadarParams = field(default_factory=RadarParams)
@@ -107,14 +104,10 @@ class ScenarioConfig:
             raise ValueError("seed must be non-negative")
         if not 0.0 <= self.exclusion_deg < 45.0:
             raise ValueError("exclusion_deg must be in [0, 45)")
-        separation = math.hypot(
-            self.nodes[1].x - self.nodes[0].x, self.nodes[1].y - self.nodes[0].y
-        )
-        if abs(separation - self.baseline_l) > 1e-6 * max(1.0, self.baseline_l):
-            raise ValueError(
-                f"baseline_l {self.baseline_l} does not match the first two nodes "
-                f"({separation:.6f} m apart)"
-            )
+
+    @property
+    def baseline_l(self) -> float:
+        return math.hypot(self.nodes[1].x - self.nodes[0].x, self.nodes[1].y - self.nodes[0].y)
 
 
 def error_model_for(scenario_id: str, bandwidth_mhz: int) -> MeasurementErrorModel:
@@ -137,27 +130,10 @@ def preset_scenario(name: str, bandwidth_mhz: int = 100, seed: int = 1) -> Scena
     """
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}, expected one of {sorted(_PRESETS)}")
-    if bandwidth_mhz not in _SAMPLE_RATES:
-        raise ConfigError("bandwidth_mhz must be 100 or 400")
     baseline, sum_range, rcs = _PRESETS[name]
-    radar = RadarParams(
-        bandwidth_hz=bandwidth_mhz * 1e6,
-        sample_rate_hz=_SAMPLE_RATES[bandwidth_mhz],
-    )
     sigma = DEFAULT_NODE_SIGMA_M
-    return ScenarioConfig(
-        scenario_id=name,
-        nodes=[
-            NodePosition(0.0, 0.0, sigma, sigma),
-            NodePosition(baseline, 0.0, sigma, sigma),
-        ],
-        baseline_l=baseline,
-        sum_range=sum_range,
-        rcs_dbsm=rcs,
-        radar=radar,
-        error_override=error_model_for(name, bandwidth_mhz),
-        seed=seed,
-    )
+    nodes = [NodePosition(0.0, 0.0, sigma, sigma), NodePosition(baseline, 0.0, sigma, sigma)]
+    return apply_bandwidth(ScenarioConfig(name, nodes, sum_range, rcs, seed=seed), bandwidth_mhz)
 
 
 # Every key a config file accepts, by section (None is the top level),
@@ -176,7 +152,7 @@ _KEYS: dict[str | None, dict[str, str]] = {
         "direct_path_gain_db": "float",
     },
     "sweep": dict.fromkeys(
-        ("baseline_l", "sum_range", "rcs_dbsm", "exclusion_deg", "sigma_tdoa_ns", "sigma_aoa_deg"),
+        ("sum_range", "rcs_dbsm", "exclusion_deg", "sigma_tdoa_ns", "sigma_aoa_deg"),
         "float",
     ),
     "motion": {f.name: f.type for f in fields(MotionConfig)},
@@ -249,9 +225,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         found[section][key] = _PARSERS[kind](value, line_no, key)
 
     top, radar, sweep, motion = (found[name] for name in (None, "radar", "sweep", "motion"))
-    for required in ("baseline_l", "sum_range"):
-        if required not in sweep:
-            raise ConfigError(f"missing required [sweep] key {required!r}")
+    if "sum_range" not in sweep:
+        raise ConfigError("missing required [sweep] key 'sum_range'")
     if len(nodes) < 2:
         raise ConfigError("need at least two [nodes] entries")
 

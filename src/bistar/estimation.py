@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DetectionError
-from .channel import ArrayModel, steering_vector
+from .channel import SPACING_WAVELENGTHS, ArrayModel, steering_vector
 from .geometry import (
     SPEED_OF_LIGHT,
     BistaticPair,
@@ -102,12 +102,12 @@ def snapshot_index(total: int, count: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _music_scan(elements: int, spacing_wavelengths: float) -> tuple[np.ndarray, np.ndarray]:
-    """The scan of `music_aoa` for an array shape, read-only: the grid
+def _music_scan(elements: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scan of `music_aoa` for an element count, read-only: the grid
     offsets from boresight (radians) and their steering vectors as
     columns (elements x offsets)."""
     offsets = np.radians(np.arange(-90.0 + MUSIC_GRID_DEG, 90.0, MUSIC_GRID_DEG))
-    phase = 1j * 2.0 * math.pi * np.arange(elements)[:, np.newaxis] * spacing_wavelengths
+    phase = 1j * 2.0 * math.pi * np.arange(elements)[:, np.newaxis] * SPACING_WAVELENGTHS
     steer = np.exp(phase * np.sin(offsets)[np.newaxis, :])
     offsets.flags.writeable = steer.flags.writeable = False
     return offsets, steer
@@ -141,7 +141,7 @@ def music_aoa(capture: IqCapture, array: ArrayModel) -> float:
     _, eigvecs = np.linalg.eigh(r)
     noise_basis = eigvecs[:, : elements - 1]
 
-    offsets, steer = _music_scan(elements, array.spacing_wavelengths)
+    offsets, steer = _music_scan(elements)
     null = np.sum(np.abs(noise_basis.conj().T @ steer) ** 2, axis=0) / elements
 
     interior = (null[1:-1] < null[:-2]) & (null[1:-1] <= null[2:])

@@ -26,15 +26,11 @@ import numpy as np
 
 from .geometry import MIN_RANGE_M, SPEED_OF_LIGHT, wrap_angles
 
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Levenberg-Marquardt controls."""
-
-    max_iterations: int = 50
-    gradient_tol: float = 1e-12
-    step_tol: float = 1e-10
-    initial_damping: float = 1e-3
+# Levenberg-Marquardt controls of `solve_multistatic_batch`.
+MAX_ITERATIONS = 50
+GRADIENT_TOL = 1e-12
+STEP_TOL = 1e-10
+INITIAL_DAMPING = 1e-3
 
 
 @dataclass(frozen=True)
@@ -118,40 +114,39 @@ def _damped_steps(normal, diag, damping, gradient) -> np.ndarray:
 
 
 def solve_multistatic_batch(
-    tx_xy, rx_xy, tdoa_s, aoa_rad, guess, a=1.0, b=1.0, w=1.0,
-    opts: SolverOptions | None = None,
+    tx_xy, rx_xy, tdoa_s, aoa_rad, guess, a=1.0, b=1.0, w=1.0
 ) -> FusionBatchResult:
     """Minimize R fusion losses at once with Levenberg-Marquardt.
 
     Row r is one problem: P pairs transmitting from ``tx_xy[r]`` and
     receiving at ``rx_xy[r]`` (R x P x 2), their TDOAs and global AoAs
     ``tdoa_s[r]`` and ``aoa_rad[r]`` (R x P), and the guess ``guess[r]``;
-    ``a``, ``b`` and ``w`` broadcast to R x P. Each row steps on its own by (J^T J + damping diag(J^T J))
-    delta = -J^T r: a step that lowers its loss is taken and divides its
-    damping by 10 (floor 1e-15), a rejected or singular one multiplies
-    it by 10. A row converges when its gradient drops below
-    ``gradient_tol`` or a taken step below ``step_tol``; at damping 1e14
-    it gives up, converged if the gradient is below 1e-6. No row ends
-    above its loss at the guess; a row with no finite loss there fails
-    alone (see `FusionBatchResult`).
+    ``a``, ``b`` and ``w`` broadcast to R x P. Each row steps on its own
+    by (J^T J + damping diag(J^T J)) delta = -J^T r, from damping
+    `INITIAL_DAMPING`, for at most `MAX_ITERATIONS` iterations: a step
+    that lowers its loss is taken and divides its damping by 10 (floor
+    1e-15), a rejected or singular one multiplies it by 10. A row
+    converges when its gradient drops below `GRADIENT_TOL` or a taken
+    step below `STEP_TOL`; at damping 1e14 it gives up, converged if the
+    gradient is below 1e-6. No row ends above its loss at the guess; a
+    row with no finite loss there fails alone (see `FusionBatchResult`).
     """
-    opts = opts or SolverOptions()
     batch = _prepare(tx_xy, rx_xy, tdoa_s, aoa_rad, a, b, w)
     xy = np.array(guess, dtype=float).reshape(-1, 2)
     res, jac, loss = _linearize(batch, xy)
     failed = ~np.isfinite(loss)
     rows = len(xy)
-    damping = np.full(rows, float(opts.initial_damping))
+    damping = np.full(rows, INITIAL_DAMPING)
     iterations = np.zeros(rows, dtype=int)
     converged = np.zeros(rows, dtype=bool)
     active = ~failed
-    for iteration in range(1, opts.max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         if not active.any():
             break
         iterations[active] = iteration
         gradient = np.einsum("rpkj,rpk->rj", jac, res)
         steepest = np.abs(gradient).max(axis=1)
-        flat = active & (steepest < opts.gradient_tol)
+        flat = active & (steepest < GRADIENT_TOL)
         converged |= flat
         active &= ~flat
         normal = np.einsum("rpki,rpkj->rij", jac, jac)
@@ -175,7 +170,7 @@ def solve_multistatic_batch(
             xy[better] += step[pick]
             loss[better], res[better], jac[better] = t_loss[pick], t_res[pick], t_jac[pick]
             damping[better] = np.maximum(ladder.ravel()[pick] / 10.0, 1e-15)
-            converged[better] = np.hypot(step[pick, 0], step[pick, 1]) < opts.step_tol
+            converged[better] = np.hypot(step[pick, 0], step[pick, 1]) < STEP_TOL
             accepted[better] = True
             damping[idx[~took]] = ladder[~took, -1] * 10.0
             searching &= ~accepted & (damping < 1e14)

@@ -121,9 +121,10 @@ def _covariance(c1: np.ndarray, c2: np.ndarray, meas: MeasurementErrorModel, var
         raise ValueError("node variances must be finite and non-negative")
     t, g = np.moveaxis(c2, 0, -1)  # TDOA and AoA rows, each 4 x N
     tv, gv = t * var, g * var
-    m00 = meas.sigma_tdoa_s**2 + (t[0] * tv[0] + t[1] * tv[1] + t[2] * tv[2] + t[3] * tv[3])
+    s_t, s_a = meas.sigma_tdoa_s, meas.sigma_aoa_rad  # squared by multiplying: no libm pow
+    m00 = s_t * s_t + (t[0] * tv[0] + t[1] * tv[1] + t[2] * tv[2] + t[3] * tv[3])
     m01 = t[0] * gv[0] + t[1] * gv[1] + t[2] * gv[2] + t[3] * gv[3]
-    m11 = meas.sigma_aoa_rad**2 + (g[0] * gv[0] + g[1] * gv[1] + g[2] * gv[2] + g[3] * gv[3])
+    m11 = s_a * s_a + (g[0] * gv[0] + g[1] * gv[1] + g[2] * gv[2] + g[3] * gv[3])
     a, b, c, d = np.moveaxis(c1.reshape(-1, 4), 0, -1)
     det = a * d - b * c
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -143,10 +144,10 @@ def _node_arrays(pairs: Sequence[BistaticPair]) -> tuple:
     """The `gdop_arrays` inputs of ``pairs``: n1 and n2 coordinates, the
     node variances and the MODE2 mask, one row per pair."""
     rows = np.array([
-        (p.n1.x, p.n1.y, p.n2.x, p.n2.y, p.n1.sigma_x**2, p.n1.sigma_y**2,
-         p.n2.sigma_x**2, p.n2.sigma_y**2, p.mode is Mode.MODE2) for p in pairs
+        (p.n1.x, p.n1.y, p.n2.x, p.n2.y, p.n1.sigma_x, p.n1.sigma_y,
+         p.n2.sigma_x, p.n2.sigma_y, p.mode is Mode.MODE2) for p in pairs
     ], dtype=float).reshape(-1, 9)
-    return rows[:, 0:2], rows[:, 2:4], rows[:, 4:8], rows[:, 8] == 1.0
+    return rows[:, 0:2], rows[:, 2:4], rows[:, 4:8] * rows[:, 4:8], rows[:, 8] == 1.0
 
 
 def _rms(p_dp: np.ndarray) -> np.ndarray:

@@ -69,6 +69,9 @@ _TAG_MEAS = 3
 # The transmit directions of a sweep, whose values key its streams.
 _MODES = (Mode.MODE1, Mode.MODE2)
 
+# Delay bins of a range-Doppler map CSV.
+DELAY_BINS = 256
+
 STATUS_OK = "ok"
 STATUS_EXCLUDED = "excluded"
 
@@ -197,12 +200,10 @@ def waveform_for_radar(params, seed: int = 0) -> WaveformConfig:
     )
 
 
-def _normals(
-    cfg: ScenarioConfig, indices, shape, *purpose: int, per_trial: bool = False
-) -> np.ndarray:
-    """Standard normals of every trial of the contour points ``indices``,
-    points x trials x ``shape``, from one `substream_normals` call: the
-    node wobble and the model engine's draws in `_measurements`.
+def _normals(cfg: ScenarioConfig, shape, *purpose: int, per_trial: bool) -> np.ndarray:
+    """Standard normals of every trial of every contour point, points x
+    trials x ``shape``, from one `substream_normals` call: the node
+    wobble and the model engine's draws in `_measurements`.
 
     Substream layout v2 draws one block per point from substream
     (seed, index, 0, *purpose), trial t reading row t; layout v1
@@ -210,25 +211,26 @@ def _normals(
     substream (seed, index, t, *purpose). Either way every value is the
     one a `make_rng` of that key draws.
     """
-    trials, indices = cfg.trials_per_point, np.asarray(indices)
-    index = np.repeat(indices, trials if per_trial else 1)
-    trial = np.tile(np.arange(trials), len(indices)) if per_trial else np.zeros_like(index)
+    trials, points = cfg.trials_per_point, cfg.sweep_points
+    index = np.repeat(np.arange(points), trials if per_trial else 1)
+    trial = np.tile(np.arange(trials), points) if per_trial else np.zeros_like(index)
     keys = np.column_stack([index, trial, *(np.full_like(index, p) for p in purpose)])
     if per_trial:
-        return substream_normals(cfg.seed, keys, shape).reshape(len(indices), trials, *shape)
+        return substream_normals(cfg.seed, keys, shape).reshape(points, trials, *shape)
     return substream_normals(cfg.seed, keys, (trials, *shape))
 
 
-def _draws(cfg: ScenarioConfig, indices, nodes: int, streams, per_trial: bool) -> list:
-    """Per point of ``indices``, the (wobble, noise) its trials read: the
-    node wobble, trials x ``nodes`` x 2, and in the model engine the
-    measurement normals of each stream key in ``streams``, trials x 2."""
-    wobble = _normals(cfg, indices, (nodes, 2), _TAG_NODES, per_trial=per_trial)
+def _draws(cfg: ScenarioConfig, nodes: int, streams, per_trial: bool) -> list:
+    """Per contour point, the (wobble, noise) its trials read: the node
+    wobble, trials x ``nodes`` x 2, and in the model engine the
+    measurement normals of each stream key in ``streams``, trials x 2.
+    A run draws them all in one call, before its points run."""
+    wobble = _normals(cfg, (nodes, 2), _TAG_NODES, per_trial=per_trial)
     noise = {
-        key: _normals(cfg, indices, (2,), _TAG_MEAS, key, per_trial=per_trial)
+        key: _normals(cfg, (2,), _TAG_MEAS, key, per_trial=per_trial)
         for key in (streams if cfg.engine == ENGINE_MODEL else ())
     }
-    return [(wobble[k], {key: n[k] for key, n in noise.items()}) for k in range(len(indices))]
+    return [(wobble[k], {key: n[k] for key, n in noise.items()}) for k in range(len(wobble))]
 
 
 def _believed_nodes(nodes, wobble: np.ndarray) -> np.ndarray:
@@ -237,18 +239,6 @@ def _believed_nodes(nodes, wobble: np.ndarray) -> np.ndarray:
     truth = np.array([[node.x, node.y] for node in nodes])
     sigma = np.array([[node.sigma_x, node.sigma_y] for node in nodes])
     return truth + sigma * wobble
-
-
-def _sweep_draws(cfg: ScenarioConfig, indices) -> list:
-    """`_draws` of sweep points: the primary pair's nodes and one stream
-    per mode, in layout v2."""
-    return _draws(cfg, indices, 2, [mode.value for mode in _MODES], per_trial=False)
-
-
-def _multistatic_draws(cfg: ScenarioConfig, nodes: list, indices) -> list:
-    """`_draws` of fusion points: every node and one stream per receiver,
-    in layout v1."""
-    return _draws(cfg, indices, len(nodes), range(len(nodes) - 1), per_trial=True)
 
 
 def _primary_pair(cfg: ScenarioConfig, mode: Mode = Mode.MODE1) -> BistaticPair:
@@ -307,7 +297,7 @@ class _SignalBench:
         # best, so its projection cannot swallow echoes near the baseline;
         # `_resolve_survey_aoa` settles the endfire ambiguity that costs.
         direct_aoa = boresight = true_aoa(rx, tx_node)
-        rx_array = ArrayModel(params.rx_elements, 0.5, boresight)
+        rx_array = ArrayModel(params.rx_elements, boresight)
         paths = build_paths(pair, target, params, self.cfg.direct_path_gain_db)
         capture = BeamCapture(
             self.slot, paths, rx_array, params, seed_key, direct_aoa, self.columns,
@@ -352,12 +342,11 @@ def _sweep_point(
     index: int,
     theta_deg: float,
     gdops: tuple[float, float],
-    draws: tuple | None = None,
+    draws: tuple,
 ) -> tuple[SweepRow, tuple | None]:
     """Draw stage of one contour point: its row and the `_score_sweep`
     inputs of its trials, or None when the row is already settled.
-    ``gdops`` holds its mode-1 and mode-2 GDOP and ``draws`` its
-    `_sweep_draws`, drawn here when not given."""
+    ``gdops`` holds its mode-1 and mode-2 GDOP and ``draws`` its `_draws`."""
     theta = math.radians(theta_deg)
     pair1 = _primary_pair(cfg, Mode.MODE1)
     x, y = iso_range_point(pair1, cfg.sum_range, theta)
@@ -370,7 +359,7 @@ def _sweep_point(
         row.status = STATUS_EXCLUDED
         return row, None
 
-    wobble, noise = _sweep_draws(cfg, [index])[0] if draws is None else draws
+    wobble, noise = draws
     pairs = {mode.value: _primary_pair(cfg, mode) for mode in _MODES}
     tdoa, aoa = _measurements(cfg, bench, index, target, pairs, noise)
     if np.isnan(tdoa).any():
@@ -475,7 +464,7 @@ def run_iso_range_sweep(cfg: ScenarioConfig, workers: int = 1) -> SweepResult:
         raise ConfigError("model-based engine needs an error model (sigma overrides)")
     bench = _SignalBench(cfg) if cfg.engine == ENGINE_SIGNAL else None
     gdops = _contour_gdop(cfg)
-    draws = _sweep_draws(cfg, range(cfg.sweep_points))
+    draws = _draws(cfg, 2, [mode.value for mode in _MODES], per_trial=False)
     points = _run_points(
         cfg, workers, lambda i, theta: _sweep_point(cfg, bench, i, theta, gdops[i], draws[i])
     )
@@ -484,16 +473,15 @@ def run_iso_range_sweep(cfg: ScenarioConfig, workers: int = 1) -> SweepResult:
 
 
 def _contour_gdop(cfg: ScenarioConfig) -> list[tuple[float, float]]:
-    """Mode-1 and mode-2 GDOP at every contour point from one stacked
-    call; NaN without an error model."""
-    thetas = theta_grid_deg(cfg.sweep_points).tolist()
-    if cfg.error_override is None:
+    """Mode-1 and mode-2 GDOP at every contour point, one `gdop_batch`
+    call per mode; NaN without an error model."""
+    thetas, err = theta_grid_deg(cfg.sweep_points).tolist(), cfg.error_override
+    if err is None:
         return [(math.nan, math.nan)] * len(thetas)
-    pairs = [_primary_pair(cfg, Mode.MODE1), _primary_pair(cfg, Mode.MODE2)]
-    xs, ys = zip(*(iso_range_point(pairs[0], cfg.sum_range, math.radians(t)) for t in thetas))
-    both = [pair for pair in pairs for _ in thetas]
-    values = gdop_batch(both, xs * 2, ys * 2, cfg.error_override).reshape(2, -1)
-    return list(zip(*values.tolist()))
+    pair = _primary_pair(cfg)
+    xs, ys = np.array([iso_range_point(pair, cfg.sum_range, math.radians(t)) for t in thetas]).T
+    g1, g2 = (gdop_batch([_primary_pair(cfg, mode)], xs, ys, err) for mode in _MODES)
+    return list(zip(g1.tolist(), g2.tolist()))
 
 
 def _mean(values) -> float:
@@ -589,11 +577,12 @@ def write_sweep_csv(result: SweepResult, path: str | Path | io.TextIOBase) -> No
 def multistatic_nodes(cfg: ScenarioConfig) -> list[NodePosition]:
     """Node layout for fusion runs: the transmitter plus receivers.
 
-    A two-node config is expanded to one transmitter with three
-    receivers spread uniformly on the circle of baseline radius, keeping
-    the configured second node as the first receiver.
+    A config of more than two nodes is used as laid out. A two-node
+    config is expanded to one transmitter with three receivers spread
+    uniformly on the circle of baseline radius, keeping the configured
+    second node as the first receiver.
     """
-    if len(cfg.nodes) >= 4:
+    if len(cfg.nodes) > 2:
         return list(cfg.nodes)
     tx, rx1 = cfg.nodes[0], cfg.nodes[1]
     start = math.atan2(rx1.y - tx.y, rx1.x - tx.x)
@@ -612,15 +601,14 @@ def _multistatic_point(
     nodes: list[NodePosition],
     index: int,
     theta_deg: float,
-    draws: tuple | None = None,
+    draws: tuple,
 ) -> tuple[MultistaticRow, tuple | None]:
     """Draw stage of one fusion point: its row and the `_fuse` inputs of its
     measured trials, or None when the row is already settled. The inputs
     are arrays: the believed transmitter and receiver coordinates of
     each trial and usable pair (trials x pairs x 2), the measurements
     (trials x pairs) and the pairs' node variances (pairs x 4), so no
-    node or pair object is built per trial. ``draws`` is its
-    `_multistatic_draws`, drawn here when not given."""
+    node or pair object is built per trial. ``draws`` is its `_draws`."""
     theta = math.radians(theta_deg)
     anchor = BistaticPair(nodes[0], nodes[1], Mode.MODE1)
     x, y = iso_range_point(anchor, cfg.sum_range, theta)
@@ -638,7 +626,7 @@ def _multistatic_point(
         return row, None
     row.pairs_used = len(usable)
 
-    wobble, noise = _multistatic_draws(cfg, nodes, [index])[0] if draws is None else draws
+    wobble, noise = draws
     tdoa, aoa = _measurements(cfg, bench, index, target, usable, noise)
     measured = ~np.isnan(tdoa).any(axis=1)
     if not measured.any():
@@ -646,11 +634,12 @@ def _multistatic_point(
         return row, None
     tdoa, aoa = tdoa[measured], aoa[measured]
     believed = _believed_nodes(nodes, wobble)[measured]
-    rx = believed[:, np.array(list(usable)) + 1]  # trial, pair, x/y
+    receivers = np.array(list(usable)) + 1
+    rx = believed[:, receivers]  # trial, pair, x/y
     tx = np.broadcast_to(believed[:, :1], rx.shape)
-    tx_var = (nodes[0].sigma_x**2, nodes[0].sigma_y**2)
-    var = [tx_var + (nodes[i + 1].sigma_x**2, nodes[i + 1].sigma_y**2) for i in usable]
-    return row, (x, y, tx, rx, tdoa, aoa, var)
+    sigma = np.array([(node.sigma_x, node.sigma_y) for node in nodes])
+    sigma = np.hstack([np.broadcast_to(sigma[0], (receivers.size, 2)), sigma[receivers]])
+    return row, (x, y, tx, rx, tdoa, aoa, sigma * sigma)
 
 
 def _fuse(err_model, points) -> list[MultistaticRow]:
@@ -710,7 +699,7 @@ def run_multistatic(cfg: ScenarioConfig, workers: int = 1) -> MultistaticResult:
         raise ConfigError("fusion weighting needs an error model (sigma overrides)")
     nodes = multistatic_nodes(cfg)
     bench = _SignalBench(cfg) if cfg.engine == ENGINE_SIGNAL else None
-    draws = _multistatic_draws(cfg, nodes, range(cfg.sweep_points))
+    draws = _draws(cfg, len(nodes), range(len(nodes) - 1), per_trial=True)
     points = _run_points(
         cfg, workers, lambda i, theta: _multistatic_point(cfg, bench, nodes, i, theta, draws[i])
     )
@@ -807,11 +796,10 @@ def write_doppler_csv(result: DopplerResult, path) -> None:
     _write_table(path, names, _columns(names, [result]))
 
 
-def write_range_doppler_csv(
-    rd_map: RangeDopplerMap, path, max_delay_bins: int = 256
-) -> None:
-    """Range-Doppler magnitudes: Doppler axis header, delay axis column."""
-    rows = max(max_delay_bins, 0)
+def write_range_doppler_csv(rd_map: RangeDopplerMap, path) -> None:
+    """Range-Doppler magnitudes: Doppler axis header, delay axis column,
+    the first `DELAY_BINS` delays."""
+    rows = DELAY_BINS
     columns = [rd_map.delay_axis_s[:rows].tolist(), *rd_map.magnitudes[:rows].T.tolist()]
     header = ["delay_s"] + [_format(v) for v in rd_map.doppler_axis_hz.tolist()]
     _write_table(path, header, columns)

@@ -27,7 +27,6 @@ from bistar import (
     MotionConfig,
     NodePosition,
     RadarParams,
-    SolverOptions,
     TargetState,
     bistatic_ranges,
     collinearity_deg,
@@ -369,9 +368,9 @@ def _check_lm_properties(rng):
         columns = _fusion_columns(pairs, tdoa, aoa)
         guess = [(target.x + rng.uniform(-5, 5), target.y + rng.uniform(-5, 5))]
         result = solve_multistatic_batch(*columns, guess)
-        # The loss at the guess: the same solve, stopped before its first step.
-        idle = solve_multistatic_batch(*columns, guess, opts=SolverOptions(max_iterations=0))
-        worst_gap = max(worst_gap, result.loss[0] - idle.loss[0])
+        # The loss at the guess, where the solver starts.
+        (idle_loss,) = _linearize(_prepare(*columns, 1.0, 1.0, 1.0), np.array(guess))[2]
+        worst_gap = max(worst_gap, result.loss[0] - idle_loss)
 
     worst_dist = 0.0
     for _ in range(20):

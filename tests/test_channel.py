@@ -96,16 +96,14 @@ class TestArrayModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             ArrayModel(0)
-        with pytest.raises(ValueError):
-            ArrayModel(4, spacing_wavelengths=0.0)
 
     def test_steering_vector_at_boresight_is_flat(self):
-        arr = ArrayModel(8, 0.5, boresight=0.7)
+        arr = ArrayModel(8, boresight=0.7)
         vec = steering_vector(arr, 0.7)
         assert np.allclose(vec, np.ones(8))
 
     def test_steering_vector_phase_progression(self):
-        arr = ArrayModel(4, 0.5, boresight=0.0)
+        arr = ArrayModel(4, boresight=0.0)
         angle = math.pi / 6.0
         vec = steering_vector(arr, angle)
         step = 2.0 * math.pi * 0.5 * math.sin(angle)
@@ -114,7 +112,7 @@ class TestArrayModel:
         assert np.allclose(np.abs(vec), 1.0)
 
     def test_array_factor_unity_on_steer_and_bounded(self):
-        arr = ArrayModel(8, 0.5)
+        arr = ArrayModel(8)
         assert array_factor(arr, 0.3, 0.3) == pytest.approx(1.0)
         rng = np.random.default_rng(1)
         for _ in range(100):
@@ -123,7 +121,7 @@ class TestArrayModel:
 
     def test_array_factor_first_null(self):
         # Uniform 8-element, half-wavelength: nulls at sin offsets k/4.
-        arr = ArrayModel(8, 0.5)
+        arr = ArrayModel(8)
         null_angle = math.asin(0.25)
         assert abs(array_factor(arr, null_angle, 0.0)) < 1e-12
 
@@ -220,7 +218,7 @@ class TestPropagate:
         fs = params.sample_rate_hz
         tx = self.impulse(params)
         delay = 5 / fs
-        arr = ArrayModel(4, 0.5, boresight=0.0)
+        arr = ArrayModel(4, boresight=0.0)
         path = PathDescriptor(delay, 2.0, aoa_rad=0.4, phase_rad=0.25)
         out = propagate(tx, [path], arr, params, seed=0)
         assert out.samples_per_pulse == fast_length(64 + 5 + 8) == 80
@@ -278,7 +276,7 @@ class TestPropagate:
     def test_matches_broadcast_reference_bit_for_bit(self, pulses):
         params = RadarParams()
         tx, paths = two_path_case(params, pulses)
-        arr = ArrayModel(5, 0.5, boresight=0.1)
+        arr = ArrayModel(5, boresight=0.1)
         out = propagate(tx, paths, arr, params, seed=(9, 4))
         expected = broadcast_propagate(tx, paths, arr, params, (9, 4))
         assert np.array_equal(out.samples, expected)
@@ -292,25 +290,9 @@ class TestPropagate:
             rng.standard_normal(288) + 1j * rng.standard_normal(288),
             tx.sample_rate_hz, pulses=3, samples_per_pulse=96,
         )
-        arr = ArrayModel(3, 0.5, boresight=0.2)
+        arr = ArrayModel(3, boresight=0.2)
         out = propagate(train, paths, arr, params, seed=(2, 7))
         assert np.array_equal(out.samples, broadcast_propagate(train, paths, arr, params, (2, 7)))
-
-    def test_shared_delayed_frames_match_separate_calls(self):
-        """Both transmit modes share path delays but not angles or seeds:
-        the first call marks the delays, the second stores their frames
-        and the third reads them."""
-        params = RadarParams()
-        tx, mode1 = two_path_case(params, 2)
-        _, mode2 = two_path_case(params, 2, aoas=(-1.1, 0.9))
-        arr = ArrayModel(4, 0.5, boresight=0.0)
-        shared: dict = {}
-        for paths, seed in ((mode1, (3, 1)), (mode2, (3, 2)), (mode1, (3, 3))):
-            alone = propagate(tx, paths, arr, params, seed=seed).samples
-            reused = propagate(tx, paths, arr, params, seed=seed, delayed_frames=shared)
-            assert np.array_equal(reused.samples, alone)
-        (frames,) = shared.values()
-        assert frames is not None
 
     def test_noise_floor_power(self):
         params = RadarParams()
@@ -363,6 +345,8 @@ class TestMakeRng:
         assert self.draws(make_rng(*words)) == self.draws(np.random.default_rng(as_list))
 
     def test_ints_beyond_one_word_keep_the_int_path(self):
+        """Ints past one word give SeedSequence's state of the ints: it
+        splits them into the same little-endian words."""
         expected = np.random.default_rng(np.random.SeedSequence([2**32, 3]))
         assert self.draws(make_rng(2**32, 3)) == self.draws(expected)
         with pytest.raises(ValueError):
@@ -393,11 +377,10 @@ class TestSubstreamNormals:
             substream_normals(seed, keys, (4, 2)), self.expected(seed, keys, (4, 2))
         )
 
-    def test_multi_word_keys(self):
-        """Ints past one word split as in SeedSequence, rows of different
-        word counts mixed in one call."""
-        keys = [(1, 2**32), (0, 3), (2**70 + 9, 0), (2**32 - 1, 2**33)]
-        assert np.array_equal(substream_normals(4, keys, (3,)), self.expected(4, keys, (3,)))
+    @pytest.mark.parametrize("key", [2**32, 2**70 + 9, -1])
+    def test_keys_outside_one_word_raise(self, key):
+        with pytest.raises(ValueError, match="one 32-bit word"):
+            substream_normals(4, [(0, 3), (1, key)], (3,))
 
     def test_zero_rows(self):
         assert substream_normals(1, np.zeros((0, 3), dtype=int), (4, 2)).shape == (0, 4, 2)
@@ -415,7 +398,7 @@ class TestBeamCapture:
     echo, `null_steer_beamform` as the guard, and the coefficients and
     cleaned samples of `project_out_stream`."""
 
-    ARRAY = ArrayModel(4, 0.5, boresight=0.1)
+    ARRAY = ArrayModel(4, boresight=0.1)
     DIRECT, ECHO = 0.25, -0.6
     COLUMNS = np.arange(3, 23, 2)  # first pulse only
 
@@ -432,6 +415,12 @@ class TestBeamCapture:
             PathDescriptor(5.7 / fs, noise, aoa_rad=self.ECHO, doppler_hz=2e5),
         ]
         return tx, paths
+
+    def capture(self, tx, paths, params, seed):
+        """The capture of ``tx`` through ``paths``, without a frame cache."""
+        return BeamCapture(
+            tx, paths, self.ARRAY, params, seed, self.DIRECT, self.COLUMNS, None, tx.pulses
+        )
 
     def weights(self):
         """Echo and guard beam weights, one column each."""
@@ -450,7 +439,7 @@ class TestBeamCapture:
 
     def beam_chain(self, params, seed):
         tx, paths = self.case(params)
-        capture = BeamCapture(tx, paths, self.ARRAY, params, seed, self.DIRECT, self.COLUMNS)
+        capture = self.capture(tx, paths, params, seed)
         echo, guard = capture.beams(self.weights())
         return capture.direct, echo, guard, capture.coeffs, capture.pilot
 
@@ -496,7 +485,7 @@ class TestBeamCapture:
         for seed in range(5):
             tx, paths = self.case(RadarParams())
             capture = BeamCapture(
-                tx, paths, self.ARRAY, RadarParams(), seed, self.DIRECT, self.COLUMNS
+                tx, paths, self.ARRAY, RadarParams(), seed, self.DIRECT, self.COLUMNS, None, 2
             )
             beams = capture.beams(weights)
             fits = beams @ capture.direct.conj() / np.vdot(capture.direct, capture.direct)
@@ -511,7 +500,7 @@ class TestBeamCapture:
         if spp != 24:
             tx = IqCapture(np.ones(spp, dtype=complex), tx.sample_rate_hz)
             paths = [replace(paths[0], delay_s=delay / tx.sample_rate_hz)]
-        capture = BeamCapture(tx, paths, self.ARRAY, params, 0, self.DIRECT, self.COLUMNS)
+        capture = self.capture(tx, paths, params, 0)
         out = propagate(tx, paths, self.ARRAY, params, 0)
         assert capture.samples_per_pulse == out.samples_per_pulse == expected
         assert expected == fast_length(spp + math.ceil(delay) + 8)
@@ -523,7 +512,7 @@ class TestBeamCapture:
         monkeypatch.setattr(channel, "_BLOCK", 32)
         params = RadarParams()
         tx, paths = self.case(params)
-        capture = BeamCapture(tx, paths, self.ARRAY, params, 3, self.DIRECT, self.COLUMNS)
+        capture = self.capture(tx, paths, params, 3)
         u, d = capture._u, capture.direct.copy()
         mix = u.conj() @ capture._steer / u.size
         assert np.array_equal(d, mix @ capture._units + capture._zeta)
@@ -554,18 +543,38 @@ class TestBeamCapture:
         slot = IqCapture(tx.samples[0, :24], tx.sample_rate_hz)
         captures = [
             BeamCapture(capture, paths, self.ARRAY, params, 6, self.DIRECT, self.COLUMNS,
-                        pulses=pulses)
-            for capture, pulses in ((tx, None), (slot, 2))
+                        None, 2)
+            for capture in (tx, slot)
         ]
         train, repeated = ([c.direct, c.coeffs, c.pilot, c.beams(self.weights())] for c in captures)
         assert all(np.array_equal(a, b) for a, b in zip(train, repeated))
         with pytest.raises(ValueError):
-            BeamCapture(tx, paths, self.ARRAY, params, 6, self.DIRECT, self.COLUMNS, pulses=3)
+            BeamCapture(tx, paths, self.ARRAY, params, 6, self.DIRECT, self.COLUMNS, None, 3)
+
+    def test_shared_delayed_frames_match_separate_calls(self):
+        """Both transmit modes share path delays but not angles or seeds:
+        the first capture marks the delays, the second stores their
+        frames and the third reads them; each equals an uncached one."""
+        params = RadarParams()
+        tx, mode1 = self.case(params)
+        mode2 = [replace(path, aoa_rad=-path.aoa_rad) for path in mode1]
+        shared: dict = {}
+        for paths, seed in ((mode1, (3, 1)), (mode2, (3, 2)), (mode1, (3, 3))):
+            alone, reused = (
+                BeamCapture(tx, paths, self.ARRAY, params, seed, self.DIRECT, self.COLUMNS,
+                            frames, 2)
+                for frames in (None, shared)
+            )
+            for a, b in zip(*([c.direct, c.coeffs, c.pilot, c.beams(self.weights())]
+                              for c in (alone, reused))):
+                assert np.array_equal(a, b)
+        (frames,) = shared.values()
+        assert frames is not None
 
     def test_beams_are_drawn_once(self):
         params = RadarParams()
         tx, paths = self.case(params)
-        capture = BeamCapture(tx, paths, self.ARRAY, params, 0, self.DIRECT, self.COLUMNS)
+        capture = self.capture(tx, paths, params, 0)
         weights = self.weights()
         capture.beams(weights)
         with pytest.raises(RuntimeError):

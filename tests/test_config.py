@@ -42,7 +42,6 @@ tx_elements = 8
 rx_elements = 16
 
 [sweep]
-baseline_l = 10.0
 sum_range = 24.0
 rcs_dbsm = -10.0
 exclusion_deg = 4.0
@@ -51,7 +50,6 @@ sigma_aoa_deg = 0.1
 
 [motion]
 speed_mps = 0.4
-direction = radial_inward
 theta2_deg = 45.0
 pulses = 32
 """
@@ -62,21 +60,15 @@ class TestMotionConfig:
         with pytest.raises(ValueError):
             MotionConfig(speed_mps=-0.1)
         with pytest.raises(ValueError):
-            MotionConfig(direction="tangential")
-        with pytest.raises(ValueError):
             MotionConfig(pulses=1)
 
 
 class TestScenarioConfig:
-    def test_baseline_must_match_first_two_nodes(self):
-        with pytest.raises(ValueError, match="baseline"):
-            ScenarioConfig(
-                scenario_id="x",
-                nodes=[NodePosition(0.0, 0.0), NodePosition(9.0, 0.0)],
-                baseline_l=10.0,
-                sum_range=24.0,
-                rcs_dbsm=0.0,
-            )
+    def test_baseline_is_the_first_two_nodes_apart(self):
+        nodes = [NodePosition(1.0, 2.0), NodePosition(4.0, 6.0), NodePosition(9.0, 9.0)]
+        assert ScenarioConfig("x", nodes, sum_range=24.0, rcs_dbsm=0.0).baseline_l == 5.0
+        with pytest.raises(ValueError, match="sum_range must exceed the baseline"):
+            ScenarioConfig("x", nodes, sum_range=5.0, rcs_dbsm=0.0)
 
     @pytest.mark.parametrize(
         "kw",
@@ -93,7 +85,6 @@ class TestScenarioConfig:
         base = dict(
             scenario_id="x",
             nodes=[NodePosition(0.0, 0.0), NodePosition(10.0, 0.0)],
-            baseline_l=10.0,
             sum_range=24.0,
             rcs_dbsm=0.0,
         )
@@ -162,7 +153,7 @@ class TestParse:
         assert cfg.rcs_dbsm == -10.0
         assert cfg.exclusion_deg == 4.0
         assert cfg.error_override == MeasurementErrorModel(2.5e-9, math.radians(0.1))
-        assert cfg.motion == MotionConfig(0.4, "radial_inward", 45.0, 32)
+        assert cfg.motion == MotionConfig(0.4, 45.0, 32)
 
     def test_defaults_without_optional_keys(self):
         text = "\n".join(
@@ -171,7 +162,6 @@ class TestParse:
                 "node = 0 0",
                 "node = 8 0",
                 "[sweep]",
-                "baseline_l = 8",
                 "sum_range = 20",
             ]
         )
@@ -223,10 +213,20 @@ class TestParse:
             parse_scenario("[motion]\nheading = 3\n")
 
     def test_missing_required_pieces(self):
-        with pytest.raises(ConfigError, match="baseline_l"):
-            parse_scenario("[nodes]\nnode = 0 0\nnode = 8 0\n[sweep]\nsum_range = 20\n")
+        with pytest.raises(ConfigError, match="sum_range"):
+            parse_scenario("[nodes]\nnode = 0 0\nnode = 8 0\n[sweep]\nrcs_dbsm = 0\n")
         with pytest.raises(ConfigError, match="two"):
-            parse_scenario("[nodes]\nnode = 0 0\n[sweep]\nbaseline_l = 8\nsum_range = 20\n")
+            parse_scenario("[nodes]\nnode = 0 0\n[sweep]\nsum_range = 20\n")
+
+    @pytest.mark.parametrize(
+        "section, key", [("sweep", "baseline_l"), ("motion", "direction")]
+    )
+    def test_derived_and_fixed_keys_are_refused(self, section, key):
+        """The baseline comes from the first two nodes and the motion is
+        always radial inward: a file that states either is refused."""
+        text = f"[nodes]\nnode = 0 0\nnode = 8 0\n[sweep]\nsum_range = 20\n[{section}]\n"
+        with pytest.raises(ConfigError, match=rf"line 7: unknown \[{section}\] key '{key}'"):
+            parse_scenario(text + f"{key} = 8\n")
 
     def test_semantic_errors_become_config_errors(self):
         text = "\n".join(
@@ -235,7 +235,6 @@ class TestParse:
                 "node = 0 0",
                 "node = 8 0",
                 "[sweep]",
-                "baseline_l = 8",
                 "sum_range = 4",
             ]
         )
@@ -246,7 +245,7 @@ class TestParse:
 class TestRoundTrip:
     def test_parse_of_dumps_is_identity(self):
         cfg = preset_scenario("scenario2", bandwidth_mhz=400, seed=5)
-        cfg.motion = MotionConfig(0.2, "radial_inward", 60.0, 64)
+        cfg.motion = MotionConfig(0.2, 60.0, 64)
         cfg.direct_path_gain_db = -20.0
         cfg.trials_per_point = 4
         assert parse_scenario(dumps_scenario(cfg)) == cfg
@@ -258,7 +257,6 @@ class TestRoundTrip:
                 "node = 0 0",
                 "node = 8 0",
                 "[sweep]",
-                "baseline_l = 8",
                 "sum_range = 20",
             ]
         )
@@ -280,15 +278,15 @@ class TestRoundTrip:
             "sample_rate_hz = 122880000.0\nreference_temp_k = 290.0\n"
             "direct_path_gain_db = -20.0\n"
             "\n[sweep]\n"
-            "baseline_l = 10.0\nsum_range = 24.0\nrcs_dbsm = -10.0\nexclusion_deg = 4.0\n"
+            "sum_range = 24.0\nrcs_dbsm = -10.0\nexclusion_deg = 4.0\n"
             "sigma_tdoa_ns = 2.5\nsigma_aoa_deg = 0.1\n"
             "\n[motion]\n"
-            "speed_mps = 0.4\ndirection = radial_inward\ntheta2_deg = 45.0\npulses = 32\n"
+            "speed_mps = 0.4\ntheta2_deg = 45.0\npulses = 32\n"
         )
 
     def test_dumps_text_without_sigmas_or_motion(self):
         cfg = parse_scenario(
-            "[nodes]\nnode = 0 0\nnode = 8 0\n[sweep]\nbaseline_l = 8\nsum_range = 20\n"
+            "[nodes]\nnode = 0 0\nnode = 8 0\n[sweep]\nsum_range = 20\n"
         )
         assert dumps_scenario(cfg) == (
             "scenario_id = custom\nseed = 1\nengine = signal_level\n"
@@ -301,7 +299,7 @@ class TestRoundTrip:
             "tx_elements = 8\nrx_elements = 16\nnoise_figure_db = 13.0\n"
             "sample_rate_hz = 122880000.0\nreference_temp_k = 290.0\n"
             "\n[sweep]\n"
-            "baseline_l = 8.0\nsum_range = 20.0\nrcs_dbsm = 0.0\nexclusion_deg = 5.0\n"
+            "sum_range = 20.0\nrcs_dbsm = 0.0\nexclusion_deg = 5.0\n"
         )
 
 
@@ -354,6 +352,6 @@ class TestApplyBandwidth:
 
     def test_unknown_scenario_id_keeps_none(self):
         cfg = parse_scenario(
-            "[nodes]\nnode = 0 0\nnode = 8 0\n[sweep]\nbaseline_l = 8\nsum_range = 20\n"
+            "[nodes]\nnode = 0 0\nnode = 8 0\n[sweep]\nsum_range = 20\n"
         )
         assert apply_bandwidth(cfg, 400).error_override is None

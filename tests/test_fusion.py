@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from bistar import (
     MeasurementErrorModel,
     Mode,
     NodePosition,
-    SolverOptions,
     TargetState,
     aoa_gradient,
     gdop_arrays,
@@ -26,6 +26,7 @@ from bistar import (
     true_tdoa,
     wrap_angle,
 )
+from bistar import fusion
 from bistar.fusion import _linearize, _prepare
 from bistar.geometry import SPEED_OF_LIGHT
 
@@ -49,18 +50,20 @@ def problem_of(pairs, measurements, a=1.0, b=1.0, w=1.0):
     }
 
 
-def solve_stacked(problems, guesses, opts=None):
-    """`solve_multistatic_batch` over problems with equal pair counts."""
+def solve_stacked(problems, guesses, max_iterations=fusion.MAX_ITERATIONS):
+    """`solve_multistatic_batch` over problems with equal pair counts,
+    stopped after ``max_iterations`` iterations."""
     rows = {k: np.stack([p[k] for p in problems]) for k in problems[0]}
-    return solve_multistatic_batch(
-        *(rows[k] for k in COLUMNS), guesses, rows["a"], rows["b"], rows["w"], opts=opts
-    )
+    with patch.object(fusion, "MAX_ITERATIONS", max_iterations):
+        return solve_multistatic_batch(
+            *(rows[k] for k in COLUMNS), guesses, rows["a"], rows["b"], rows["w"]
+        )
 
 
 def loss_at(problem, x, y):
     """The loss of one problem at (x, y): the solver's loss at its guess
     after no iteration, NaN where (x, y) sits on a node."""
-    idle = solve_stacked([problem], [(x, y)], SolverOptions(max_iterations=0))
+    idle = solve_stacked([problem], [(x, y)], max_iterations=0)
     return float(idle.loss[0])
 
 
@@ -113,20 +116,21 @@ def reference_loss(x, y, problem):
     return float(r @ r)
 
 
-def reference_solve(problem, guess, opts=SolverOptions()):
-    """(x, y, iterations, converged, loss) of the scalar solver."""
+def reference_solve(problem, guess):
+    """(x, y, iterations, converged, loss) of the scalar solver, with the
+    batched solver's constants."""
     x, y = guess
     loss = reference_loss(x, y, problem)
     if not math.isfinite(loss):
         raise DegenerateGeometryError("initial guess is degenerate")
-    damping = opts.initial_damping
+    damping = fusion.INITIAL_DAMPING
     converged = False
     iterations = 0
-    for iterations in range(1, opts.max_iterations + 1):
+    for iterations in range(1, fusion.MAX_ITERATIONS + 1):
         jac = reference_jacobian(x, y, problem)
         residual = reference_residuals(x, y, problem)
         gradient = jac.T @ residual
-        if np.max(np.abs(gradient)) < opts.gradient_tol:
+        if np.max(np.abs(gradient)) < fusion.GRADIENT_TOL:
             converged = True
             break
         normal = jac.T @ jac
@@ -144,7 +148,7 @@ def reference_solve(problem, guess, opts=SolverOptions()):
                 loss = trial_loss
                 damping = max(damping / 10.0, 1e-15)
                 accepted = True
-                if np.hypot(delta[0], delta[1]) < opts.step_tol:
+                if np.hypot(delta[0], delta[1]) < fusion.STEP_TOL:
                     converged = True
                 break
             damping *= 10.0
@@ -235,7 +239,7 @@ class TestJacobian:
 class TestSolver:
     def test_recovers_truth_from_far_guess(self):
         result = solve_stacked(
-            [exact_problem()], [(40.0, 60.0)], SolverOptions(max_iterations=200)
+            [exact_problem()], [(40.0, 60.0)], max_iterations=200
         )
         assert result.converged[0]
         assert math.hypot(result.xy[0, 0] - TRUTH.x, result.xy[0, 1] - TRUTH.y) < 1e-6
@@ -488,9 +492,9 @@ class TestBatchedSolver:
     def test_options_apply_per_row(self):
         rng = np.random.default_rng(611)
         problems, guesses = zip(*(random_problem(rng, 2) for _ in range(20)))
-        capped = solve_stacked(problems, guesses, SolverOptions(max_iterations=1))
+        capped = solve_stacked(problems, guesses, max_iterations=1)
         assert capped.iterations.max() == 1
-        idle = solve_stacked(problems, guesses, SolverOptions(max_iterations=0))
+        idle = solve_stacked(problems, guesses, max_iterations=0)
         assert idle.iterations.max() == 0 and not idle.converged.any()
         assert idle.xy.tolist() == [list(g) for g in guesses]
 

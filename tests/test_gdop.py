@@ -64,8 +64,9 @@ def reference_gdop(pair, target, meas):
         g[2], g[3] = -th_dx, -th_dy
     else:
         g[0], g[1] = -th_dx, -th_dy
-    var = [n1.sigma_x**2, n1.sigma_y**2, n2.sigma_x**2, n2.sigma_y**2]
-    m00 = meas.sigma_tdoa_s**2 + (
+    var = [n1.sigma_x * n1.sigma_x, n1.sigma_y * n1.sigma_y,
+           n2.sigma_x * n2.sigma_x, n2.sigma_y * n2.sigma_y]
+    m00 = meas.sigma_tdoa_s * meas.sigma_tdoa_s + (
         t[0] * (t[0] * var[0]) + t[1] * (t[1] * var[1])
         + t[2] * (t[2] * var[2]) + t[3] * (t[3] * var[3])
     )
@@ -73,7 +74,7 @@ def reference_gdop(pair, target, meas):
         t[0] * (g[0] * var[0]) + t[1] * (g[1] * var[1])
         + t[2] * (g[2] * var[2]) + t[3] * (g[3] * var[3])
     )
-    m11 = meas.sigma_aoa_rad**2 + (
+    m11 = meas.sigma_aoa_rad * meas.sigma_aoa_rad + (
         g[0] * (g[0] * var[0]) + g[1] * (g[1] * var[1])
         + g[2] * (g[2] * var[2]) + g[3] * (g[3] * var[3])
     )
@@ -563,6 +564,28 @@ class TestNonFiniteAndZeroSigmaInputs:
                     cov = one_row(pair, TargetState(x, y), meas)[2]
                     assert np.isfinite(cov).all() and cov[0, 1] == cov[1, 0]
                     assert np.all(np.linalg.eigvalsh(cov) >= -1e-12 * np.trace(cov))
+
+
+class TestSigmaSquares:
+    """Sigmas are squared by multiplication, which rounds correctly.
+    ``s ** 2`` calls the C library's pow, which rounds these sigmas one
+    ulp away from s * s on some platforms (glibc 2.36 on x86-64), so GDOP
+    bytes would depend on the platform."""
+
+    NODE, TDOA, AOA = 0.03046631750026156, 3.163247506746424e-09, 0.004336236631944122
+
+    def test_node_and_measurement_variances(self):
+        for s in (self.NODE, self.TDOA, self.AOA):
+            assert s * s == float(Fraction(s) ** 2)  # the correctly rounded square
+        pair = pair_at(0.0, 0.0, 25.0, 0.0, sigma=self.NODE)
+        assert gdop_module._node_arrays([pair])[2].tolist() == [[self.NODE * self.NODE] * 4]
+        # With C1 = I and C2 = 0 the covariance is R_z itself.
+        err = MeasurementErrorModel(self.TDOA, self.AOA)
+        p_dp, _ = gdop_module._covariance(np.eye(2)[None], np.zeros((1, 2, 4)), err, np.zeros(4))
+        assert p_dp[0].tolist() == [[self.TDOA * self.TDOA, 0.0], [0.0, self.AOA * self.AOA]]
+        target = TargetState(9.0, 17.0)
+        assert same_bits(gdop_batch([pair], target.x, target.y, err),
+                         [reference_gdop(pair, target, err)[3]])
 
 
 class TestSelectModePinned:

@@ -54,12 +54,12 @@ from bistar.harness import (
     STATUS_OK,
     SweepRow,
     _SignalBench,
+    _draws,
     _fuse,
     _multistatic_point,
     _primary_pair,
     _resolve_survey_aoa,
     _score_sweep,
-    _sweep_draws,
     _sweep_point,
     deg360,
     moving_target,
@@ -70,6 +70,11 @@ from bistar.harness import (
     write_doppler_csv,
     write_range_doppler_csv,
 )
+
+
+def fusion_draws(cfg, nodes):
+    """A fusion run's `_draws`: every node and one stream per receiver."""
+    return _draws(cfg, len(nodes), range(len(nodes) - 1), per_trial=True)
 
 
 def model_config(name="scenario1", points=24, trials=2, seed=3):
@@ -141,7 +146,7 @@ class TestWaveformForRadar:
         cfg = parse_scenario(
             "[nodes]\nnode = 0 0\nnode = 25 0\n"
             "[radar]\nsubcarrier_spacing_hz = 60000.0\n"
-            "[sweep]\nbaseline_l = 25\nsum_range = 50\n"
+            "[sweep]\nsum_range = 50\n"
         )
         bench = _SignalBench(cfg)
         assert bench.wcfg.fft_size == 2048
@@ -171,6 +176,15 @@ class TestMultistaticNodes:
             NodePosition(-5.0, 2.0),
         ]
         assert multistatic_nodes(cfg) == cfg.nodes
+
+    def test_three_node_layout_is_kept(self):
+        """A configured third node is fused where it is, not replaced by
+        the two-node expansion's receivers."""
+        cfg = model_config("scenario3", points=12)
+        cfg.nodes = [*cfg.nodes, NodePosition(-10.0, 20.0, 0.01, 0.01)]
+        assert multistatic_nodes(cfg) == cfg.nodes
+        rows = run_multistatic(cfg).rows
+        assert max(row.pairs_used for row in rows) == 2
 
 
 class TestMovingTarget:
@@ -441,7 +455,7 @@ class TestBatchedModelSweep:
             return tdoa, aoa
 
         monkeypatch.setattr(harness, "_measurements", refusing)
-        gdops, draws = harness._contour_gdop(cfg), _sweep_draws(cfg, range(130))
+        gdops, draws = harness._contour_gdop(cfg), _draws(cfg, 2, (1, 2), per_trial=False)
 
         def points():
             thetas = theta_grid_deg(cfg.sweep_points)
@@ -503,8 +517,9 @@ class TestSignalSweepTrials:
 
         monkeypatch.setattr(harness, "locate_batch", locate_with_hole)
         benches = [FakeReceiver(refuse), FakeReceiver()]
+        draws = _draws(cfg, 2, (1, 2), per_trial=False)
         points = [
-            _sweep_point(cfg, bench, index, theta, (math.nan, math.nan))
+            _sweep_point(cfg, bench, index, theta, (math.nan, math.nan), draws[index])
             for bench, index, theta in zip(benches, (0, 1), (45.0, 135.0))
         ]
         return _score_sweep(points), benches[0].calls, located
@@ -606,8 +621,10 @@ class TestMultistaticRuns:
         nodes = multistatic_nodes(cfg)
 
         def draws():
-            thetas = theta_grid_deg(cfg.sweep_points)
-            return [_multistatic_point(cfg, None, nodes, i, t) for i, t in enumerate(thetas)]
+            thetas, drawn = theta_grid_deg(cfg.sweep_points), fusion_draws(cfg, nodes)
+            return [
+                _multistatic_point(cfg, None, nodes, i, t, drawn[i]) for i, t in enumerate(thetas)
+            ]
 
         stacked = _fuse(cfg.error_override, draws())
         alone = [_fuse(cfg.error_override, [point])[0] for point in draws()]
@@ -738,6 +755,19 @@ def reference_multistatic_point(cfg, nodes, index, theta_deg):
     return fused, closed
 
 
+class TestFusionVariances:
+    def test_pair_variances_square_by_multiplying(self):
+        """The fuse stage's node variances are s * s, the rounded square
+        (``s ** 2`` rounds this s one ulp away with some C library pows)."""
+        s = 0.03046631750026156
+        cfg = model_config("scenario3", points=8)
+        cfg.nodes = [NodePosition(node.x, node.y, s, s) for node in cfg.nodes]
+        nodes = multistatic_nodes(cfg)
+        draws = fusion_draws(cfg, nodes)
+        row, inputs = _multistatic_point(cfg, None, nodes, 1, 45.0, draws[1])
+        assert row.pairs_used == 3 and inputs[-1].tolist() == [[s * s] * 4] * 3
+
+
 class TestSignalMultistatic:
     """Signal-engine fusion measures trial by trial, receivers in order,
     and drops a trial whose measurement was refused."""
@@ -747,7 +777,9 @@ class TestSignalMultistatic:
         cfg = preset_scenario("scenario3", seed=4)
         cfg.trials_per_point = 4
         bench = FakeReceiver(refuse)
-        point = _multistatic_point(cfg, bench, multistatic_nodes(cfg), 0, 45.0)
+        nodes = multistatic_nodes(cfg)
+        draws = fusion_draws(cfg, nodes)
+        point = _multistatic_point(cfg, bench, nodes, 0, 45.0, draws[0])
         _fuse(cfg.error_override, [point])
         return point[0], bench.calls
 
@@ -886,7 +918,7 @@ class TestRunWideFrames:
 
 
 class TestDopplerRun:
-    def test_short_run_recovers_speed(self):
+    def test_short_run_recovers_speed(self, monkeypatch):
         cfg = preset_scenario("scenario1", seed=2)
         cfg.motion = MotionConfig(speed_mps=0.2, theta2_deg=60.0, pulses=16)
         result = run_doppler(cfg)
@@ -901,7 +933,11 @@ class TestDopplerRun:
         lines = doppler_csv.getvalue().splitlines()
         assert len(lines) == 2 and "rd_map" not in lines[0]
         map_csv = io.StringIO()
-        write_range_doppler_csv(result.rd_map, map_csv, max_delay_bins=16)
+        write_range_doppler_csv(result.rd_map, map_csv)
+        assert len(map_csv.getvalue().splitlines()) == 257
+        monkeypatch.setattr(harness, "DELAY_BINS", 16)
+        map_csv = io.StringIO()
+        write_range_doppler_csv(result.rd_map, map_csv)
         assert len(map_csv.getvalue().splitlines()) == 17
         assert "np." not in map_csv.getvalue()
 
@@ -986,14 +1022,15 @@ class TestCsvBytes:
             "8.138020833333334,359.99999999999994\n"
         )
 
-    def test_range_doppler_csv(self, tmp_path):
+    def test_range_doppler_csv(self, tmp_path, monkeypatch):
         rd_map = RangeDopplerMap(
             [[1.0, math.nan], [0.1 + 0.2, 2.5], [3.0, 4.0]],
             [0.0, 1e-9, 2e-9],
             [-12.5, 1.0 / 3.0],
         )
         path = tmp_path / "rd.csv"
-        write_range_doppler_csv(rd_map, path, max_delay_bins=2)
+        monkeypatch.setattr(harness, "DELAY_BINS", 2)
+        write_range_doppler_csv(rd_map, path)
         assert path.read_bytes() == (
             b"delay_s,-12.5,0.3333333333333333\n"
             b"0.0,1.0,\n"
@@ -1001,7 +1038,7 @@ class TestCsvBytes:
         )
 
 
-    def test_range_doppler_csv_matches_csv_module(self, tmp_path):
+    def test_range_doppler_csv_matches_csv_module(self, tmp_path, monkeypatch):
         """Byte for byte the csv module's output of the formatted values,
         with NaN blank, signed zeros, the smallest subnormal and huge
         values, in distinct and in repeating columns."""
@@ -1023,7 +1060,8 @@ class TestCsvBytes:
         for delay, row in zip(rd_map.delay_axis_s[:32].tolist(), magnitudes[:32].tolist()):
             writer.writerow([text(delay), *map(text, row)])
         path = tmp_path / "rd.csv"
-        write_range_doppler_csv(rd_map, path, max_delay_bins=32)
+        monkeypatch.setattr(harness, "DELAY_BINS", 32)
+        write_range_doppler_csv(rd_map, path)
         assert path.read_bytes() == expected.getvalue().encode()
         assert b",," in path.read_bytes() and b"-0.0" in path.read_bytes()
 
@@ -1128,7 +1166,7 @@ class TestCli:
         out = tmp_path / "preset.cfg"
         assert main(["scenarios", "--scenario", "scenario2", "--out", str(out)]) == 0
         text = out.read_text()
-        assert "baseline_l = 15.0" in text
+        assert "node = 15.0 0.0 0.01 0.01" in text and "baseline_l" not in text
         assert main(["scenarios", "--scenario", "scenario2"]) == 0
         assert capsys.readouterr().out == text
 
@@ -1227,7 +1265,7 @@ class TestCli:
         scene.write_text(
             "engine = model_based\nsweep_points = 8\ntrials_per_point = 2\n"
             "[nodes]\nnode = 0 0\nnode = 15 0\n"
-            "[sweep]\nbaseline_l = 15\nsum_range = 25\n"
+            "[sweep]\nsum_range = 25\n"
             "sigma_tdoa_ns = 0\nsigma_aoa_deg = 0\n"
         )
         assert main(["multistatic", "--scenario", str(scene)]) == 0
