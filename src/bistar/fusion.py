@@ -76,7 +76,9 @@ def _linearize(batch: tuple, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     jac = np.empty(r_tx.shape + (2, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         res[..., 0] = scale_t * (path - (r_tx + r_rx))
-        res[..., 1] = scale_a * wrap_angles(aoa - np.arctan2(-rx_dx, rx_dy))
+        # The bearing atan2(-rx_dx, rx_dy) as the angle of a complex log,
+        # whose bits, unlike np.arctan2's, do not depend on SIMD dispatch.
+        res[..., 1] = scale_a * wrap_angles(aoa - np.log(rx_dy - 1j * rx_dx).imag)
         jac[..., 0, 0] = -scale_t * (tx_dx / r_tx + rx_dx / r_rx)
         jac[..., 0, 1] = -scale_t * (tx_dy / r_tx + rx_dy / r_rx)
         jac[..., 1, 0] = scale_a * rx_dy / r_sq
@@ -154,8 +156,10 @@ def solve_multistatic_batch(
         searching, accepted, width = active.copy(), np.zeros(rows, dtype=bool), 1
         while searching.any():
             # The next ``width`` dampings of every searching row at once,
-            # d, 10 d, 100 d, ... as the rule tries them one by one (29 span
-            # 1e-15 to 1e14); a row takes the first below 1e14 that helps.
+            # d, 10 d, 100 d, ... as the rule tries them one by one; a row
+            # takes the first below 1e14 that helps. Most rows take their
+            # first, so the width doubles from 1 up to the 29 that span
+            # 1e-15 to 1e14, not repeating every array 29 times at once.
             idx = np.flatnonzero(searching)
             ladder = np.full((idx.size, width), 10.0)
             ladder[:, 0] = damping[idx]
@@ -174,7 +178,7 @@ def solve_multistatic_batch(
             accepted[better] = True
             damping[idx[~took]] = ladder[~took, -1] * 10.0
             searching &= ~accepted & (damping < 1e14)
-            width = 29
+            width = min(2 * width, 29)
         gave_up = active & ~accepted
         converged[gave_up] = steepest[gave_up] < 1e-6
         active &= accepted & ~converged

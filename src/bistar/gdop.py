@@ -25,7 +25,6 @@ accepted geometries.  Results do not depend on the LAPACK/BLAS build.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -50,11 +49,6 @@ class MeasurementErrorModel:
             raise ValueError("measurement sigmas must be non-negative")
 
 
-def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    # math.hypot, as bistatic_ranges uses: np.hypot differs in the last bit.
-    return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=float)
-
-
 def _jacobians(n1_xy, n2_xy, mode2, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked C1 (N x 2 x 2), C2 (N x 2 x 4) and the rows off the nodes.
 
@@ -73,13 +67,13 @@ def _jacobians(n1_xy, n2_xy, mode2, x, y) -> tuple[np.ndarray, np.ndarray, np.nd
     if not (np.isfinite(n1).all() and np.isfinite(n2).all()):
         raise ValueError("node coordinates must be finite")
     (n1x, n1y), (n2x, n2y) = n1.T, n2.T
-    length = _hypot(n2x - n1x, n2y - n1y)
+    length = np.hypot(n2x - n1x, n2y - n1y)
     if not (length >= MIN_RANGE_M).all():
         raise ValueError("nodes of a pair must not be coincident")
     mode2 = np.asarray(mode2, dtype=bool)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    r1 = _hypot(x - n1x, y - n1y)
-    r2 = _hypot(x - n2x, y - n2y)
+    r1 = np.hypot(x - n1x, y - n1y)
+    r2 = np.hypot(x - n2x, y - n2y)
     # AoA gradient at the receiving node, written with the squared range
     # so it stays finite when the target shares the node's y coordinate.
     dx = np.where(mode2, n1x, n2x) - x

@@ -59,17 +59,6 @@ def ordered_sum(values):
     return np.cumsum(np.insert(values, 0, 0.0, axis=-1), axis=-1)[..., -1].tolist()
 
 
-def _each(fn, *columns: np.ndarray) -> np.ndarray:
-    """``fn`` of math row by row: numpy's atan2, hypot, sin and cos may
-    differ from math's in the last bit, and the scalar API uses math."""
-    return np.array(list(map(fn, *(c.tolist() for c in columns))), dtype=float)
-
-
-def _call(fn, *args: float) -> float:
-    """`_each` for one row of floats."""
-    return fn(*args)
-
-
 class Mode(Enum):
     """Transmit direction of a pair: MODE1 is n1 -> n2, MODE2 is n2 -> n1."""
 
@@ -269,19 +258,24 @@ def _range_fraction(excess, baseline, sine):
     return numerator, 2.0 * ((excess + baseline) - baseline * sine)
 
 
-def _inversion(east, north, tdoa, aoa, each, wrap):
-    """Baseline and range fraction of the closed-form inversion.
+def _inversion(east, north, tdoa, aoa):
+    """Baseline, range fraction and (sin, cos) of the AoA of the
+    closed-form inversion.
 
     ``east`` is receiver minus transmitter x and ``north`` transmitter
-    minus receiver y, so atan2(east, north) is the arrival angle of the
-    direct path. Runs on floats (``each=_call``, `wrap_angle`) for
-    `locate_bistatic` and on arrays (`_each`, `wrap_angles`) for
-    `locate_batch`: one formula, so the two agree bit for bit.
+    minus receiver y, so (east, north) / L is the direction of the
+    direct path's arrival, and the baseline-frame sin(theta) of
+    `r2_from_measurements` is the cosine of the angle between it and
+    the AoA: (cos aoa * north + sin aoa * east) / L, with no atan2.
+    Runs on floats for `locate_bistatic` and on arrays for
+    `locate_batch` with the same ufuncs (hypot, sin and cos, whose bits
+    do not depend on numpy's SIMD dispatch), so the two agree bit for
+    bit. A zero baseline divides by zero.
     """
-    baseline = each(math.hypot, east, north)
-    relative = math.pi / 2.0 - wrap(aoa - each(math.atan2, east, north))
-    sine = each(math.sin, relative)
-    return baseline, _range_fraction(SPEED_OF_LIGHT * tdoa, baseline, sine)
+    baseline = np.hypot(east, north)
+    sin_aoa, cos_aoa = np.sin(aoa), np.cos(aoa)
+    sine = (cos_aoa * north + sin_aoa * east) / baseline
+    return baseline, _range_fraction(SPEED_OF_LIGHT * tdoa, baseline, sine), (sin_aoa, cos_aoa)
 
 
 def locate_batch(
@@ -312,15 +306,13 @@ def locate_batch(
     if not finite.all():  # non-finite rows invert zeros instead, then read NaN
         tdoa, aoa = np.where(finite, tdoa, 0.0), np.where(finite, aoa, 0.0)
         tx, rx = (np.where(finite[:, np.newaxis], xy, 0.0) for xy in (tx, rx))
-    baseline, (numerator, denominator) = _inversion(
-        rx[:, 0] - tx[:, 0], tx[:, 1] - rx[:, 1], tdoa, aoa, _each, wrap_angles
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        baseline, (numerator, denominator), (sin_aoa, cos_aoa) = _inversion(
+            rx[:, 0] - tx[:, 0], tx[:, 1] - rx[:, 1], tdoa, aoa
+        )
     usable = finite & (baseline >= MIN_RANGE_M) & (denominator > MIN_RANGE_M)
     r_rx = numerator / np.where(usable, denominator, 1.0)
-    xy = np.stack(
-        (rx[:, 0] - r_rx * _each(math.sin, aoa), rx[:, 1] + r_rx * _each(math.cos, aoa)),
-        axis=1,
-    )
+    xy = np.stack((rx[:, 0] - r_rx * sin_aoa, rx[:, 1] + r_rx * cos_aoa), axis=1)
     xy[~usable] = math.nan
     return xy
 
@@ -333,7 +325,7 @@ def locate_bistatic(pair: BistaticPair, meas: "Measurement") -> tuple[float, flo
     baseline frame before the range inversion, so any node layout and
     either transmit direction works. Returns (x, y) in meters. The
     one-row case of `locate_batch`, evaluated on floats because a
-    one-row numpy call costs about twenty times as much.
+    one-row array call costs about twenty times as much.
     """
     mode = getattr(meas, "mode", None)
     if mode is not None and mode is not pair.mode:
@@ -341,15 +333,15 @@ def locate_bistatic(pair: BistaticPair, meas: "Measurement") -> tuple[float, flo
     if meas.tdoa_s < 0.0:
         raise ValueError("tdoa must be non-negative")
     rx, tx = pair.rx_node, pair.tx_node
-    baseline, (numerator, denominator) = _inversion(
-        rx.x - tx.x, tx.y - rx.y, meas.tdoa_s, meas.aoa_rad, _call, wrap_angle
+    baseline, (numerator, denominator), (sin_aoa, cos_aoa) = _inversion(
+        rx.x - tx.x, tx.y - rx.y, meas.tdoa_s, meas.aoa_rad
     )
     if baseline < MIN_RANGE_M or denominator <= MIN_RANGE_M:
         raise DegenerateGeometryError(
             "tdoa/aoa combination puts the target at infinity along the baseline"
         )
     r_rx = numerator / denominator
-    return (rx.x - r_rx * math.sin(meas.aoa_rad), rx.y + r_rx * math.cos(meas.aoa_rad))
+    return (float(rx.x - r_rx * sin_aoa), float(rx.y + r_rx * cos_aoa))
 
 
 def collinearity_deg(pair: BistaticPair, target) -> float:

@@ -395,7 +395,7 @@ def _score_sweep(points: list) -> list[SweepRow]:
         for j, (tx, rx) in enumerate(((0, 1), (1, 0))):  # MODE1, MODE2
             xy = locate_batch(believed[:, tx], believed[:, rx], tdoa[:, j], aoa[:, j])
             degenerate |= np.isnan(xy).reshape(len(rows), -1).any(axis=1)
-            errors = np.reshape(list(map(math.hypot, *(xy - target).T.tolist())), (len(rows), -1))
+            errors = np.hypot(*(xy - target).T).reshape(len(rows), -1)
             means.append([total / trials for total in ordered_sum(errors)])
             rms.append([math.sqrt(total / trials) for total in ordered_sum(errors * errors)])
         for row, first, bad, *errors in zip(rows, firsts, degenerate, *means, *rms):
@@ -515,11 +515,14 @@ def _column_texts(column: list) -> list[str]:
 
     The `_format` of a float is its repr, blank for NaN, so a float
     column is repr'd at C speed, and only once per distinct value when
-    values repeat.  Other columns go through `_format`: equal values of
-    other types (1, 1.0, True) print apart, and so do 0.0 and -0.0,
-    which share a key.
+    values repeat.  A column of str is its own texts.  Other columns go
+    through `_format`: equal values of other types (1, 1.0, True) print
+    apart, and so do 0.0 and -0.0, which share a key.
     """
-    if set(map(type, column)) != {float}:
+    types = set(map(type, column))
+    if types == {str}:
+        return column
+    if types != {float}:
         return list(map(_format, column))
     distinct = set(column)
     if len(distinct) * 2 > len(column):
@@ -671,17 +674,18 @@ def _fuse(err_model, points) -> list[MultistaticRow]:
             b=1.0 / max(err_model.sigma_aoa_rad, 1e-12),
             w=weights,
         )
-        parts = (np.split(v, np.cumsum(counts)[:-1]) for v in (fit.xy, guess, ~fit.failed))
-        for row, x, y, fused_xy, closed_xy, solved in zip(rows, xs, ys, *parts):
-            fused = [math.hypot(px - x, py - y) for px, py in fused_xy[solved].tolist()]
-            closed = [math.hypot(px - x, py - y) for px, py in closed_xy[solved].tolist()]
-            if not fused:
+        x, y = (np.repeat(v, counts) for v in (xs, ys))
+        errors = (np.hypot(xy[:, 0] - x, xy[:, 1] - y) for xy in (fit.xy, guess))
+        parts = (np.split(v, np.cumsum(counts)[:-1]) for v in (*errors, ~fit.failed))
+        for row, fused, closed, solved in zip(rows, *parts):
+            fused, closed = fused[solved], closed[solved]
+            if not fused.size:
                 row.status = "fail:solver"
                 continue
-            row.err_fused_m = ordered_sum(fused) / len(fused)
-            row.err_best_pair_m = ordered_sum(closed) / len(closed)
-            row.fused_wins = sum(f <= c + 1e-12 for f, c in zip(fused, closed))
-            row.trials = len(fused)
+            row.err_fused_m = ordered_sum(fused) / fused.size
+            row.err_best_pair_m = ordered_sum(closed) / closed.size
+            row.fused_wins = np.count_nonzero(fused <= closed + 1e-12)
+            row.trials = fused.size
     return [row for row, _ in points]
 
 

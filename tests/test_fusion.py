@@ -27,7 +27,7 @@ from bistar import (
     wrap_angle,
 )
 from bistar import fusion
-from bistar.fusion import _linearize, _prepare
+from bistar.fusion import _damped_steps, _linearize, _prepare
 from bistar.geometry import SPEED_OF_LIGHT
 
 TRUTH = TargetState(12.0, 21.0)
@@ -394,6 +394,44 @@ def random_problem(rng, count):
     return problem, (target.x + rng.uniform(-3.0, 3.0), target.y + rng.uniform(-3.0, 3.0))
 
 
+def one_damping_at_a_time(problem, guess):
+    """(xy, iterations, converged, loss) of one problem solved with the
+    batched solver's linearization and damped step, trying one damping
+    per step as the rule states it, and the number of dampings each
+    iteration tried."""
+    columns = (problem[k][None] for k in COLUMNS)
+    batch = _prepare(*columns, problem["a"], problem["b"], problem["w"])
+    xy = np.array([guess], dtype=float)
+    res, jac, loss = _linearize(batch, xy)
+    damping, converged, tries = fusion.INITIAL_DAMPING, False, []
+    for iteration in range(1, fusion.MAX_ITERATIONS + 1):
+        gradient = np.einsum("rpkj,rpk->rj", jac, res)
+        steepest = np.abs(gradient).max()
+        if steepest < fusion.GRADIENT_TOL:
+            converged = True
+            break
+        normal = np.einsum("rpki,rpkj->rij", jac, jac)
+        diag = np.clip(np.diagonal(normal, axis1=1, axis2=2), 1e-30, None)
+        accepted = False
+        tries.append(0)
+        while damping < 1e14:
+            tries[-1] += 1
+            step = _damped_steps(normal, diag, np.array([damping]), gradient)
+            t_res, t_jac, t_loss = _linearize(batch, xy + step)
+            if np.isfinite(step).all() and t_loss[0] < loss[0]:
+                xy, res, jac, loss = xy + step, t_res, t_jac, t_loss
+                damping = max(damping / 10.0, 1e-15)
+                converged = bool(np.hypot(step[0, 0], step[0, 1]) < fusion.STEP_TOL)
+                accepted = True
+                break
+            damping *= 10.0
+        if not accepted:
+            converged = bool(steepest < 1e-6)
+        if not accepted or converged:
+            break
+    return xy[0], iteration, converged, loss[0], tries
+
+
 class TestBatchedSolver:
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
     def test_matches_reference_solver(self, count):
@@ -407,6 +445,28 @@ class TestBatchedSolver:
             # The LM property, per row: never worse than the guess.
             assert out.loss[row] <= loss_at(problem, *guess) + 1e-12
             assert out.loss[row] == loss_at(problem, *out.xy[row])
+
+    def test_damping_ladder_matches_one_damping_at_a_time(self):
+        """The solver tries the dampings of all searching rows at once, in
+        ladders that double from one damping; every row still takes the
+        first damping that helps, as one tried at a time would. Guesses
+        up to 30 m off make many first dampings fail, and some rows try
+        more than the first four ladders (1 + 2 + 4 + 8) hold."""
+        rng = np.random.default_rng(620)
+        problems, guesses = [], []
+        for _ in range(120):
+            problem, (x, y) = random_problem(rng, 3)
+            problems.append(problem)
+            guesses.append((x + rng.uniform(-30.0, 30.0), y + rng.uniform(-30.0, 30.0)))
+        out = solve_stacked(problems, guesses)
+        tries = []
+        for row, (problem, guess) in enumerate(zip(problems, guesses)):
+            xy, iterations, converged, loss, row_tries = one_damping_at_a_time(problem, guess)
+            assert out.xy[row].tolist() == xy.tolist()
+            assert out.iterations[row] == iterations and out.converged[row] == converged
+            assert out.loss[row] == loss
+            tries += row_tries
+        assert sum(t > 1 for t in tries) >= 100 and max(tries) > 15
 
     def test_scalars_broadcast(self):
         """Scalar a, b and w act as the same value for every pair."""

@@ -18,13 +18,13 @@ from bistar import (
     Mode,
     NodePosition,
     TargetState,
-    bistatic_ranges,
     gdop_batch,
     gdop_weights,
     locate_bistatic,
     true_aoa,
     true_tdoa,
 )
+from bistar.geometry import MIN_RANGE_M
 
 
 def pair_at(x1, y1, x2, y2, mode=Mode.MODE1, sigma=0.0):
@@ -40,10 +40,15 @@ def reference_gdop(pair, target, meas):
     and P = B M B^T, in the kernel's order of operations, and refuses C1
     with condition number s_max^2 / |det| above CONDITION_LIMIT.
 
+    Ranges and the baseline are numpy's hypot of Python floats, as in the
+    kernel (``math.hypot`` rounds some of them one ulp apart).
+
     Returns (C1, C2, P, gdop_m) or raises DegenerateGeometryError.
     """
-    r1, r2 = bistatic_ranges(pair, target)
     n1, n2, rx, c = pair.n1, pair.n2, pair.rx_node, SPEED_OF_LIGHT
+    r1, r2 = (float(np.hypot(target.x - n.x, target.y - n.y)) for n in (n1, n2))
+    if r1 < MIN_RANGE_M or r2 < MIN_RANGE_M:
+        raise DegenerateGeometryError("target coincides with a node")
     dx = rx.x - target.x
     dy = target.y - rx.y
     r_sq = dx * dx + dy * dy
@@ -52,7 +57,7 @@ def reference_gdop(pair, target, meas):
     th_dx, th_dy = -dy / r_sq, -dx / r_sq
     a = ((target.x - n1.x) / r1 + (target.x - n2.x) / r2) / c
     b = ((target.y - n1.y) / r1 + (target.y - n2.y) / r2) / c
-    length = pair.baseline
+    length = float(np.hypot(n2.x - n1.x, n2.y - n1.y))
     t = [
         ((n1.x - target.x) / r1 - (n1.x - n2.x) / length) / c,
         ((n1.y - target.y) / r1 - (n1.y - n2.y) / length) / c,

@@ -32,7 +32,7 @@ from bistar import (
     wrap_angle,
     wrap_angles,
 )
-from bistar.geometry import ordered_sum
+from bistar.geometry import MIN_RANGE_M, ordered_sum
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -273,13 +273,23 @@ class TestInversion:
 
 
 def reference_locate(pair, meas):
-    """The closed-form inversion as it stood before `locate_batch`."""
+    """The closed-form inversion in Python floats, step by step: the
+    baseline-frame sin(theta) is (cos aoa * north + sin aoa * east) / L,
+    with the baseline L from numpy's hypot (``math.hypot`` rounds some
+    baselines one ulp apart)."""
     if meas.mode is not pair.mode:
         raise ValueError("mode mismatch")
     rx, tx = pair.rx_node, pair.tx_node
-    relative = math.pi / 2.0 - wrap_angle(meas.aoa_rad - true_aoa(rx, tx))
-    r_rx = r2_from_measurements(meas.tdoa_s, relative, pair.baseline)
-    return (rx.x - r_rx * math.sin(meas.aoa_rad), rx.y + r_rx * math.cos(meas.aoa_rad))
+    east, north = rx.x - tx.x, tx.y - rx.y
+    baseline = float(np.hypot(east, north))
+    sin_aoa, cos_aoa = math.sin(meas.aoa_rad), math.cos(meas.aoa_rad)
+    sine = (cos_aoa * north + sin_aoa * east) / baseline
+    excess = SPEED_OF_LIGHT * meas.tdoa_s
+    denominator = 2.0 * ((excess + baseline) - baseline * sine)
+    if denominator <= MIN_RANGE_M:
+        raise DegenerateGeometryError("target at infinity along the baseline")
+    r_rx = (excess * excess + 2.0 * baseline * excess) / denominator
+    return (rx.x - r_rx * sin_aoa, rx.y + r_rx * cos_aoa)
 
 
 class TestLocateBatch:

@@ -4,8 +4,11 @@ import csv
 import hashlib
 import io
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,6 @@ from bistar import (
     locate_batch,
     locate_bistatic,
     preset_scenario,
-    r2_from_measurements,
     run_doppler,
     run_gdop_map,
     run_iso_range_sweep,
@@ -340,11 +342,8 @@ def reference_sweep_point(cfg, index, theta_deg):
             tdoa = max(0.0, true_tdoa(truth, target) + err.sigma_tdoa_s * noise[t][0])
             aoa = wrap_angle(true_aoa(truth.rx_node, target) + err.sigma_aoa_rad * noise[t][1])
             first = first or Measurement(tdoa, aoa)
-            rx, tx = pair.rx_node, pair.tx_node
-            relative = math.pi / 2.0 - wrap_angle(aoa - true_aoa(rx, tx))
-            r_rx = r2_from_measurements(tdoa, relative, pair.baseline)
-            px, py = rx.x - r_rx * math.sin(aoa), rx.y + r_rx * math.cos(aoa)
-            errs.append(math.hypot(px - x, py - y))
+            px, py = locate_bistatic(pair, Measurement(tdoa, aoa, mode))
+            errs.append(float(np.hypot(px - x, py - y)))
         errors[mode] = errs
     return first, errors
 
@@ -352,7 +351,8 @@ def reference_sweep_point(cfg, index, theta_deg):
 class TestBatchedModelSweep:
     def test_trials_1_matches_pinned_rows(self, capsys):
         """Rows recorded before the trials of a point were batched; the
-        GDOP columns re-recorded from the closed-form GDOP kernel."""
+        GDOP columns re-recorded from the closed-form GDOP kernel, the
+        position errors from the atan2-free locator and numpy's hypot."""
         argv = [
             "sweep", "--scenario", "scenario3", "--bandwidth-mhz", "100",
             "--engine", "model", "--points", "8", "--trials", "1", "--seed", "5",
@@ -362,8 +362,8 @@ class TestBatchedModelSweep:
         assert lines[2] == (
             "45.0,4.490568974573982,20.509431025426018,83.391023799538,"
             "82.82290319921525,-0.5681206003227635,45.0,44.823490155144306,"
-            "-0.1765098448557034,0.17220961367687926,0.5748847333805388,"
-            "0.17220961367687926,0.5748847333805388,0.8742085455107859,"
+            "-0.1765098448557034,0.17220961367687143,0.5748847333805425,"
+            "0.17220961367687143,0.5748847333805425,0.8742085455107859,"
             "0.8705449676505854,ok"
         )
         assert lines[8] == (
@@ -373,8 +373,8 @@ class TestBatchedModelSweep:
             "0.7803896857346155,0.8084000914661823,0.7143215638289838,"
             "0.7244682316491513,ok"
         )
-        assert "# mean_err_mode1_m = 0.4949635927650092" in lines
-        assert "# mean_err_mode2_m = 0.6776664424044787" in lines
+        assert "# mean_err_mode1_m = 0.49496359276500784" in lines
+        assert "# mean_err_mode2_m = 0.6776664424044778" in lines
 
     @pytest.mark.parametrize("name, trials", [("scenario1", 7), ("scenario3", 40)])
     def test_matches_per_trial_scalar_loop(self, name, trials):
@@ -556,7 +556,8 @@ class TestSignalSweepTrials:
 
     def test_trials_1_matches_pinned_rows(self, capsys):
         """Rows of channel draw layout v3 (beam-space receiver) on
-        5-smooth pulse frames, GDOP columns from the closed-form kernel."""
+        5-smooth pulse frames, GDOP columns from the closed-form kernel,
+        position errors from the atan2-free locator and numpy's hypot."""
         argv = [
             "sweep", "--scenario", "scenario3", "--bandwidth-mhz", "100",
             "--engine", "signal", "--points", "8", "--trials", "1", "--seed", "5",
@@ -575,15 +576,15 @@ class TestSignalSweepTrials:
         assert lines[2] == (
             "45.0,4.490568974573982,20.509431025426018,83.391023799538,"
             "81.38020833333333,-2.010815466204679,45.0,44.9312949494059,"
-            "-0.06870505059409064,0.4043717378931754,0.38438968984887706,"
-            "0.4043717378931754,0.38438968984887706,0.8742085455107859,"
+            "-0.06870505059409064,0.4043717378931804,0.38438968984887706,"
+            "0.4043717378931804,0.38438968984887706,0.8742085455107859,"
             "0.8705449676505854,ok"
         )
         assert lines[9:] == [
             "# mean_abs_aoa_err_deg = 0.052190890120292315",
             "# mean_abs_tdoa_err_ns = 2.010815466204679",
-            "# mean_err_mode1_m = 0.37358083371378226",
-            "# mean_err_mode2_m = 0.36770800555399485",
+            "# mean_err_mode1_m = 0.3735808337137863",
+            "# mean_err_mode2_m = 0.36770800555399663",
             "# mean_gdop_mode1_m = 0.794265054669885",
             "# mean_gdop_mode2_m = 0.7975065996498684",
             "# ok_points = 4.0",
@@ -658,7 +659,9 @@ class TestMultistaticRuns:
         batched solver: the best-pair columns equal the scalar solver's
         rows, the fused errors differ from them in the eleventh digit.
         The fused errors were re-recorded when the GDOP weights moved to
-        the closed-form kernel; the best-pair columns did not move."""
+        the closed-form kernel, and both error columns when the locator
+        dropped atan2 and the solver's bearing moved to a complex log,
+        whose bits do not depend on numpy's SIMD dispatch."""
         argv = [
             "multistatic", "--scenario", "scenario3", "--bandwidth-mhz", "400",
             "--engine", "model", "--points", "8", "--trials", "4", "--seed", "5",
@@ -666,14 +669,14 @@ class TestMultistaticRuns:
         assert main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[2] == (
-            "45.0,4.490568974573982,20.509431025426018,0.012619217476818786,"
-            "0.14691117107336385,4,4,3,ok"
+            "45.0,4.490568974573982,20.509431025426018,0.012619217476818809,"
+            "0.14691117107336274,4,4,3,ok"
         )
         assert lines[5] == (
-            "180.0,24.999999999999996,-18.75,0.02380528076681703,"
-            "0.02463030886960958,3,4,3,ok"
+            "180.0,24.999999999999996,-18.75,0.023805280767784247,"
+            "0.024630308869611206,3,4,3,ok"
         )
-        assert "# mean_err_fused_m = 0.020485606853324286" in lines
+        assert "# mean_err_fused_m = 0.02048560686075961" in lines
 
     @pytest.mark.parametrize("name, trials", [("scenario1", 3), ("scenario3", 12)])
     def test_matches_per_trial_scalar_loop(self, name, trials):
@@ -750,8 +753,8 @@ def reference_multistatic_point(cfg, nodes, index, theta_deg):
         if solution.failed[0]:
             continue
         (fused_x, fused_y), = solution.xy.tolist()
-        fused.append(math.hypot(fused_x - x, fused_y - y))
-        closed.append(math.hypot(guess[0] - x, guess[1] - y))
+        fused.append(float(np.hypot(fused_x - x, fused_y - y)))
+        closed.append(float(np.hypot(guess[0] - x, guess[1] - y)))
     return fused, closed
 
 
@@ -1278,3 +1281,43 @@ class TestCli:
     def test_bad_grid_exits_1(self, capsys):
         assert main(["gdop-map", "--scenario", "scenario1", "--nx", "1"]) == 1
         capsys.readouterr()
+
+
+# numpy's AVX-512 kernels that the baseline x86-64 dispatch level lacks.
+AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+SIMD_RUNS = {
+    "sweep": ["sweep", "--scenario", "scenario3", "--engine", "model",
+              "--points", "24", "--trials", "5"],
+    "multistatic-model": ["multistatic", "--scenario", "scenario3", "--engine", "model",
+                          "--bandwidth-mhz", "400", "--points", "24", "--trials", "5"],
+    "multistatic-signal": ["multistatic", "--scenario", "scenario3", "--engine", "signal",
+                           "--points", "8", "--trials", "1"],
+    "gdop-map": ["gdop-map", "--scenario", "scenario1", "--nx", "61", "--ny", "61"],
+}
+
+
+class TestSimdDispatch:
+    def test_bytes_do_not_depend_on_the_simd_level(self, tmp_path):
+        """Each output of one process with numpy's AVX-512 kernels turned
+        off has the bytes of one with the default dispatch (identical
+        runs on a host without AVX-512). np.arctan2's AVX-512 kernel
+        rounds apart from the C library's, which moved both engines'
+        multistatic CSVs while the fusion bearing used it."""
+        package = str(Path(harness.__file__).resolve().parents[1])
+        script = (
+            "import sys\nfrom bistar.cli import main\n"
+            f"for name, argv in {SIMD_RUNS!r}.items():\n"
+            "    assert main(argv + ['--out', f'{sys.argv[1]}/{name}.csv']) == 0\n"
+        )
+        outputs = []
+        for level, disabled in (("default", ""), ("baseline", AVX512)):
+            out = tmp_path / level
+            out.mkdir()
+            env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (package, env.get("PYTHONPATH"))))
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True,
+                           timeout=300)
+            outputs.append({name: (out / f"{name}.csv").read_bytes() for name in SIMD_RUNS})
+        for name in SIMD_RUNS:
+            assert outputs[0][name] == outputs[1][name], name
