@@ -39,16 +39,19 @@ SPACING_WAVELENGTHS = 0.5
 # Delay keys whose frames a `delayed_frames` cache holds before it is emptied.
 _FRAME_KEYS = 8
 
-# Samples per block of the capture-length products in `BeamCapture.beams`:
-# each block's temporaries are small. A power of two, so block edges fall
-# on the column unroll of the BLAS kernels and each sample is computed
-# as in the one-shot product (odd blocks round some samples otherwise).
-_BLOCK = 1 << 16
+# Samples per block of `BeamCapture`'s passes over a capture: each pulse
+# frame is cut into blocks of at most this many samples, and every pass
+# over a block runs while the block is cache-resident.
+_BLOCK = 1 << 13
 
 
-def _blocks(n: int):
-    """Slices covering ``range(n)`` in `_BLOCK` steps."""
-    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
+def _spans(pulses: int, spp: int):
+    """(pulse, frame slice, capture slice) of each block of a capture of
+    ``pulses`` frames of ``spp`` samples, in capture order."""
+    for pulse in range(pulses):
+        for start in range(0, spp, _BLOCK):
+            frame = slice(start, min(start + _BLOCK, spp))
+            yield pulse, frame, slice(pulse * spp + frame.start, pulse * spp + frame.stop)
 
 
 # SeedSequence's hash constants and PCG64's multiplier, as in numpy's
@@ -407,6 +410,12 @@ class BeamCapture:
     ``pulses`` > 1 is transmitted as a train of that many copies.
     ``delayed_frames`` is the frame cache of `_path_frames` shared by every
     capture of ``tx`` in a run (a sweep's or fusion run's), or None.
+
+    Since x = u d + P⊥x, every product past the direct beam reads only
+    P⊥x: c = u + P⊥x dᴴ/‖d‖² and wᴴx = (wᴴu) d + (P⊥w)ᴴx. The capture is
+    visited in `_spans` blocks, each path's samples formed there from its
+    pulse gain and delayed frame; sums over the capture are einsum sums
+    per block added in capture order, so no BLAS call sets their order.
     """
 
     def __init__(
@@ -421,70 +430,107 @@ class BeamCapture:
         delayed_frames: dict | None,
         pulses: int,
     ):
-        spp_out, gains, delayed = _path_frames(tx, paths, params, delayed_frames, pulses)
-        self.sample_rate_hz, self.samples_per_pulse = tx.sample_rate_hz, spp_out
+        spp, gains, delayed = _path_frames(tx, paths, params, delayed_frames, pulses)
+        self.sample_rate_hz, self.samples_per_pulse = tx.sample_rate_hz, spp
         self.columns = columns
-        units = np.empty((len(paths), pulses, spp_out), dtype=np.complex128)
-        for unit, gain, frame in zip(units, gains, delayed):
-            np.multiply(gain[:, np.newaxis], frame, out=unit)
-        self._units = units.reshape(len(paths), -1)
-        self._steer = np.array([steering_vector(rx_array, p.aoa_rad) for p in paths]).T
+        self._gains, self._frames = gains, delayed
         u = self._u = steering_vector(rx_array, direct_rad)
         elements = u.size
+        steer = np.array([steering_vector(rx_array, p.aoa_rad) for p in paths]).T
+        self._perp_steer = steer - np.outer(u, u.conj() @ steer) / elements
         self._power = BOLTZMANN * params.noise_temp_k * tx.sample_rate_hz
         self._rng = make_rng(seed)
 
-        self._zeta = _complex_normals(self._rng, self._units.shape[1:], self._power / elements)
-        d = self.direct = (u.conj() @ self._steer / elements) @ self._units
-        d += self._zeta
+        d = self.direct = _complex_normals(self._rng, (pulses * spp,), self._power / elements)
         g = _complex_normals(self._rng, (elements, columns.size), self._power)
         self._perp_g = g - np.outer(u, u.conj() @ g) / elements
+        # d = ζ plus each path's direct-beam gain times its samples; its
+        # energy and the paths' sums Σ units conj(d) accumulate per block.
+        direct_gains = [gain * m for gain, m in zip(gains, u.conj() @ steer / elements)]
+        energy, path_dots = 0.0, np.zeros(len(paths), dtype=np.complex128)
+        work, conj = np.empty((2, min(_BLOCK, spp)), dtype=np.complex128)
+        for pulse, frame, span in _spans(pulses, spp):
+            block, n = d[span], span.stop - span.start
+            for gain, frames in zip(direct_gains, delayed):
+                block += np.multiply(frames[pulse % len(frames), frame], gain[pulse], out=work[:n])
+            flat = block.view(np.float64)
+            energy += np.einsum("i,i->", flat, flat)
+            np.conjugate(block, out=conj[:n])
+            for k, (gain, frames) in enumerate(zip(gains, delayed)):
+                path_dots[k] += gain[pulse] * np.einsum(
+                    "i,i->", frames[pulse % len(frames), frame], conj[:n]
+                )
         d_cols = d[columns]
-        energy = np.vdot(d, d).real
-        self._energy_off = energy - np.vdot(d_cols, d_cols).real
+        flat = d_cols.view(np.float64)
+        self._energy_off = energy - np.einsum("i,i->", flat, flat)
         h = _complex_normals(self._rng, (elements,), self._power * self._energy_off)
         self._y = h - u * np.vdot(u, h) / elements
-        self.coeffs = (
-            self._steer @ (self._units @ d.conj())
-            + u * np.vdot(d, self._zeta)
-            + self._perp_g @ d_cols.conj()
-            + self._y
+        residue = (
+            self._perp_steer @ path_dots + self._perp_g @ d_cols.conj() + self._y
         ) / energy
-        samples = self._steer @ self._units[:, columns] + np.outer(u, self._zeta[columns])
-        self.pilot = samples + self._perp_g - np.outer(self.coeffs, d_cols)
+        self.coeffs = u + residue
+        pulse, sample = np.divmod(columns, spp)
+        units = np.array([
+            gain[pulse] * frames[pulse % len(frames), sample]
+            for gain, frames in zip(gains, delayed)
+        ])
+        self.pilot = self._perp_steer @ units + self._perp_g - np.outer(residue, d_cols)
 
-    def beams(self, weights: np.ndarray) -> np.ndarray:
-        """Beams wᴴx over the capture, one row per column w of ``weights``.
+    def beams(self, weights: np.ndarray) -> list[np.ndarray]:
+        """Beams wᴴx over the capture, one array per column w of ``weights``.
 
         All beams a receiver reads come from one call, which draws their
-        noise jointly; a second call is refused.
+        noise jointly, each beam's normals into its own array; a second
+        call is refused.
         """
         if self._rng is None:
             raise RuntimeError("the beams of a capture are drawn once")
         rng, self._rng = self._rng, None
         a_h = weights.conj().T
         u, d, columns = self._u, self.direct, self.columns
+        spp = self.samples_per_pulse
         perp = weights - np.outer(u, u.conj() @ weights) / u.size
         values, vectors = np.linalg.eigh(perp.conj().T @ perp)
-        root = vectors * np.sqrt(np.clip(values, 0.0, None))
-        noise = _complex_normals(rng, (weights.shape[1], d.size), self._power)
-        for block in _blocks(d.size):
-            noise[:, block] = root @ noise[:, block]
+        root = vectors * np.sqrt(np.clip(values, 0.0, None) * (self._power / 2.0))
+        rows = [rng.standard_normal(2 * d.size).view(np.complex128) for _ in a_h]
+        mixed = np.empty((len(rows), min(_BLOCK, spp)), dtype=np.complex128)
+        work, conj = np.empty((2, mixed.shape[1]), dtype=np.complex128)
+        spans = [
+            (pulse, frame, span, columns[(columns >= span.start) & (columns < span.stop)])
+            for pulse, frame, span in _spans(d.size // spp, spp)
+        ]
         # Off the columns, condition P⊥n on y, its projection onto the
-        # direct beam there; at the columns, use the drawn samples. The
-        # direct beam is zeroed at the columns and conjugated in place
-        # for the fit, then restored, so no copy of it is made.
-        d_cols = d[columns]
-        d[columns] = 0.0
-        np.conjugate(d, out=d)
-        fit = (a_h @ self._y - noise @ d) / self._energy_off
-        np.conjugate(d, out=d)
-        for block in _blocks(d.size):
-            noise[:, block] += fit[:, np.newaxis] * d[block]
-        d[columns] = d_cols
-        noise[:, columns] = a_h @ self._perp_g
-        zeta_gain, mix = a_h @ u, a_h @ self._steer
-        for block in _blocks(d.size):
-            noise[:, block] += zeta_gain[:, np.newaxis] * self._zeta[block]
-            noise[:, block] += mix @ self._units[:, block]
-        return noise
+        # direct beam there; at the columns, use the drawn samples.
+        dots = np.zeros(len(rows), dtype=np.complex128)
+        for _, _, span, inside in spans:
+            n = span.stop - span.start
+            for out, mix in zip(mixed, root):
+                np.multiply(rows[0][span], mix[0], out=out[:n])
+                for row, scale in zip(rows[1:], mix[1:]):
+                    out[:n] += np.multiply(row[span], scale, out=work[:n])
+            for row, out in zip(rows, mixed):
+                row[span] = out[:n]
+            np.conjugate(d[span], out=conj[:n])
+            conj[inside - span.start] = 0.0
+            dots += np.einsum("ki,i->k", mixed[:, :n], conj[:n])
+        fit = (a_h @ self._y - dots) / self._energy_off
+        for row, value in zip(rows, a_h @ self._perp_g):
+            row[columns] = value
+        # Then add (wᴴu) d, plus the fit off the columns, and each path's
+        # (P⊥w)ᴴa_p times its samples.
+        terms = [
+            (row, fit_gain + beam_gain, beam_gain, [gain * m for gain, m in zip(self._gains, mix)])
+            for row, fit_gain, beam_gain, mix in zip(rows, fit, a_h @ u, a_h @ self._perp_steer)
+        ]
+        for pulse, frame, span, inside in spans:
+            n = span.stop - span.start
+            for row, off_gain, beam_gain, path_gains in terms:
+                block = row[span]
+                np.multiply(d[span], off_gain, out=work[:n])
+                work[inside - span.start] = beam_gain * d[inside]
+                block += work[:n]
+                for gain, frames in zip(path_gains, self._frames):
+                    block += np.multiply(
+                        frames[pulse % len(frames), frame], gain[pulse], out=work[:n]
+                    )
+        return rows

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import ConfigError
@@ -73,7 +74,9 @@ class MotionConfig:
 @dataclass
 class ScenarioConfig:
     """Everything needed to run one experiment; the first two nodes are
-    the primary pair, ``baseline_l`` apart."""
+    the primary pair, ``baseline_l`` apart. ``error_override`` holds
+    explicit measurement sigmas; without them a preset's id names the
+    tabulated sigmas (see `error_model`)."""
 
     scenario_id: str
     nodes: list[NodePosition]
@@ -109,7 +112,18 @@ class ScenarioConfig:
     def baseline_l(self) -> float:
         return math.hypot(self.nodes[1].x - self.nodes[0].x, self.nodes[1].y - self.nodes[0].y)
 
+    @property
+    def error_model(self) -> MeasurementErrorModel | None:
+        """The explicit sigmas, else the table's for the scenario id at the
+        radar's bandwidth, else None: a bandwidth switch takes the table
+        along and keeps explicit sigmas as given."""
+        if self.error_override is not None:
+            return self.error_override
+        key = (self.scenario_id, round(self.radar.bandwidth_hz / 1e6))
+        return error_model_for(*key) if key in MEAN_ABS_TDOA_NS else None
 
+
+@lru_cache(maxsize=None)
 def error_model_for(scenario_id: str, bandwidth_mhz: int) -> MeasurementErrorModel:
     """Error model from the tabulated mean absolute measurement errors."""
     key = (scenario_id, bandwidth_mhz)
@@ -152,7 +166,7 @@ _KEYS: dict[str | None, dict[str, str]] = {
         "direct_path_gain_db": "float",
     },
     "sweep": dict.fromkeys(
-        ("sum_range", "rcs_dbsm", "exclusion_deg", "sigma_tdoa_ns", "sigma_aoa_deg"),
+        ("sum_range", "rcs_dbsm", "exclusion_deg", "sigma_tdoa_s", "sigma_aoa_rad"),
         "float",
     ),
     "motion": {f.name: f.type for f in fields(MotionConfig)},
@@ -230,14 +244,13 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if len(nodes) < 2:
         raise ConfigError("need at least two [nodes] entries")
 
-    override = None
-    if "sigma_tdoa_ns" in sweep or "sigma_aoa_deg" in sweep:
-        override = MeasurementErrorModel(
-            sigma_tdoa_s=sweep.pop("sigma_tdoa_ns", 0.0) * 1e-9,
-            sigma_aoa_rad=math.radians(sweep.pop("sigma_aoa_deg", 0.0)),
-        )
     direct_gain = radar.pop("direct_path_gain_db", None)
     try:
+        override = None
+        if "sigma_tdoa_s" in sweep or "sigma_aoa_rad" in sweep:
+            override = MeasurementErrorModel(
+                sweep.pop("sigma_tdoa_s", 0.0), sweep.pop("sigma_aoa_rad", 0.0)
+            )
         return ScenarioConfig(
             scenario_id=top.pop("scenario_id", "custom"),
             nodes=nodes,
@@ -254,12 +267,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 
 def dumps_scenario(cfg: ScenarioConfig) -> str:
-    """Serialize a config to the text form ``parse_scenario`` accepts."""
+    """Serialize a config to the text form ``parse_scenario`` accepts.
+
+    Every number is written as its repr, so the text parses back to the
+    same config bit for bit; sigmas appear only when explicit."""
     err = cfg.error_override
-    sigmas = {} if err is None else {
-        "sigma_tdoa_ns": err.sigma_tdoa_s * 1e9,
-        "sigma_aoa_deg": math.degrees(err.sigma_aoa_rad),
-    }
+    sigmas = {} if err is None else vars(err)
     gain = {} if cfg.direct_path_gain_db is None else {
         "direct_path_gain_db": cfg.direct_path_gain_db
     }
@@ -290,8 +303,8 @@ def load_scenario(source: str | Path, bandwidth_mhz: int | None = None) -> Scena
     For presets, ``bandwidth_mhz`` picks the 100 or 400 MHz variant
     (default 100) including the matching tabulated error model. For
     files, a bandwidth override rescales the radar sampling; explicit
-    sigmas from the file are kept, otherwise a matching preset id pulls
-    in that bandwidth's error table.
+    sigmas from the file are kept, otherwise a preset id names that
+    bandwidth's error table (`ScenarioConfig.error_model`).
     """
     name = str(source)
     if name in _PRESETS:
@@ -306,12 +319,8 @@ def load_scenario(source: str | Path, bandwidth_mhz: int | None = None) -> Scena
 
 
 def apply_bandwidth(cfg: ScenarioConfig, bandwidth_mhz: int) -> ScenarioConfig:
-    """Switch a config to the 100 or 400 MHz sampling configuration.
-
-    A measurement error model that came from the built-in tables is
-    refreshed for the new bandwidth; an explicit sigma override from the
-    config file is kept as given.
-    """
+    """Switch a config to the 100 or 400 MHz sampling configuration; its
+    error model follows (see `ScenarioConfig.error_model`)."""
     if bandwidth_mhz not in _SAMPLE_RATES:
         raise ConfigError("bandwidth_mhz must be 100 or 400")
     radar = replace(
@@ -319,12 +328,4 @@ def apply_bandwidth(cfg: ScenarioConfig, bandwidth_mhz: int) -> ScenarioConfig:
         bandwidth_hz=bandwidth_mhz * 1e6,
         sample_rate_hz=_SAMPLE_RATES[bandwidth_mhz],
     )
-    override = cfg.error_override
-    if (cfg.scenario_id, bandwidth_mhz) in MEAN_ABS_TDOA_NS:
-        old_mhz = int(round(cfg.radar.bandwidth_hz / 1e6))
-        was_default = (cfg.scenario_id, old_mhz) in MEAN_ABS_TDOA_NS and (
-            override == error_model_for(cfg.scenario_id, old_mhz)
-        )
-        if override is None or was_default:
-            override = error_model_for(cfg.scenario_id, bandwidth_mhz)
-    return replace(cfg, radar=radar, error_override=override)
+    return replace(cfg, radar=radar)

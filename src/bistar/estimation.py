@@ -113,6 +113,20 @@ def _music_scan(elements: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, steer
 
 
+def _null_spectrum(r: np.ndarray, steer: np.ndarray) -> np.ndarray:
+    """One-source MUSIC null spectrum of the covariance ``r`` at the
+    steering vectors ``steer`` (columns of unit-modulus entries).
+
+    The noise subspace is everything but the principal eigenvector v, so
+    the noise-basis sum Σ|eᵢᴴa|²/E is (‖a‖² - |vᴴa|²)/E = 1 - |vᴴa|²/E:
+    one E-vector product per angle instead of E - 1, summed over the
+    elements in numpy's fixed order.
+    """
+    _, eigvecs = np.linalg.eigh(r)
+    gain = (eigvecs[:, -1].conj()[:, np.newaxis] * steer).sum(axis=0)
+    return 1.0 - (gain.real**2 + gain.imag**2) / steer.shape[0]
+
+
 def music_aoa(capture: IqCapture, array: ArrayModel) -> float:
     """MUSIC arrival angle of one source from an element capture.
 
@@ -137,12 +151,8 @@ def music_aoa(capture: IqCapture, array: ArrayModel) -> float:
         raise ValueError("need at least 64 snapshots")
 
     r = x @ x.conj().T / x.shape[1]
-    elements = array.elements
-    _, eigvecs = np.linalg.eigh(r)
-    noise_basis = eigvecs[:, : elements - 1]
-
-    offsets, steer = _music_scan(elements)
-    null = np.sum(np.abs(noise_basis.conj().T @ steer) ** 2, axis=0) / elements
+    offsets, steer = _music_scan(array.elements)
+    null = _null_spectrum(r, steer)
 
     interior = (null[1:-1] < null[:-2]) & (null[1:-1] <= null[2:])
     minima = np.flatnonzero(interior) + 1
@@ -222,10 +232,11 @@ def project_out_stream(capture: IqCapture, stream: np.ndarray) -> IqCapture:
     reference = np.asarray(stream, dtype=np.complex128).reshape(-1)
     if reference.shape[0] != capture.samples.shape[1]:
         raise ValueError("stream length must match the capture")
-    energy = np.vdot(reference, reference).real
+    flat = reference.view(np.float64)
+    energy = np.einsum("i,i->", flat, flat)
     if energy <= 0.0:
         raise ValueError("reference stream has no energy")
-    coeffs = capture.samples @ reference.conj() / energy
+    coeffs = np.einsum("ki,i->k", capture.samples, reference.conj()) / energy
     cleaned = coeffs[:, np.newaxis] * reference[np.newaxis, :]
     np.subtract(capture.samples, cleaned, out=cleaned)
     return IqCapture(
@@ -425,6 +436,8 @@ def range_doppler(
     across pulses, zero-padded `DOPPLER_PAD` (4) times, resolves Doppler
     per delay bin. The Doppler axis spans plus or minus half the pulse
     repetition rate with bin spacing 1 / (DOPPLER_PAD * pulses * PRI).
+    The correlation is written over the train's samples, so the map
+    costs no second copy of the train.
     """
     if train.elements != 1:
         raise ValueError("range_doppler expects a single beamformed stream")
@@ -438,17 +451,19 @@ def range_doppler(
     if ref.shape[0] > spp:
         raise ValueError("reference longer than one pulse frame")
 
-    fast = np.fft.ifft(np.fft.fft(frames, axis=1) * np.fft.fft(ref, spp).conj(), axis=1)
-
-    # The slow-time DFT runs over blocks of delay rows, each written
+    # Each frame's fast-time correlation overwrites the frame, and the
+    # slow-time DFT runs over blocks of delay rows, each written
     # fftshifted into the one magnitude array: no spectrum of the whole
     # train is held. Each row is the one-shot transform, bit for bit.
+    spectrum = np.fft.fft(ref, spp).conj()
+    for frame in frames:
+        frame[:] = np.fft.ifft(np.fft.fft(frame) * spectrum)
     bins = train.pulses * DOPPLER_PAD
     half = bins // 2
     magnitudes = np.empty((spp, bins))
     for start in range(0, spp, _DELAY_BLOCK):
         rows = slice(start, start + _DELAY_BLOCK)
-        slow = np.fft.fft(np.ascontiguousarray(fast[:, rows].T), n=bins, axis=1)
+        slow = np.fft.fft(np.ascontiguousarray(frames[:, rows].T), n=bins, axis=1)
         np.abs(slow[:, : bins - half], out=magnitudes[rows, half:])
         np.abs(slow[:, bins - half :], out=magnitudes[rows, :half])
     delay_axis = np.arange(spp) / fs
@@ -491,9 +506,12 @@ def model_measure_batch(
     A negative noisy TDOA clamps to zero, matching the
     matched filter which never reports the echo before the direct path.
     Trial t reads row t of ``noise``, a (trials, 2) array of standard
-    normal draws (TDOA, AoA); a non-finite draw raises ValueError.
+    normal draws (TDOA, AoA); another shape or a non-finite draw raises
+    ValueError.
     """
     noise = np.asarray(noise, dtype=float)
+    if noise.ndim != 2 or noise.shape[1] != 2:
+        raise ValueError("noise draws must be a (trials, 2) array")
     if not np.isfinite(noise).all():
         raise ValueError("noise draws must be finite")
     tdoa = true_tdoa(pair, target)

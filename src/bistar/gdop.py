@@ -45,8 +45,8 @@ class MeasurementErrorModel:
     sigma_aoa_rad: float
 
     def __post_init__(self) -> None:
-        if self.sigma_tdoa_s < 0.0 or self.sigma_aoa_rad < 0.0:
-            raise ValueError("measurement sigmas must be non-negative")
+        if not (0.0 <= self.sigma_tdoa_s < np.inf and 0.0 <= self.sigma_aoa_rad < np.inf):
+            raise ValueError("measurement sigmas must be finite and non-negative")
 
 
 def _jacobians(n1_xy, n2_xy, mode2, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

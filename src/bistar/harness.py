@@ -424,7 +424,7 @@ def _measurements(
     trials = cfg.trials_per_point
     if cfg.engine == ENGINE_MODEL:
         draws = [
-            model_measure_batch(pair, target, cfg.error_override, noise[key])
+            model_measure_batch(pair, target, cfg.error_model, noise[key])
             for key, pair in pairs.items()
         ]
         return np.transpose([d[0] for d in draws]), np.transpose([d[1] for d in draws])
@@ -460,8 +460,8 @@ def run_iso_range_sweep(cfg: ScenarioConfig, workers: int = 1) -> SweepResult:
     statistical measurement model instead. Points measure one by one on
     ``workers`` threads, then `_score_sweep` locates them in stacks.
     """
-    if cfg.engine == ENGINE_MODEL and cfg.error_override is None:
-        raise ConfigError("model-based engine needs an error model (sigma overrides)")
+    if cfg.engine == ENGINE_MODEL and cfg.error_model is None:
+        raise ConfigError("model-based engine needs an error model (explicit sigmas or a preset id)")
     bench = _SignalBench(cfg) if cfg.engine == ENGINE_SIGNAL else None
     gdops = _contour_gdop(cfg)
     draws = _draws(cfg, 2, [mode.value for mode in _MODES], per_trial=False)
@@ -475,7 +475,7 @@ def run_iso_range_sweep(cfg: ScenarioConfig, workers: int = 1) -> SweepResult:
 def _contour_gdop(cfg: ScenarioConfig) -> list[tuple[float, float]]:
     """Mode-1 and mode-2 GDOP at every contour point, one `gdop_batch`
     call per mode; NaN without an error model."""
-    thetas, err = theta_grid_deg(cfg.sweep_points).tolist(), cfg.error_override
+    thetas, err = theta_grid_deg(cfg.sweep_points).tolist(), cfg.error_model
     if err is None:
         return [(math.nan, math.nan)] * len(thetas)
     pair = _primary_pair(cfg)
@@ -699,15 +699,15 @@ def run_multistatic(cfg: ScenarioConfig, workers: int = 1) -> MultistaticResult:
     solution of the pair with the best predicted dilution. Points draw
     one by one on ``workers`` threads, then `_fuse` fuses them in stacks.
     """
-    if cfg.error_override is None:
-        raise ConfigError("fusion weighting needs an error model (sigma overrides)")
+    if cfg.error_model is None:
+        raise ConfigError("fusion weighting needs an error model (explicit sigmas or a preset id)")
     nodes = multistatic_nodes(cfg)
     bench = _SignalBench(cfg) if cfg.engine == ENGINE_SIGNAL else None
     draws = _draws(cfg, len(nodes), range(len(nodes) - 1), per_trial=True)
     points = _run_points(
         cfg, workers, lambda i, theta: _multistatic_point(cfg, bench, nodes, i, theta, draws[i])
     )
-    rows = _fuse(cfg.error_override, points)
+    rows = _fuse(cfg.error_model, points)
     ok = [r for r in rows if r.status == STATUS_OK]
     trials = sum(r.trials for r in ok)
     summary = {
@@ -815,9 +815,9 @@ def run_gdop_map(cfg: ScenarioConfig, grid: GridSpec) -> list[GdopCell]:
     Cells iterate y outer, x inner. Degenerate cells carry NaN dilution
     and best_mode ``degenerate``.
     """
-    err = cfg.error_override
+    err = cfg.error_model
     if err is None:
-        raise ConfigError("gdop map needs an error model (sigma overrides)")
+        raise ConfigError("gdop map needs an error model (explicit sigmas or a preset id)")
     xs = np.tile(np.linspace(grid.x_min, grid.x_max, grid.nx), grid.ny)
     ys = np.repeat(np.linspace(grid.y_min, grid.y_max, grid.ny), grid.nx)
     g1, g2 = (gdop_batch([_primary_pair(cfg, mode)], xs, ys, err) for mode in _MODES)

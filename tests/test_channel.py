@@ -506,33 +506,62 @@ class TestBeamCapture:
         assert expected == fast_length(spp + math.ceil(delay) + 8)
 
     def test_blocked_beams_match_one_shot_products(self, monkeypatch):
-        """`beams` in 32-sample blocks (80 samples: a partial last block)
-        writes the bytes of the one-shot products kept here, and leaves
-        the direct beam as it was."""
+        """`BeamCapture` in 32-sample blocks (two 40-sample pulses: a
+        partial block in each) writes the bytes of the one-shot
+        elementwise products over the whole capture kept here, each sum
+        over the capture being the einsum sums of the blocks added in
+        capture order; `beams` leaves the direct beam as it was."""
         monkeypatch.setattr(channel, "_BLOCK", 32)
         params = RadarParams()
         tx, paths = self.case(params)
         capture = self.capture(tx, paths, params, 3)
         u, d = capture._u, capture.direct.copy()
-        mix = u.conj() @ capture._steer / u.size
-        assert np.array_equal(d, mix @ capture._units + capture._zeta)
+        pulses, spp = 2, capture.samples_per_pulse
+        gains, frames = capture._gains, capture._frames
+
+        def train(out, scales):
+            """``out`` plus each path's pulse frames times one scale per
+            pulse, added path by path, as one capture row."""
+            for scale, frame in zip(scales, frames):
+                out = out + np.concatenate(
+                    [frame[p % len(frame)] * scale[p] for p in range(pulses)]
+                )
+            return out
+
+        def blocked_sum(rows, conj):
+            sums = np.zeros(len(rows), dtype=complex)
+            for start in range(0, d.size, spp):
+                for lo in range(start, start + spp, 32):
+                    hi = min(lo + 32, start + spp)
+                    sums += np.einsum("ki,i->k", rows[:, lo:hi], conj[lo:hi])
+            return sums
+
+        steer = np.array([steering_vector(self.ARRAY, p.aoa_rad) for p in paths]).T
+        zeta = channel._complex_normals(make_rng(3), (d.size,), capture._power / u.size)
+        direct_gains = [g * m for g, m in zip(gains, u.conj() @ steer / u.size)]
+        assert np.array_equal(d, train(zeta, direct_gains))
 
         weights = self.weights()
         rng = copy.deepcopy(capture._rng)
         a_h = weights.conj().T
         perp = weights - np.outer(u, u.conj() @ weights) / u.size
         values, vectors = np.linalg.eigh(perp.conj().T @ perp)
-        root = vectors * np.sqrt(np.clip(values, 0.0, None))
-        draws = rng.standard_normal((2, 2 * d.size))
-        noise = root @ (math.sqrt(capture._power / 2.0) * draws.view(np.complex128))
+        root = vectors * np.sqrt(np.clip(values, 0.0, None) * (capture._power / 2.0))
+        draws = [rng.standard_normal(2 * d.size).view(np.complex128) for _ in range(2)]
+        noise = np.array([draws[0] * mix[0] + draws[1] * mix[1] for mix in root])
         d_off = d.copy()
         d_off[self.COLUMNS] = 0.0
-        noise += np.outer((a_h @ capture._y - noise @ d_off.conj()) / capture._energy_off, d_off)
+        fit = (a_h @ capture._y - blocked_sum(noise, d_off.conj())) / capture._energy_off
         noise[:, self.COLUMNS] = a_h @ capture._perp_g
-        noise += np.outer(a_h @ u, capture._zeta)
-        one_shot = noise + (a_h @ capture._steer) @ capture._units
+        one_shot = []
+        for row, fit_gain, beam_gain, mix in zip(
+            noise, fit, a_h @ u, a_h @ capture._perp_steer
+        ):
+            term = d * (fit_gain + beam_gain)
+            term[self.COLUMNS] = beam_gain * d[self.COLUMNS]
+            one_shot.append(train(row + term, [g * m for g, m in zip(gains, mix)]))
 
-        assert np.array_equal(capture.beams(weights), one_shot)
+        assert all(np.array_equal(a, b) for a, b in zip(capture.beams(weights), one_shot))
         assert np.array_equal(capture.direct, d)
 
     def test_one_frame_and_a_pulse_count_transmit_the_train(self):

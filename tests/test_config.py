@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from bistar import (
@@ -18,7 +19,7 @@ from bistar import (
     parse_scenario,
     preset_scenario,
 )
-from bistar.config import ENGINE_MODEL, ENGINE_SIGNAL, MEAN_ABS_TDOA_NS
+from bistar.config import _KEYS, ENGINE_MODEL, ENGINE_SIGNAL, MEAN_ABS_TDOA_NS
 from bistar.estimation import MEAN_ABS_TO_SIGMA
 
 GOOD_TEXT = """\
@@ -45,8 +46,8 @@ rx_elements = 16
 sum_range = 24.0
 rcs_dbsm = -10.0
 exclusion_deg = 4.0
-sigma_tdoa_ns = 2.5
-sigma_aoa_deg = 0.1
+sigma_tdoa_s = 2.5e-9
+sigma_aoa_rad = 0.0017453292519943296
 
 [motion]
 speed_mps = 0.4
@@ -112,7 +113,8 @@ class TestPresets:
         cfg = preset_scenario("scenario3", bandwidth_mhz=400)
         assert cfg.radar.bandwidth_hz == 400e6
         assert cfg.radar.sample_rate_hz == 491.52e6
-        assert cfg.error_override == error_model_for("scenario3", 400)
+        assert cfg.error_override is None
+        assert cfg.error_model == error_model_for("scenario3", 400)
 
     def test_error_model_table(self):
         model = error_model_for("scenario1", 100)
@@ -184,7 +186,7 @@ class TestParse:
             ("seed = -inf", 2, "must be finite"),
             ("seed = nan", 2, "must be finite"),
             ("[sweep]\nsum_range = nan", 3, "must be finite"),
-            ("[sweep]\nsigma_tdoa_ns = nan", 3, "must be finite"),
+            ("[sweep]\nsigma_tdoa_s = nan", 3, "must be finite"),
             ("[nodes]\nnode = 0 inf", 3, "must be finite"),
             ("[radar]\ntx_elements = 8.5", 3, "must be an integer"),
             ("[radar]\nrx_elements = 16.5", 3, "must be an integer"),
@@ -195,6 +197,51 @@ class TestParse:
         with pytest.raises(ConfigError, match=fragment) as info:
             parse_scenario(text)
         assert f"line {line}" in str(info.value)
+
+    @pytest.mark.parametrize("key", ["sigma_tdoa_s", "sigma_aoa_rad"])
+    def test_negative_sigma_is_a_config_error(self, key):
+        """A negative sigma used to escape as ValueError, which the CLI
+        reports as a runtime failure (exit 2), not a configuration
+        problem (exit 1)."""
+        text = f"[nodes]\nnode = 0 0\nnode = 8 0\n[sweep]\nsum_range = 20\n{key} = -1e-9\n"
+        with pytest.raises(ConfigError, match="non-negative"):
+            parse_scenario(text)
+
+    def test_mutated_files_parse_or_raise_config_error(self):
+        """Property over seeded random edits of a preset's text: values
+        replaced by non-finite, huge, tiny, negative, malformed or empty
+        ones, node lines of every length, keys repeated or unknown. Each
+        text parses to a config that writes itself back bit for bit, or
+        raises ConfigError; nothing else escapes."""
+        rng = np.random.default_rng(26)
+        values = ["0", "-1", "1", "2.5", "1e300", "-1e300", "5e-324", "nan", "inf", "-inf",
+                  "1e999", "x", "3 4", "0x10", "1_000", "4.0", "2.5e-9", "-0.0", "100e6",
+                  "9" * 30]
+        keys = [(section, key) for section, table in _KEYS.items() for key in table]
+        base = dumps_scenario(preset_scenario("scenario3", 400)).splitlines()
+        outcomes = set()
+        for _ in range(1500):
+            lines = list(base)
+            for _ in range(int(rng.integers(1, 4))):
+                i = int(rng.integers(len(lines)))
+                key = lines[i].partition("=")[0].strip()
+                if key == "node":
+                    parts = rng.choice(values, int(rng.integers(1, 6)))
+                    lines[i] = "node = " + " ".join(parts)
+                elif key:
+                    lines[i] = f"{key} = {rng.choice(values)}"
+                else:
+                    section, key = keys[int(rng.integers(len(keys)))]
+                    lines.insert(i + 1, f"{key or 'bogus'} = {rng.choice(values)}")
+            try:
+                cfg = parse_scenario("\n".join(lines))
+            except ConfigError:
+                outcomes.add("refused")
+                continue
+            outcomes.add("parsed")
+            assert parse_scenario(dumps_scenario(cfg)) == cfg
+            assert math.isfinite(cfg.baseline_l) and math.isfinite(cfg.sum_range)
+        assert outcomes == {"parsed", "refused"}
 
     def test_node_errors(self):
         with pytest.raises(ConfigError, match="only 'node'"):
@@ -263,6 +310,29 @@ class TestRoundTrip:
         cfg = parse_scenario(text)
         assert parse_scenario(dumps_scenario(cfg)) == cfg
 
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+    @pytest.mark.parametrize("bandwidth_mhz", [100, 400])
+    def test_every_preset_round_trips_bit_for_bit(self, name, bandwidth_mhz):
+        """A preset's text names its table and parses back to the preset;
+        the same sigmas written out as explicit numbers come back with
+        their bits (scenario1's 5.263919376725101e-09 s came back one ulp
+        up through nanoseconds)."""
+        cfg = preset_scenario(name, bandwidth_mhz, seed=9)
+        text = dumps_scenario(cfg)
+        assert "sigma" not in text
+        assert parse_scenario(text) == cfg
+        assert parse_scenario(text).error_model == error_model_for(name, bandwidth_mhz)
+        cfg.error_override = cfg.error_model
+        back = parse_scenario(dumps_scenario(cfg))
+        assert back == cfg
+        assert back.error_override.sigma_tdoa_s.hex() == cfg.error_override.sigma_tdoa_s.hex()
+
+    def test_explicit_sigmas_round_trip_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        cfg = parse_scenario(GOOD_TEXT)
+        for tdoa, aoa in zip(rng.uniform(0.0, 1e-8, 200), rng.uniform(0.0, 0.1, 200)):
+            cfg.error_override = MeasurementErrorModel(float(tdoa), float(aoa))
+            assert parse_scenario(dumps_scenario(cfg)) == cfg
 
     def test_dumps_text_is_fixed(self):
         text = GOOD_TEXT.replace("rx_elements = 16", "rx_elements = 16\ndirect_path_gain_db = -20")
@@ -279,7 +349,7 @@ class TestRoundTrip:
             "direct_path_gain_db = -20.0\n"
             "\n[sweep]\n"
             "sum_range = 24.0\nrcs_dbsm = -10.0\nexclusion_deg = 4.0\n"
-            "sigma_tdoa_ns = 2.5\nsigma_aoa_deg = 0.1\n"
+            "sigma_tdoa_s = 2.5e-09\nsigma_aoa_rad = 0.0017453292519943296\n"
             "\n[motion]\n"
             "speed_mps = 0.4\ntheta2_deg = 45.0\npulses = 32\n"
         )
@@ -318,6 +388,17 @@ class TestLoadScenario:
         cfg = load_scenario(path)
         assert cfg == parse_scenario(GOOD_TEXT)
 
+    def test_preset_file_loaded_at_400_gets_the_400_table(self, tmp_path):
+        """`bistar scenarios --scenario scenario1` written to a file and run
+        at 400 MHz uses the 400 MHz sigmas (0.213 ns), not the 100 MHz
+        file's 5.26 ns."""
+        path = tmp_path / "s1.cfg"
+        path.write_text(dumps_scenario(preset_scenario("scenario1")))
+        cfg = load_scenario(path, 400)
+        assert cfg == preset_scenario("scenario1", 400)
+        assert cfg.error_model == error_model_for("scenario1", 400)
+        assert cfg.error_model.sigma_tdoa_s == pytest.approx(0.213e-9, abs=1e-12)
+
     def test_file_with_bandwidth_override(self, tmp_path):
         path = tmp_path / "scene.cfg"
         path.write_text(GOOD_TEXT)
@@ -337,10 +418,10 @@ class TestApplyBandwidth:
 
     def test_refreshes_table_derived_model(self):
         cfg = preset_scenario("scenario1")
-        assert cfg.error_override == error_model_for("scenario1", 100)
+        assert cfg.error_model == error_model_for("scenario1", 100)
         wide = apply_bandwidth(cfg, 400)
-        assert wide.error_override == error_model_for("scenario1", 400)
-        assert wide.error_override.sigma_tdoa_s == pytest.approx(
+        assert wide.error_model == error_model_for("scenario1", 400)
+        assert wide.error_model.sigma_tdoa_s == pytest.approx(
             MEAN_ABS_TDOA_NS[("scenario1", 400)] * 1e-9 * MEAN_ABS_TO_SIGMA
         )
 
@@ -348,10 +429,10 @@ class TestApplyBandwidth:
         cfg = preset_scenario("scenario1")
         custom = MeasurementErrorModel(9e-9, 0.001)
         cfg.error_override = custom
-        assert apply_bandwidth(cfg, 400).error_override == custom
+        assert apply_bandwidth(cfg, 400).error_model == custom
 
     def test_unknown_scenario_id_keeps_none(self):
         cfg = parse_scenario(
             "[nodes]\nnode = 0 0\nnode = 8 0\n[sweep]\nsum_range = 20\n"
         )
-        assert apply_bandwidth(cfg, 400).error_override is None
+        assert apply_bandwidth(cfg, 400).error_model is None

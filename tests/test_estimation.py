@@ -8,6 +8,7 @@ import pytest
 from bistar import (
     ArrayModel,
     BistaticPair,
+    DegenerateGeometryError,
     DetectionError,
     IqCapture,
     Measurement,
@@ -39,7 +40,9 @@ from bistar import (
 )
 from bistar import estimation
 from bistar.channel import SPACING_WAVELENGTHS
-from bistar.estimation import MEAN_ABS_TO_SIGMA, MUSIC_GRID_DEG, _music_scan, _peak_with_floor
+from bistar.estimation import (
+    MEAN_ABS_TO_SIGMA, MUSIC_GRID_DEG, _music_scan, _null_spectrum, _peak_with_floor,
+)
 
 FS = 122.88e6
 
@@ -138,13 +141,13 @@ class TestMusic:
         def per_call(capture, array):
             x = capture.samples
             _, eigvecs = np.linalg.eigh(x @ x.conj().T / x.shape[1])
-            noise_basis = eigvecs[:, : array.elements - 1]
             offsets = np.radians(np.arange(-90.0 + MUSIC_GRID_DEG, 90.0, MUSIC_GRID_DEG))
             steer = np.exp(
                 1j * 2.0 * math.pi * np.arange(array.elements)[:, np.newaxis]
                 * SPACING_WAVELENGTHS * np.sin(offsets)[np.newaxis, :]
             )
-            null = np.sum(np.abs(noise_basis.conj().T @ steer) ** 2, axis=0) / array.elements
+            gain = (eigvecs[:, -1].conj()[:, np.newaxis] * steer).sum(axis=0)
+            null = 1.0 - (gain.real**2 + gain.imag**2) / array.elements
             minima = np.flatnonzero((null[1:-1] < null[:-2]) & (null[1:-1] <= null[2:])) + 1
             i = minima[np.argmin(null[minima])]
             lower, center, upper = null[i - 1], null[i], null[i + 1]
@@ -160,6 +163,26 @@ class TestMusic:
             data += 0.1 * (rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape))
             capture = IqCapture(data, FS)
             assert music_aoa(capture, array) == per_call(capture, array)
+
+    @pytest.mark.parametrize("elements", [2, 8, 16])
+    def test_closed_form_matches_the_noise_basis(self, elements):
+        """The one-source null spectrum 1 - |vᴴa|²/E equals the sum over
+        the E - 1 noise eigenvectors within 1e-12, on random covariances
+        of one strong source in noise and of noise alone."""
+        rng = np.random.default_rng(22)
+        _, steer = _music_scan(elements)
+        for trial in range(40):
+            x = rng.standard_normal((elements, 128)) + 1j * rng.standard_normal((elements, 128))
+            if trial % 2:
+                angle = rng.uniform(-1.5, 1.5)
+                x += rng.uniform(0.1, 30.0) * plane_wave(
+                    ArrayModel(elements), angle, random_symbols(rng, 128)
+                )
+            r = x @ x.conj().T / x.shape[1]
+            _, eigvecs = np.linalg.eigh(r)
+            noise_basis = eigvecs[:, : elements - 1]
+            basis = np.sum(np.abs(noise_basis.conj().T @ steer) ** 2, axis=0) / elements
+            assert np.abs(_null_spectrum(r, steer) - basis).max() <= 1e-12
 
     def test_validation(self):
         array = ArrayModel(8)
@@ -632,6 +655,9 @@ class TestRangeDoppler:
             frame[12 : 12 + r.size] = r
             frames.append(frame * np.exp(2j * math.pi * doppler * pri * p))
         train = IqCapture(np.concatenate(frames), fs, pulses=pulses, samples_per_pulse=spp)
+        fast = np.fft.ifft(
+            np.fft.fft(train.frames()[0], axis=1) * np.fft.fft(r, spp).conj(), axis=1
+        )
         rd = range_doppler(train, ref)
         delay, dop = doppler_peak(rd)
         assert delay == pytest.approx(12 / fs, abs=1e-12)
@@ -639,11 +665,10 @@ class TestRangeDoppler:
         assert abs(dop - doppler) < bin_hz / 2
         # Magnitudes are taken before the shift; the bytes must equal
         # shifting the complex map first.
-        fast = np.fft.ifft(
-            np.fft.fft(train.frames()[0], axis=1) * np.fft.fft(r, spp).conj(), axis=1
-        )
         shifted = np.fft.fftshift(np.fft.fft(fast, n=4 * pulses, axis=0), axes=0)
         assert np.array_equal(rd.magnitudes, np.abs(shifted).T)
+        # The fast-time correlation was written over the train's frames.
+        assert np.array_equal(train.frames()[0], fast)
 
     @pytest.mark.parametrize("pulses, samples, pad", [(16, 2500, 4), (3, 1100, 1)])
     def test_blocks_match_one_shot_transform(self, pulses, samples, pad, monkeypatch):
@@ -654,7 +679,7 @@ class TestRangeDoppler:
         rng = np.random.default_rng(4)
         frames = rng.standard_normal((pulses, samples)) + 1j * rng.standard_normal((pulses, samples))
         r = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        train = IqCapture(frames.reshape(-1), FS, pulses=pulses, samples_per_pulse=samples)
+        train = IqCapture(frames.reshape(-1).copy(), FS, pulses=pulses, samples_per_pulse=samples)
         rd = range_doppler(train, IqCapture(r, FS))
         fast = np.fft.ifft(np.fft.fft(frames, axis=1) * np.fft.fft(r, samples).conj(), axis=1)
         one_shot = np.fft.fftshift(np.abs(np.fft.fft(fast.T, n=pulses * pad)), axes=1)
@@ -734,6 +759,52 @@ class TestModelBasedMeasure:
             )
         assert list(zip(tdoa.tolist(), aoa.tolist())) == expected
         assert 0.0 in tdoa.tolist()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-12])
+    def test_rejects_non_finite_or_negative_sigmas(self, bad):
+        """A NaN TDOA sigma used to come back as a TDOA of 0.0 (NaN fails
+        the clamp's > 0 test) and an infinite one as inf or NaN; both
+        sigmas are now refused where the model is built."""
+        for sigmas in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                MeasurementErrorModel(*sigmas)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 3), (2, 3, 2), ()])
+    def test_rejects_draws_of_another_shape(self, shape):
+        """A 1-D draw array used to raise IndexError and a third column
+        was ignored; only (trials, 2) is read."""
+        err = MeasurementErrorModel(2e-9, 0.01)
+        with pytest.raises(ValueError, match=r"\(trials, 2\)"):
+            model_measure_batch(self.pair(), TargetState(10.0, 18.0), err, np.zeros(shape))
+
+    def test_finite_inputs_give_finite_measurements(self):
+        """Property over seeded random calls: targets anywhere, on the
+        baseline and its extension, or kilometres away; sigmas from 0 up;
+        draws up to 50 standard deviations and zero trials. Every call
+        returns one finite, non-negative TDOA and one AoA in (-pi, pi]
+        per trial, and a zero sigma leaves its measurement at the truth;
+        a target on a node is refused as degenerate."""
+        rng = np.random.default_rng(25)
+        pair = self.pair()
+        spots = [(12.5, 0.0), (-40.0, 0.0), (60.0, 0.0), (3e3, -4e3), (0.0, 0.0), (25.0, 0.0)]
+        for case in range(400):
+            x, y = spots[case % len(spots)] if case % 3 == 0 else rng.uniform(-100.0, 100.0, 2)
+            target = TargetState(float(x), float(y))
+            sigmas = rng.uniform(0.0, [1e-6, 3.0]) * (rng.random(2) < 0.8)
+            err = MeasurementErrorModel(*map(float, sigmas))
+            noise = rng.uniform(-50.0, 50.0, (int(rng.integers(0, 5)), 2))
+            if (x, y) in spots[-2:]:
+                with pytest.raises(DegenerateGeometryError):
+                    model_measure_batch(pair, target, err, noise)
+                continue
+            tdoa, aoa = model_measure_batch(pair, target, err, noise)
+            assert tdoa.shape == aoa.shape == (len(noise),)
+            assert np.isfinite(tdoa).all() and (tdoa >= 0.0).all()
+            assert np.isfinite(aoa).all() and (-math.pi < aoa).all() and (aoa <= math.pi).all()
+            if err.sigma_tdoa_s == 0.0:
+                assert (tdoa == true_tdoa(pair, target)).all()
+            if err.sigma_aoa_rad == 0.0:
+                assert (aoa == wrap_angle(true_aoa(pair.rx_node, target))).all()
 
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

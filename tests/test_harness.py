@@ -309,7 +309,7 @@ class TestSweepRuns:
 
     def test_model_engine_requires_error_model(self):
         cfg = model_config()
-        cfg.error_override = None
+        cfg.scenario_id = "custom"  # no explicit sigmas and no table
         with pytest.raises(ConfigError):
             run_iso_range_sweep(cfg)
 
@@ -317,7 +317,7 @@ class TestSweepRuns:
 def reference_sweep_point(cfg, index, theta_deg):
     """One model-engine contour point by a per-trial scalar loop over the
     v2 draws: one substream per point and purpose, trial t reading row t."""
-    err = cfg.error_override
+    err = cfg.error_model
     trials = cfg.trials_per_point
     nodes = cfg.nodes[:2]
     x, y = iso_range_point(_primary_pair(cfg), cfg.sum_range, math.radians(theta_deg))
@@ -556,8 +556,10 @@ class TestSignalSweepTrials:
 
     def test_trials_1_matches_pinned_rows(self, capsys):
         """Rows of channel draw layout v3 (beam-space receiver) on
-        5-smooth pulse frames, GDOP columns from the closed-form kernel,
-        position errors from the atan2-free locator and numpy's hypot."""
+        5-smooth pulse frames, with the receiver's capture sums in fixed
+        einsum order and MUSIC's closed-form null spectrum, GDOP columns
+        from the closed-form kernel, position errors from the atan2-free
+        locator and numpy's hypot."""
         argv = [
             "sweep", "--scenario", "scenario3", "--bandwidth-mhz", "100",
             "--engine", "signal", "--points", "8", "--trials", "1", "--seed", "5",
@@ -575,16 +577,16 @@ class TestSignalSweepTrials:
         )
         assert lines[2] == (
             "45.0,4.490568974573982,20.509431025426018,83.391023799538,"
-            "81.38020833333333,-2.010815466204679,45.0,44.9312949494059,"
-            "-0.06870505059409064,0.4043717378931804,0.38438968984887706,"
-            "0.4043717378931804,0.38438968984887706,0.8742085455107859,"
+            "81.38020833333333,-2.010815466204679,45.0,44.93129494940584,"
+            "-0.06870505059416697,0.4043717378931976,0.3843896898488558,"
+            "0.4043717378931976,0.3843896898488558,0.8742085455107859,"
             "0.8705449676505854,ok"
         )
         assert lines[9:] == [
-            "# mean_abs_aoa_err_deg = 0.052190890120292315",
+            "# mean_abs_aoa_err_deg = 0.052190890120311396",
             "# mean_abs_tdoa_err_ns = 2.010815466204679",
-            "# mean_err_mode1_m = 0.3735808337137863",
-            "# mean_err_mode2_m = 0.36770800555399663",
+            "# mean_err_mode1_m = 0.3735808337137906",
+            "# mean_err_mode2_m = 0.36770800555397404",
             "# mean_gdop_mode1_m = 0.794265054669885",
             "# mean_gdop_mode2_m = 0.7975065996498684",
             "# ok_points = 4.0",
@@ -610,7 +612,7 @@ class TestMultistaticRuns:
 
     def test_requires_error_model(self):
         cfg = model_config("scenario3")
-        cfg.error_override = None
+        cfg.scenario_id = "custom"  # no explicit sigmas and no table
         with pytest.raises(ConfigError):
             run_multistatic(cfg)
 
@@ -627,8 +629,8 @@ class TestMultistaticRuns:
                 _multistatic_point(cfg, None, nodes, i, t, drawn[i]) for i, t in enumerate(thetas)
             ]
 
-        stacked = _fuse(cfg.error_override, draws())
-        alone = [_fuse(cfg.error_override, [point])[0] for point in draws()]
+        stacked = _fuse(cfg.error_model, draws())
+        alone = [_fuse(cfg.error_model, [point])[0] for point in draws()]
         assert len({row.pairs_used for row in stacked if row.status == STATUS_OK}) >= 2
         assert list(map(repr, stacked)) == list(map(repr, alone))
 
@@ -699,7 +701,7 @@ def reference_multistatic_point(cfg, nodes, index, theta_deg):
     per-trial loop over the v1 draws (one substream per trial), each
     trial on its own: GDOP ranking at the target, closed form, weights
     at the closed form and a one-row solve."""
-    err = cfg.error_override
+    err = cfg.error_model
     anchor = BistaticPair(nodes[0], nodes[1])
     x, y = iso_range_point(anchor, cfg.sum_range, math.radians(theta_deg))
     target = TargetState(x, y)
@@ -783,7 +785,7 @@ class TestSignalMultistatic:
         nodes = multistatic_nodes(cfg)
         draws = fusion_draws(cfg, nodes)
         point = _multistatic_point(cfg, bench, nodes, 0, 45.0, draws[0])
-        _fuse(cfg.error_override, [point])
+        _fuse(cfg.error_model, [point])
         return point[0], bench.calls
 
     def test_refused_trial_is_dropped(self):
@@ -953,20 +955,21 @@ class TestDopplerRun:
     @pytest.mark.parametrize("bandwidth_mhz, digests", [
         (100, (
             "34442153d35952f0ca80242ffd04e7755ffb3f4b36c34497f494e78d692f2768",
-            "5b28b3e3ce47c0a6be2318c5aa04ccf2164ed263e3e7115073019f8fce76bc04",
-            "ecae56c0e53cf39e3f4b1507ca62e2e878aaafaf3e56883798e955f4955b2ae6",
+            "650ddb99ddbc9c5ada8079b1ff71819f9d06e0693102fdd244bad51ff0d832bc",
+            "ff6d26c3f51b44780f14f5fd37a8290550d2b585c269af67c09e3be8ff8f63ed",
         )),
         (400, (
             "593669acabb641cdde25db223fb7e96b9a70766c3c5b9441f438717f91cdee62",
-            "196ff5c7631461da5d208dd12f2b752b2cb1c9b3673a9deb8b6cd3732ea3bdbb",
-            "9c3e0576189557e058cea8e78e21553a3f5e94c392cf093024ac19af81ed29e4",
+            "fdb794aab20cfee5cd92ab085db6a3b0e575d8b230bd6742dc681af4cc21f3c6",
+            "efe03c4a99b6a4ea771a36a7a8549e140bc3387146c0a7965c97a7ab083c8af0",
         )),
     ])
     def test_matches_pinned_bytes(self, bandwidth_mhz, digests):
         """SHA-256 of the Doppler CSV, the range-Doppler map CSV and the
-        whole magnitude array of a 16-pulse run, recorded before the
-        chain ran in bounded memory (numpy 2.4.6, OpenBLAS 0.3.31,
-        x86-64; other FFT or BLAS builds may round differently)."""
+        whole magnitude array of a 16-pulse run, recorded with the
+        receiver's capture sums in fixed einsum order, so any OpenBLAS
+        thread count writes them (numpy 2.4.6, x86-64; other FFT builds
+        may round differently)."""
         result = self.short_run(bandwidth_mhz)
         doppler_csv, map_csv = io.StringIO(), io.StringIO()
         write_doppler_csv(result, doppler_csv)
@@ -981,8 +984,9 @@ class TestDopplerRun:
     def test_peak_memory_in_capture_rows(self):
         """The run's traced peak, in complex rows of its capture (pulses
         x frame samples), was 15.2 while the chain kept full-size
-        temporaries; the bounded chain reads 6.9. A first run imports
-        numpy modules lazily, so the second is traced."""
+        temporaries and 6.9 while the receiver held its path units and ζ
+        over the train; the pulse-blocked receiver reads 4.0. A first
+        run imports numpy modules lazily, so the second is traced."""
         self.short_run(100)
         started = not tracemalloc.is_tracing()
         tracemalloc.start()
@@ -995,7 +999,7 @@ class TestDopplerRun:
             if started:
                 tracemalloc.stop()
         row = result.rd_map.magnitudes.shape[0] * 16 * np.dtype(np.complex128).itemsize
-        assert peak / row < 7.5
+        assert peak / row < 4.5
 
 
 class TestCsvBytes:
@@ -1130,7 +1134,7 @@ class TestGdopMap:
 
     def test_requires_error_model(self):
         cfg = preset_scenario("scenario1")
-        cfg.error_override = None
+        cfg.scenario_id = "custom"  # no explicit sigmas and no table
         with pytest.raises(ConfigError):
             run_gdop_map(cfg, GridSpec(-1.0, 1.0, 3, 1.0, 2.0, 3))
 
@@ -1139,7 +1143,7 @@ class TestGdopMap:
         cfg = preset_scenario("scenario2")
         # The grid passes through both nodes and along the baseline.
         grid = GridSpec(-30.0, 30.0, 41, -30.0, 30.0, 41)
-        err = cfg.error_override
+        err = cfg.error_model
         pair1, pair2 = _primary_pair(cfg, Mode.MODE1), _primary_pair(cfg, Mode.MODE2)
         expected = []
         for yv in np.linspace(grid.y_min, grid.y_max, grid.ny):
@@ -1269,7 +1273,7 @@ class TestCli:
             "engine = model_based\nsweep_points = 8\ntrials_per_point = 2\n"
             "[nodes]\nnode = 0 0\nnode = 15 0\n"
             "[sweep]\nsum_range = 25\n"
-            "sigma_tdoa_ns = 0\nsigma_aoa_deg = 0\n"
+            "sigma_tdoa_s = 0\nsigma_aoa_rad = 0\n"
         )
         assert main(["multistatic", "--scenario", str(scene)]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -1297,6 +1301,39 @@ SIMD_RUNS = {
 }
 
 
+# Signal-engine runs whose bytes once depended on the BLAS thread count:
+# the 400 MHz sweep's last digits and both Doppler pins moved under
+# OPENBLAS_NUM_THREADS=1.
+BLAS_RUNS = {
+    "sweep-100": ["sweep", "--scenario", "scenario3", "--points", "24", "--seed", "5"],
+    "sweep-400": ["sweep", "--scenario", "scenario1", "--bandwidth-mhz", "400",
+                  "--points", "24", "--seed", "1"],
+    "doppler": ["doppler", "--scenario", "scenario3", "--pulses", "16"],
+    "multistatic": ["multistatic", "--scenario", "scenario3", "--engine", "signal",
+                    "--points", "8", "--trials", "1"],
+}
+
+
+def outputs_in_subprocess(directory: Path, runs: dict, env: dict) -> dict:
+    """Each run's CSV bytes (and the Doppler map's) from one fresh process
+    with ``env`` over this one's environment (None removes a variable)."""
+    directory.mkdir()
+    package = str(Path(harness.__file__).resolve().parents[1])
+    script = (
+        "import sys\nfrom bistar.cli import main\n"
+        f"for name, argv in {runs!r}.items():\n"
+        "    out = [f'{sys.argv[1]}/{name}.csv']\n"
+        "    if argv[0] == 'doppler':\n"
+        "        out += ['--map-out', f'{sys.argv[1]}/{name}-map.csv']\n"
+        "    assert main(argv + ['--out', *out]) == 0\n"
+    )
+    env = {key: value for key, value in {**os.environ, **env}.items() if value is not None}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package, env.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-c", script, str(directory)], env=env, check=True,
+                   timeout=300)
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
 class TestSimdDispatch:
     def test_bytes_do_not_depend_on_the_simd_level(self, tmp_path):
         """Each output of one process with numpy's AVX-512 kernels turned
@@ -1304,20 +1341,26 @@ class TestSimdDispatch:
         runs on a host without AVX-512). np.arctan2's AVX-512 kernel
         rounds apart from the C library's, which moved both engines'
         multistatic CSVs while the fusion bearing used it."""
-        package = str(Path(harness.__file__).resolve().parents[1])
-        script = (
-            "import sys\nfrom bistar.cli import main\n"
-            f"for name, argv in {SIMD_RUNS!r}.items():\n"
-            "    assert main(argv + ['--out', f'{sys.argv[1]}/{name}.csv']) == 0\n"
+        default, baseline = (
+            outputs_in_subprocess(tmp_path / level, SIMD_RUNS, {"NPY_DISABLE_CPU_FEATURES": off})
+            for level, off in (("default", ""), ("baseline", AVX512))
         )
-        outputs = []
-        for level, disabled in (("default", ""), ("baseline", AVX512)):
-            out = tmp_path / level
-            out.mkdir()
-            env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, (package, env.get("PYTHONPATH"))))
-            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True,
-                           timeout=300)
-            outputs.append({name: (out / f"{name}.csv").read_bytes() for name in SIMD_RUNS})
-        for name in SIMD_RUNS:
-            assert outputs[0][name] == outputs[1][name], name
+        assert len(default) == len(SIMD_RUNS)
+        for name in default:
+            assert default[name] == baseline[name], name
+
+
+class TestBlasThreads:
+    def test_signal_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """Signal sweeps at 100 and 400 MHz, a 16-pulse Doppler run with
+        its map and a signal fusion run write the same bytes with one
+        OpenBLAS thread as with the default count: the receiver's sums
+        over a capture are einsum sums in a fixed order, not BLAS
+        products that split across threads."""
+        one, many = (
+            outputs_in_subprocess(tmp_path / name, BLAS_RUNS, {"OPENBLAS_NUM_THREADS": threads})
+            for name, threads in (("one", "1"), ("default", None))
+        )
+        assert len(one) == len(BLAS_RUNS) + 1
+        for name in one:
+            assert one[name] == many[name], name
