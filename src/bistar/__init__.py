@@ -91,7 +91,7 @@ from .geometry import (
 )
 from .harness import (
     DopplerResult,
-    GdopCell,
+    GdopMap,
     GridSpec,
     MultistaticResult,
     MultistaticRow,

@@ -10,6 +10,7 @@ import argparse
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
+from functools import cache
 
 from .config import (
     ENGINE_MODEL,
@@ -114,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         contour.add_argument("--points", type=int, default=None, help="contour points")
         contour.add_argument("--trials", type=int, default=None, help="trials per point")
         contour.add_argument(
-            "--workers", type=int, default=1, help="thread workers (same output regardless)"
+            "--workers", type=int, default=1,
+            help="signal receiver threads; model runs use none (same output regardless)",
         )
 
     doppler = sub.add_parser("doppler", help="velocity estimation for a moving contour target")
@@ -141,9 +143,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser`'s parser, built on first use; every `main` call of
+    the process parses with it (parsing keeps no state in it)."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if getattr(args, "workers", 1) < 1:
             raise ConfigError(f"--workers must be at least 1, not {args.workers}")
         with ExitStack() as stack:

@@ -5,8 +5,8 @@ arrival angle, conjugate beamforming toward the direct and echo
 directions, least-squares direct-path cancellation, matched-filter TDOA
 on the sample lattice, and a range-Doppler map across a pulse train.
 ``model_measure_batch`` is the cheap statistical stand-in: it adds
-Gaussian errors of the model's sigmas to the true TDOA and AoA, with no
-lattice rounding and no waveform simulated.
+Gaussian errors of the model's sigmas to arrays of true TDOAs and AoAs,
+with no lattice rounding and no waveform simulated.
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ from .errors import DetectionError
 from .channel import SPACING_WAVELENGTHS, ArrayModel, steering_vector
 from .geometry import (
     SPEED_OF_LIGHT,
-    BistaticPair,
     Mode,
-    TargetState,
-    true_aoa,
-    true_tdoa,
     wrap_angle,
     wrap_angles,
 )
@@ -494,30 +490,34 @@ def doppler_to_velocity(doppler_hz: float, carrier_hz: float) -> float:
 
 
 def model_measure_batch(
-    pair: BistaticPair,
-    target: TargetState,
-    err: MeasurementErrorModel,
-    noise: np.ndarray,
+    tdoa_s, aoa_rad, err: MeasurementErrorModel, noise: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """TDOAs and AoAs (seconds, radians) of statistical measurements.
 
-    Gaussian errors with the model's sigmas are added to the true TDOA,
-    which is not rounded to the sample lattice, and to the true AoA.
-    A negative noisy TDOA clamps to zero, matching the
-    matched filter which never reports the echo before the direct path.
-    Trial t reads row t of ``noise``, a (trials, 2) array of standard
-    normal draws (TDOA, AoA); another shape or a non-finite draw raises
+    Gaussian errors with the model's sigmas are added to the true TDOAs
+    ``tdoa_s``, which are not rounded to the sample lattice, and to the
+    true AoAs ``aoa_rad``, in one array expression over every
+    measurement. A negative noisy TDOA clamps to zero, matching the
+    matched filter which never reports the echo before the direct path;
+    a NaN true value (a measurement not made) stays NaN.
+    ``noise`` holds the standard normal draws (TDOA, AoA) in its last
+    axis of 2, and its other axes are the shape of the result: the true
+    values broadcast to it. Another shape or a non-finite draw raises
     ValueError.
     """
     noise = np.asarray(noise, dtype=float)
-    if noise.ndim != 2 or noise.shape[1] != 2:
-        raise ValueError("noise draws must be a (trials, 2) array")
+    shape = noise.shape[:-1]
+    try:
+        fits = noise.shape[-1:] == (2,) and np.broadcast_shapes(
+            np.shape(tdoa_s), np.shape(aoa_rad), shape) == shape
+    except ValueError:  # the true values do not broadcast to the draws
+        fits = False
+    if not fits:
+        raise ValueError("noise draws must be a (..., 2) array of the measurements' shape")
     if not np.isfinite(noise).all():
         raise ValueError("noise draws must be finite")
-    tdoa = true_tdoa(pair, target)
-    aoa = true_aoa(pair.rx_node, target)
-    noisy = tdoa + err.sigma_tdoa_s * noise[:, 0]
+    noisy = tdoa_s + err.sigma_tdoa_s * noise[..., 0]
     return (
-        np.where(noisy > 0.0, noisy, 0.0),
-        wrap_angles(aoa + err.sigma_aoa_rad * noise[:, 1]),
+        np.where(noisy <= 0.0, 0.0, noisy),
+        wrap_angles(aoa_rad + err.sigma_aoa_rad * noise[..., 1]),
     )

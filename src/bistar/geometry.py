@@ -56,7 +56,9 @@ def ordered_sum(values):
     0.0 here). A cumulative sum adds in order; numpy's `sum` is pairwise.
     """
     values = np.asarray(values, dtype=float)
-    return np.cumsum(np.insert(values, 0, 0.0, axis=-1), axis=-1)[..., -1].tolist()
+    buffer = np.zeros((*values.shape[:-1], values.shape[-1] + 1))
+    buffer[..., 1:] = values
+    return np.cumsum(buffer, axis=-1)[..., -1].tolist()
 
 
 class Mode(Enum):

@@ -1,6 +1,6 @@
 """Experiment orchestration: contour sweeps, fusion runs, Doppler runs.
 
-Sweeps and fusion runs measure every trial of a contour point through
+Sweeps and fusion runs measure every trial of every contour point through
 one engine dispatch, `_measurements`, then locate or fuse in `_stacks`.
 Every run is deterministic for a given config seed. Randomness comes from
 substreams keyed by seed, point and purpose, so workers never change
@@ -163,12 +163,16 @@ class GridSpec:
 
 
 @dataclass
-class GdopCell:
-    x_m: float
-    y_m: float
-    gdop_mode1_m: float
-    gdop_mode2_m: float
-    best_mode: str
+class GdopMap:
+    """Dilution of precision over a grid: the grid axes, and per cell, rows
+    by y and columns by x (ny x nx), both directions' GDOP and the
+    better direction."""
+
+    x_m: np.ndarray
+    y_m: np.ndarray
+    gdop_mode1_m: np.ndarray
+    gdop_mode2_m: np.ndarray
+    best_mode: np.ndarray
 
 
 def theta_grid_deg(points: int) -> np.ndarray:
@@ -220,22 +224,22 @@ def _normals(cfg: ScenarioConfig, shape, *purpose: int, per_trial: bool) -> np.n
     return substream_normals(cfg.seed, keys, (trials, *shape))
 
 
-def _draws(cfg: ScenarioConfig, nodes: int, streams, per_trial: bool) -> list:
-    """Per contour point, the (wobble, noise) its trials read: the node
-    wobble, trials x ``nodes`` x 2, and in the model engine the
-    measurement normals of each stream key in ``streams``, trials x 2.
-    A run draws them all in one call, before its points run."""
+def _draws(cfg: ScenarioConfig, nodes: int, streams, per_trial: bool) -> tuple:
+    """The (wobble, noise) of a run, drawn before it measures: the node
+    wobble, points x trials x ``nodes`` x 2, and in the model engine the
+    measurement normals, points x trials x streams x 2 with one stream
+    per key of ``streams`` (None in the signal engine)."""
     wobble = _normals(cfg, (nodes, 2), _TAG_NODES, per_trial=per_trial)
-    noise = {
-        key: _normals(cfg, (2,), _TAG_MEAS, key, per_trial=per_trial)
-        for key in (streams if cfg.engine == ENGINE_MODEL else ())
-    }
-    return [(wobble[k], {key: n[k] for key, n in noise.items()}) for k in range(len(wobble))]
+    if cfg.engine != ENGINE_MODEL:
+        return wobble, None
+    noise = [_normals(cfg, (2,), _TAG_MEAS, key, per_trial=per_trial) for key in streams]
+    return wobble, np.stack(noise, axis=2)
 
 
 def _believed_nodes(nodes, wobble: np.ndarray) -> np.ndarray:
-    """Believed positions of ``nodes`` in every trial of a point, trials x
-    nodes x (x, y): truth plus per-axis Gaussian ``wobble`` (see `_draws`)."""
+    """Believed positions of ``nodes``, ... x nodes x (x, y): truth plus
+    per-axis Gaussian ``wobble`` (see `_draws`), broadcast over its
+    leading axes."""
     truth = np.array([[node.x, node.y] for node in nodes])
     sigma = np.array([[node.sigma_x, node.sigma_y] for node in nodes])
     return truth + sigma * wobble
@@ -336,118 +340,151 @@ class _SignalBench:
         return Measurement(tdoa_s=tdoa, aoa_rad=aoa, mode=pair.mode)
 
 
-def _sweep_point(
-    cfg: ScenarioConfig,
-    bench: _SignalBench | None,
-    index: int,
-    theta_deg: float,
-    gdops: tuple[float, float],
-    draws: tuple,
-) -> tuple[SweepRow, tuple | None]:
-    """Draw stage of one contour point: its row and the `_score_sweep`
-    inputs of its trials, or None when the row is already settled.
-    ``gdops`` holds its mode-1 and mode-2 GDOP and ``draws`` its `_draws`."""
-    theta = math.radians(theta_deg)
-    pair1 = _primary_pair(cfg, Mode.MODE1)
-    x, y = iso_range_point(pair1, cfg.sum_range, theta)
-    target = TargetState(x, y, rcs_dbsm=cfg.rcs_dbsm)
+def _sweep_stage(
+    cfg: ScenarioConfig, bench: _SignalBench | None, workers: int, thetas: list
+) -> tuple[list[SweepRow], tuple]:
+    """Draw stage of a sweep whose point i sits at contour angle
+    ``thetas[i]`` (degrees): its rows, and the `_score_sweep` inputs of
+    the points it measured without a refusal, one array each with a
+    row per point: the contour indices, the targets (x, y), the true
+    TDOA and AoA of mode 1, the believed nodes (trials x 2 x 2) and the
+    TDOAs and AoAs (trials x modes)."""
+    pairs = [_primary_pair(cfg, mode) for mode in _MODES]
+    pair1 = pairs[0]
+    rows, index, targets, truths = [], [], [], []
+    for i, theta_deg in enumerate(thetas):
+        x, y = iso_range_point(pair1, cfg.sum_range, math.radians(theta_deg))
+        target = TargetState(x, y, rcs_dbsm=cfg.rcs_dbsm)
+        truth = true_tdoa(pair1, target), true_aoa(pair1.n2, target)
+        rows.append(SweepRow(theta_deg, x, y, truth[0] * 1e9, aoa_true_deg=deg360(truth[1])))
+        if collinearity_deg(pair1, target) < cfg.exclusion_deg:
+            rows[-1].status = STATUS_EXCLUDED
+        else:
+            index.append(i)
+            targets.append(target)
+            truths.append(truth)
+    if cfg.error_model is not None:
+        xs, ys = np.array([(row.x_m, row.y_m) for row in rows]).T
+        g1, g2 = (gdop_batch([pair], xs, ys, cfg.error_model).tolist() for pair in pairs)
+        for row, gdop1, gdop2 in zip(rows, g1, g2):
+            row.gdop_mode1_m, row.gdop_mode2_m = gdop1, gdop2
 
-    tdoa_true, aoa_true = true_tdoa(pair1, target), true_aoa(pair1.n2, target)
-    row = SweepRow(theta_deg, x, y, tdoa_true * 1e9, aoa_true_deg=deg360(aoa_true),
-                   gdop_mode1_m=gdops[0], gdop_mode2_m=gdops[1])
-    if collinearity_deg(pair1, target) < cfg.exclusion_deg:
-        row.status = STATUS_EXCLUDED
-        return row, None
-
-    wobble, noise = draws
-    pairs = {mode.value: _primary_pair(cfg, mode) for mode in _MODES}
-    tdoa, aoa = _measurements(cfg, bench, index, target, pairs, noise)
-    if np.isnan(tdoa).any():
-        row.status = "fail:detect"
-        return row, None
-    tdoa_first, aoa_first = float(tdoa[0, 0]), float(aoa[0, 0])
-    first = (tdoa_first * 1e9, (tdoa_first - tdoa_true) * 1e9, deg360(aoa_first),
-             math.degrees((aoa_first - aoa_true + math.pi) % (2 * math.pi) - math.pi))
-    return row, (x, y, _believed_nodes(cfg.nodes[:2], wobble), tdoa, aoa, first)
+    streams = [mode.value for mode in _MODES]
+    wobble, noise = _draws(cfg, 2, streams, per_trial=False)
+    tdoa, aoa = _measurements(cfg, bench, workers, index, targets, [pairs] * len(index), streams,
+                              noise)
+    refused = np.isnan(tdoa).any(axis=(1, 2))
+    for k in np.flatnonzero(refused).tolist():
+        rows[index[k]].status = "fail:detect"
+    kept = ~refused
+    index = np.array(index, dtype=int)[kept]
+    xy = np.array([(target.x, target.y) for target in targets]).reshape(-1, 2)[kept]
+    truth = np.array(truths).reshape(-1, 2)[kept]
+    believed = _believed_nodes(cfg.nodes[:2], wobble[index])
+    return rows, (index, xy, truth, believed, tdoa[kept], aoa[kept])
 
 
-def _stacks(points: list, key=lambda row: None) -> list[tuple]:
-    """The measured ``points`` ((row, inputs or None) pairs) in stacks, one
-    per block of 64 contour points (a memory bound) and value of
-    ``key(row)``: per stack a tuple of the rows, then of each input."""
+def _stacks(index: np.ndarray, key=None) -> list[np.ndarray]:
+    """The positions of the measured points at contour indices ``index``
+    in stacks, one per block of 64 contour points (a memory bound) and
+    value of ``key`` (a list, one value per point)."""
     groups: dict[tuple, list] = {}
-    for index, (row, inputs) in enumerate(points):
-        if inputs is not None:
-            groups.setdefault((key(row), index // 64), []).append((row, *inputs))
-    return [tuple(zip(*group)) for group in groups.values()]
+    for k, i in enumerate(index.tolist()):
+        groups.setdefault((key[k] if key else None, i // 64), []).append(k)
+    return [np.array(group) for group in groups.values()]
 
 
-def _score_sweep(points: list) -> list[SweepRow]:
+def _score_sweep(rows: list[SweepRow], measured: tuple) -> list[SweepRow]:
     """Scoring stage of a sweep, returning its rows. The trials of each
-    block's measured points get one `locate_batch` call per mode, rows
-    independent, so each row reads as if scored alone: any trial located
-    at infinity fails its own point."""
-    for rows, xs, ys, believed, tdoa, aoa, firsts in _stacks(points):
-        trials = len(tdoa[0])
-        target = np.repeat(np.column_stack([xs, ys]), trials, axis=0)
-        believed, tdoa, aoa = map(np.concatenate, (believed, tdoa, aoa))
-        degenerate, means, rms = np.zeros(len(rows), dtype=bool), [], []
+    block's ``measured`` points (see `_sweep_stage`) get one `locate_batch`
+    call per mode, rows independent, so each row reads as if scored
+    alone: any trial located at infinity fails its own point."""
+    index = measured[0]
+    for stack in _stacks(index):
+        xy, truth, believed, tdoa, aoa = (v[stack] for v in measured[1:])
+        points, trials = tdoa.shape[:2]
+        target = np.repeat(xy, trials, axis=0)
+        believed, flat_tdoa, flat_aoa = (v.reshape(points * trials, *v.shape[2:])
+                                         for v in (believed, tdoa, aoa))
+        degenerate, means, rms = np.zeros(points, dtype=bool), [], []
         for j, (tx, rx) in enumerate(((0, 1), (1, 0))):  # MODE1, MODE2
-            xy = locate_batch(believed[:, tx], believed[:, rx], tdoa[:, j], aoa[:, j])
-            degenerate |= np.isnan(xy).reshape(len(rows), -1).any(axis=1)
-            errors = np.hypot(*(xy - target).T).reshape(len(rows), -1)
+            located = locate_batch(believed[:, tx], believed[:, rx], flat_tdoa[:, j],
+                                   flat_aoa[:, j])
+            degenerate |= np.isnan(located).reshape(points, -1).any(axis=1)
+            errors = np.hypot(*(located - target).T).reshape(points, -1)
             means.append([total / trials for total in ordered_sum(errors)])
             rms.append([math.sqrt(total / trials) for total in ordered_sum(errors * errors)])
-        for row, first, bad, *errors in zip(rows, firsts, degenerate, *means, *rms):
+        firsts = zip(tdoa[:, 0, 0].tolist(), aoa[:, 0, 0].tolist(), *truth.T.tolist())
+        for i, first, bad, *errors in zip(index[stack].tolist(), firsts, degenerate, *means, *rms):
+            row = rows[i]
             if bad:
                 row.status = "fail:degenerate"
                 continue
-            row.tdoa_meas_ns, row.tdoa_err_ns, row.aoa_meas_deg, row.aoa_err_deg = first
+            tdoa_first, aoa_first, tdoa_true, aoa_true = first
+            row.tdoa_meas_ns, row.tdoa_err_ns = tdoa_first * 1e9, (tdoa_first - tdoa_true) * 1e9
+            row.aoa_meas_deg = deg360(aoa_first)
+            row.aoa_err_deg = math.degrees((aoa_first - aoa_true + math.pi) % (2 * math.pi) - math.pi)
             row.err_mode1_m, row.err_mode2_m, row.err_rms_mode1_m, row.err_rms_mode2_m = errors
-    return [row for row, _ in points]
+    return rows
 
 
 def _measurements(
-    cfg: ScenarioConfig, bench, index: int, target: TargetState, pairs: dict, noise: dict
+    cfg: ScenarioConfig, bench, workers: int, index: list, targets: list, pairs: list,
+    streams, noise,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """TDOAs and AoAs (trials x pairs) of one point's trials: the one engine
-    dispatch of sweeps and fusion runs. ``pairs`` maps a stream key (the
-    mode value in sweeps, the receiver index in fusion runs), which keys
-    the substreams, to the true pair.
+    """TDOAs and AoAs, points x trials x streams, of every trial of the
+    points at contour indices ``index``, whose targets are ``targets``:
+    the one engine dispatch of sweeps and fusion runs. ``streams`` holds
+    the key of each stream (the mode value in sweeps, the receiver index
+    in fusion runs), which keys its substreams, and ``pairs`` per point
+    the true pair of each stream, None where the stream is not measured,
+    which reads NaN.
 
-    The model engine reads the measurements of each stream from its
-    normals in ``noise`` (see `_draws`); the signal engine
-    runs the receiver chain per trial and stream in trial-major order,
-    each trial from its own channel substreams, through the run's shared
-    delayed frames, and a trial with a refused measurement is a NaN row.
+    The model engine adds the noise of `_draws` (``noise``) to the true
+    values of every point and stream in one `model_measure_batch` call;
+    the signal engine runs the receiver chain per point on ``workers``
+    threads and, within a point, per trial and stream in trial-major
+    order, each trial from its own channel substreams, through the run's
+    shared delayed frames, and a trial with a refused measurement is a
+    NaN row.
     """
     trials = cfg.trials_per_point
     if cfg.engine == ENGINE_MODEL:
-        draws = [
-            model_measure_batch(pair, target, cfg.error_model, noise[key])
-            for key, pair in pairs.items()
-        ]
-        return np.transpose([d[0] for d in draws]), np.transpose([d[1] for d in draws])
-    out = np.full((2, trials, len(pairs)), math.nan)
-    for trial in range(trials):
-        try:
-            for j, (key, pair) in enumerate(pairs.items()):
-                seed_key = (cfg.seed, index, trial, _TAG_CHANNEL, key)
-                meas = bench.measure(pair, target, seed_key)
-                out[:, trial, j] = meas.tdoa_s, meas.aoa_rad
-        except DetectionError:
-            out[:, trial] = math.nan
-    return out[0], out[1]
+        nan = (math.nan, math.nan)
+        true = np.array([
+            [nan if pair is None else (true_tdoa(pair, target), true_aoa(pair.rx_node, target))
+             for pair in point_pairs]
+            for target, point_pairs in zip(targets, pairs)
+        ]).reshape(len(index), 1, len(streams), 2)
+        return model_measure_batch(
+            true[..., 0], true[..., 1], cfg.error_model, noise[np.array(index, dtype=int)]
+        )
+
+    def measure(k: int) -> np.ndarray:
+        out = np.full((2, trials, len(streams)), math.nan)
+        for trial in range(trials):
+            try:
+                for j, (key, pair) in enumerate(zip(streams, pairs[k])):
+                    if pair is not None:
+                        seed_key = (cfg.seed, index[k], trial, _TAG_CHANNEL, key)
+                        meas = bench.measure(pair, targets[k], seed_key)
+                        out[:, trial, j] = meas.tdoa_s, meas.aoa_rad
+            except DetectionError:
+                out[:, trial] = math.nan
+        return out
+
+    out = np.array(_run_points(workers, measure, range(len(index))))
+    out = out.reshape(len(index), 2, trials, len(streams))
+    return out[:, 0], out[:, 1]
 
 
-def _run_points(cfg: ScenarioConfig, workers: int, point) -> list:
-    """``point(index, theta_deg)`` at every contour point, in contour order;
-    each point has its own substreams, so workers never change the rows."""
-    items = list(enumerate(theta_grid_deg(cfg.sweep_points)))
+def _run_points(workers: int, point, items) -> list:
+    """``point(item)`` of every item, in order, on ``workers`` threads;
+    each point has its own substreams, so workers never change results."""
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda item: point(*item), items))
-    return [point(*item) for item in items]
+            return list(pool.map(point, items))
+    return list(map(point, items))
 
 
 def run_iso_range_sweep(cfg: ScenarioConfig, workers: int = 1) -> SweepResult:
@@ -456,32 +493,17 @@ def run_iso_range_sweep(cfg: ScenarioConfig, workers: int = 1) -> SweepResult:
     Emits one row per contour point in parameter order, including
     excluded and failed points (flagged in ``status`` with the remaining
     columns blank). The signal-level engine runs the OFDM receiver chain
-    for both transmit directions; the model-based engine draws from the
-    statistical measurement model instead. Points measure one by one on
-    ``workers`` threads, then `_score_sweep` locates them in stacks.
+    for both transmit directions, point by point on ``workers`` threads;
+    the model-based engine draws from the statistical measurement model
+    instead, every point at once. Then `_score_sweep` locates the points
+    in stacks.
     """
     if cfg.engine == ENGINE_MODEL and cfg.error_model is None:
         raise ConfigError("model-based engine needs an error model (explicit sigmas or a preset id)")
     bench = _SignalBench(cfg) if cfg.engine == ENGINE_SIGNAL else None
-    gdops = _contour_gdop(cfg)
-    draws = _draws(cfg, 2, [mode.value for mode in _MODES], per_trial=False)
-    points = _run_points(
-        cfg, workers, lambda i, theta: _sweep_point(cfg, bench, i, theta, gdops[i], draws[i])
-    )
-    rows = _score_sweep(points)
+    rows, measured = _sweep_stage(cfg, bench, workers, theta_grid_deg(cfg.sweep_points).tolist())
+    rows = _score_sweep(rows, measured)
     return SweepResult(rows=rows, summary=summarize_sweep(rows))
-
-
-def _contour_gdop(cfg: ScenarioConfig) -> list[tuple[float, float]]:
-    """Mode-1 and mode-2 GDOP at every contour point, one `gdop_batch`
-    call per mode; NaN without an error model."""
-    thetas, err = theta_grid_deg(cfg.sweep_points).tolist(), cfg.error_model
-    if err is None:
-        return [(math.nan, math.nan)] * len(thetas)
-    pair = _primary_pair(cfg)
-    xs, ys = np.array([iso_range_point(pair, cfg.sum_range, math.radians(t)) for t in thetas]).T
-    g1, g2 = (gdop_batch([_primary_pair(cfg, mode)], xs, ys, err) for mode in _MODES)
-    return list(zip(g1.tolist(), g2.tolist()))
 
 
 def _mean(values) -> float:
@@ -515,7 +537,8 @@ def _column_texts(column: list) -> list[str]:
 
     The `_format` of a float is its repr, blank for NaN, so a float
     column is repr'd at C speed, and only once per distinct value when
-    values repeat.  A column of str is its own texts.  Other columns go
+    fewer than 3/4 of the values are distinct (a repr costs about ten
+    dict lookups).  A column of str is its own texts.  Other columns go
     through `_format`: equal values of other types (1, 1.0, True) print
     apart, and so do 0.0 and -0.0, which share a key.
     """
@@ -525,7 +548,7 @@ def _column_texts(column: list) -> list[str]:
     if types != {float}:
         return list(map(_format, column))
     distinct = set(column)
-    if len(distinct) * 2 > len(column):
+    if len(distinct) * 4 >= len(column) * 3:
         out = list(map(repr, column))
     else:
         texts = dict(zip(distinct, map(repr, distinct)))
@@ -598,64 +621,86 @@ def multistatic_nodes(cfg: ScenarioConfig) -> list[NodePosition]:
     return out
 
 
-def _multistatic_point(
+def _multistatic_stage(
     cfg: ScenarioConfig,
     bench: _SignalBench | None,
+    workers: int,
     nodes: list[NodePosition],
-    index: int,
-    theta_deg: float,
-    draws: tuple,
-) -> tuple[MultistaticRow, tuple | None]:
-    """Draw stage of one fusion point: its row and the `_fuse` inputs of its
-    measured trials, or None when the row is already settled. The inputs
-    are arrays: the believed transmitter and receiver coordinates of
-    each trial and usable pair (trials x pairs x 2), the measurements
-    (trials x pairs) and the pairs' node variances (pairs x 4), so no
-    node or pair object is built per trial. ``draws`` is its `_draws`."""
-    theta = math.radians(theta_deg)
+    thetas: list,
+) -> tuple[list[MultistaticRow], tuple]:
+    """Draw stage of a fusion run whose point i sits at contour angle
+    ``thetas[i]`` (degrees): its rows, and the `_fuse` inputs of the
+    points with a measured trial, one array each with a row per point:
+    the contour indices, the targets (x, y), which receivers are usable
+    (receivers), which trials were measured (trials), the believed node
+    coordinates (trials x nodes x 2) and the TDOAs and AoAs (trials x
+    receivers, NaN at receivers not usable). No node or pair object is
+    built per trial."""
     anchor = BistaticPair(nodes[0], nodes[1], Mode.MODE1)
-    x, y = iso_range_point(anchor, cfg.sum_range, theta)
-    target = TargetState(x, y, rcs_dbsm=cfg.rcs_dbsm)
-    row = MultistaticRow(theta2_deg=theta_deg, x_m=x, y_m=y)
-    if collinearity_deg(anchor, target) < cfg.exclusion_deg:
-        row.status = STATUS_EXCLUDED
-        return row, None
-
     true_pairs = [BistaticPair(nodes[0], rx, Mode.MODE1) for rx in nodes[1:]]
-    usable = {i: pair for i, pair in enumerate(true_pairs)
-              if collinearity_deg(pair, target) >= cfg.exclusion_deg}
-    if not usable:
-        row.status = "fail:no_usable_pair"
-        return row, None
-    row.pairs_used = len(usable)
+    rows, index, targets, pairs = [], [], [], []
+    for i, theta_deg in enumerate(thetas):
+        x, y = iso_range_point(anchor, cfg.sum_range, math.radians(theta_deg))
+        target = TargetState(x, y, rcs_dbsm=cfg.rcs_dbsm)
+        row = MultistaticRow(theta2_deg=theta_deg, x_m=x, y_m=y)
+        rows.append(row)
+        if collinearity_deg(anchor, target) < cfg.exclusion_deg:
+            row.status = STATUS_EXCLUDED
+            continue
+        usable = [pair if collinearity_deg(pair, target) >= cfg.exclusion_deg else None
+                  for pair in true_pairs]
+        row.pairs_used = len(usable) - usable.count(None)
+        if not row.pairs_used:
+            row.status = "fail:no_usable_pair"
+            continue
+        index.append(i)
+        targets.append(target)
+        pairs.append(usable)
 
-    wobble, noise = draws
-    tdoa, aoa = _measurements(cfg, bench, index, target, usable, noise)
-    measured = ~np.isnan(tdoa).any(axis=1)
-    if not measured.any():
-        row.status = "fail:detect"
-        return row, None
-    tdoa, aoa = tdoa[measured], aoa[measured]
-    believed = _believed_nodes(nodes, wobble)[measured]
-    receivers = np.array(list(usable)) + 1
-    rx = believed[:, receivers]  # trial, pair, x/y
-    tx = np.broadcast_to(believed[:, :1], rx.shape)
+    streams = range(len(true_pairs))
+    wobble, noise = _draws(cfg, len(nodes), streams, per_trial=True)
+    tdoa, aoa = _measurements(cfg, bench, workers, index, targets, pairs, streams, noise)
+    usable = np.array([[pair is not None for pair in row] for row in pairs], dtype=bool)
+    usable = usable.reshape(len(index), len(true_pairs))
+    measured = ~(np.isnan(tdoa) & usable[:, None]).any(axis=2)
+    live = measured.any(axis=1)
+    for k in np.flatnonzero(~live).tolist():
+        rows[index[k]].status = "fail:detect"
+    index = np.array(index, dtype=int)[live]
+    xy = np.array([(target.x, target.y) for target in targets]).reshape(-1, 2)[live]
+    believed = _believed_nodes(nodes, wobble[index])
+    return rows, (index, xy, usable[live], measured[live], believed, tdoa[live], aoa[live])
+
+
+def _pair_variances(nodes: list[NodePosition]) -> np.ndarray:
+    """Coordinate variances (x1, y1, x2, y2) of the pair of ``nodes[0]``
+    and each receiver, receivers x 4, squared by multiplying."""
     sigma = np.array([(node.sigma_x, node.sigma_y) for node in nodes])
-    sigma = np.hstack([np.broadcast_to(sigma[0], (receivers.size, 2)), sigma[receivers]])
-    return row, (x, y, tx, rx, tdoa, aoa, sigma * sigma)
+    sigma = np.hstack([np.broadcast_to(sigma[0], (len(nodes) - 1, 2)), sigma[1:]])
+    return sigma * sigma
 
 
-def _fuse(err_model, points) -> list[MultistaticRow]:
-    """Fuse stage of a run, returning its rows. The measured trials of each
-    pair count in a block of 64 points (a memory bound) get one ranking,
-    weighting and solve, row-independent: rows read as if fused alone.
-    The GDOP ranking and weights come from `gdop_arrays` on the believed
+def _fuse(err_model, nodes, rows: list[MultistaticRow], inputs: tuple) -> list[MultistaticRow]:
+    """Fuse stage of a run, returning its rows. The measured trials of the
+    points of ``inputs`` (see `_multistatic_stage`) of each pair count in
+    a block of 64 points (a memory bound) get one ranking, weighting and
+    solve, row-independent: rows read as if fused alone. The GDOP
+    ranking and weights come from `gdop_arrays` on the believed
     coordinates; no pair object is built."""
-    for rows, xs, ys, tx, rx, tdoa, aoa, var in _stacks(points, attrgetter("pairs_used")):
-        counts = [len(t) for t in tdoa]
-        tx, rx, tdoa, aoa = map(np.concatenate, (tx, rx, tdoa, aoa))
+    index, target_xy, usable, measured, believed, tdoa_all, aoa_all = inputs
+    variances = _pair_variances(nodes)
+    for stack in _stacks(index, usable.sum(axis=1).tolist()):
+        point, trial = np.nonzero(measured[stack])
+        # Per measured trial (a row), its point's usable receivers in order.
+        receivers = np.nonzero(usable[stack])[1].reshape(len(stack), -1)[point]
+        k, t = stack[point][:, None], trial[:, None]
+        rx = believed[k, t, receivers + 1]
+        tx = np.broadcast_to(believed[stack[point], trial, :1], rx.shape)
+        tdoa, aoa = tdoa_all[k, t, receivers], aoa_all[k, t, receivers]
         n1_xy, n2_xy = tx.reshape(-1, 2), rx.reshape(-1, 2)
-        var = np.repeat(var, counts, axis=0).reshape(-1, 4)
+        var = variances[receivers].reshape(-1, 4)
+        counts = np.count_nonzero(measured[stack], axis=1)
+        xs, ys = target_xy[stack].T
 
         def predicted(x, y):
             return gdop_arrays(n1_xy, n2_xy, var, False, x, y, err_model).reshape(tdoa.shape)
@@ -665,7 +710,7 @@ def _fuse(err_model, points) -> list[MultistaticRow]:
         at_target = predicted(*(np.repeat(v, np.multiply(counts, tdoa.shape[1])) for v in (xs, ys)))
         best = np.argmin(np.where(np.isnan(at_target), np.inf, at_target), axis=1)
         guess = locate_batch(*(v[np.arange(len(best)), best] for v in (tx, rx, tdoa, aoa)))
-        weights = gdop_weights(predicted(*(np.repeat(guess[:, k], tdoa.shape[1]) for k in (0, 1))))
+        weights = gdop_weights(predicted(*(np.repeat(v, tdoa.shape[1]) for v in guess.T)))
         # Whiten the two residual kinds by their standard deviations so
         # meter-scale TDOA terms cannot drown the angle terms.
         fit = solve_multistatic_batch(
@@ -675,18 +720,24 @@ def _fuse(err_model, points) -> list[MultistaticRow]:
             w=weights,
         )
         x, y = (np.repeat(v, counts) for v in (xs, ys))
-        errors = (np.hypot(xy[:, 0] - x, xy[:, 1] - y) for xy in (fit.xy, guess))
-        parts = (np.split(v, np.cumsum(counts)[:-1]) for v in (*errors, ~fit.failed))
-        for row, fused, closed, solved in zip(rows, *parts):
-            fused, closed = fused[solved], closed[solved]
-            if not fused.size:
+        fused, closed = (np.hypot(xy[:, 0] - x, xy[:, 1] - y) for xy in (fit.xy, guess))
+        solved = ~fit.failed
+        # Per point and trial, +0.0 where no trial was measured and solved:
+        # a left-to-right sum of non-negative errors skips it exactly.
+        grid = np.zeros((4, len(stack), measured.shape[1]))
+        grid[:, point, trial] = (np.where(solved, fused, 0.0), np.where(solved, closed, 0.0),
+                                 solved, solved & (fused <= closed + 1e-12))
+        totals = zip(*ordered_sum(grid[:2]), *np.count_nonzero(grid[2:], axis=2).tolist())
+        for i, (fused_total, closed_total, solved_trials, wins) in zip(index[stack].tolist(), totals):
+            row = rows[i]
+            if not solved_trials:
                 row.status = "fail:solver"
                 continue
-            row.err_fused_m = ordered_sum(fused) / fused.size
-            row.err_best_pair_m = ordered_sum(closed) / closed.size
-            row.fused_wins = np.count_nonzero(fused <= closed + 1e-12)
-            row.trials = fused.size
-    return [row for row, _ in points]
+            row.err_fused_m = fused_total / solved_trials
+            row.err_best_pair_m = closed_total / solved_trials
+            row.fused_wins = wins
+            row.trials = solved_trials
+    return rows
 
 
 def run_multistatic(cfg: ScenarioConfig, workers: int = 1) -> MultistaticResult:
@@ -696,18 +747,16 @@ def run_multistatic(cfg: ScenarioConfig, workers: int = 1) -> MultistaticResult:
     transmitter/receiver pair; every usable pair contributes a
     TDOA/AoA measurement and the weighted least-squares solver fuses
     them. Per trial the fused error is paired against the closed-form
-    solution of the pair with the best predicted dilution. Points draw
-    one by one on ``workers`` threads, then `_fuse` fuses them in stacks.
+    solution of the pair with the best predicted dilution. The signal
+    engine measures point by point on ``workers`` threads, the model
+    engine every point at once; then `_fuse` fuses them in stacks.
     """
     if cfg.error_model is None:
         raise ConfigError("fusion weighting needs an error model (explicit sigmas or a preset id)")
     nodes = multistatic_nodes(cfg)
     bench = _SignalBench(cfg) if cfg.engine == ENGINE_SIGNAL else None
-    draws = _draws(cfg, len(nodes), range(len(nodes) - 1), per_trial=True)
-    points = _run_points(
-        cfg, workers, lambda i, theta: _multistatic_point(cfg, bench, nodes, i, theta, draws[i])
-    )
-    rows = _fuse(cfg.error_model, points)
+    thetas = theta_grid_deg(cfg.sweep_points).tolist()
+    rows = _fuse(cfg.error_model, nodes, *_multistatic_stage(cfg, bench, workers, nodes, thetas))
     ok = [r for r in rows if r.status == STATUS_OK]
     trials = sum(r.trials for r in ok)
     summary = {
@@ -809,22 +858,29 @@ def write_range_doppler_csv(rd_map: RangeDopplerMap, path) -> None:
     _write_table(path, header, columns)
 
 
-def run_gdop_map(cfg: ScenarioConfig, grid: GridSpec) -> list[GdopCell]:
+def run_gdop_map(cfg: ScenarioConfig, grid: GridSpec) -> GdopMap:
     """Dilution of precision for both transmit directions over a grid.
 
-    Cells iterate y outer, x inner. Degenerate cells carry NaN dilution
-    and best_mode ``degenerate``.
+    Degenerate cells carry NaN dilution and best_mode ``degenerate``;
+    mode1 wins ties.
     """
     err = cfg.error_model
     if err is None:
         raise ConfigError("gdop map needs an error model (explicit sigmas or a preset id)")
-    xs = np.tile(np.linspace(grid.x_min, grid.x_max, grid.nx), grid.ny)
-    ys = np.repeat(np.linspace(grid.y_min, grid.y_max, grid.ny), grid.nx)
+    x_axis = np.linspace(grid.x_min, grid.x_max, grid.nx)
+    y_axis = np.linspace(grid.y_min, grid.y_max, grid.ny)
+    xs, ys = np.tile(x_axis, grid.ny), np.repeat(y_axis, grid.nx)
     g1, g2 = (gdop_batch([_primary_pair(cfg, mode)], xs, ys, err) for mode in _MODES)
     mode1 = np.where(np.isnan(g2) | (g1 <= g2), "mode1", "mode2")
     best = np.where(np.isnan(g1) & np.isnan(g2), "degenerate", mode1)
-    return list(map(GdopCell, xs.tolist(), ys.tolist(), g1.tolist(), g2.tolist(), best.tolist()))
+    shape = (grid.ny, grid.nx)
+    return GdopMap(x_axis, y_axis, g1.reshape(shape), g2.reshape(shape), best.reshape(shape))
 
 
-def write_gdop_map_csv(cells: list[GdopCell], path) -> None:
-    _write_records(path, GdopCell, cells)
+def write_gdop_map_csv(result: GdopMap, path) -> None:
+    """One row per cell, y outer and x inner; each axis value is
+    formatted once and its text repeated."""
+    xs, ys = (_column_texts(axis.tolist()) for axis in (result.x_m, result.y_m))
+    cells = (v.ravel().tolist() for v in (result.gdop_mode1_m, result.gdop_mode2_m, result.best_mode))
+    columns = [xs * len(ys), [y for y in ys for _ in xs], *cells]
+    _write_table(path, [f.name for f in fields(GdopMap)], columns)

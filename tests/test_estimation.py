@@ -8,7 +8,6 @@ import pytest
 from bistar import (
     ArrayModel,
     BistaticPair,
-    DegenerateGeometryError,
     DetectionError,
     IqCapture,
     Measurement,
@@ -711,45 +710,44 @@ def draws(seed, trials):
 
 
 class TestModelBasedMeasure:
-    """Statistical measurements of the model engine, `model_measure_batch`."""
+    """Statistical measurements of the model engine, `model_measure_batch`,
+    from the true TDOA and AoA of a pair and target."""
 
     def pair(self):
         return BistaticPair(NodePosition(0.0, 0.0), NodePosition(25.0, 0.0), Mode.MODE1)
 
-    def test_exact_without_noise_or_lattice(self):
+    def truth(self, target):
         pair = self.pair()
-        target = TargetState(10.0, 18.0)
-        tdoa, aoa = model_measure_batch(pair, target, MeasurementErrorModel(0.0, 0.0), draws(1, 3))
-        assert tdoa.tolist() == [true_tdoa(pair, target)] * 3
-        assert aoa.tolist() == [true_aoa(pair.rx_node, target)] * 3
+        return true_tdoa(pair, target), true_aoa(pair.rx_node, target)
+
+    def test_exact_without_noise_or_lattice(self):
+        truth = self.truth(TargetState(10.0, 18.0))
+        tdoa, aoa = model_measure_batch(*truth, MeasurementErrorModel(0.0, 0.0), draws(1, 3))
+        assert tdoa.tolist() == [truth[0]] * 3
+        assert aoa.tolist() == [truth[1]] * 3
 
     def test_error_statistics_match_half_normal(self):
-        pair = self.pair()
-        target = TargetState(10.0, 18.0)
+        truth = self.truth(TargetState(10.0, 18.0))
         sigma_t = 2e-9
         sigma_a = math.radians(0.2)
         err = MeasurementErrorModel(sigma_t, sigma_a)
-        tdoa, aoa = model_measure_batch(pair, target, err, draws(77, 20000))
-        tdoa_errs = np.abs(tdoa - true_tdoa(pair, target))
-        aoa_errs = np.abs(aoa - true_aoa(pair.n2, target))
+        tdoa, aoa = model_measure_batch(*truth, err, draws(77, 20000))
+        tdoa_errs = np.abs(tdoa - truth[0])
+        aoa_errs = np.abs(aoa - truth[1])
         assert np.mean(tdoa_errs) == pytest.approx(sigma_t / MEAN_ABS_TO_SIGMA, rel=0.03)
         assert np.mean(aoa_errs) == pytest.approx(sigma_a / MEAN_ABS_TO_SIGMA, rel=0.03)
 
     def test_negative_draws_clamp_to_zero(self):
-        pair = self.pair()
-        target = TargetState(12.5, 1.0)  # tiny true TDOA
-        tdoa, _ = model_measure_batch(pair, target, MeasurementErrorModel(1e-6, 0.0), draws(78, 200))
+        truth = self.truth(TargetState(12.5, 1.0))  # tiny true TDOA
+        tdoa, _ = model_measure_batch(*truth, MeasurementErrorModel(1e-6, 0.0), draws(78, 200))
         assert tdoa.min() == 0.0
 
     def test_batch_rows_are_successive_scalar_draws(self):
         """Row t against a per-trial scalar formula on successive draws."""
-        pair = self.pair()
-        target = TargetState(12.5, 1.0)  # tiny true TDOA: some draws clamp
+        tdoa_true, aoa_true = self.truth(TargetState(12.5, 1.0))  # tiny: some draws clamp
         err = MeasurementErrorModel(2e-9, math.radians(3.0))
-        tdoa, aoa = model_measure_batch(pair, target, err, draws((7, 1, 0, 3), 300))
+        tdoa, aoa = model_measure_batch(tdoa_true, aoa_true, err, draws((7, 1, 0, 3), 300))
         rng = make_rng((7, 1, 0, 3))
-        tdoa_true = true_tdoa(pair, target)
-        aoa_true = true_aoa(pair.rx_node, target)
         expected = []
         for _ in range(300):
             noise_t, noise_a = rng.standard_normal(2).tolist()
@@ -759,6 +757,29 @@ class TestModelBasedMeasure:
             )
         assert list(zip(tdoa.tolist(), aoa.tolist())) == expected
         assert 0.0 in tdoa.tolist()
+
+    def test_arrays_of_true_values_match_one_call_each(self):
+        """Points x trials x streams in one call: each (point, stream)
+        reads as its own call on its trials' draws, a negative zero clamps
+        to +0.0 as before, and a NaN true value (not measured) stays NaN."""
+        rng = np.random.default_rng(31)
+        err = MeasurementErrorModel(3e-9, math.radians(2.0))
+        tdoa_true = rng.uniform(0.0, 5e-9, (6, 1, 3))
+        tdoa_true[0, 0, 0] = 0.0
+        aoa_true = rng.uniform(-math.pi, math.pi, (6, 1, 3))
+        tdoa_true[4, 0, 1] = aoa_true[4, 0, 1] = math.nan
+        noise = rng.standard_normal((6, 5, 3, 2))
+        noise[0, :, 0, 0] = -0.0
+        tdoa, aoa = model_measure_batch(tdoa_true, aoa_true, err, noise)
+        assert tdoa.shape == aoa.shape == (6, 5, 3)
+        assert math.copysign(1.0, tdoa[0, 0, 0]) == 1.0
+        for k, j in np.ndindex(6, 3):
+            if (k, j) == (4, 1):
+                assert np.isnan(tdoa[k, :, j]).all() and np.isnan(aoa[k, :, j]).all()
+                continue
+            alone = model_measure_batch(tdoa_true[k, 0, j], aoa_true[k, 0, j], err, noise[k, :, j])
+            assert tdoa[k, :, j].tolist() == alone[0].tolist()
+            assert aoa[k, :, j].tolist() == alone[1].tolist()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-12])
     def test_rejects_non_finite_or_negative_sigmas(self, bad):
@@ -772,39 +793,34 @@ class TestModelBasedMeasure:
     @pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 3), (2, 3, 2), ()])
     def test_rejects_draws_of_another_shape(self, shape):
         """A 1-D draw array used to raise IndexError and a third column
-        was ignored; only (trials, 2) is read."""
+        was ignored; only draws of the measurements' shape by 2 are read,
+        here for four true values."""
         err = MeasurementErrorModel(2e-9, 0.01)
-        with pytest.raises(ValueError, match=r"\(trials, 2\)"):
-            model_measure_batch(self.pair(), TargetState(10.0, 18.0), err, np.zeros(shape))
+        with pytest.raises(ValueError, match=r"\(\.\.\., 2\)"):
+            model_measure_batch(np.full(4, 1e-8), np.zeros(4), err, np.zeros(shape))
 
     def test_finite_inputs_give_finite_measurements(self):
         """Property over seeded random calls: targets anywhere, on the
         baseline and its extension, or kilometres away; sigmas from 0 up;
         draws up to 50 standard deviations and zero trials. Every call
         returns one finite, non-negative TDOA and one AoA in (-pi, pi]
-        per trial, and a zero sigma leaves its measurement at the truth;
-        a target on a node is refused as degenerate."""
+        per trial, and a zero sigma leaves its measurement at the truth."""
         rng = np.random.default_rng(25)
-        pair = self.pair()
-        spots = [(12.5, 0.0), (-40.0, 0.0), (60.0, 0.0), (3e3, -4e3), (0.0, 0.0), (25.0, 0.0)]
+        spots = [(12.5, 0.0), (-40.0, 0.0), (60.0, 0.0), (3e3, -4e3)]
         for case in range(400):
             x, y = spots[case % len(spots)] if case % 3 == 0 else rng.uniform(-100.0, 100.0, 2)
-            target = TargetState(float(x), float(y))
+            truth = self.truth(TargetState(float(x), float(y)))
             sigmas = rng.uniform(0.0, [1e-6, 3.0]) * (rng.random(2) < 0.8)
             err = MeasurementErrorModel(*map(float, sigmas))
             noise = rng.uniform(-50.0, 50.0, (int(rng.integers(0, 5)), 2))
-            if (x, y) in spots[-2:]:
-                with pytest.raises(DegenerateGeometryError):
-                    model_measure_batch(pair, target, err, noise)
-                continue
-            tdoa, aoa = model_measure_batch(pair, target, err, noise)
+            tdoa, aoa = model_measure_batch(*truth, err, noise)
             assert tdoa.shape == aoa.shape == (len(noise),)
             assert np.isfinite(tdoa).all() and (tdoa >= 0.0).all()
             assert np.isfinite(aoa).all() and (-math.pi < aoa).all() and (aoa <= math.pi).all()
             if err.sigma_tdoa_s == 0.0:
-                assert (tdoa == true_tdoa(pair, target)).all()
+                assert (tdoa == truth[0]).all()
             if err.sigma_aoa_rad == 0.0:
-                assert (aoa == wrap_angle(true_aoa(pair.rx_node, target))).all()
+                assert (aoa == wrap_angle(truth[1])).all()
 
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -813,4 +829,4 @@ class TestModelBasedMeasure:
         noise[1, column] = bad
         err = MeasurementErrorModel(2e-9, math.radians(0.2))
         with pytest.raises(ValueError, match="finite"):
-            model_measure_batch(self.pair(), TargetState(10.0, 18.0), err, noise)
+            model_measure_batch(*self.truth(TargetState(10.0, 18.0)), err, noise)

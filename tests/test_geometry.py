@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import struct
 import sys
 import warnings
 
@@ -104,6 +105,27 @@ class TestOrderedSum:
         assert math.isnan(ordered_sum([1.0, math.nan, 2.0]))
         assert ordered_sum([1.0, math.inf]) == math.inf
         assert type(ordered_sum([1.0, 2.0])) is float
+
+    def test_zero_led_buffer_matches_a_float_loop(self):
+        """Random rows of mixed scale with signed zeros, rows of -0.0 only,
+        rows with inf or NaN, a stack of rows and empty input, each
+        against the left-to-right loop from +0.0."""
+        rng = np.random.default_rng(23)
+        rows = rng.standard_normal((30, 11)) * 10.0 ** rng.integers(-12, 12, (30, 11))
+        rows[rng.random(rows.shape) < 0.1] = -0.0
+        rows[3] = -0.0
+        rows[5, 4], rows[6, 0], rows[7, 9] = math.inf, -math.inf, math.nan
+        rows[8, [2, 7]] = math.inf, -math.inf
+        stack = rows.reshape(3, 10, 11)
+
+        def bits(values):
+            return [struct.pack("<d", v) for v in values]
+
+        with np.errstate(invalid="ignore"):  # inf + -inf in row 8
+            assert bits(ordered_sum(rows)) == bits(map(float_loop, rows.tolist()))
+            assert bits(ordered_sum(stack)[2]) == bits(map(float_loop, rows[20:].tolist()))
+        assert bits([ordered_sum(rows[3])]) == bits([0.0])
+        assert ordered_sum(np.zeros((2, 3, 0))) == [[0.0] * 3] * 2
 
 
 class TestDataclasses:

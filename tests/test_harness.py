@@ -56,13 +56,13 @@ from bistar.harness import (
     STATUS_OK,
     SweepRow,
     _SignalBench,
-    _draws,
     _fuse,
-    _multistatic_point,
+    _multistatic_stage,
+    _pair_variances,
     _primary_pair,
     _resolve_survey_aoa,
     _score_sweep,
-    _sweep_point,
+    _sweep_stage,
     deg360,
     moving_target,
     multistatic_nodes,
@@ -72,11 +72,6 @@ from bistar.harness import (
     write_doppler_csv,
     write_range_doppler_csv,
 )
-
-
-def fusion_draws(cfg, nodes):
-    """A fusion run's `_draws`: every node and one stream per receiver."""
-    return _draws(cfg, len(nodes), range(len(nodes) - 1), per_trial=True)
 
 
 def model_config(name="scenario1", points=24, trials=2, seed=3):
@@ -448,23 +443,24 @@ class TestBatchedModelSweep:
         cfg = model_config("scenario3", points=130, trials=3, seed=8)
         measure = harness._measurements
 
-        def refusing(cfg, bench, index, *args):
-            tdoa, aoa = measure(cfg, bench, index, *args)
-            if index in (20, 100):
-                tdoa[1, 0] = math.nan
+        def refusing(cfg, bench, workers, index, *args):
+            tdoa, aoa = measure(cfg, bench, workers, index, *args)
+            for point in (20, 100):
+                tdoa[index.index(point), 1, 0] = math.nan
             return tdoa, aoa
 
         monkeypatch.setattr(harness, "_measurements", refusing)
-        gdops, draws = harness._contour_gdop(cfg), _draws(cfg, 2, (1, 2), per_trial=False)
 
-        def points():
-            thetas = theta_grid_deg(cfg.sweep_points)
-            out = [_sweep_point(cfg, None, i, t, gdops[i], draws[i]) for i, t in enumerate(thetas)]
-            out[40][1][4][2, 1] = math.nan  # trial 2's mode-2 AoA: no finite location
-            return out
+        def stage():
+            rows, measured = _sweep_stage(cfg, None, 1, theta_grid_deg(cfg.sweep_points).tolist())
+            aoa = measured[-1][measured[0].tolist().index(40)]
+            aoa[2, 1] = math.nan  # trial 2's mode-2 AoA: no finite location
+            return rows, measured
 
-        stacked = _score_sweep(points())
-        alone = [_score_sweep([point])[0] for point in points()]
+        stacked = _score_sweep(*stage())
+        alone, measured = stage()
+        for k in range(len(measured[0])):
+            _score_sweep(alone, tuple(v[k : k + 1] for v in measured))
         assert [stacked[i].status for i in (20, 32, 40, 100)] == [
             "fail:detect", STATUS_EXCLUDED, "fail:degenerate", "fail:detect"
         ]
@@ -474,18 +470,21 @@ class TestBatchedModelSweep:
 
 class FakeReceiver:
     """Signal-engine measurements that refuse at the given (trial, stream)
-    keys, the stream being the mode or the receiver index; the TDOA is
-    exact at trial 0 in stream 1 and off by a known amount elsewhere."""
+    keys, the stream being the mode or the receiver index, and record
+    the (trial, stream) of each call, at contour point ``point`` or, if
+    None, at every point; the TDOA is exact at trial 0 in stream 1 and
+    off by a known amount elsewhere."""
 
-    def __init__(self, refuse=()):
-        self.refuse = set(refuse)
+    def __init__(self, refuse=(), point=None):
+        self.refuse, self.point = set(refuse), point
         self.calls = []
 
     def measure(self, pair, target, seed_key):
-        trial, stream = seed_key[2], seed_key[4]
-        self.calls.append((trial, stream))
-        if (trial, stream) in self.refuse:
-            raise DetectionError("refused")
+        point, trial, stream = seed_key[1], seed_key[2], seed_key[4]
+        if self.point in (None, point):
+            self.calls.append((trial, stream))
+            if (trial, stream) in self.refuse:
+                raise DetectionError("refused")
         offset = 1e-9 * trial + 1e-10 * (stream - 1)
         tdoa = true_tdoa(pair, target) + offset
         return Measurement(tdoa, true_aoa(pair.rx_node, target), mode=pair.mode)
@@ -499,7 +498,7 @@ class TestSignalSweepTrials:
 
     def sweep_points(self, monkeypatch, refuse, hole=None):
         """The points at 45 and 135 degrees through the draw stage, then one
-        scoring stage. ``refuse`` applies to the first point's receiver;
+        scoring stage. ``refuse`` applies to the first point's receives;
         ``hole`` is (mode, point, trial), the row of the stacked call of
         that mode that comes out NaN, points counted within the stack.
         Returns the rows, the first point's receiver calls and the row
@@ -516,13 +515,8 @@ class TestSignalSweepTrials:
             return xy
 
         monkeypatch.setattr(harness, "locate_batch", locate_with_hole)
-        benches = [FakeReceiver(refuse), FakeReceiver()]
-        draws = _draws(cfg, 2, (1, 2), per_trial=False)
-        points = [
-            _sweep_point(cfg, bench, index, theta, (math.nan, math.nan), draws[index])
-            for bench, index, theta in zip(benches, (0, 1), (45.0, 135.0))
-        ]
-        return _score_sweep(points), benches[0].calls, located
+        bench = FakeReceiver(refuse, point=0)
+        return _score_sweep(*_sweep_stage(cfg, bench, 1, [45.0, 135.0])), bench.calls, located
 
     def test_trial_major_order(self, monkeypatch):
         rows, calls, located = self.sweep_points(monkeypatch, ())
@@ -622,15 +616,11 @@ class TestMultistaticRuns:
         alone writes."""
         cfg = model_config("scenario3", points=130, trials=3, seed=8)
         nodes = multistatic_nodes(cfg)
-
-        def draws():
-            thetas, drawn = theta_grid_deg(cfg.sweep_points), fusion_draws(cfg, nodes)
-            return [
-                _multistatic_point(cfg, None, nodes, i, t, drawn[i]) for i, t in enumerate(thetas)
-            ]
-
-        stacked = _fuse(cfg.error_model, draws())
-        alone = [_fuse(cfg.error_model, [point])[0] for point in draws()]
+        thetas = theta_grid_deg(cfg.sweep_points).tolist()
+        stacked = _fuse(cfg.error_model, nodes, *_multistatic_stage(cfg, None, 1, nodes, thetas))
+        alone, inputs = _multistatic_stage(cfg, None, 1, nodes, thetas)
+        for k in range(len(inputs[0])):
+            _fuse(cfg.error_model, nodes, alone, tuple(v[k : k + 1] for v in inputs))
         assert len({row.pairs_used for row in stacked if row.status == STATUS_OK}) >= 2
         assert list(map(repr, stacked)) == list(map(repr, alone))
 
@@ -768,9 +758,8 @@ class TestFusionVariances:
         cfg = model_config("scenario3", points=8)
         cfg.nodes = [NodePosition(node.x, node.y, s, s) for node in cfg.nodes]
         nodes = multistatic_nodes(cfg)
-        draws = fusion_draws(cfg, nodes)
-        row, inputs = _multistatic_point(cfg, None, nodes, 1, 45.0, draws[1])
-        assert row.pairs_used == 3 and inputs[-1].tolist() == [[s * s] * 4] * 3
+        rows, _ = _multistatic_stage(cfg, None, 1, nodes, [0.0, 45.0])
+        assert rows[1].pairs_used == 3 and _pair_variances(nodes).tolist() == [[s * s] * 4] * 3
 
 
 class TestSignalMultistatic:
@@ -783,10 +772,8 @@ class TestSignalMultistatic:
         cfg.trials_per_point = 4
         bench = FakeReceiver(refuse)
         nodes = multistatic_nodes(cfg)
-        draws = fusion_draws(cfg, nodes)
-        point = _multistatic_point(cfg, bench, nodes, 0, 45.0, draws[0])
-        _fuse(cfg.error_model, [point])
-        return point[0], bench.calls
+        rows = _fuse(cfg.error_model, nodes, *_multistatic_stage(cfg, bench, 1, nodes, [45.0]))
+        return rows[0], bench.calls
 
     def test_refused_trial_is_dropped(self):
         clean, calls = self.point(())
@@ -1105,32 +1092,47 @@ class TestCsvBytes:
         ys = [1, 1.0, True, np.float64(1.0), np.int64(1), 1.0, 1, 1.0, True, 2]
         g1 = [1e-20, 1e-20, 2.5, 2.5, nan, nan, 2.5, 1e-20, 2.5, 2.5]
         g2 = np.linspace(0.0, 1.0, 10).tolist()
-        cells = [harness.GdopCell(*row, "mode1") for row in zip(xs, ys, g1, g2)]
         out = io.StringIO()
-        harness.write_gdop_map_csv(cells, out)
-        expected = [
-            ",".join(map(harness._format, (c.x_m, c.y_m, c.gdop_mode1_m, c.gdop_mode2_m)))
-            + ",mode1"
-            for c in cells
-        ]
+        harness._write_table(out, list("abcde"), [xs, ys, g1, g2, ["mode1"] * 10])
+        expected = [",".join(map(harness._format, row)) + ",mode1" for row in zip(xs, ys, g1, g2)]
         assert out.getvalue().splitlines()[1:] == expected
         assert expected[:2] == ["0.0,1,1e-20,0.0,mode1", "-0.0,1.0,1e-20,0.1111111111111111,mode1"]
+
+    @pytest.mark.parametrize("distinct", [14, 15, 16])
+    def test_texts_at_the_cache_threshold(self, distinct):
+        """Columns of 20 floats with 14 (cached), 15 and 16 (repr'd one by
+        one) distinct values, among them signed zeros and NaN, print as
+        their values would alone; so do columns mixing other types."""
+        # 0.0 and -0.0 share a key; two NaN objects are two keys.
+        values = [v / 3.0 for v in range(distinct - 2)] + [math.nan, float("nan")]
+        values += ([-0.0, 1.0 / 3.0] * 4)[: 20 - len(values)]
+        assert len(values) == 20 and len(set(values)) == distinct
+        columns = [values, values[::-1], values[:19] + [np.float64(2.0)], values[:19] + [1]]
+        out = io.StringIO()
+        harness._write_table(out, ["a", "b", "c", "d"], columns)
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(
+            [["a", "b", "c", "d"], *zip(*([harness._format(v) for v in c] for c in columns))]
+        )
+        assert out.getvalue() == expected.getvalue()
+        assert "-0.0," in out.getvalue() and ",," in out.getvalue()
+
 
 class TestGdopMap:
     def test_grid_layout_and_modes(self):
         cfg = preset_scenario("scenario1")
-        cells = run_gdop_map(cfg, GridSpec(-2.0, 2.0, 5, 1.0, 3.0, 3))
-        assert len(cells) == 15
-        assert cells[0].x_m == -2.0 and cells[0].y_m == 1.0
-        assert cells[1].x_m == -1.0 and cells[1].y_m == 1.0
-        assert cells[5].y_m == 2.0
-        for cell in cells:
-            if math.isnan(cell.gdop_mode1_m) and math.isnan(cell.gdop_mode2_m):
-                assert cell.best_mode == "degenerate"
-            elif cell.gdop_mode1_m <= cell.gdop_mode2_m:
-                assert cell.best_mode == "mode1"
+        result = run_gdop_map(cfg, GridSpec(-2.0, 2.0, 5, 1.0, 3.0, 3))
+        assert result.x_m.tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
+        assert result.y_m.tolist() == [1.0, 2.0, 3.0]
+        maps = result.gdop_mode1_m, result.gdop_mode2_m, result.best_mode
+        assert [m.shape for m in maps] == [(3, 5)] * 3
+        for g1, g2, best in zip(*(m.ravel().tolist() for m in maps)):
+            if math.isnan(g1) and math.isnan(g2):
+                assert best == "degenerate"
+            elif g1 <= g2:
+                assert best == "mode1"
             else:
-                assert cell.best_mode == "mode2"
+                assert best == "mode2"
 
     def test_requires_error_model(self):
         cfg = preset_scenario("scenario1")
@@ -1159,13 +1161,37 @@ class TestGdopMap:
                 else:
                     best = "mode2"
                 expected.append((float(xv), float(yv), g1, g2, best))
-        cells = run_gdop_map(cfg, grid)
-        got = [(c.x_m, c.y_m, c.gdop_mode1_m, c.gdop_mode2_m, c.best_mode) for c in cells]
+        result = run_gdop_map(cfg, grid)
+        got = [
+            (x, y, g1, g2, best)
+            for y, *rows in zip(result.y_m.tolist(), result.gdop_mode1_m.tolist(),
+                                result.gdop_mode2_m.tolist(), result.best_mode.tolist())
+            for x, g1, g2, best in zip(result.x_m.tolist(), *rows)
+        ]
         assert [c[4] for c in got] == [c[4] for c in expected]
         assert "degenerate" in {c[4] for c in got}
         assert np.array_equal(
             np.array([c[:4] for c in got]), np.array([c[:4] for c in expected]), equal_nan=True
         )
+
+
+    def test_csv_matches_the_csv_module_cell_by_cell(self):
+        """The writer repeats each axis text; the bytes are the csv
+        module's rows of the formatted cells, y outer and x inner, on a
+        grid through both nodes (degenerate cells print blank)."""
+        result = run_gdop_map(preset_scenario("scenario2"), GridSpec(-15.0, 15.0, 7, -6.0, -0.0, 4))
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["x_m", "y_m", "gdop_mode1_m", "gdop_mode2_m", "best_mode"])
+        for j, y in enumerate(result.y_m.tolist()):
+            for i, x in enumerate(result.x_m.tolist()):
+                cell = result.gdop_mode1_m[j, i], result.gdop_mode2_m[j, i]
+                writer.writerow([*map(harness._format, (x, y, *map(float, cell))),
+                                 result.best_mode[j, i]])
+        out = io.StringIO()
+        harness.write_gdop_map_csv(result, out)
+        assert out.getvalue() == expected.getvalue()
+        assert "degenerate" in out.getvalue() and "\n-15.0,-0.0," in out.getvalue()
 
 
 class TestCli:
@@ -1285,6 +1311,61 @@ class TestCli:
     def test_bad_grid_exits_1(self, capsys):
         assert main(["gdop-map", "--scenario", "scenario1", "--nx", "1"]) == 1
         capsys.readouterr()
+
+    def test_back_to_back_calls_write_the_bytes_of_separate_ones(self, tmp_path, capsys):
+        """`main` parses every call of a process with one parser. Calls in
+        one process, with a usage error (exit 1) after each, write the
+        bytes each writes in a fresh process: a sweep with ``--points``,
+        one that leaves them to the scenario, a map and a fusion run."""
+        runs = {
+            "points": ["sweep", "--scenario", "scenario3", "--engine", "model",
+                       "--points", "4", "--trials", "3"],
+            "default": ["sweep", "--scenario", "scenario3", "--engine", "model", "--trials", "3"],
+            "map": ["gdop-map", "--scenario", "scenario2", "--nx", "5", "--ny", "4"],
+            "fused": ["multistatic", "--scenario", "scenario3", "--engine", "model",
+                      "--points", "6", "--trials", "2", "--workers", "3"],
+        }
+        together = {}
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            assert main(["sweep", "--scenario", "scenario3", "--points", "x"]) == 1
+            together[name] = out.read_bytes()
+        assert capsys.readouterr().err.count("error:") == len(runs)
+        assert cli._parser() is cli._parser()
+        for name, argv in runs.items():
+            alone = outputs_in_subprocess(tmp_path / f"alone-{name}", {name: argv}, {})
+            assert alone == {f"{name}.csv": together[name]}, name
+        assert together["default"].count(b"\n") > together["points"].count(b"\n")
+
+
+# SHA-256 of model-engine outputs, recorded before the model engine drew
+# and wrote its runs as whole-run arrays: a sweep, a fusion run and a map
+# over a y range symmetric about the baseline.
+MODEL_PINS = {
+    "sweep": (["sweep", "--scenario", "scenario3", "--bandwidth-mhz", "100", "--engine", "model",
+               "--points", "36", "--trials", "25", "--seed", "20231"],
+              "38e7ab15dc0004e96f8c89fec459d0bc32bbee2dd518b9e2f356b8d0dc89558d"),
+    "multistatic": (["multistatic", "--scenario", "scenario3", "--bandwidth-mhz", "400",
+                     "--engine", "model", "--points", "36", "--trials", "10", "--seed", "20231"],
+                    "b5ecead7dc070706d4bf3f381e689195b64c2382780001f47b1156a22c468d63"),
+    "gdop-map": (["gdop-map", "--scenario", "scenario2", "--x-min", "-31.5", "--x-max", "36.25",
+                  "--nx", "21", "--y-min", "-27.75", "--y-max", "27.75", "--ny", "21"],
+                 "d83986e878618b78cdda4d876f4503ec2efae741551e8ca8953bb431ef08a705"),
+}
+
+
+class TestModelEnginePins:
+    @pytest.mark.parametrize("name, workers", [
+        ("sweep", 1), ("sweep", 3), ("multistatic", 1), ("multistatic", 3), ("gdop-map", None),
+    ])
+    def test_matches_pinned_bytes(self, tmp_path, name, workers):
+        argv, digest = MODEL_PINS[name]
+        if workers is not None:
+            argv = argv + ["--workers", str(workers)]
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # numpy's AVX-512 kernels that the baseline x86-64 dispatch level lacks.
