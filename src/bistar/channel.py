@@ -400,8 +400,9 @@ class BeamCapture:
     ``direct`` is the beam uᴴx/E over the capture, ``coeffs`` the
     projection coefficients c = x dᴴ/‖d‖², ``pilot`` the element samples
     at ``columns`` (flat sample indices) less c d, and `beams` forms
-    further beams wᴴx. A path enters a beam as wᴴa_p times its pulse
-    gains and delayed frames, so no element x samples array is built.
+    the echo and guard beams wᴴx. A path enters a beam as wᴴa_p times
+    its pulse gains and delayed frames, so no element x samples array
+    is built.
     The noise splits into ζ = uᴴn/E over the capture and P⊥n
     (P⊥ = I - uuᴴ/E) at ``columns``; the rest of P⊥n reaches c as one
     E-vector y and the beams as streams conditioned on y. Substream
@@ -476,24 +477,29 @@ class BeamCapture:
         ])
         self.pilot = self._perp_steer @ units + self._perp_g - np.outer(residue, d_cols)
 
-    def beams(self, weights: np.ndarray) -> list[np.ndarray]:
-        """Beams wᴴx over the capture, one array per column w of ``weights``.
+    def beams(self, echo_w: np.ndarray, guard_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The echo beam over the capture and the guard beam over its first
+        pulse: wᴴx for the weights ``echo_w`` and ``guard_w``.
 
-        All beams a receiver reads come from one call, which draws their
-        noise jointly, each beam's normals into its own array; a second
-        call is refused.
+        Both beams come from one call, which draws their noise jointly:
+        the echo's normals over the capture, then the guard's pulse by
+        pulse. The guard's later pulses are mixed into the echo and into
+        the fit of both beams, then dropped. A second call is refused.
         """
         if self._rng is None:
             raise RuntimeError("the beams of a capture are drawn once")
         rng, self._rng = self._rng, None
+        weights = np.stack([echo_w, guard_w], axis=1)
         a_h = weights.conj().T
         u, d, columns = self._u, self.direct, self.columns
         spp = self.samples_per_pulse
         perp = weights - np.outer(u, u.conj() @ weights) / u.size
         values, vectors = np.linalg.eigh(perp.conj().T @ perp)
         root = vectors * np.sqrt(np.clip(values, 0.0, None) * (self._power / 2.0))
-        rows = [rng.standard_normal(2 * d.size).view(np.complex128) for _ in a_h]
-        mixed = np.empty((len(rows), min(_BLOCK, spp)), dtype=np.complex128)
+        echo = rng.standard_normal(2 * d.size).view(np.complex128)
+        guard = rng.standard_normal(2 * spp).view(np.complex128)
+        later = np.empty_like(guard) if d.size > spp else None
+        mixed = np.empty((2, min(_BLOCK, spp)), dtype=np.complex128)
         work, conj = np.empty((2, mixed.shape[1]), dtype=np.complex128)
         spans = [
             (pulse, frame, span, columns[(columns >= span.start) & (columns < span.stop)])
@@ -501,30 +507,36 @@ class BeamCapture:
         ]
         # Off the columns, condition P⊥n on y, its projection onto the
         # direct beam there; at the columns, use the drawn samples.
-        dots = np.zeros(len(rows), dtype=np.complex128)
-        for _, _, span, inside in spans:
+        dots = np.zeros(2, dtype=np.complex128)
+        for pulse, frame, span, inside in spans:
+            if pulse and not frame.start:
+                rng.standard_normal(out=later.view(np.float64))
             n = span.stop - span.start
+            normals = (echo[span], (later if pulse else guard)[frame])
             for out, mix in zip(mixed, root):
-                np.multiply(rows[0][span], mix[0], out=out[:n])
-                for row, scale in zip(rows[1:], mix[1:]):
-                    out[:n] += np.multiply(row[span], scale, out=work[:n])
-            for row, out in zip(rows, mixed):
-                row[span] = out[:n]
+                np.multiply(normals[0], mix[0], out=out[:n])
+                out[:n] += np.multiply(normals[1], mix[1], out=work[:n])
+            for row, out in zip(normals, mixed):
+                row[:] = out[:n]
             np.conjugate(d[span], out=conj[:n])
             conj[inside - span.start] = 0.0
             dots += np.einsum("ki,i->k", mixed[:, :n], conj[:n])
         fit = (a_h @ self._y - dots) / self._energy_off
-        for row, value in zip(rows, a_h @ self._perp_g):
-            row[columns] = value
+        at_columns = a_h @ self._perp_g
+        echo[columns] = at_columns[0]
+        first = columns < spp
+        guard[columns[first]] = at_columns[1, first]
         # Then add (wᴴu) d, plus the fit off the columns, and each path's
-        # (P⊥w)ᴴa_p times its samples.
+        # (P⊥w)ᴴa_p times its samples; the guard over its first pulse.
         terms = [
             (row, fit_gain + beam_gain, beam_gain, [gain * m for gain, m in zip(self._gains, mix)])
-            for row, fit_gain, beam_gain, mix in zip(rows, fit, a_h @ u, a_h @ self._perp_steer)
+            for row, fit_gain, beam_gain, mix in zip(
+                (echo, guard), fit, a_h @ u, a_h @ self._perp_steer
+            )
         ]
         for pulse, frame, span, inside in spans:
             n = span.stop - span.start
-            for row, off_gain, beam_gain, path_gains in terms:
+            for row, off_gain, beam_gain, path_gains in terms[: 1 if pulse else 2]:
                 block = row[span]
                 np.multiply(d[span], off_gain, out=work[:n])
                 work[inside - span.start] = beam_gain * d[inside]
@@ -533,4 +545,4 @@ class BeamCapture:
                     block += np.multiply(
                         frames[pulse % len(frames), frame], gain[pulse], out=work[:n]
                     )
-        return rows
+        return echo, guard

@@ -52,6 +52,9 @@ DOPPLER_PAD = 4
 # spectrum at 256 Doppler bins).
 _DELAY_BLOCK = 1024
 
+# Samples per block of `project_out_stream`'s subtraction.
+_SAMPLE_BLOCK = 1 << 13
+
 
 @dataclass(frozen=True)
 class Measurement:
@@ -70,23 +73,38 @@ class Measurement:
 
 @dataclass
 class RangeDopplerMap:
-    """Matched-filter magnitude over delay (rows) and Doppler (columns)."""
+    """Matched-filter magnitude over delay (rows) and Doppler (columns):
+    the map's first delay rows and its peak.
+
+    ``magnitudes`` holds the rows at the delays ``delay_axis_s``. The
+    peak is the map's largest magnitude, the first in row-major order:
+    at delay ``peak_delay_s`` and Doppler bin ``peak_bin``, in the row
+    ``peak_row`` of that delay's magnitudes.
+    """
 
     magnitudes: np.ndarray
     delay_axis_s: np.ndarray
     doppler_axis_hz: np.ndarray
+    peak_delay_s: float
+    peak_bin: int
+    peak_row: np.ndarray
 
     def __post_init__(self) -> None:
         self.magnitudes = np.asarray(self.magnitudes, dtype=float)
         self.delay_axis_s = np.asarray(self.delay_axis_s, dtype=float)
         self.doppler_axis_hz = np.asarray(self.doppler_axis_hz, dtype=float)
+        self.peak_row = np.asarray(self.peak_row, dtype=float)
         if self.magnitudes.shape != (self.delay_axis_s.size, self.doppler_axis_hz.size):
             raise ValueError("map shape must match its axes")
+        if self.peak_row.shape != self.doppler_axis_hz.shape:
+            raise ValueError("peak row must match the Doppler axis")
+        if not 0 <= self.peak_bin < self.doppler_axis_hz.size:
+            raise ValueError("peak bin must lie on the Doppler axis")
         if np.any(np.diff(self.delay_axis_s) <= 0) or np.any(
             np.diff(self.doppler_axis_hz) <= 0
         ):
             raise ValueError("axes must be strictly increasing")
-        if np.any(self.magnitudes < 0):
+        if np.any(self.magnitudes < 0) or np.any(self.peak_row < 0):
             raise ValueError("magnitudes must be non-negative")
 
 
@@ -218,29 +236,39 @@ def null_steer_beamform(
 
 
 def project_out_stream(capture: IqCapture, stream: np.ndarray) -> IqCapture:
-    """Remove each element's least-squares projection onto ``stream``.
+    """Remove each element's least-squares projection onto ``stream``, in
+    place: the cleaned samples are written over ``capture``'s, and
+    ``capture`` is returned.
 
     Scales every element identically, so the spatial signature of any
     component not aligned with ``stream`` is preserved; used to strip
     the direct path from the echo beam of a Doppler run, and the
     element-level reference for the pilot samples of a `BeamCapture`.
+    The coefficients read ``stream`` conjugated in its own buffer, which
+    is conjugated back after, so it must not share memory with the
+    capture; conjugation is exact, so it ends with its bits unchanged.
     """
     reference = np.asarray(stream, dtype=np.complex128).reshape(-1)
-    if reference.shape[0] != capture.samples.shape[1]:
+    samples = capture.samples
+    if reference.shape[0] != samples.shape[1]:
         raise ValueError("stream length must match the capture")
+    if np.may_share_memory(reference, samples):
+        raise ValueError("stream must not share memory with the capture")
     flat = reference.view(np.float64)
     energy = np.einsum("i,i->", flat, flat)
     if energy <= 0.0:
         raise ValueError("reference stream has no energy")
-    coeffs = np.einsum("ki,i->k", capture.samples, reference.conj()) / energy
-    cleaned = coeffs[:, np.newaxis] * reference[np.newaxis, :]
-    np.subtract(capture.samples, cleaned, out=cleaned)
-    return IqCapture(
-        cleaned,
-        capture.sample_rate_hz,
-        pulses=capture.pulses,
-        samples_per_pulse=capture.samples_per_pulse,
-    )
+    np.conjugate(reference, out=reference)
+    coeffs = np.einsum("ki,i->k", samples, reference) / energy
+    np.conjugate(reference, out=reference)
+    work = np.empty(min(_SAMPLE_BLOCK, reference.size), dtype=np.complex128)
+    for start in range(0, reference.size, _SAMPLE_BLOCK):
+        part = slice(start, start + _SAMPLE_BLOCK)
+        product = work[: len(reference[part])]
+        for row, coeff in zip(samples, coeffs):
+            np.multiply(coeff, reference[part], out=product)
+            np.subtract(row[part], product, out=row[part])
+    return capture
 
 
 def _peak_with_floor(
@@ -422,18 +450,16 @@ def estimate_tdoa(
     return (offset + 1) / reference.sample_rate_hz
 
 
-def range_doppler(
-    train: IqCapture,
-    reference: IqCapture,
-) -> RangeDopplerMap:
+def range_doppler(train: IqCapture, reference: IqCapture, rows: int) -> RangeDopplerMap:
     """Fast-time matched filter and slow-time DFT over a pulse train.
 
     Each pulse frame is correlated with the pilot reference, then a DFT
     across pulses, zero-padded `DOPPLER_PAD` (4) times, resolves Doppler
     per delay bin. The Doppler axis spans plus or minus half the pulse
     repetition rate with bin spacing 1 / (DOPPLER_PAD * pulses * PRI).
-    The correlation is written over the train's samples, so the map
-    costs no second copy of the train.
+    The map holds its first ``rows`` delay rows and its peak. The
+    correlation is written over the train's samples, so the map costs
+    no second copy of the train.
     """
     if train.elements != 1:
         raise ValueError("range_doppler expects a single beamformed stream")
@@ -449,37 +475,50 @@ def range_doppler(
 
     # Each frame's fast-time correlation overwrites the frame, and the
     # slow-time DFT runs over blocks of delay rows, each written
-    # fftshifted into the one magnitude array: no spectrum of the whole
-    # train is held. Each row is the one-shot transform, bit for bit.
+    # fftshifted into one block of magnitudes: no spectrum or map of the
+    # whole train is held. Each row is the one-shot transform, bit for
+    # bit. A block's first maximum becomes the peak only if it is
+    # strictly greater than the earlier blocks', as `np.argmax` picks.
     spectrum = np.fft.fft(ref, spp).conj()
     for frame in frames:
         frame[:] = np.fft.ifft(np.fft.fft(frame) * spectrum)
     bins = train.pulses * DOPPLER_PAD
     half = bins // 2
-    magnitudes = np.empty((spp, bins))
+    kept = np.empty((min(rows, spp), bins))
+    block = np.empty((min(_DELAY_BLOCK, spp), bins))
+    peak = None
     for start in range(0, spp, _DELAY_BLOCK):
-        rows = slice(start, start + _DELAY_BLOCK)
-        slow = np.fft.fft(np.ascontiguousarray(frames[:, rows].T), n=bins, axis=1)
-        np.abs(slow[:, : bins - half], out=magnitudes[rows, half:])
-        np.abs(slow[:, bins - half :], out=magnitudes[rows, :half])
+        magnitudes = block[: min(_DELAY_BLOCK, spp - start)]
+        slow = np.fft.fft(
+            np.ascontiguousarray(frames[:, start : start + _DELAY_BLOCK].T), n=bins, axis=1
+        )
+        np.abs(slow[:, : bins - half], out=magnitudes[:, half:])
+        np.abs(slow[:, bins - half :], out=magnitudes[:, :half])
+        held = kept[start : start + _DELAY_BLOCK]
+        held[:] = magnitudes[: len(held)]
+        row, column = divmod(int(np.argmax(magnitudes)), bins)
+        if peak is None or magnitudes[row, column] > peak[0]:
+            peak = magnitudes[row, column], start + row, column, magnitudes[row].copy()
+    _, peak_index, peak_bin, peak_row = peak
     delay_axis = np.arange(spp) / fs
     doppler_axis = np.fft.fftshift(np.fft.fftfreq(bins, d=pri))
-    return RangeDopplerMap(magnitudes, delay_axis, doppler_axis)
+    return RangeDopplerMap(
+        kept, delay_axis[: len(kept)], doppler_axis, delay_axis[peak_index], peak_bin, peak_row
+    )
 
 
 def doppler_peak(rd_map: RangeDopplerMap) -> tuple[float, float]:
     """Map peak as (delay seconds, Doppler Hz with parabolic refinement)."""
-    flat = int(np.argmax(rd_map.magnitudes))
-    d_idx, f_idx = np.unravel_index(flat, rd_map.magnitudes.shape)
+    f_idx = rd_map.peak_bin
     doppler = rd_map.doppler_axis_hz[f_idx]
     if 0 < f_idx < rd_map.doppler_axis_hz.size - 1:
-        row = rd_map.magnitudes[d_idx]
+        row = rd_map.peak_row
         lower, center, upper = row[f_idx - 1], row[f_idx], row[f_idx + 1]
         denom = lower - 2.0 * center + upper
         if denom < 0:
             step = rd_map.doppler_axis_hz[1] - rd_map.doppler_axis_hz[0]
             doppler += 0.5 * (lower - upper) / denom * step
-    return float(rd_map.delay_axis_s[d_idx]), float(doppler)
+    return float(rd_map.peak_delay_s), float(doppler)
 
 
 def doppler_to_velocity(doppler_hz: float, carrier_hz: float) -> float:

@@ -310,16 +310,16 @@ class _SignalBench:
         fs, spp = capture.sample_rate_hz, capture.samples_per_pulse
         aoa_raw = music_aoa(IqCapture(capture.pilot, fs), rx_array)
         aoa = _resolve_survey_aoa(aoa_raw, boresight, true_aoa(rx, target))
-        echo, guard = capture.beams(np.stack([
+        echo, guard = capture.beams(
             steering_vector(rx_array, aoa) / rx_array.elements,
             null_steer_weights(rx_array, aoa, direct_aoa),
-        ], axis=1))
+        )
         if spp not in self.filters:
             self.filters[spp] = matched_filter(self.reference, spp)
         tdoa = estimate_tdoa(
             *(IqCapture(beam[:spp], fs) for beam in (capture.direct, echo)),
             self.reference,
-            guard_beam=IqCapture(guard[:spp], fs),
+            guard_beam=IqCapture(guard, fs),
             direct_delay_hint_s=pair.baseline / SPEED_OF_LIGHT,
             matched=self.filters[spp],
         )
@@ -812,10 +812,11 @@ def run_doppler(cfg: ScenarioConfig) -> DopplerResult:
     aoa, tdoa, direct_beam, echo_beam = bench.receive(
         pair, target, (cfg.seed, 0, 0, _TAG_CHANNEL), pulses=motion.pulses
     )
-    echo_clean = project_out_stream(echo_beam, direct_beam.samples[0])
-    del direct_beam, echo_beam  # the map reads only the cleaned echo
+    # The echo beam is cleaned in place, and the map reads only it.
+    project_out_stream(echo_beam, direct_beam.samples[0])
+    del direct_beam
 
-    rd_map = range_doppler(echo_clean, bench.reference)
+    rd_map = range_doppler(echo_beam, bench.reference, DELAY_BINS)
     _, doppler_est = doppler_peak(rd_map)
     rate_est = doppler_to_velocity(doppler_est, params.carrier_hz)
 

@@ -1,6 +1,7 @@
 """Array response, path budgets, and propagation physics."""
 
 import copy
+import itertools
 import math
 from dataclasses import replace
 
@@ -423,9 +424,9 @@ class TestBeamCapture:
         )
 
     def weights(self):
-        """Echo and guard beam weights, one column each."""
+        """Echo and guard beam weights."""
         echo = steering_vector(self.ARRAY, self.ECHO) / self.ARRAY.elements
-        return np.stack([echo, null_steer_weights(self.ARRAY, self.ECHO, self.DIRECT)], axis=1)
+        return echo, null_steer_weights(self.ARRAY, self.ECHO, self.DIRECT)
 
     def element_chain(self, params, seed):
         tx, paths = self.case(params)
@@ -435,12 +436,12 @@ class TestBeamCapture:
         guard = null_steer_beamform(capture, self.ARRAY, self.ECHO, self.DIRECT).samples[0]
         coeffs = capture.samples @ direct.conj() / np.vdot(direct, direct).real
         cleaned = project_out_stream(capture, direct).samples[:, self.COLUMNS]
-        return direct, echo, guard, coeffs, cleaned
+        return direct, echo, guard[: capture.samples_per_pulse], coeffs, cleaned
 
     def beam_chain(self, params, seed):
         tx, paths = self.case(params)
         capture = self.capture(tx, paths, params, seed)
-        echo, guard = capture.beams(self.weights())
+        echo, guard = capture.beams(*self.weights())
         return capture.direct, echo, guard, capture.coeffs, capture.pilot
 
     def test_signal_parts_match_without_noise(self):
@@ -451,13 +452,18 @@ class TestBeamCapture:
             assert np.abs(ours - reference).max() <= 1e-9 * np.abs(reference).max()
 
     def features(self, chain, seed):
-        """Beams in and off the columns (the second pulse too), every
-        coefficient and two cleaned column samples, as real numbers."""
+        """Beams in and off the columns (the second pulse too, but the
+        guard's first pulse only), every coefficient and two cleaned
+        column samples, as real numbers."""
         direct, echo, guard, coeffs, cleaned = chain(RadarParams(), (seed,))
         samples = [3, 17, 1, 40]  # the cleaned columns 0 and 7, then off the columns
-        picked = [beam[samples] for beam in (direct, echo, guard)]
-        # A beam's projection onto the direct beam, over the whole capture.
-        fits = [np.vdot(direct, beam) / np.vdot(direct, direct) for beam in (echo, guard)]
+        first = [3, 17, 1, 39]  # the same in the guard's one pulse of 40 samples
+        picked = [direct[samples], echo[samples], guard[first]]
+        # A beam's projection onto the direct beam, over the whole
+        # capture for the echo and over the first pulse for the guard.
+        head = direct[: guard.size]
+        fits = [np.vdot(direct, echo) / np.vdot(direct, direct),
+                np.vdot(head, guard) / np.vdot(head, head)]
         values = np.concatenate(picked + [coeffs, cleaned[[0, 3], [0, 7]], fits])
         return np.concatenate([values.real, values.imag])
 
@@ -480,16 +486,24 @@ class TestBeamCapture:
 
     def test_beams_agree_with_the_coefficients(self):
         """As for element captures, a beam's projection onto the direct
-        beam is its weights applied to the projection coefficients."""
+        beam is its weights applied to the projection coefficients: the
+        echo's over a two-pulse capture, and both beams' over a one-pulse
+        capture, where the guard's first pulse is the whole capture."""
         weights = self.weights()
-        for seed in range(5):
+        for seed, pulses in itertools.product(range(5), (1, 2)):
             tx, paths = self.case(RadarParams())
+            if pulses == 1:
+                tx = IqCapture(tx.samples[0, :24], tx.sample_rate_hz)
             capture = BeamCapture(
-                tx, paths, self.ARRAY, RadarParams(), seed, self.DIRECT, self.COLUMNS, None, 2
+                tx, paths, self.ARRAY, RadarParams(), seed, self.DIRECT, self.COLUMNS, None,
+                pulses,
             )
-            beams = capture.beams(weights)
-            fits = beams @ capture.direct.conj() / np.vdot(capture.direct, capture.direct)
-            assert np.allclose(fits, weights.conj().T @ capture.coeffs, rtol=1e-9, atol=0)
+            echo, guard = capture.beams(*weights)
+            assert guard.size == capture.samples_per_pulse
+            beams = [echo, guard] if pulses == 1 else [echo]
+            fits = np.array(beams) @ capture.direct.conj() / np.vdot(capture.direct, capture.direct)
+            expected = [w.conj() @ capture.coeffs for w in weights[: len(beams)]]
+            assert np.allclose(fits, expected, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("spp, delay, expected", [(24, 5.7, 40), (15344, 20.3, 15552)])
     def test_frame_length_agrees_with_propagate(self, spp, delay, expected):
@@ -510,7 +524,9 @@ class TestBeamCapture:
         partial block in each) writes the bytes of the one-shot
         elementwise products over the whole capture kept here, each sum
         over the capture being the einsum sums of the blocks added in
-        capture order; `beams` leaves the direct beam as it was."""
+        capture order: the echo over the capture, and the guard, whose
+        normals are drawn pulse by pulse, over its first pulse; `beams`
+        leaves the direct beam as it was."""
         monkeypatch.setattr(channel, "_BLOCK", 32)
         params = RadarParams()
         tx, paths = self.case(params)
@@ -541,7 +557,7 @@ class TestBeamCapture:
         direct_gains = [g * m for g, m in zip(gains, u.conj() @ steer / u.size)]
         assert np.array_equal(d, train(zeta, direct_gains))
 
-        weights = self.weights()
+        weights = np.stack(self.weights(), axis=1)
         rng = copy.deepcopy(capture._rng)
         a_h = weights.conj().T
         perp = weights - np.outer(u, u.conj() @ weights) / u.size
@@ -561,7 +577,9 @@ class TestBeamCapture:
             term[self.COLUMNS] = beam_gain * d[self.COLUMNS]
             one_shot.append(train(row + term, [g * m for g, m in zip(gains, mix)]))
 
-        assert all(np.array_equal(a, b) for a, b in zip(capture.beams(weights), one_shot))
+        echo, guard = capture.beams(*self.weights())
+        assert np.array_equal(echo, one_shot[0])
+        assert np.array_equal(guard, one_shot[1][:spp])
         assert np.array_equal(capture.direct, d)
 
     def test_one_frame_and_a_pulse_count_transmit_the_train(self):
@@ -575,7 +593,7 @@ class TestBeamCapture:
                         None, 2)
             for capture in (tx, slot)
         ]
-        train, repeated = ([c.direct, c.coeffs, c.pilot, c.beams(self.weights())] for c in captures)
+        train, repeated = ([c.direct, c.coeffs, c.pilot, *c.beams(*self.weights())] for c in captures)
         assert all(np.array_equal(a, b) for a, b in zip(train, repeated))
         with pytest.raises(ValueError):
             BeamCapture(tx, paths, self.ARRAY, params, 6, self.DIRECT, self.COLUMNS, None, 3)
@@ -594,7 +612,7 @@ class TestBeamCapture:
                             frames, 2)
                 for frames in (None, shared)
             )
-            for a, b in zip(*([c.direct, c.coeffs, c.pilot, c.beams(self.weights())]
+            for a, b in zip(*([c.direct, c.coeffs, c.pilot, *c.beams(*self.weights())]
                               for c in (alone, reused))):
                 assert np.array_equal(a, b)
         (frames,) = shared.values()
@@ -605,6 +623,6 @@ class TestBeamCapture:
         tx, paths = self.case(params)
         capture = self.capture(tx, paths, params, 0)
         weights = self.weights()
-        capture.beams(weights)
+        capture.beams(*weights)
         with pytest.raises(RuntimeError):
-            capture.beams(weights)
+            capture.beams(*weights)

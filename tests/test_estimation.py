@@ -75,14 +75,22 @@ class TestMeasurement:
 
 class TestRangeDopplerMap:
     def test_validation(self):
-        good = RangeDopplerMap(np.ones((3, 2)), np.arange(3.0), np.arange(2.0))
+        peak = (5.0, 1, np.ones(2))
+        good = RangeDopplerMap(np.ones((3, 2)), np.arange(3.0), np.arange(2.0), *peak)
         assert good.magnitudes.shape == (3, 2)
         with pytest.raises(ValueError):
-            RangeDopplerMap(np.ones((3, 3)), np.arange(3.0), np.arange(2.0))
+            RangeDopplerMap(np.ones((3, 3)), np.arange(3.0), np.arange(2.0), *peak)
         with pytest.raises(ValueError):
-            RangeDopplerMap(np.ones((3, 2)), np.array([0.0, 0.0, 1.0]), np.arange(2.0))
+            RangeDopplerMap(np.ones((3, 2)), np.array([0.0, 0.0, 1.0]), np.arange(2.0), *peak)
         with pytest.raises(ValueError):
-            RangeDopplerMap(-np.ones((3, 2)), np.arange(3.0), np.arange(2.0))
+            RangeDopplerMap(-np.ones((3, 2)), np.arange(3.0), np.arange(2.0), *peak)
+
+    @pytest.mark.parametrize("peak_bin, peak_row", [
+        (2, np.ones(2)), (-1, np.ones(2)), (0, np.ones(3)), (0, -np.ones(2)),
+    ])
+    def test_peak_must_fit_the_doppler_axis(self, peak_bin, peak_row):
+        with pytest.raises(ValueError):
+            RangeDopplerMap(np.ones((3, 2)), np.arange(3.0), np.arange(2.0), 5.0, peak_bin, peak_row)
 
 
 class TestMusic:
@@ -269,10 +277,32 @@ class TestProjection:
             0.4 * direct + 0.1 * random_symbols(rng, 300), FS,
             pulses=3, samples_per_pulse=100,
         )
+        before = np.sum(np.abs(echo.samples) ** 2)
         out = project_out_stream(echo, direct)
         assert out.pulses == 3 and out.samples_per_pulse == 100
-        assert np.sum(np.abs(out.samples) ** 2) <= np.sum(np.abs(echo.samples) ** 2)
+        assert np.sum(np.abs(out.samples) ** 2) <= before
         assert abs(np.vdot(direct, out.samples[0])) < 1e-9
+
+    @pytest.mark.parametrize("samples", [300, 20000])
+    def test_cleans_in_place_and_keeps_the_stream(self, samples):
+        """The cleaned samples are written over the capture, bit for bit
+        the one-shot products (20000 samples span three subtraction
+        blocks), and the stream, conjugated for the coefficients, ends
+        with its bits; a stream sharing the capture's memory is refused."""
+        rng = np.random.default_rng(33)
+        data = random_symbols(rng, 2 * samples).reshape(2, samples)
+        stream = random_symbols(rng, samples)
+        kept, original = stream.copy(), data.copy()
+        flat = stream.view(np.float64)
+        coeffs = np.einsum("ki,i->k", original, stream.conj()) / np.einsum("i,i->", flat, flat)
+        expected = original - coeffs[:, np.newaxis] * stream[np.newaxis, :]
+        capture = IqCapture(data, FS)
+        out = project_out_stream(capture, stream)
+        assert out is capture and out.samples is data
+        assert np.array_equal(data, expected)
+        assert np.array_equal(stream.view(np.float64), kept.view(np.float64))
+        with pytest.raises(ValueError, match="share memory"):
+            project_out_stream(capture, data[1])
 
     def test_single_stream_validation(self):
         echo = IqCapture(np.ones(20, dtype=complex), FS, pulses=2, samples_per_pulse=10)
@@ -657,7 +687,7 @@ class TestRangeDoppler:
         fast = np.fft.ifft(
             np.fft.fft(train.frames()[0], axis=1) * np.fft.fft(r, spp).conj(), axis=1
         )
-        rd = range_doppler(train, ref)
+        rd = range_doppler(train, ref, spp)
         delay, dop = doppler_peak(rd)
         assert delay == pytest.approx(12 / fs, abs=1e-12)
         bin_hz = rd.doppler_axis_hz[1] - rd.doppler_axis_hz[0]
@@ -669,20 +699,68 @@ class TestRangeDoppler:
         # The fast-time correlation was written over the train's frames.
         assert np.array_equal(train.frames()[0], fast)
 
+    @staticmethod
+    def one_shot(frames, r, pad):
+        """The whole fftshifted magnitude map of ``frames`` (pulses x
+        samples) and the reference ``r``, in one transform."""
+        pulses, samples = frames.shape
+        fast = np.fft.ifft(np.fft.fft(frames, axis=1) * np.fft.fft(r, samples).conj(), axis=1)
+        return np.fft.fftshift(np.abs(np.fft.fft(fast.T, n=pulses * pad)), axes=1)
+
     @pytest.mark.parametrize("pulses, samples, pad", [(16, 2500, 4), (3, 1100, 1)])
     def test_blocks_match_one_shot_transform(self, pulses, samples, pad, monkeypatch):
-        """The blocked slow-time DFT equals the one-shot map bit for bit,
-        with a partial last block of delay rows and an odd bin count (a
-        `DOPPLER_PAD` of 1)."""
+        """The blocked slow-time DFT holds the one-shot map's first rows
+        bit for bit, with a partial last block of delay rows and an odd
+        bin count (a `DOPPLER_PAD` of 1): all of them, a block and a
+        part, and all of them when asked for more."""
         monkeypatch.setattr(estimation, "DOPPLER_PAD", pad)
         rng = np.random.default_rng(4)
         frames = rng.standard_normal((pulses, samples)) + 1j * rng.standard_normal((pulses, samples))
         r = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        one_shot = self.one_shot(frames, r, pad)
+        for rows in (samples, 1030, samples + 500):
+            train = IqCapture(frames.reshape(-1).copy(), FS, pulses=pulses, samples_per_pulse=samples)
+            rd = range_doppler(train, IqCapture(r, FS), rows)
+            assert np.array_equal(rd.magnitudes, one_shot[:rows])
+            assert np.array_equal(rd.delay_axis_s, (np.arange(samples) / FS)[:rows])
+
+    @pytest.mark.parametrize("case", ["tie across blocks", "peak below the rows", "odd bins"])
+    def test_blocked_peak_is_the_one_shot_argmax(self, case, monkeypatch):
+        """The peak found block by block is the cell `np.argmax` picks in
+        the one-shot map, with that cell's row: when two blocks hold the
+        same largest magnitude (the earlier wins), when the peak lies
+        below the held rows, and with an odd bin count (a `DOPPLER_PAD`
+        of 1)."""
+        rng = np.random.default_rng(6)
+        pad, rows = 4, 2
+        if case == "tie across blocks":
+            # Small integers in 4-sample frames through a one-sample
+            # reference correlate exactly, so delays 1 and 3, each its own
+            # block, carry the same pulse sequence and magnitudes.
+            monkeypatch.setattr(estimation, "_DELAY_BLOCK", 1)
+            frames = np.array([[0, 2 + 1j, 1, 2 + 1j], [1j, 1 - 2j, 0, 1 - 2j]])
+            r = np.ones(1, dtype=complex)
+        else:
+            if case == "odd bins":
+                pad = 1
+                monkeypatch.setattr(estimation, "DOPPLER_PAD", pad)
+            frames = rng.standard_normal((3, 2500)) + 1j * rng.standard_normal((3, 2500))
+            frames[:, 2300] *= 30.0  # the peak lands about 2300 rows down, in the third block
+            r = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        pulses, samples = frames.shape
         train = IqCapture(frames.reshape(-1).copy(), FS, pulses=pulses, samples_per_pulse=samples)
-        rd = range_doppler(train, IqCapture(r, FS))
-        fast = np.fft.ifft(np.fft.fft(frames, axis=1) * np.fft.fft(r, samples).conj(), axis=1)
-        one_shot = np.fft.fftshift(np.abs(np.fft.fft(fast.T, n=pulses * pad)), axes=1)
-        assert np.array_equal(rd.magnitudes, one_shot)
+        rd = range_doppler(train, IqCapture(r, FS), rows)
+        one_shot = self.one_shot(frames, r, pad)
+        row, column = np.unravel_index(int(np.argmax(one_shot)), one_shot.shape)
+        if case == "tie across blocks":
+            assert row == 1 and np.array_equal(one_shot[1], one_shot[3])
+        else:
+            assert row >= estimation._DELAY_BLOCK * 2
+        assert one_shot.shape[1] % 2 == (case == "odd bins")
+        assert (rd.peak_delay_s, rd.peak_bin) == (row / FS, column)
+        assert np.array_equal(rd.peak_row, one_shot[row])
+        assert np.array_equal(rd.magnitudes, one_shot[:rows])
+        assert doppler_peak(rd)[0] == row / FS
 
     def test_validation(self):
         cfg = WaveformConfig(seed=8)
@@ -690,12 +768,12 @@ class TestRangeDoppler:
         fs = cfg.sample_rate_hz
         single = IqCapture(np.zeros(ref.samples.size + 8, dtype=complex), fs)
         with pytest.raises(ValueError):
-            range_doppler(single, ref)
+            range_doppler(single, ref, 8)
         short = IqCapture(
             np.zeros((1, 128), dtype=complex), fs, pulses=2, samples_per_pulse=64
         )
         with pytest.raises(ValueError):
-            range_doppler(short, ref)
+            range_doppler(short, ref, 8)
 
     def test_doppler_to_velocity(self):
         assert doppler_to_velocity(100.0, 28e9) == pytest.approx(

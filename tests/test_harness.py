@@ -45,7 +45,7 @@ from bistar import (
     write_multistatic_csv,
     write_sweep_csv,
 )
-from bistar import channel, cli, harness
+from bistar import channel, cli, estimation, harness
 from bistar.cli import main
 from bistar.config import ENGINE_MODEL, ENGINE_SIGNAL, parse_scenario
 from bistar.estimation import RangeDopplerMap
@@ -934,59 +934,108 @@ class TestDopplerRun:
         assert "np." not in map_csv.getvalue()
 
     @staticmethod
-    def short_run(bandwidth_mhz):
+    def short_run(bandwidth_mhz, pulses=16):
         cfg = preset_scenario("scenario3", bandwidth_mhz=bandwidth_mhz, seed=31)
-        cfg.motion = MotionConfig(speed_mps=0.2, theta2_deg=60.0, pulses=16)
+        cfg.motion = MotionConfig(speed_mps=0.2, theta2_deg=60.0, pulses=pulses)
         return run_doppler(cfg)
+
+    @staticmethod
+    def csv_digests(result):
+        """SHA-256 of the run's Doppler CSV and range-Doppler map CSV."""
+        doppler_csv, map_csv = io.StringIO(), io.StringIO()
+        write_doppler_csv(result, doppler_csv)
+        write_range_doppler_csv(result.rd_map, map_csv)
+        return tuple(
+            hashlib.sha256(out.getvalue().encode()).hexdigest() for out in (doppler_csv, map_csv)
+        )
 
     @pytest.mark.parametrize("bandwidth_mhz, digests", [
         (100, (
             "34442153d35952f0ca80242ffd04e7755ffb3f4b36c34497f494e78d692f2768",
             "650ddb99ddbc9c5ada8079b1ff71819f9d06e0693102fdd244bad51ff0d832bc",
-            "ff6d26c3f51b44780f14f5fd37a8290550d2b585c269af67c09e3be8ff8f63ed",
+            "1e48437be680c71b5928a528f8d01cc1229c0f678a0903ee84cc75f342329fec",
+            (20, 32),
+            "38922153a15104d4f3820db92e6a11ab2b8cdae646ec8b340abe4781de134af6",
         )),
         (400, (
             "593669acabb641cdde25db223fb7e96b9a70766c3c5b9441f438717f91cdee62",
             "fdb794aab20cfee5cd92ab085db6a3b0e575d8b230bd6742dc681af4cc21f3c6",
-            "efe03c4a99b6a4ea771a36a7a8549e140bc3387146c0a7965c97a7ab083c8af0",
+            "d1b7b54a34f455e0481b579c7b3fabce3f796bd65990018976a0822578210486",
+            (82, 32),
+            "d5e283ab8236acdc4d7b3c7d571e8f50bb9490019e5559ec88f4199d8651c88e",
         )),
     ])
     def test_matches_pinned_bytes(self, bandwidth_mhz, digests):
-        """SHA-256 of the Doppler CSV, the range-Doppler map CSV and the
-        whole magnitude array of a 16-pulse run, recorded with the
-        receiver's capture sums in fixed einsum order, so any OpenBLAS
-        thread count writes them (numpy 2.4.6, x86-64; other FFT builds
-        may round differently)."""
+        """SHA-256 of the Doppler CSV and the range-Doppler map CSV of a
+        16-pulse run, and of the map's held rows, its peak cell (delay
+        sample, Doppler bin) and the SHA-256 of the peak's row, recorded
+        with the receiver's capture sums in fixed einsum order, so any
+        OpenBLAS thread count writes them (numpy 2.4.6, x86-64; other FFT
+        builds may round differently). The held rows and the peak were
+        recorded off the whole magnitude map that runs held before."""
         result = self.short_run(bandwidth_mhz)
-        doppler_csv, map_csv = io.StringIO(), io.StringIO()
-        write_doppler_csv(result, doppler_csv)
-        write_range_doppler_csv(result.rd_map, map_csv)
-        outputs = (
-            doppler_csv.getvalue().encode(),
-            map_csv.getvalue().encode(),
-            result.rd_map.magnitudes.tobytes(),
-        )
-        assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == digests
+        rd_map = result.rd_map
+        fs = preset_scenario("scenario3", bandwidth_mhz=bandwidth_mhz).radar.sample_rate_hz
+        sample = round(rd_map.peak_delay_s * fs)
+        assert rd_map.peak_delay_s == sample / fs
+        assert rd_map.magnitudes.shape[0] == harness.DELAY_BINS
+        assert (
+            *self.csv_digests(result),
+            hashlib.sha256(rd_map.magnitudes.tobytes()).hexdigest(),
+            (sample, rd_map.peak_bin),
+            hashlib.sha256(rd_map.peak_row.tobytes()).hexdigest(),
+        ) == digests
 
-    def test_peak_memory_in_capture_rows(self):
+    @pytest.mark.parametrize("bandwidth_mhz, digests", [
+        (100, (
+            "081e06c2e72aabb6a67766d05dfb95fed0152eb9c2548bfd4348d54da6674519",
+            "d2bb3c686a74f4dbd6c8741c947903f507be02cdf307576825b6e3f252620c94",
+        )),
+        (400, (
+            "915f24b9d41e1ddd4b9c2ea5aee7b7a3b267078378564d023af29988b6b7f065",
+            "63c9782ab44c523a40cce630b97756cbb0e1995c280d1eccd3cbdba1947919d3",
+        )),
+    ])
+    def test_64_pulse_run_matches_pinned_bytes(self, bandwidth_mhz, digests):
+        """SHA-256 of the Doppler CSV and the range-Doppler map CSV of a
+        64-pulse run, recorded while runs held every capture-size beam and
+        the whole map. At 400 MHz a pulse spans 8 `BeamCapture` blocks and
+        the map 61 blocks of delay rows, so the guard's normals drawn
+        pulse by pulse and the peak found block by block are read."""
+        assert self.csv_digests(self.short_run(bandwidth_mhz, pulses=64)) == digests
+
+    def test_peak_memory_in_capture_rows(self, monkeypatch):
         """The run's traced peak, in complex rows of its capture (pulses
         x frame samples), was 15.2 while the chain kept full-size
-        temporaries and 6.9 while the receiver held its path units and ζ
-        over the train; the pulse-blocked receiver reads 4.0. A first
-        run imports numpy modules lazily, so the second is traced."""
+        temporaries, 6.9 while the receiver held its path units and ζ
+        over the train, and 4.0 at 16 pulses (3.67 at 64) while it held
+        the guard beam over the train, a second cleaned echo and the
+        whole map. Holding the direct and echo beams, it reads 2.26 at
+        64 pulses and 3.04 at 16, where the first pulse's TDOA
+        transforms, the same at any pulse count, weigh four times as
+        much. A first run imports numpy modules lazily, so the second is
+        traced."""
+        frames = []
+
+        def range_doppler(train, *args):
+            frames.append(train.samples_per_pulse)
+            return estimation.range_doppler(train, *args)
+
+        monkeypatch.setattr(harness, "range_doppler", range_doppler)
         self.short_run(100)
         started = not tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            result = self.short_run(100)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
-        row = result.rd_map.magnitudes.shape[0] * 16 * np.dtype(np.complex128).itemsize
-        assert peak / row < 4.5
+        for pulses, bound in ((16, 3.3), (64, 2.6)):
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                self.short_run(100, pulses)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if started:
+                    tracemalloc.stop()
+            row = frames[-1] * pulses * np.dtype(np.complex128).itemsize
+            assert peak / row < bound, (pulses, peak / row)
 
 
 class TestCsvBytes:
@@ -1004,7 +1053,7 @@ class TestCsvBytes:
             speed_err_mps=0.0,
             tdoa_est_ns=8.138020833333334,
             aoa_est_deg=359.99999999999994,
-            rd_map=RangeDopplerMap(np.ones((1, 1)), [0.0], [0.0]),
+            rd_map=RangeDopplerMap(np.ones((1, 1)), [0.0], [0.0], 0.0, 0, [1.0]),
         )
         out = io.StringIO()
         write_doppler_csv(result, out)
@@ -1021,6 +1070,7 @@ class TestCsvBytes:
             [[1.0, math.nan], [0.1 + 0.2, 2.5], [3.0, 4.0]],
             [0.0, 1e-9, 2e-9],
             [-12.5, 1.0 / 3.0],
+            2e-9, 1, [3.0, 4.0],
         )
         path = tmp_path / "rd.csv"
         monkeypatch.setattr(harness, "DELAY_BINS", 2)
@@ -1042,7 +1092,8 @@ class TestCsvBytes:
         magnitudes.flat[rng.choice(magnitudes.size, 60, replace=False)] = rng.choice(specials, 60)
         magnitudes[:, 4] = rng.choice(specials, 40)  # a column of repeats
         rd_map = RangeDopplerMap(
-            magnitudes, np.arange(40) * 1e-9, [-1e300, -2.5, -0.0, 5e-324, 0.1, 1.0, 7.0, 1e20, 1e300]
+            magnitudes, np.arange(40) * 1e-9, [-1e300, -2.5, -0.0, 5e-324, 0.1, 1.0, 7.0, 1e20, 1e300],
+            0.0, 0, magnitudes[0],
         )
 
         def text(value):
