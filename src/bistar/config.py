@@ -3,8 +3,8 @@
 Config files are line oriented ``key = value`` pairs grouped under
 ``[nodes]``, ``[radar]``, ``[sweep]``, and ``[motion]`` section headers,
 with scalar run controls before the first section. Parsing is strict:
-unknown keys, malformed values, and missing required keys raise
-ConfigError with the offending line number.
+unknown keys, malformed values, keys repeated within a section, and
+missing required keys raise ConfigError with the offending line number.
 """
 
 from __future__ import annotations
@@ -198,6 +198,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     section: str | None = None
     found: dict[str | None, dict] = {name: {} for name in _KEYS}
     nodes: list[NodePosition] = []
+    first_lines: dict[tuple, int] = {}
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -236,6 +237,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if kind is None:
             where = "top-level" if section is None else f"[{section}]"
             raise ConfigError(f"line {line_no}: unknown {where} key {key!r}")
+        first = first_lines.setdefault((section, key), line_no)
+        if first != line_no:
+            raise ConfigError(f"line {line_no}: {key!r} repeats the key set on line {first}")
         found[section][key] = _PARSERS[kind](value, line_no, key)
 
     top, radar, sweep, motion = (found[name] for name in (None, "radar", "sweep", "motion"))
@@ -312,7 +316,13 @@ def load_scenario(source: str | Path, bandwidth_mhz: int | None = None) -> Scena
     path = Path(source)
     if not path.exists():
         raise ConfigError(f"{name!r} is neither a preset name nor an existing file")
-    cfg = parse_scenario(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {name!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{name!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    cfg = parse_scenario(text)
     if bandwidth_mhz is not None:
         cfg = apply_bandwidth(cfg, bandwidth_mhz)
     return cfg

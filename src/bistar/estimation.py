@@ -271,30 +271,15 @@ def project_out_stream(capture: IqCapture, stream: np.ndarray) -> IqCapture:
     return capture
 
 
-def _peak_with_floor(
-    corr: np.ndarray,
-    min_peak_db: float,
-    what: str,
-    window: tuple[int, int] | None = None,
-) -> int:
-    """Index of the strongest magnitude, checked against the median floor.
-
-    ``window`` restricts the search to ``[lo, hi)`` while the floor is
-    still taken over the whole correlation.
-    """
-    magnitude = np.abs(corr)
-    lo, hi = (0, magnitude.shape[0]) if window is None else window
-    lo = max(lo, 0)
-    hi = min(hi, magnitude.shape[0])
-    if lo >= hi:
-        raise ValueError(f"{what} search window is outside the capture")
-    peak = lo + int(np.argmax(magnitude[lo:hi]))
+def _check_floor(magnitude: np.ndarray, peak: float, min_peak_db: float, what: str) -> None:
+    """The detection floor of every `estimate_tdoa` stage: ``peak`` must
+    clear the median of ``magnitude`` by ``min_peak_db``, else the
+    ``what`` stage refuses with DetectionError."""
     floor = float(np.median(magnitude))
-    if floor <= 0.0 or 20.0 * math.log10(magnitude[peak] / floor) < min_peak_db:
+    if floor <= 0.0 or 20.0 * math.log10(peak / floor) < min_peak_db:
         raise DetectionError(
             f"{what} correlation peak is below the {min_peak_db:.1f} dB detection threshold"
         )
-    return peak
 
 
 @dataclass(frozen=True)
@@ -383,9 +368,9 @@ def estimate_tdoa(
         ValueError: when a beam is not a single stream, or the beams
             differ in length or in sample rate from the reference, or
             ``matched`` was prepared for another length.
-        DetectionError: when the direct peak or the deflated echo peak
-            fails to clear `MIN_PEAK_DB` above the median correlation
-            floor.
+        DetectionError: when the direct peak, the deflated echo peak
+            or the guard peak that replaces it fails to clear its floor
+            above the median correlation; the message names the stage.
     """
     beams = [direct_beam, echo_beam]
     if guard_beam is not None:
@@ -407,15 +392,18 @@ def estimate_tdoa(
     corr = np.fft.ifft(np.fft.fft(streams, size, axis=1) * matched.conj_spectrum, axis=1)
     corr = corr[:, :length]
 
-    corr_direct = corr[0]
-    if direct_delay_hint_s is None:
-        direct_peak = _peak_with_floor(corr_direct, MIN_PEAK_DB, "direct")
-    else:
+    # The direct peak is searched near the hint, if any; its floor is
+    # taken over the whole correlation.
+    magnitude = np.abs(corr[0])
+    lo, hi, min_peak_db = 0, length, MIN_PEAK_DB
+    if direct_delay_hint_s is not None:
         center = int(round(direct_delay_hint_s * reference.sample_rate_hz))
-        lo, hi = center - HINT_WINDOW, center + HINT_WINDOW + 1
-        direct_peak = _peak_with_floor(
-            corr_direct, HINT_FLOOR_DB, "direct", window=(lo, hi)
-        )
+        lo, hi = max(center - HINT_WINDOW, 0), min(center + HINT_WINDOW + 1, length)
+        min_peak_db = HINT_FLOOR_DB
+    if lo >= hi:
+        raise ValueError("direct search window is outside the capture")
+    direct_peak = lo + int(np.argmax(magnitude[lo:hi]))
+    _check_floor(magnitude, magnitude[direct_peak], min_peak_db, "direct")
 
     corr_echo = corr[1]
     template = auto[(np.arange(length) - direct_peak) % size]
@@ -426,11 +414,7 @@ def estimate_tdoa(
     if tail.size == 0:
         raise DetectionError("no lags left after the direct peak")
     offset = int(np.argmax(tail))
-    floor = float(np.median(magnitude))
-    if floor <= 0.0 or 20.0 * math.log10(tail[offset] / floor) < MIN_PEAK_DB:
-        raise DetectionError(
-            f"echo correlation peak is below the {MIN_PEAK_DB:.1f} dB detection threshold"
-        )
+    _check_floor(magnitude, tail[offset], MIN_PEAK_DB, "echo")
     if guard_beam is not None:
         guard_tail = np.abs(corr[2, direct_peak + 1 :])
         guard_peak = float(guard_tail.max())
@@ -438,15 +422,7 @@ def estimate_tdoa(
             raise DetectionError("guard correlation is empty")
         if guard_tail[offset] < GUARD_FRACTION * guard_peak:
             offset = int(np.argmax(guard_tail))
-            guard_floor = float(np.median(guard_tail))
-            if (
-                guard_floor <= 0.0
-                or 20.0 * math.log10(guard_peak / guard_floor) < MIN_PEAK_DB
-            ):
-                raise DetectionError(
-                    f"guard correlation peak is below the {MIN_PEAK_DB:.1f} dB "
-                    "detection threshold"
-                )
+            _check_floor(guard_tail, guard_peak, MIN_PEAK_DB, "guard")
     return (offset + 1) / reference.sample_rate_hz
 
 

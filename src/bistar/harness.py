@@ -14,7 +14,6 @@ A run seeds all its v1 and v2 draws before its points run, in one
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -190,18 +189,10 @@ def waveform_for_radar(params, seed: int = 0) -> WaveformConfig:
     fft = round(params.sample_rate_hz / params.subcarrier_spacing_hz)
     if fft * params.subcarrier_spacing_hz != params.sample_rate_hz:
         raise ConfigError("sample rate must be an integer multiple of the spacing")
-    if fft & (fft - 1):
-        raise ConfigError("sample rate over spacing must be a power of two")
-    scale, rem = divmod(fft, 1024)
-    if rem or scale < 1:
-        raise ConfigError("supported FFT sizes are multiples of 1024")
-    return WaveformConfig(
-        fft_size=fft,
-        occupied_subcarriers=792 * scale,
-        subcarrier_spacing_hz=params.subcarrier_spacing_hz,
-        cp_samples=72 * scale,
-        seed=seed,
-    )
+    try:
+        return WaveformConfig(fft, params.subcarrier_spacing_hz, seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _normals(cfg: ScenarioConfig, shape, *purpose: int, per_trial: bool) -> np.ndarray:
@@ -288,12 +279,12 @@ class _SignalBench:
         target: TargetState,
         seed_key: tuple[int, ...],
         pulses: int = 1,
-    ) -> tuple[float, float, IqCapture, IqCapture]:
+    ) -> tuple[float, float, np.ndarray, np.ndarray]:
         """Receiver chain on a train of ``pulses`` slots: a `BeamCapture`
         steered at the transmitter, MUSIC on its pilot snapshots, and the
         TDOA off the first pulse of the direct, echo and guard beams.
         Returns the echo angle, the TDOA and the direct and echo beams of
-        the whole capture."""
+        the whole capture, as sample arrays."""
         params = self.cfg.radar
         rx, tx_node = pair.rx_node, pair.tx_node
         # The receive array looks straight at the transmitter: the direct
@@ -323,11 +314,7 @@ class _SignalBench:
             direct_delay_hint_s=pair.baseline / SPEED_OF_LIGHT,
             matched=self.filters[spp],
         )
-        direct_beam, echo_beam = (
-            IqCapture(beam, fs, pulses=pulses, samples_per_pulse=spp)
-            for beam in (capture.direct, echo)
-        )
-        return aoa, tdoa, direct_beam, echo_beam
+        return aoa, tdoa, capture.direct, echo
 
     def measure(
         self,
@@ -536,25 +523,16 @@ def _column_texts(column: list) -> list[str]:
     """`_format` of each value of a column.
 
     The `_format` of a float is its repr, blank for NaN, so a float
-    column is repr'd at C speed, and only once per distinct value when
-    fewer than 3/4 of the values are distinct (a repr costs about ten
-    dict lookups).  A column of str is its own texts.  Other columns go
-    through `_format`: equal values of other types (1, 1.0, True) print
-    apart, and so do 0.0 and -0.0, which share a key.
+    column is repr'd at C speed.  A column of str is its own texts.
+    Other columns go through `_format`: equal values of other types (1,
+    1.0, True) print apart.
     """
     types = set(map(type, column))
     if types == {str}:
         return column
     if types != {float}:
         return list(map(_format, column))
-    distinct = set(column)
-    if len(distinct) * 4 >= len(column) * 3:
-        out = list(map(repr, column))
-    else:
-        texts = dict(zip(distinct, map(repr, distinct)))
-        out = list(map(texts.__getitem__, column))
-        if 0.0 in texts:
-            out = [repr(v) if v == 0.0 else text for v, text in zip(column, out)]
+    out = list(map(repr, column))
     return [text if text != "nan" else "" for text in out] if "nan" in out else out
 
 
@@ -563,24 +541,17 @@ def _write_table(path, header, columns, summary: dict | None = None) -> None:
     length ``columns`` of values, each column `_format`ted at once, then
     a ``# key = value`` line per ``summary`` entry in key order.
 
-    Writes to ``path`` itself if it is writable, else to the file it names.
+    Rows are their texts joined by commas, unquoted: no text the program
+    writes (statuses, mode and field names, float reprs, ints) holds a
+    comma, quote or line break.  Writes to ``path`` itself if it is
+    writable, else to the file it names.
     """
     if not hasattr(path, "write"):
         with open(path, "w", newline="") as handle:
             _write_table(handle, header, columns, summary)
         return
-    writer = csv.writer(path, lineterminator="\n")
-    writer.writerow(header)
-    texts = list(map(_column_texts, columns))
-    rows = list(map(",".join, zip(*texts)))
-    body = "\n".join(rows) + "\n"
-    # Rows of two or more fields without a comma, quote or line break in
-    # a text need no quoting: joined, they are the csv module's bytes.
-    counts = [body.count(mark) for mark in ',\n"\r']
-    if len(texts) > 1 and counts == [len(rows) * (len(texts) - 1), len(rows), 0, 0]:
-        path.write(body)
-    else:
-        writer.writerows(zip(*texts))
+    rows = map(",".join, zip(*map(_column_texts, columns)))
+    path.write("\n".join([",".join(header), *rows]) + "\n")
     for key in sorted(summary or {}):
         path.write(f"# {key} = {_format(summary[key])}\n")
 
@@ -809,24 +780,25 @@ def run_doppler(cfg: ScenarioConfig) -> DopplerResult:
     params = cfg.radar
 
     bench = _SignalBench(cfg)
-    aoa, tdoa, direct_beam, echo_beam = bench.receive(
+    aoa, tdoa, direct, echo = bench.receive(
         pair, target, (cfg.seed, 0, 0, _TAG_CHANNEL), pulses=motion.pulses
     )
     # The echo beam is cleaned in place, and the map reads only it.
-    project_out_stream(echo_beam, direct_beam.samples[0])
-    del direct_beam
+    echo_beam = project_out_stream(
+        IqCapture(echo, bench.slot.sample_rate_hz, pulses=motion.pulses), direct
+    )
+    del direct
 
     rd_map = range_doppler(echo_beam, bench.reference, DELAY_BINS)
     _, doppler_est = doppler_peak(rd_map)
     rate_est = doppler_to_velocity(doppler_est, params.carrier_hz)
 
-    meas = Measurement(tdoa_s=max(tdoa, 0.0), aoa_rad=aoa, mode=pair.mode)
+    meas = Measurement(tdoa_s=tdoa, aoa_rad=aoa, mode=pair.mode)
     px, py = locate_bistatic(pair, meas)
     projection = math.hypot(*sum_range_gradient(pair, TargetState(px, py)))
     speed_est = rate_est / projection
 
-    direct_path, echo_path = build_paths(pair, target, params)
-    del direct_path
+    _, echo_path = build_paths(pair, target, params)
     doppler_true = echo_path.doppler_hz
     rate_true = doppler_to_velocity(doppler_true, params.carrier_hz)
     return DopplerResult(
@@ -853,8 +825,7 @@ def write_doppler_csv(result: DopplerResult, path) -> None:
 def write_range_doppler_csv(rd_map: RangeDopplerMap, path) -> None:
     """Range-Doppler magnitudes: Doppler axis header, delay axis column,
     the first `DELAY_BINS` delays."""
-    rows = DELAY_BINS
-    columns = [rd_map.delay_axis_s[:rows].tolist(), *rd_map.magnitudes[:rows].T.tolist()]
+    columns = [rd_map.delay_axis_s[:DELAY_BINS].tolist(), *rd_map.magnitudes[:DELAY_BINS].T.tolist()]
     header = ["delay_s"] + [_format(v) for v in rd_map.doppler_axis_hz.tolist()]
     _write_table(path, header, columns)
 

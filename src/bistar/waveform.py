@@ -33,28 +33,30 @@ class WaveformConfig:
 
     The sample rate is implied by the FFT size times the subcarrier
     spacing (1024 x 120 kHz = 122.88 MHz for the 100 MHz configuration,
-    4096 x 120 kHz = 491.52 MHz for 400 MHz).
+    4096 x 120 kHz = 491.52 MHz for 400 MHz). The FFT size decides the
+    rest: per 1024 bins, 792 occupied subcarriers and a cyclic prefix
+    of 72 samples.
     """
 
     fft_size: int = 1024
-    occupied_subcarriers: int = 792
     subcarrier_spacing_hz: float = 120e3
-    cp_samples: int = 72
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
-            raise ValueError("fft_size must be a power of two >= 2")
-        if not 2 <= self.occupied_subcarriers <= self.fft_size:
-            raise ValueError("occupied_subcarriers must be in [2, fft_size]")
-        if self.occupied_subcarriers % 2:
-            raise ValueError("occupied_subcarriers must be even for the comb")
-        if self.cp_samples < 0:
-            raise ValueError("cp_samples must be non-negative")
+        if self.fft_size < 1024 or self.fft_size & (self.fft_size - 1):
+            raise ValueError("fft_size must be a power of two >= 1024")
         if self.subcarrier_spacing_hz <= 0:
             raise ValueError("subcarrier_spacing_hz must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+
+    @property
+    def occupied_subcarriers(self) -> int:
+        return 792 * (self.fft_size // 1024)
+
+    @property
+    def cp_samples(self) -> int:
+        return 72 * (self.fft_size // 1024)
 
     @property
     def sample_rate_hz(self) -> float:

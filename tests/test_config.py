@@ -243,6 +243,30 @@ class TestParse:
             assert math.isfinite(cfg.baseline_l) and math.isfinite(cfg.sum_range)
         assert outcomes == {"parsed", "refused"}
 
+    @pytest.mark.parametrize(
+        "text, line, first",
+        [
+            ("seed = 1\nseed = 2\n", 2, 1),
+            ("[sweep]\nsum_range = 50\nrcs_dbsm = 0\nsum_range = 60\n", 4, 2),
+            ("[radar]\ntx_elements = 8\n[sweep]\nsum_range = 50\n[radar]\ntx_elements = 4\n", 6, 2),
+        ],
+        ids=["top-level", "sweep", "split-section"],
+    )
+    def test_repeated_key_is_refused(self, text, line, first):
+        """A key set twice in one section names both lines, also when its
+        section header appears twice; it used to take the last value."""
+        key = text.splitlines()[line - 1].partition("=")[0].strip()
+        with pytest.raises(ConfigError, match=rf"line {line}: '{key}' repeats .* line {first}$"):
+            parse_scenario(text)
+
+    def test_node_entries_and_split_sections_are_not_repeats(self):
+        cfg = parse_scenario(
+            "[radar]\ntx_elements = 8\n[nodes]\nnode = 0 0\nnode = 8 0\nnode = 4 4\n"
+            "[sweep]\nsum_range = 20\n[radar]\nrx_elements = 4\n"
+        )
+        assert len(cfg.nodes) == 3
+        assert (cfg.radar.tx_elements, cfg.radar.rx_elements) == (8, 4)
+
     def test_node_errors(self):
         with pytest.raises(ConfigError, match="only 'node'"):
             parse_scenario("[nodes]\nfoo = 1 2\n")
@@ -381,6 +405,17 @@ class TestLoadScenario:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="neither a preset"):
             load_scenario("/nonexistent/path.cfg")
+
+    def test_unreadable_paths_are_config_errors(self, tmp_path):
+        """A directory and a file that is not UTF-8 text are configuration
+        problems that name the path; they used to escape as
+        IsADirectoryError and UnicodeDecodeError."""
+        with pytest.raises(ConfigError, match=f"cannot read '{tmp_path}': Is a directory"):
+            load_scenario(tmp_path)
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(GOOD_TEXT.encode() + b"# caf\xe9\n")
+        with pytest.raises(ConfigError, match=f"'{path}' is not UTF-8 text"):
+            load_scenario(path)
 
     def test_file_path(self, tmp_path):
         path = tmp_path / "scene.cfg"

@@ -40,7 +40,7 @@ from bistar import (
 from bistar import estimation
 from bistar.channel import SPACING_WAVELENGTHS
 from bistar.estimation import (
-    MEAN_ABS_TO_SIGMA, MUSIC_GRID_DEG, _music_scan, _null_spectrum, _peak_with_floor,
+    MEAN_ABS_TO_SIGMA, MUSIC_GRID_DEG, _music_scan, _null_spectrum,
 )
 
 FS = 122.88e6
@@ -339,16 +339,14 @@ def three_pass_tdoa(direct, echo, reference, guard=None, hint_s=None):
     estimator refuses.
     """
     ref = reference.samples[0]
-    corr_direct = _correlate(direct.samples[0], ref)
-    try:
-        if hint_s is None:
-            direct_peak = _peak_with_floor(corr_direct, 6.0, "direct")
-        else:
-            center = int(round(hint_s * reference.sample_rate_hz))
-            direct_peak = _peak_with_floor(
-                corr_direct, 12.0, "direct", window=(center - 1, center + 2)
-            )
-    except DetectionError:
+    direct_mag = np.abs(_correlate(direct.samples[0], ref))
+    lo, hi, min_db = 0, direct_mag.size, 6.0
+    if hint_s is not None:
+        center = int(round(hint_s * reference.sample_rate_hz))
+        lo, hi, min_db = max(center - 1, 0), min(center + 2, direct_mag.size), 12.0
+    direct_peak = lo + int(np.argmax(direct_mag[lo:hi]))
+    floor = float(np.median(direct_mag))
+    if floor <= 0.0 or 20.0 * math.log10(direct_mag[direct_peak] / floor) < min_db:
         return None
     corr_echo = _correlate(echo.samples[0], ref)
     length = corr_echo.shape[0]
@@ -642,6 +640,25 @@ class TestEstimateTdoa:
         direct = IqCapture(lay_reference(n, [(6, 1.0)], r), FS)
         with pytest.raises(DetectionError, match="echo"):
             estimate_tdoa(direct, IqCapture(np.zeros(n, dtype=complex), FS), ref)
+
+    def test_refusals_name_their_stage(self, ref):
+        """Each stage's floor refusal names it: a blank direct beam, a
+        blank echo beam, and a guard beam whose correlation is flat (a
+        constant stream) but for a notch at the echo lag, so the guard
+        takes over and its own peak sits within 6 dB of its median."""
+        r = ref.samples[0]
+        n = r.size + 64
+        blank = IqCapture(np.zeros(n, dtype=complex), FS)
+        direct = IqCapture(lay_reference(n, [(6, 1.0)], r), FS)
+        echo = IqCapture(lay_reference(n, [(6, 1.0), (40, 0.8)], r), FS)
+        notch = -np.sum(r.conj()) / np.vdot(r, r).real
+        guard = IqCapture(np.ones(n, dtype=complex) + lay_reference(n, [(40, notch)], r), FS)
+        assert estimate_tdoa(direct, echo, ref) == 34 / FS
+        assert estimate_tdoa(direct, echo, ref, guard_beam=IqCapture(np.ones(n), FS)) == 34 / FS
+        for stage, beams in (("direct", (blank, echo)), ("echo", (direct, blank)),
+                             ("guard", (direct, echo))):
+            with pytest.raises(DetectionError, match=f"^{stage} correlation peak is below"):
+                estimate_tdoa(*beams, ref, guard_beam=guard)
 
     def test_unequal_beam_lengths_raise(self, ref):
         r = ref.samples[0]

@@ -1110,34 +1110,11 @@ class TestCsvBytes:
         assert path.read_bytes() == expected.getvalue().encode()
         assert b",," in path.read_bytes() and b"-0.0" in path.read_bytes()
 
-    def test_texts_that_need_quoting_keep_csv_quoting(self):
-        """Tables with a text holding a comma, quote or line break, or with
-        one column of which a value prints blank, are quoted as the csv
-        module quotes them."""
-        nan = math.nan
-        tables = [
-            [["a,b", 'say "hi"', "two\nlines", "cr\r", "plain"], [1.0, nan, 2.0, -0.0, 3.0]],
-            [[nan, 1.0, nan]],
-            [[nan, 2.0], [1.0, nan]],
-            [["x", "y"], [1, 2]],
-        ]
-        for columns in tables:
-            header = [f"c{i}" for i in range(len(columns))]
-            expected = io.StringIO()
-            writer = csv.writer(expected, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(zip(*([harness._format(v) for v in c] for c in columns)))
-            out = io.StringIO()
-            harness._write_table(out, header, columns)
-            assert out.getvalue() == expected.getvalue()
-        out = io.StringIO()
-        harness._write_table(out, ["c0"], [[nan, 1.0]])
-        assert out.getvalue() == 'c0\n""\n1.0\n'
-
     def test_repeated_values_print_like_single_cells(self):
-        """The per-column text cache keeps `_format`'s contract: signed
-        zeros, NaN, numpy scalars and equal values of other types print
-        as each would alone."""
+        """Every value prints as `_format` prints it alone: signed zeros,
+        NaN (two NaN objects), numpy scalars and equal values of other
+        types (1, 1.0, True), in columns of repeats and of distinct
+        values alike."""
         nan = math.nan
         xs = [0.0, -0.0, 1.5, 1.5, -0.0, 0.0, nan, float("nan"), 1.5, 0.0]
         ys = [1, 1.0, True, np.float64(1.0), np.int64(1), 1.0, 1, 1.0, True, 2]
@@ -1151,22 +1128,47 @@ class TestCsvBytes:
 
     @pytest.mark.parametrize("distinct", [14, 15, 16])
     def test_texts_at_the_cache_threshold(self, distinct):
-        """Columns of 20 floats with 14 (cached), 15 and 16 (repr'd one by
-        one) distinct values, among them signed zeros and NaN, print as
-        their values would alone; so do columns mixing other types."""
-        # 0.0 and -0.0 share a key; two NaN objects are two keys.
+        """Columns of 20 floats with 14, 15 and 16 distinct values (either
+        side of the 3/4 share at which a per-column text cache once
+        switched on), among them signed zeros and NaN, print as their
+        values would alone; so do columns mixing other types."""
+        # 0.0 and -0.0 are equal; two NaN objects are two values.
         values = [v / 3.0 for v in range(distinct - 2)] + [math.nan, float("nan")]
         values += ([-0.0, 1.0 / 3.0] * 4)[: 20 - len(values)]
         assert len(values) == 20 and len(set(values)) == distinct
         columns = [values, values[::-1], values[:19] + [np.float64(2.0)], values[:19] + [1]]
         out = io.StringIO()
         harness._write_table(out, ["a", "b", "c", "d"], columns)
-        expected = io.StringIO()
-        csv.writer(expected, lineterminator="\n").writerows(
-            [["a", "b", "c", "d"], *zip(*([harness._format(v) for v in c] for c in columns))]
-        )
-        assert out.getvalue() == expected.getvalue()
+        rows = [",".join(map(harness._format, row)) for row in zip(*columns)]
+        assert out.getvalue().splitlines() == ["a,b,c,d", *rows]
         assert "-0.0," in out.getvalue() and ",," in out.getvalue()
+
+    def test_every_output_reads_back_unquoted(self, tmp_path):
+        """No text the program writes needs CSV quoting: the csv module
+        reads every line of every output kind back as the line split on
+        commas (the summary lines too)."""
+        runs = [
+            ["sweep", "--scenario", "scenario3", "--engine", "model", "--points", "8"],
+            ["sweep", "--scenario", "scenario1", "--points", "6"],
+            ["multistatic", "--scenario", "scenario3", "--engine", "model", "--points", "6"],
+            ["multistatic", "--scenario", "scenario3", "--engine", "signal", "--points", "4",
+             "--trials", "1"],
+            ["doppler", "--scenario", "scenario3", "--pulses", "4",
+             "--map-out", str(tmp_path / "rd.csv")],
+            ["gdop-map", "--scenario", "scenario2", "--nx", "9", "--ny", "7"],
+        ]
+        outputs = []
+        for k, argv in enumerate(runs):
+            outputs.append(tmp_path / f"{k}.csv")
+            assert main(argv + ["--out", str(outputs[-1])]) == 0
+        outputs.append(tmp_path / "rd.csv")
+        statuses = set()
+        for path in outputs:
+            lines = path.read_text().splitlines()
+            assert len(lines) > 1
+            assert list(csv.reader(lines)) == [line.split(",") for line in lines]
+            statuses.update(line.rsplit(",", 1)[-1] for line in lines)
+        assert {"ok", "excluded", "mode1", "mode2", "degenerate"} <= statuses
 
 
 class TestGdopMap:
@@ -1289,6 +1291,16 @@ class TestCli:
     def test_config_problem_exits_1(self, capsys):
         assert main(["sweep", "--scenario", "scenario9"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unreadable_config_exits_1(self, tmp_path, capsys):
+        """A directory, or a file that is not UTF-8 text, is a configuration
+        problem (exit 1) named by its path, not a traceback or exit 2."""
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(b"seed = 1 # caf\xe9\n")
+        for source in (tmp_path, latin1):
+            assert main(["sweep", "--scenario", str(source)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and repr(str(source)) in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -28,11 +28,10 @@ class TestWaveformConfig:
         [
             {"fft_size": 1000},
             {"fft_size": 1},
-            {"occupied_subcarriers": 793},
-            {"occupied_subcarriers": 2048},
-            {"cp_samples": -1},
-            # kwargs5-7 covered config fields that are now module constants;
-            # the remaining cases keep their ids.
+            # kwargs2-4 covered the occupied subcarriers and the cyclic
+            # prefix, now derived from the FFT size, and kwargs5-7 config
+            # fields that are now module constants; the remaining cases
+            # keep their ids.
             pytest.param({"subcarrier_spacing_hz": 0.0}, id="kwargs8"),
             pytest.param({"seed": -1}, id="kwargs9"),
         ],
@@ -40,6 +39,15 @@ class TestWaveformConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             WaveformConfig(**kwargs)
+
+    def test_numerology_follows_the_fft_size(self):
+        """792 occupied subcarriers and 72 cyclic-prefix samples per 1024
+        bins; an FFT below 1024 bins has no numerology."""
+        with pytest.raises(ValueError, match="power of two >= 1024"):
+            WaveformConfig(fft_size=512)
+        cfg = WaveformConfig(fft_size=2048)
+        assert (cfg.occupied_subcarriers, cfg.cp_samples) == (1584, 144)
+        assert cfg.samples_per_symbol == 2048 + 144
 
     def test_occupied_bins_centered_and_unique(self):
         cfg = WaveformConfig()
