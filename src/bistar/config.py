@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .estimation import MEAN_ABS_TO_SIGMA
 from .gdop import MeasurementErrorModel
-from .geometry import NodePosition, RadarParams
+from .geometry import SPEED_OF_LIGHT, NodePosition, RadarParams
 
 ENGINE_SIGNAL = "signal_level"
 ENGINE_MODEL = "model_based"
@@ -107,6 +107,20 @@ class ScenarioConfig:
             raise ValueError("seed must be non-negative")
         if not 0.0 <= self.exclusion_deg < 45.0:
             raise ValueError("exclusion_deg must be in [0, 45)")
+        # A receiver sees a target of the primary contour at a sum range
+        # of at most sum_range plus its offset from the primary receiver;
+        # a two-node config's fusion receivers sit sqrt(3) baselines from
+        # it (`harness.multistatic_nodes`). The comb pilot's TDOA window
+        # ends at the reach c / (2 x subcarrier spacing).
+        rx = self.nodes[1]
+        spread = max((math.hypot(n.x - rx.x, n.y - rx.y) for n in self.nodes[2:]),
+                     default=math.sqrt(3.0) * self.baseline_l)
+        reach = SPEED_OF_LIGHT / (2.0 * self.radar.subcarrier_spacing_hz)
+        if self.sum_range + spread >= reach:
+            raise ValueError(
+                f"sum ranges up to {self.sum_range + spread:.6g} m reach past the "
+                f"{reach:.6g} m the comb pilot resolves at this subcarrier spacing"
+            )
 
     @property
     def baseline_l(self) -> float:

@@ -26,7 +26,7 @@ from .geometry import (
     wrap_angles,
 )
 from .gdop import MeasurementErrorModel
-from .waveform import IqCapture, fast_length
+from .waveform import IqCapture, WaveformConfig, fast_length, matched_reference
 
 # Half-normal identity: for zero-mean Gaussian error, E|e| = sigma *
 # sqrt(2 / pi), so a reported mean absolute error maps back to sigma
@@ -284,40 +284,47 @@ def _check_floor(magnitude: np.ndarray, peak: float, min_peak_db: float, what: s
 
 @dataclass(frozen=True)
 class MatchedFilter:
-    """The pilot reference prepared for beams of ``length`` samples: its
-    non-zero span, from sample ``start`` on, as conjugated spectrum and
-    circular autocorrelation at one `fast_length` transform size with
-    room for every non-negative lag of the linear correlation and for
-    both tails of the autocorrelation template."""
+    """The pilot reference of one waveform, prepared for `estimate_tdoa`.
 
-    length: int
+    The DM-RS pilot is a comb of every second subcarrier, so its
+    correlation repeats every N/2 lags, N the FFT size (1/(2Δf) in
+    time): a lag at or past N/2 cannot be told from the one N/2 before
+    it. The filter therefore covers the ``lags`` = N/2 lags [0, N/2)
+    from transmit and reads a beam only over [``start``, ``stop``): the
+    pilot symbol's span plus N/2 samples. It holds the pilot's
+    conjugated spectrum and circular autocorrelation at one
+    `fast_length` transform size with room for every lag of the window
+    and for both tails of the autocorrelation template.
+    """
+
+    sample_rate_hz: float
     start: int
+    stop: int
+    lags: int
     conj_spectrum: np.ndarray
     auto: np.ndarray
 
 
-def matched_filter(reference: IqCapture, length: int) -> MatchedFilter:
-    """The matched filter `estimate_tdoa` uses for beams of ``length`` samples.
+def matched_filter(cfg: WaveformConfig) -> MatchedFilter:
+    """The matched filter of the waveform ``cfg`` (see `MatchedFilter`).
 
-    The reference is zero outside its pilot symbol, so its span from the
-    first to the last non-zero sample gives the same correlation sums (an
-    all-zero reference keeps its whole length)."""
-    ref = reference.samples[0]
-    nonzero = ref != 0
-    start = int(np.argmax(nonzero))
-    pilot = ref[start : ref.size - int(np.argmax(nonzero[::-1]))]
-    spectrum = np.fft.fft(pilot, fast_length(length + pilot.size))
+    The reference is zero outside its pilot symbol, so that symbol's span
+    gives the same correlation sums as the whole slot."""
+    window = cfg.dmrs_window()
+    pilot = matched_reference(cfg).samples[0, window]
+    lags = cfg.fft_size // 2
+    spectrum = np.fft.fft(pilot, fast_length(max(lags + pilot.size, 2 * pilot.size)))
     conj = spectrum.conj()
-    return MatchedFilter(length, start, conj, np.fft.ifft(spectrum * conj))
+    auto = np.fft.ifft(spectrum * conj)
+    return MatchedFilter(cfg.sample_rate_hz, window.start, window.stop + lags, lags, conj, auto)
 
 
 def estimate_tdoa(
     direct_beam: IqCapture,
     echo_beam: IqCapture,
-    reference: IqCapture,
+    matched: MatchedFilter,
     guard_beam: IqCapture | None = None,
     direct_delay_hint_s: float | None = None,
-    matched: MatchedFilter | None = None,
 ) -> float:
     """Matched-filter TDOA between the echo and direct streams, seconds.
 
@@ -335,11 +342,12 @@ def estimate_tdoa(
     fractional delay is close to half a sample this interference decides
     which of the two neighboring lattice points wins.
 
-    The beams are streams of one capture and must have equal length.
-    They are correlated with the reference's pilot span in one FFT pass
-    through ``matched``, the reference's `matched_filter` for that
-    length; a caller that correlates many captures passes it in,
-    otherwise each call builds it.
+    The beams are streams of one capture and must have equal length, at
+    least ``matched.stop`` samples. They are correlated with the pilot
+    of ``matched``, the waveform's `matched_filter`, in one FFT pass
+    over the lag window [0, N/2) of the comb pilot: every peak, tail and
+    median floor below is taken over that window, so no lag at or past
+    N/2, where the pilot's correlation repeats, is searched or reported.
 
     ``guard_beam``, when given, is an interference-suppressed stream of
     the same capture (see `null_steer_beamform`) used as a guard channel
@@ -366,8 +374,9 @@ def estimate_tdoa(
 
     Raises:
         ValueError: when a beam is not a single stream, or the beams
-            differ in length or in sample rate from the reference, or
-            ``matched`` was prepared for another length.
+            differ in length, are shorter than ``matched.stop`` or
+            differ in sample rate from the filter, or the hint lies
+            outside the lag window.
         DetectionError: when the direct peak, the deflated echo peak
             or the guard peak that replaces it fails to clear its floor
             above the median correlation; the message names the stage.
@@ -379,34 +388,32 @@ def estimate_tdoa(
     for capture in beams:
         if capture.elements != 1:
             raise ValueError("beams must be single streams")
-        if abs(capture.sample_rate_hz - reference.sample_rate_hz) > 1e-3:
-            raise ValueError("sample rates must match the reference")
+        if abs(capture.sample_rate_hz - matched.sample_rate_hz) > 1e-3:
+            raise ValueError("sample rates must match the matched filter")
         if capture.samples.shape[1] != length:
             raise ValueError("beams must have equal length")
-    if matched is None:
-        matched = matched_filter(reference, length)
-    elif matched.length != length:
-        raise ValueError("matched filter was prepared for another beam length")
-    size, auto = matched.auto.size, matched.auto
-    streams = np.vstack([capture.samples[0, matched.start :] for capture in beams])
+    if length < matched.stop:
+        raise ValueError("beams must hold the matched filter's lag window")
+    size, auto, lags = matched.auto.size, matched.auto, matched.lags
+    streams = np.vstack([capture.samples[0, matched.start : matched.stop] for capture in beams])
     corr = np.fft.ifft(np.fft.fft(streams, size, axis=1) * matched.conj_spectrum, axis=1)
-    corr = corr[:, :length]
+    corr = corr[:, :lags]
 
     # The direct peak is searched near the hint, if any; its floor is
-    # taken over the whole correlation.
+    # taken over the whole window.
     magnitude = np.abs(corr[0])
-    lo, hi, min_peak_db = 0, length, MIN_PEAK_DB
+    lo, hi, min_peak_db = 0, lags, MIN_PEAK_DB
     if direct_delay_hint_s is not None:
-        center = int(round(direct_delay_hint_s * reference.sample_rate_hz))
-        lo, hi = max(center - HINT_WINDOW, 0), min(center + HINT_WINDOW + 1, length)
+        center = int(round(direct_delay_hint_s * matched.sample_rate_hz))
+        lo, hi = max(center - HINT_WINDOW, 0), min(center + HINT_WINDOW + 1, lags)
         min_peak_db = HINT_FLOOR_DB
     if lo >= hi:
-        raise ValueError("direct search window is outside the capture")
+        raise ValueError("direct search window is outside the lag window")
     direct_peak = lo + int(np.argmax(magnitude[lo:hi]))
     _check_floor(magnitude, magnitude[direct_peak], min_peak_db, "direct")
 
     corr_echo = corr[1]
-    template = auto[(np.arange(length) - direct_peak) % size]
+    template = auto[(np.arange(lags) - direct_peak) % size]
     corr_clean = corr_echo - corr_echo[direct_peak] / auto[0].real * template
 
     magnitude = np.abs(corr_clean)
@@ -423,7 +430,7 @@ def estimate_tdoa(
         if guard_tail[offset] < GUARD_FRACTION * guard_peak:
             offset = int(np.argmax(guard_tail))
             _check_floor(guard_tail, guard_peak, MIN_PEAK_DB, "guard")
-    return (offset + 1) / reference.sample_rate_hz
+    return (offset + 1) / matched.sample_rate_hz
 
 
 def range_doppler(train: IqCapture, reference: IqCapture, rows: int) -> RangeDopplerMap:

@@ -268,8 +268,7 @@ class _SignalBench:
         self.reference = matched_reference(self.wcfg)
         window = self.wcfg.dmrs_window()
         self.columns = window.start + snapshot_index(window.stop - window.start, 128)
-        # Matched filters by beam length: one per distinct path delay pad.
-        self.filters: dict = {}
+        self.matched = matched_filter(self.wcfg)
         # The slot's delayed path frames by exact delays, for every point.
         self.delayed_frames: dict = {}
 
@@ -282,7 +281,8 @@ class _SignalBench:
     ) -> tuple[float, float, np.ndarray, np.ndarray]:
         """Receiver chain on a train of ``pulses`` slots: a `BeamCapture`
         steered at the transmitter, MUSIC on its pilot snapshots, and the
-        TDOA off the first pulse of the direct, echo and guard beams.
+        TDOA off the direct, echo and guard beams over the matched
+        filter's lag window of the first pulse.
         Returns the echo angle, the TDOA and the direct and echo beams of
         the whole capture, as sample arrays."""
         params = self.cfg.radar
@@ -298,21 +298,19 @@ class _SignalBench:
             self.slot, paths, rx_array, params, seed_key, direct_aoa, self.columns,
             self.delayed_frames, pulses,
         )
-        fs, spp = capture.sample_rate_hz, capture.samples_per_pulse
+        fs = capture.sample_rate_hz
         aoa_raw = music_aoa(IqCapture(capture.pilot, fs), rx_array)
         aoa = _resolve_survey_aoa(aoa_raw, boresight, true_aoa(rx, target))
         echo, guard = capture.beams(
             steering_vector(rx_array, aoa) / rx_array.elements,
             null_steer_weights(rx_array, aoa, direct_aoa),
         )
-        if spp not in self.filters:
-            self.filters[spp] = matched_filter(self.reference, spp)
+        direct, echo_window, guard = (
+            IqCapture(beam[: self.matched.stop], fs) for beam in (capture.direct, echo, guard)
+        )
         tdoa = estimate_tdoa(
-            *(IqCapture(beam[:spp], fs) for beam in (capture.direct, echo)),
-            self.reference,
-            guard_beam=IqCapture(guard, fs),
+            direct, echo_window, self.matched, guard_beam=guard,
             direct_delay_hint_s=pair.baseline / SPEED_OF_LIGHT,
-            matched=self.filters[spp],
         )
         return aoa, tdoa, capture.direct, echo
 

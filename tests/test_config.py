@@ -21,6 +21,7 @@ from bistar import (
 )
 from bistar.config import _KEYS, ENGINE_MODEL, ENGINE_SIGNAL, MEAN_ABS_TDOA_NS
 from bistar.estimation import MEAN_ABS_TO_SIGMA
+from bistar.geometry import SPEED_OF_LIGHT
 
 GOOD_TEXT = """\
 # A complete scenario file.
@@ -471,3 +472,63 @@ class TestApplyBandwidth:
             "[nodes]\nnode = 0 0\nnode = 8 0\n[sweep]\nsum_range = 20\n"
         )
         assert apply_bandwidth(cfg, 400).error_model is None
+
+
+class TestTdoaReach:
+    """The comb pilot resolves echoes within c / (2 x spacing) of transmit
+    (1,249 m at 120 kHz, 2,498 m at 60 kHz); a config any of whose pairs
+    can see a larger sum range is refused."""
+
+    @staticmethod
+    def text(sum_range, spacing_hz=120e3, extra_node=None, rcs_dbsm=0.0):
+        nodes = ["node = 0 0", "node = 25 0"] + ([extra_node] if extra_node else [])
+        return "\n".join(
+            ["[nodes]", *nodes, "[radar]", f"subcarrier_spacing_hz = {spacing_hz!r}",
+             "[sweep]", f"sum_range = {sum_range!r}", f"rcs_dbsm = {rcs_dbsm!r}", ""]
+        )
+
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+    @pytest.mark.parametrize("bandwidth_mhz", [100, 400])
+    def test_presets_lie_inside_the_reach(self, name, bandwidth_mhz):
+        cfg = preset_scenario(name, bandwidth_mhz)
+        reach = SPEED_OF_LIGHT / (2.0 * cfg.radar.subcarrier_spacing_hz)
+        assert reach == pytest.approx(1249.135, abs=1e-3)
+        assert cfg.sum_range + math.sqrt(3.0) * cfg.baseline_l < 0.1 * reach
+
+    @pytest.mark.parametrize("spacing_hz", [120e3, 60e3])
+    def test_file_just_past_the_reach_is_refused(self, spacing_hz):
+        """Two nodes 25 m apart: the fusion receivers added 120 degrees
+        round the transmitter sit 25 sqrt(3) m from the primary one, so
+        the bound is the sum range plus that, whichever run it is."""
+        reach = SPEED_OF_LIGHT / (2.0 * spacing_hz)
+        edge = reach - 25.0 * math.sqrt(3.0)
+        parse_scenario(self.text(edge - 0.01, spacing_hz))
+        with pytest.raises(ConfigError, match="comb pilot resolves"):
+            parse_scenario(self.text(edge + 0.01, spacing_hz))
+
+    def test_laid_out_receivers_bound_by_the_farthest(self):
+        """With more than two nodes the receivers are the nodes as laid
+        out: the bound is the sum range plus the farthest receiver's
+        distance from the primary one (here 1,000 m)."""
+        reach = SPEED_OF_LIGHT / (2.0 * 120e3)
+        far = "node = 25 1000"
+        parse_scenario(self.text(reach - 1000.01, extra_node=far))
+        with pytest.raises(ConfigError, match="comb pilot resolves"):
+            parse_scenario(self.text(reach - 999.99, extra_node=far))
+
+    def test_file_just_inside_runs(self, tmp_path):
+        """A strong target 10 m inside the reach: its echo arrives 494 of
+        the 512 lags after transmit at 100 MHz, and the signal sweep reads
+        it on the sample nearest its TDOA."""
+        from bistar.cli import main
+
+        reach = SPEED_OF_LIGHT / (2.0 * 120e3)
+        path, out = tmp_path / "inside.cfg", tmp_path / "inside.csv"
+        path.write_text(self.text(reach - 25.0 * math.sqrt(3.0) - 0.01, rcs_dbsm=60.0))
+        assert main(["sweep", "--scenario", str(path), "--points", "8",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:9]]
+        ok = [row for row in rows if row[-1] == "ok"]
+        assert len(ok) == 4
+        for row in ok:
+            assert abs(float(row[5])) < 0.5e9 / 122.88e6

@@ -330,32 +330,33 @@ def _correlate(stream, reference):
     return np.fft.ifft(spectrum)[:length]
 
 
-def three_pass_tdoa(direct, echo, reference, guard=None, hint_s=None):
+def three_pass_tdoa(direct, echo, reference, guard=None, hint_s=None, lags=512):
     """`estimate_tdoa` with one `_correlate` call per beam.
 
-    Each call transforms the reference again and the template is built
-    from a fourth transform: the straightforward form, kept as the
-    bit-for-bit reference for the batched one. Returns None where the
-    estimator refuses.
+    Each call transforms the whole reference again and the template is
+    built from a fourth transform, every correlation cut to the window of
+    the first ``lags`` lags (N/2 of the waveform): the straightforward
+    form, kept as the bit-for-bit reference for the batched one. Returns
+    None where the estimator refuses.
     """
     ref = reference.samples[0]
-    direct_mag = np.abs(_correlate(direct.samples[0], ref))
-    lo, hi, min_db = 0, direct_mag.size, 6.0
+    direct_mag = np.abs(_correlate(direct.samples[0], ref)[:lags])
+    lo, hi, min_db = 0, lags, 6.0
     if hint_s is not None:
         center = int(round(hint_s * reference.sample_rate_hz))
-        lo, hi, min_db = max(center - 1, 0), min(center + 2, direct_mag.size), 12.0
+        lo, hi, min_db = max(center - 1, 0), min(center + 2, lags), 12.0
     direct_peak = lo + int(np.argmax(direct_mag[lo:hi]))
     floor = float(np.median(direct_mag))
     if floor <= 0.0 or 20.0 * math.log10(direct_mag[direct_peak] / floor) < min_db:
         return None
-    corr_echo = _correlate(echo.samples[0], ref)
-    length = corr_echo.shape[0]
+    corr_echo = _correlate(echo.samples[0], ref)[:lags]
+    length = echo.samples.shape[1]
     size = 1
     while size < 2 * ref.shape[0] or size < length + ref.shape[0]:
         size <<= 1
     spectrum = np.fft.fft(ref, size)
     auto = np.fft.ifft(spectrum * spectrum.conj())
-    template = auto[(np.arange(length) - direct_peak) % size]
+    template = auto[(np.arange(lags) - direct_peak) % size]
     corr_clean = corr_echo - corr_echo[direct_peak] / auto[0].real * template
     tail = np.abs(corr_clean[direct_peak + 1 :])
     offset = int(np.argmax(tail))
@@ -363,7 +364,7 @@ def three_pass_tdoa(direct, echo, reference, guard=None, hint_s=None):
     if 20.0 * math.log10(tail[offset] / floor) < 6.0:
         return None
     if guard is not None:
-        guard_tail = np.abs(_correlate(guard.samples[0], ref)[direct_peak + 1 :])
+        guard_tail = np.abs(_correlate(guard.samples[0], ref)[direct_peak + 1 : lags])
         guard_peak = float(guard_tail.max())
         if guard_tail[offset] < 0.5 * guard_peak:
             offset = int(np.argmax(guard_tail))
@@ -377,20 +378,26 @@ def ref():
     return matched_reference(WaveformConfig(seed=6))
 
 
+@pytest.fixture(scope="module")
+def mf():
+    return matched_filter(WaveformConfig(seed=6))
+
+
 class TestEstimateTdoa:
-    def test_integer_lattice_readout(self, ref):
+    def test_integer_lattice_readout(self, ref, mf):
         r = ref.samples[0]
         n = r.size + 64
         direct = IqCapture(lay_reference(n, [(6, 1.0)], r), FS)
         echo = IqCapture(lay_reference(n, [(6, 0.5), (13, 0.05)], r), FS)
-        tdoa = estimate_tdoa(direct, echo, ref)
+        tdoa = estimate_tdoa(direct, echo, mf)
         assert tdoa == pytest.approx(7.0 / FS, rel=1e-12)
 
-    def test_deflation_uncovers_echo_under_comb_alias(self, ref):
-        """The comb pilot aliases the direct peak at half the ambiguity.
-
-        That alias dwarfs a weak echo, so a correct readout here proves
-        the direct contribution was subtracted, sidelobes included.
+    def test_deflation_uncovers_echo_under_comb_alias(self, ref, mf):
+        """The comb pilot aliases the direct peak N/2 later, just past
+        the lag window; inside it the direct's sidelobes (0.15 of its
+        peak 50 lags on) still dwarf a weak echo, so a correct readout
+        here proves the direct contribution was subtracted, sidelobes
+        included.
         """
         r = ref.samples[0]
         n = r.size + 700
@@ -401,10 +408,10 @@ class TestEstimateTdoa:
         assert alias_rel > 0.4
         direct = IqCapture(lay_reference(n, [(6, 1.0)], r), FS)
         echo = IqCapture(lay_reference(n, [(6, 1.0), (106, 0.03)], r), FS)
-        tdoa = estimate_tdoa(direct, echo, ref)
+        tdoa = estimate_tdoa(direct, echo, mf)
         assert tdoa == pytest.approx(100.0 / FS, rel=1e-12)
 
-    def test_guard_overrides_spurious_peak(self, ref):
+    def test_guard_overrides_spurious_peak(self, ref, mf):
         r = ref.samples[0]
         n = r.size + 64
         direct = IqCapture(lay_reference(n, [(6, 1.0)], r), FS)
@@ -414,32 +421,32 @@ class TestEstimateTdoa:
             lay_reference(n, [(6, 0.5), (8, 0.2), (13, 0.05)], r), FS
         )
         guard = IqCapture(lay_reference(n, [(13, 0.05)], r), FS)
-        naive = estimate_tdoa(direct, echo, ref)
+        naive = estimate_tdoa(direct, echo, mf)
         assert naive == pytest.approx(2.0 / FS, rel=1e-12)
-        guarded = estimate_tdoa(direct, echo, ref, guard_beam=guard)
+        guarded = estimate_tdoa(direct, echo, mf, guard_beam=guard)
         assert guarded == pytest.approx(7.0 / FS, rel=1e-12)
 
-    def test_guard_confirms_genuine_peak(self, ref):
+    def test_guard_confirms_genuine_peak(self, ref, mf):
         r = ref.samples[0]
         n = r.size + 64
         direct = IqCapture(lay_reference(n, [(6, 1.0)], r), FS)
         echo = IqCapture(lay_reference(n, [(6, 0.5), (13, 0.05)], r), FS)
         guard = IqCapture(lay_reference(n, [(13, 0.04)], r), FS)
-        assert estimate_tdoa(direct, echo, ref, guard_beam=guard) == pytest.approx(
+        assert estimate_tdoa(direct, echo, mf, guard_beam=guard) == pytest.approx(
             7.0 / FS, rel=1e-12
         )
 
-    def test_hint_window_anchors_direct_search(self, ref):
+    def test_hint_window_anchors_direct_search(self, ref, mf):
         r = ref.samples[0]
         n = r.size + 64
         # The echo dominates the correlation; only the surveyed delay
         # window keeps the anchor on the weak direct path.
         direct = IqCapture(lay_reference(n, [(6, 0.3), (13, 1.0)], r), FS)
         echo = IqCapture(lay_reference(n, [(6, 0.02), (13, 1.0)], r), FS)
-        tdoa = estimate_tdoa(direct, echo, ref, direct_delay_hint_s=6.0 / FS)
+        tdoa = estimate_tdoa(direct, echo, mf, direct_delay_hint_s=6.0 / FS)
         assert tdoa == pytest.approx(7.0 / FS, rel=1e-12)
 
-    def test_hint_window_ignores_echo_skirt(self, ref, monkeypatch):
+    def test_hint_window_ignores_echo_skirt(self, ref, mf, monkeypatch):
         """A starved direct path 6.3 lags before a strong echo: three
         lags after the hint, the echo's rising skirt outweighs the direct
         peak, and an anchor there (a `HINT_WINDOW` of 3) would read the
@@ -457,14 +464,14 @@ class TestEstimateTdoa:
         direct = IqCapture(at(20, 0.05) + at(26.3, 1.0) + noise(), FS)
         echo = IqCapture(at(20, 5e-4) + at(26.3, 1.0) + noise(), FS)
         hint_s = 20.0 / FS
-        assert estimate_tdoa(direct, echo, ref, direct_delay_hint_s=hint_s) == (
+        assert estimate_tdoa(direct, echo, mf, direct_delay_hint_s=hint_s) == (
             pytest.approx(6.0 / FS, rel=1e-12)
         )
         monkeypatch.setattr(estimation, "HINT_WINDOW", 3)
-        wide = estimate_tdoa(direct, echo, ref, direct_delay_hint_s=hint_s)
+        wide = estimate_tdoa(direct, echo, mf, direct_delay_hint_s=hint_s)
         assert wide == pytest.approx(3.0 / FS, rel=1e-12)
 
-    def test_hint_window_refuses_noise_anchor(self, ref):
+    def test_hint_window_refuses_noise_anchor(self, ref, mf):
         """A transmit-pattern null leaves only noise in the anchor window."""
         r = ref.samples[0]
         n = r.size + 64
@@ -473,10 +480,10 @@ class TestEstimateTdoa:
         direct = IqCapture(noise(), FS)
         echo = IqCapture(lay_reference(n, [(13, 0.1)], r) + noise(), FS)
         with pytest.raises(DetectionError):
-            estimate_tdoa(direct, echo, ref, direct_delay_hint_s=6.0 / FS)
+            estimate_tdoa(direct, echo, mf, direct_delay_hint_s=6.0 / FS)
 
     @pytest.mark.parametrize("with_guard", [False, True])
-    def test_batched_matches_three_pass_reference(self, ref, with_guard):
+    def test_batched_matches_three_pass_reference(self, ref, mf, with_guard):
         r = ref.samples[0]
         n = r.size + 96
         rng = np.random.default_rng(43)
@@ -498,71 +505,104 @@ class TestEstimateTdoa:
             hint_s = 6.0 / FS if trial % 2 else None
             try:
                 got = estimate_tdoa(
-                    direct, echo, ref, guard_beam=guard, direct_delay_hint_s=hint_s
+                    direct, echo, mf, guard_beam=guard, direct_delay_hint_s=hint_s
                 )
             except DetectionError:
                 got = None
             assert got == three_pass_tdoa(direct, echo, ref, guard, hint_s)
 
-    @pytest.mark.parametrize("mhz", [100, 400])
-    def test_prepared_filter_matches_bare_call(self, mhz):
-        """A matched filter prepared once reads the same floats as a
-        bare call, which builds its own, and refuses another length."""
-        fs = FS * mhz / 100
-        ref = matched_reference(reference_config(mhz, seed=6))
+    def test_guard_never_reports_the_direct_replica(self, ref, mf):
+        """An echo inside the direct lag is deflated with the direct path,
+        so the echo beam's winning lag is noise, while the guard beam
+        still holds the echo and its strongest tail lag is the direct
+        peak's replica N/2 later (the comb pilot's): the guard override
+        must refuse or read a lag below N/2, never the replica."""
         r = ref.samples[0]
-        n = r.size + 40
-        matched = matched_filter(ref, n)
+        n = r.size + 64
+        rng = np.random.default_rng(47)
+
+        def noisy(amp):
+            noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            return IqCapture(lay_reference(n, [(6, amp)], r) + 1e-3 * noise, FS)
+
+        direct, echo, guard = noisy(1.0), noisy(1.0), noisy(0.3)
+        guard_corr = np.abs(_correlate(guard.samples[0], r))
+        assert 7 + int(np.argmax(guard_corr[7:])) == 6 + 512
+        for hint_s in (None, 6.0 / FS):
+            try:
+                tdoa = estimate_tdoa(direct, echo, mf, guard_beam=guard,
+                                     direct_delay_hint_s=hint_s)
+            except DetectionError:
+                continue
+            assert tdoa < 512 / FS
+
+    @pytest.mark.parametrize("mhz", [100, 400])
+    def test_no_lag_at_or_past_the_window_is_reported(self, mhz):
+        """Over noisy draws at both bandwidths, with and without guard
+        beam and anchor, with echoes on both sides of N/2 and inside the
+        direct lag, every reported TDOA is below N/(2 fs)."""
+        cfg = reference_config(mhz, seed=6)
+        fs, half = cfg.sample_rate_hz, cfg.fft_size // 2
+        r = matched_reference(cfg).samples[0]
+        matched = matched_filter(cfg)
+        n = r.size + 2 * half + 16
         rng = np.random.default_rng(44)
-        for trial in range(6):
+        reported = []
+        for trial in range(24):
             scale = 0.02 * 4 ** (trial % 3)
 
             def noisy(placements):
                 noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 return IqCapture(lay_reference(n, placements, r) + scale * noise, fs)
 
-            lag = 12 + int(rng.integers(0, 20))
-            beams = (noisy([(6, 1.0)]), noisy([(6, 0.5), (lag, 0.05)]), ref)
-            kwargs = dict(guard_beam=noisy([(lag, 0.05)]), direct_delay_hint_s=6.0 / fs)
-            outcomes = []
-            for extra in ({}, {"matched": matched}):
-                try:
-                    outcomes.append(estimate_tdoa(*beams, **kwargs, **extra))
-                except DetectionError as exc:
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1]
-        with pytest.raises(ValueError):
-            estimate_tdoa(*beams, matched=matched_filter(ref, n - 1))
+            lag = 6 if trial % 5 == 0 else 7 + int(rng.integers(0, 2 * half))
+            direct = noisy([(6, 1.0)])
+            echo = noisy([(6, 0.5), (lag, 0.05)])
+            guard = noisy([(6, 0.1), (lag, 0.05)]) if trial % 2 else None
+            hint_s = 6.0 / fs if trial % 4 >= 2 else None
+            try:
+                reported.append(estimate_tdoa(direct, echo, matched, guard_beam=guard,
+                                              direct_delay_hint_s=hint_s))
+            except DetectionError:
+                pass
+        assert len(reported) >= 12
+        assert max(reported) < half / fs
 
     @pytest.mark.parametrize("mhz", [100, 400])
     def test_pilot_span_matches_full_reference(self, mhz):
-        """The filter keeps the DM-RS symbol at a 5-smooth size; its
-        correlation and template match the whole reference's at a power
-        of two within 1e-9 of the peak."""
+        """The filter keeps the DM-RS symbol and the N/2 lags of the comb
+        pilot at a 5-smooth size; over that window its correlation and
+        template match the whole reference's at a power of two within
+        1e-9 of the peak."""
         cfg = reference_config(mhz, seed=6)
         ref = matched_reference(cfg)
         r = ref.samples[0]
         n = fast_length(r.size + 29)
-        matched = matched_filter(ref, n)
-        window = cfg.dmrs_window()
-        size = fast_length(n + window.stop - window.start)
-        assert (matched.start, matched.auto.size) == (window.start, size)
+        matched = matched_filter(cfg)
+        window, half = cfg.dmrs_window(), cfg.fft_size // 2
+        span = window.stop - window.start
+        size = fast_length(max(half + span, 2 * span))
+        assert size == {100: 2250, 400: 9000}[mhz]
+        assert (matched.start, matched.stop, matched.lags, matched.auto.size) == (
+            window.start, window.stop + half, half, size)
         rng = np.random.default_rng(45)
         noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         stream = lay_reference(n, [(6, 1.0), (19, 0.3)], r) + 0.1 * noise
-        full = _correlate(stream, r)
-        corr = np.fft.ifft(np.fft.fft(stream[matched.start :], size) * matched.conj_spectrum)
-        assert np.abs(corr[:n] - full).max() < 1e-9 * np.abs(full).max()
+        full = _correlate(stream, r)[:half]
+        corr = np.fft.ifft(
+            np.fft.fft(stream[matched.start : matched.stop], size) * matched.conj_spectrum
+        )
+        assert np.abs(corr[:half] - full).max() < 1e-9 * np.abs(full).max()
         wide = 1 << (n + r.size - 1).bit_length()
         spectrum = np.fft.fft(r, wide)
         auto = np.fft.ifft(spectrum * spectrum.conj())
-        for peak in (0, 6, n - 1):
-            lags = np.arange(n) - peak
+        for peak in (0, 6, half - 1):
+            lags = np.arange(half) - peak
             assert np.abs(matched.auto[lags % size] - auto[lags % wide]).max() < (
                 1e-9 * auto[0].real
             )
 
-    def test_pilot_span_reads_the_reference_lags(self, ref):
+    def test_pilot_span_reads_the_reference_lags(self, ref, mf):
         """Over 60 noisy draws, with and without guard beam and anchor,
         the pilot-span filter reads the lag (or refusal) of the
         whole-reference `three_pass_tdoa`."""
@@ -574,7 +614,6 @@ class TestEstimateTdoa:
             noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             return IqCapture(lay_reference(n, placements, r) + scale * noise, FS)
 
-        matched = matched_filter(ref, n)
         for trial in range(60):
             lag = 8 + int(rng.integers(0, 85))
             scale = 0.01 * 5 ** (trial % 4)
@@ -584,33 +623,26 @@ class TestEstimateTdoa:
             hint_s = 6.0 / FS if trial % 2 else None
             try:
                 got = estimate_tdoa(
-                    direct, echo, ref, guard_beam=guard, direct_delay_hint_s=hint_s,
-                    matched=matched,
+                    direct, echo, mf, guard_beam=guard, direct_delay_hint_s=hint_s
                 )
             except DetectionError:
                 got = None
             assert got == three_pass_tdoa(direct, echo, ref, guard, hint_s)
 
-    def test_all_zero_reference_raises(self, ref):
-        n = ref.samples.shape[1] + 64
-        beam = IqCapture(lay_reference(n, [(6, 1.0)], ref.samples[0]), FS)
-        with pytest.raises(DetectionError):
-            estimate_tdoa(beam, beam, IqCapture(np.zeros(ref.samples.shape[1]), FS))
-
-    def test_validation(self, ref):
+    def test_validation(self, ref, mf):
         r = ref.samples[0]
         n = r.size + 64
         good = IqCapture(lay_reference(n, [(6, 1.0)], r), FS)
         with pytest.raises(ValueError):
-            estimate_tdoa(good, IqCapture(good.samples[:, :-1], FS), ref)
+            estimate_tdoa(good, IqCapture(good.samples[:, :-1], FS), mf)
         multi = IqCapture(np.ones((2, n), dtype=complex), FS)
         with pytest.raises(ValueError):
-            estimate_tdoa(multi, good, ref)
+            estimate_tdoa(multi, good, mf)
         wrong_rate = IqCapture(lay_reference(n, [(6, 1.0)], r), FS / 2)
         with pytest.raises(ValueError):
-            estimate_tdoa(wrong_rate, good, ref)
+            estimate_tdoa(wrong_rate, good, mf)
 
-    def test_anchored_pure_noise_raises(self, ref):
+    def test_anchored_pure_noise_raises(self, ref, mf):
         """With a surveyed anchor, noise in the window fails the 12 dB floor."""
         rng = np.random.default_rng(41)
         n = ref.samples.shape[1] + 64
@@ -618,10 +650,10 @@ class TestEstimateTdoa:
             rng.standard_normal(n) + 1j * rng.standard_normal(n), FS
         )
         with pytest.raises(DetectionError):
-            estimate_tdoa(noise(), noise(), ref, direct_delay_hint_s=20.0 / FS)
+            estimate_tdoa(noise(), noise(), mf, direct_delay_hint_s=20.0 / FS)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_beam_sample_raises(self, ref, bad):
+    def test_non_finite_beam_sample_raises(self, ref, mf, bad):
         """`IqCapture` refuses the sample before `estimate_tdoa` reads it."""
         r = ref.samples[0]
         samples = lay_reference(r.size + 64, [(6, 1.0)], r)
@@ -629,19 +661,19 @@ class TestEstimateTdoa:
         for where in (samples.real, samples.imag):
             where[40] = bad
             with pytest.raises(ValueError, match="finite"):
-                estimate_tdoa(good, IqCapture(samples, FS), ref)
+                estimate_tdoa(good, IqCapture(samples, FS), mf)
             with pytest.raises(ValueError, match="finite"):
-                estimate_tdoa(IqCapture(samples, FS), good, ref, guard_beam=good)
+                estimate_tdoa(IqCapture(samples, FS), good, mf, guard_beam=good)
             where[40] = 0.0
 
-    def test_all_zero_echo_raises(self, ref):
+    def test_all_zero_echo_raises(self, ref, mf):
         r = ref.samples[0]
         n = r.size + 64
         direct = IqCapture(lay_reference(n, [(6, 1.0)], r), FS)
         with pytest.raises(DetectionError, match="echo"):
-            estimate_tdoa(direct, IqCapture(np.zeros(n, dtype=complex), FS), ref)
+            estimate_tdoa(direct, IqCapture(np.zeros(n, dtype=complex), FS), mf)
 
-    def test_refusals_name_their_stage(self, ref):
+    def test_refusals_name_their_stage(self, ref, mf):
         """Each stage's floor refusal names it: a blank direct beam, a
         blank echo beam, and a guard beam whose correlation is flat (a
         constant stream) but for a notch at the echo lag, so the guard
@@ -653,14 +685,14 @@ class TestEstimateTdoa:
         echo = IqCapture(lay_reference(n, [(6, 1.0), (40, 0.8)], r), FS)
         notch = -np.sum(r.conj()) / np.vdot(r, r).real
         guard = IqCapture(np.ones(n, dtype=complex) + lay_reference(n, [(40, notch)], r), FS)
-        assert estimate_tdoa(direct, echo, ref) == 34 / FS
-        assert estimate_tdoa(direct, echo, ref, guard_beam=IqCapture(np.ones(n), FS)) == 34 / FS
+        assert estimate_tdoa(direct, echo, mf) == 34 / FS
+        assert estimate_tdoa(direct, echo, mf, guard_beam=IqCapture(np.ones(n), FS)) == 34 / FS
         for stage, beams in (("direct", (blank, echo)), ("echo", (direct, blank)),
                              ("guard", (direct, echo))):
             with pytest.raises(DetectionError, match=f"^{stage} correlation peak is below"):
-                estimate_tdoa(*beams, ref, guard_beam=guard)
+                estimate_tdoa(*beams, mf, guard_beam=guard)
 
-    def test_unequal_beam_lengths_raise(self, ref):
+    def test_unequal_beam_lengths_raise(self, ref, mf):
         r = ref.samples[0]
         n = r.size + 64
         beam = IqCapture(lay_reference(n, [(6, 1.0)], r), FS)
@@ -668,21 +700,26 @@ class TestEstimateTdoa:
         for direct, echo, guard in ((beam, longer, None), (longer, beam, None),
                                     (beam, beam, longer)):
             with pytest.raises(ValueError, match="equal length"):
-                estimate_tdoa(direct, echo, ref, guard_beam=guard)
+                estimate_tdoa(direct, echo, mf, guard_beam=guard)
 
-    def test_filter_for_another_length_raises(self, ref):
+    def test_beam_shorter_than_the_window_raises(self, ref, mf):
+        """The beams must hold the span the filter reads, the pilot
+        symbol plus N/2 samples; one sample less is refused."""
         r = ref.samples[0]
-        n = r.size + 64
-        beam = IqCapture(lay_reference(n, [(6, 1.0)], r), FS)
-        for length in (n - 1, n + 1):
-            with pytest.raises(ValueError, match="another beam length"):
-                estimate_tdoa(beam, beam, ref, matched=matched_filter(ref, length))
+        assert mf.stop == 2 * 1096 + 1096 + 512
+        direct, echo = (lay_reference(r.size + 64, placements, r)
+                        for placements in ([(6, 1.0)], [(6, 0.5), (13, 0.05)]))
+        beams = [IqCapture(beam[: mf.stop], FS) for beam in (direct, echo)]
+        assert estimate_tdoa(*beams, mf) == pytest.approx(7.0 / FS, rel=1e-12)
+        short = [IqCapture(beam[: mf.stop - 1], FS) for beam in (direct, echo)]
+        with pytest.raises(ValueError, match="lag window"):
+            estimate_tdoa(*short, mf)
 
-    def test_empty_capture_raises(self, ref):
+    def test_empty_capture_raises(self, ref, mf):
         n = ref.samples.shape[1] + 64
         blank = IqCapture(np.zeros(n, dtype=complex), FS)
         with pytest.raises(DetectionError):
-            estimate_tdoa(blank, blank, ref)
+            estimate_tdoa(blank, blank, mf)
 
 
 class TestRangeDoppler:
