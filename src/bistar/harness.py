@@ -72,6 +72,9 @@ _MODES = (Mode.MODE1, Mode.MODE2)
 DELAY_BINS = 256
 
 STATUS_OK = "ok"
+
+# Distances to the survey bearing this close tie (`_resolve_survey_aoa`).
+_ALIAS_TIE_RAD = 1e-9
 STATUS_EXCLUDED = "excluded"
 
 
@@ -245,9 +248,14 @@ def _resolve_survey_aoa(raw: float, boresight: float, hint: float) -> float:
 
     A uniform linear array cannot tell front from back, and near endfire
     the spectrum also carries a strong quasi-alias on the opposite end.
-    Both ambiguities are reflections: across the array axis, across the
-    boresight, or both.  The survey already aims the transmit beam using
+    Both ambiguities are reflections: across the boresight, across the
+    array axis, or both.  The survey already aims the transmit beam using
     the believed target position, so the same bearing disambiguates.
+    A hint on the boresight line or on the array axis lies midway
+    between a candidate and its reflection across that line, so
+    candidates within
+    `_ALIAS_TIE_RAD` of the nearest distance tie, and a tie goes to the
+    first in the order raw, across the boresight, across the axis, both.
     """
     candidates = (
         raw,
@@ -255,7 +263,9 @@ def _resolve_survey_aoa(raw: float, boresight: float, hint: float) -> float:
         wrap_angle(2.0 * boresight + math.pi - raw),
         wrap_angle(raw + math.pi),
     )
-    return min(candidates, key=lambda a: abs(wrap_angle(a - hint)))
+    distances = [abs(wrap_angle(a - hint)) for a in candidates]
+    nearest = min(distances)
+    return next(a for a, d in zip(candidates, distances) if d <= nearest + _ALIAS_TIE_RAD)
 
 
 class _SignalBench:

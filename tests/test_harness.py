@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,31 @@ class TestResolveSurveyAoa:
         assert _resolve_survey_aoa(angle, bore, angle + math.pi - 0.05) == wrap_angle(
             angle + math.pi
         )
+
+
+    @pytest.mark.parametrize("bore_deg", [180.0, 0.0, 90.0, -61.3])
+    def test_exact_ties_go_to_the_first_candidate(self, bore_deg):
+        """A hint on the boresight line or on the array axis lies midway
+        between two candidates that are reflections of each other across
+        that line (in exact arithmetic, in degrees off the boresight);
+        the first of the two in the order raw, across the boresight,
+        across the axis, both wins, whichever way the float distances
+        round. scenario1's 0 degree point, where the receiver looks back
+        along the baseline, ties across the axis with both."""
+        bore = math.radians(bore_deg)
+        for offset_deg in np.linspace(0.05, 80.0, 41):
+            for sign in (1, -1):
+                phi = sign * Fraction(offset_deg)
+                raw = wrap_angle(bore + math.radians(float(phi)))
+                candidates = (raw, wrap_angle(2.0 * bore - raw),
+                              wrap_angle(2.0 * bore + math.pi - raw), wrap_angle(raw + math.pi))
+                for turn in (0, 180, 90, -90):
+                    exact = [(off - turn) % 360 for off in (phi, -phi, 180 - phi, 180 + phi)]
+                    exact = [min(d, 360 - d) for d in exact]
+                    assert exact.count(min(exact)) == 2
+                    want = candidates[exact.index(min(exact))]
+                    hint = wrap_angle(bore + math.radians(turn))
+                    assert _resolve_survey_aoa(raw, bore, hint) == want
 
 
 class TestWaveformForRadar:
