@@ -71,10 +71,10 @@ _MODES = (Mode.MODE1, Mode.MODE2)
 # Delay bins of a range-Doppler map CSV.
 DELAY_BINS = 256
 
-STATUS_OK = "ok"
-
 # Distances to the survey bearing this close tie (`_resolve_survey_aoa`).
 _ALIAS_TIE_RAD = 1e-9
+
+STATUS_OK = "ok"
 STATUS_EXCLUDED = "excluded"
 
 
@@ -253,9 +253,9 @@ def _resolve_survey_aoa(raw: float, boresight: float, hint: float) -> float:
     the believed target position, so the same bearing disambiguates.
     A hint on the boresight line or on the array axis lies midway
     between a candidate and its reflection across that line, so
-    candidates within
-    `_ALIAS_TIE_RAD` of the nearest distance tie, and a tie goes to the
-    first in the order raw, across the boresight, across the axis, both.
+    candidates within `_ALIAS_TIE_RAD` of the nearest distance tie, and
+    a tie goes to the first in the order raw, across the boresight,
+    across the axis, both.
     """
     candidates = (
         raw,
@@ -275,7 +275,6 @@ class _SignalBench:
         self.cfg = cfg
         self.wcfg = waveform_for_radar(cfg.radar, seed=cfg.seed)
         self.slot = generate_slot(self.wcfg)
-        self.reference = matched_reference(self.wcfg)
         window = self.wcfg.dmrs_window()
         self.columns = window.start + snapshot_index(window.stop - window.start, 128)
         self.matched = matched_filter(self.wcfg)
@@ -315,11 +314,10 @@ class _SignalBench:
             steering_vector(rx_array, aoa) / rx_array.elements,
             null_steer_weights(rx_array, aoa, direct_aoa),
         )
-        direct, echo_window, guard = (
-            IqCapture(beam[: self.matched.stop], fs) for beam in (capture.direct, echo, guard)
-        )
+        stop = self.matched.stop
         tdoa = estimate_tdoa(
-            direct, echo_window, self.matched, guard_beam=guard,
+            IqCapture(capture.direct[:stop], fs), IqCapture(echo[:stop], fs), self.matched,
+            guard_beam=IqCapture(guard[:stop], fs),
             direct_delay_hint_s=pair.baseline / SPEED_OF_LIGHT,
         )
         return aoa, tdoa, capture.direct, echo
@@ -797,7 +795,7 @@ def run_doppler(cfg: ScenarioConfig) -> DopplerResult:
     )
     del direct
 
-    rd_map = range_doppler(echo_beam, bench.reference, DELAY_BINS)
+    rd_map = range_doppler(echo_beam, matched_reference(bench.wcfg), DELAY_BINS)
     _, doppler_est = doppler_peak(rd_map)
     rate_est = doppler_to_velocity(doppler_est, params.carrier_hz)
 
