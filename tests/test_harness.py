@@ -121,8 +121,8 @@ class TestResolveSurveyAoa:
         that line (in exact arithmetic, in degrees off the boresight);
         the first of the two in the order raw, across the boresight,
         across the axis, both wins, whichever way the float distances
-        round. scenario1's 0 degree point, where the receiver looks back
-        along the baseline, ties across the axis with both."""
+        round. scenario1's 0 degree point, a target straight above the
+        receiver, is a hint on the array axis."""
         bore = math.radians(bore_deg)
         for offset_deg in np.linspace(0.05, 80.0, 41):
             for sign in (1, -1):
